@@ -1,52 +1,43 @@
 #!/usr/bin/env bash
-# SIMD determinism gate (docs/kernels.md): builds the tree twice, with
-# -DPIM_SIMD=ON and OFF, and asserts the full flow is byte-identical
-# between the two — the flag may only toggle vectorization *hints* in
-# the SoA device kernels, never arithmetic. Each variant fits its own
-# coefficients with the result cache off (so neither can shortcut
-# through the other's cached characterization), then `pim evaluate` and
-# `pim yield` outputs are compared across both variants at --threads 1
-# and 4, which also re-checks the thread-count determinism contract
-# through the batched transient engine.
+# Kernel determinism gate (docs/kernels.md): with the result cache off,
+# fits 45nm from scratch at --threads 1 and 4 (the characterization runs
+# through the batched engine's SoA kernels) and asserts the coefficient
+# files, then `pim evaluate`/`pim yield` outputs, are byte-identical.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 workdir=$(mktemp -d)
 trap 'rm -rf "$workdir"' EXIT
 
-for simd in ON OFF; do
-  echo "=== build -DPIM_SIMD=$simd ==="
-  cmake -B "build-simd-$simd" -G Ninja -DPIM_SIMD=$simd >/dev/null
-  cmake --build "build-simd-$simd" --target pim >/dev/null
-done
+echo "=== build ==="
+cmake -B build -G Ninja >/dev/null
+cmake --build build --target pim >/dev/null
+pim=./build/tools/pim
 
 common=(--cache off --out-dir "$workdir/out" --ledger off --log-level warn)
 
-for simd in ON OFF; do
-  pim="./build-simd-$simd/tools/pim"
-  coeffs="$workdir/coeffs-$simd.pimfit"
-  echo "=== pim fit (SIMD=$simd) ==="
-  "$pim" fit 45nm --coeffs "$coeffs" --threads 4 "${common[@]}" >/dev/null
-  for threads in 1 4; do
-    "$pim" evaluate 45nm --length 5 --coeffs "$coeffs" --threads $threads \
-      "${common[@]}" > "$workdir/evaluate-$simd-$threads.txt"
-    "$pim" yield 45nm --length 3 --samples 200 --coeffs "$coeffs" \
-      --threads $threads "${common[@]}" > "$workdir/yield-$simd-$threads.txt"
-  done
+for threads in 1 4; do
+  echo "=== pim fit (--threads $threads) ==="
+  "$pim" fit 45nm --coeffs "$workdir/coeffs-$threads.pimfit" --threads $threads \
+    "${common[@]}" >/dev/null
 done
 
 echo "=== compare ==="
-# Fitted coefficients must match byte-for-byte: the whole transistor-level
-# characterization ran through the kernels in both variants.
-cmp "$workdir/coeffs-ON.pimfit" "$workdir/coeffs-OFF.pimfit" \
-  || { echo "check_kernels: coefficient files differ between SIMD variants"; exit 1; }
+# Fitted coefficients must match byte-for-byte across thread counts.
+cmp "$workdir/coeffs-1.pimfit" "$workdir/coeffs-4.pimfit" \
+  || { echo "check_kernels: coefficient files differ between --threads 1 and 4"; exit 1; }
 
-for cmd in evaluate yield; do
-  ref="$workdir/$cmd-ON-1.txt"
-  for variant in ON-4 OFF-1 OFF-4; do
-    cmp "$ref" "$workdir/$cmd-$variant.txt" \
-      || { echo "check_kernels: pim $cmd output differs ($variant vs ON-1)"; exit 1; }
-  done
+coeffs="$workdir/coeffs-1.pimfit"
+for threads in 1 4; do
+  "$pim" evaluate 45nm --length 5 --coeffs "$coeffs" --threads $threads \
+    "${common[@]}" > "$workdir/evaluate-$threads.txt"
+  "$pim" yield 45nm --length 3 --samples 200 --coeffs "$coeffs" \
+    --threads $threads "${common[@]}" > "$workdir/yield-$threads.txt"
 done
 
-echo "check_kernels: OK (SIMD ON/OFF byte-identical at --threads 1 and 4)"
+for cmd in evaluate yield; do
+  cmp "$workdir/$cmd-1.txt" "$workdir/$cmd-4.txt" \
+    || { echo "check_kernels: pim $cmd output differs (--threads 4 vs 1)"; exit 1; }
+done
+
+echo "check_kernels: OK (fit, evaluate and yield byte-identical at --threads 1 and 4)"

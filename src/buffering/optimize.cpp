@@ -2,14 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
-#include <sstream>
 
-#include "cache/store.hpp"
+#include "cache/memoize.hpp"
 #include "liberty/library.hpp"
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
-#include "util/strings.hpp"
 #include "util/units.hpp"
 
 namespace pim {
@@ -93,17 +90,8 @@ cache::CacheKey buffering_cache_key(const std::string& signature,
   std::vector<int> layers;
   for (WireLayer l : opt.layers) layers.push_back(static_cast<int>(l));
   cache::KeyBuilder kb("buffering");
-  kb.field("model", signature);
-  kb.field("ctx.layer", static_cast<int>(ctx.layer));
-  kb.field("ctx.style", static_cast<int>(ctx.style));
-  kb.field("ctx.length", ctx.length);
-  kb.field("ctx.input_slew", ctx.input_slew);
-  kb.field("ctx.activity", ctx.activity);
-  kb.field("ctx.frequency", ctx.frequency);
-  kb.field("ctx.wire.scattering", ctx.wire_options.scattering);
-  kb.field("ctx.wire.barrier", ctx.wire_options.barrier);
-  kb.field("ctx.wire.res_scale", ctx.wire_options.res_scale);
-  kb.field("ctx.wire.cap_scale", ctx.wire_options.cap_scale);
+  kb.model(signature);
+  key_link_context(kb, ctx);
   kb.field("opt.weight", opt.weight);
   kb.field("opt.kinds", kinds);
   kb.field("opt.drives", opt.drives);
@@ -116,66 +104,6 @@ cache::CacheKey buffering_cache_key(const std::string& signature,
   return kb.finish();
 }
 
-// Line-based `key value` payload; doubles at 17 significant digits so a
-// cache hit reproduces the search result bit for bit.
-std::string serialize_buffering(const BufferingResult& r) {
-  std::ostringstream os;
-  auto num = [&os](const char* name, double v) {
-    os << name << " " << format_sig(v, 17) << "\n";
-  };
-  os << "feasible " << (r.feasible ? 1 : 0) << "\n";
-  os << "kind " << static_cast<int>(r.design.kind) << "\n";
-  os << "drive " << r.design.drive << "\n";
-  os << "repeaters " << r.design.num_repeaters << "\n";
-  num("miller", r.design.miller_factor);
-  os << "layer " << static_cast<int>(r.layer) << "\n";
-  num("cost", r.cost);
-  os << "evaluations " << r.evaluations << "\n";
-  num("delay", r.estimate.delay);
-  num("output_slew", r.estimate.output_slew);
-  num("switched_cap", r.estimate.switched_cap);
-  num("dynamic_power", r.estimate.dynamic_power);
-  num("leakage_power", r.estimate.leakage_power);
-  num("repeater_area", r.estimate.repeater_area);
-  num("wire_area", r.estimate.wire_area);
-  return os.str();
-}
-
-BufferingResult parse_buffering(const std::string& text) {
-  std::map<std::string, std::string> fields;
-  std::istringstream is(text);
-  std::string line;
-  while (std::getline(is, line)) {
-    const auto tokens = split_whitespace(line);
-    require(tokens.size() == 2, "buffering cache: malformed line", ErrorCode::io_parse);
-    fields[tokens[0]] = tokens[1];
-  }
-  auto need = [&fields](const char* name) -> const std::string& {
-    const auto it = fields.find(name);
-    require(it != fields.end(),
-            std::string("buffering cache: missing field '") + name + "'",
-            ErrorCode::io_parse);
-    return it->second;
-  };
-  BufferingResult r;
-  r.feasible = parse_long(need("feasible")) != 0;
-  r.design.kind = static_cast<CellKind>(parse_long(need("kind")));
-  r.design.drive = static_cast<int>(parse_long(need("drive")));
-  r.design.num_repeaters = static_cast<int>(parse_long(need("repeaters")));
-  r.design.miller_factor = parse_double(need("miller"));
-  r.layer = static_cast<WireLayer>(parse_long(need("layer")));
-  r.cost = parse_double(need("cost"));
-  r.evaluations = parse_long(need("evaluations"));
-  r.estimate.delay = parse_double(need("delay"));
-  r.estimate.output_slew = parse_double(need("output_slew"));
-  r.estimate.switched_cap = parse_double(need("switched_cap"));
-  r.estimate.dynamic_power = parse_double(need("dynamic_power"));
-  r.estimate.leakage_power = parse_double(need("leakage_power"));
-  r.estimate.repeater_area = parse_double(need("repeater_area"));
-  r.estimate.wire_area = parse_double(need("wire_area"));
-  return r;
-}
-
 }  // namespace
 
 BufferingResult optimize_buffering_cached(const InterconnectModel& model,
@@ -183,27 +111,9 @@ BufferingResult optimize_buffering_cached(const InterconnectModel& model,
                                           const BufferingOptions& options) {
   const std::string signature = model.cache_signature();
   if (signature.empty()) return optimize_buffering(model, ctx, options);
-  // Provenance scope: the context/option fields fold into a "params"
-  // facet, and the fit artifacts the model signature embeds become
-  // upstream edges — so a stale fit drags its buffering entries along
-  // when the invalidation cone is walked.
-  cache::Tracked scope;
-  const cache::CacheKey key = buffering_cache_key(signature, ctx, options);
-  for (const cache::CacheKey& fit : cache::resolve_artifacts(signature))
-    scope.upstream(fit);
-  if (auto payload = cache::Store::global().get(key)) {
-    try {
-      BufferingResult cached = parse_buffering(*payload);
-      scope.publish(key);
-      return cached;
-    } catch (const Error&) {
-      PIM_COUNT("cache.corrupt");  // fail-open: recompute below
-    }
-  }
-  const BufferingResult best = optimize_buffering(model, ctx, options);
-  cache::Store::global().put(key, serialize_buffering(best));
-  scope.publish(key);
-  return best;
+  return cache::memoize<BufferingResult>(
+      [&] { return buffering_cache_key(signature, ctx, options); },
+      [&] { return optimize_buffering(model, ctx, options); });
 }
 
 }  // namespace pim

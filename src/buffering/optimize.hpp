@@ -48,6 +48,26 @@ struct BufferingResult {
   long evaluations = 0;      ///< model invocations spent
 };
 
+/// Result-cache payload binding (cache/memoize.hpp), in payload order.
+template <typename B>
+void bind(B& b, BufferingResult& v) {
+  b.field("feasible", v.feasible);
+  b.field("kind", v.design.kind);
+  b.field("drive", v.design.drive);
+  b.field("repeaters", v.design.num_repeaters);
+  b.field("miller", v.design.miller_factor);
+  b.field("layer", v.layer);
+  b.field("cost", v.cost);
+  b.field("evaluations", v.evaluations);
+  b.field("delay", v.estimate.delay);
+  b.field("output_slew", v.estimate.output_slew);
+  b.field("switched_cap", v.estimate.switched_cap);
+  b.field("dynamic_power", v.estimate.dynamic_power);
+  b.field("leakage_power", v.estimate.leakage_power);
+  b.field("repeater_area", v.estimate.repeater_area);
+  b.field("wire_area", v.estimate.wire_area);
+}
+
 /// Exhaustive (kind x drive x staggering) search with a scan over the
 /// repeater count for each combination.
 BufferingResult optimize_buffering(const InterconnectModel& model,

@@ -94,6 +94,12 @@ KeyBuilder& KeyBuilder::facet(std::string_view type, std::string_view name,
   return *this;
 }
 
+KeyBuilder& KeyBuilder::model(std::string_view signature) {
+  if (Tracked* scope = Tracked::current())
+    for (const CacheKey& fit : resolve_artifacts(signature)) scope->upstream(fit);
+  return field("model", signature);
+}
+
 CacheKey KeyBuilder::finish() {
   if (Tracked* scope = Tracked::current()) {
     if (has_params_)

@@ -75,6 +75,9 @@ class KeyBuilder {
   /// tech content hashes, corner ids, fit hashes, sampling plans.
   KeyBuilder& facet(std::string_view type, std::string_view name, std::string_view id);
 
+  /// field("model", signature), plus its embedded artifacts as upstream edges.
+  KeyBuilder& model(std::string_view signature);
+
   /// Finalizes the digest, recording the rolled-up "params" facet and the
   /// format-version facet into the active Tracked scope. The builder is
   /// spent afterwards.

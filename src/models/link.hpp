@@ -7,6 +7,7 @@
 // repeaters of one kind and size.
 #pragma once
 
+#include "cache/key.hpp"
 #include "liberty/cell.hpp"
 #include "tech/wire.hpp"
 
@@ -26,6 +27,21 @@ struct LinkContext {
   double frequency = 1e9;    ///< clock frequency for dynamic power [Hz]
   WireModelOptions wire_options;  ///< resistivity-effect toggles (ablations)
 };
+
+/// Hashes every LinkContext field into a result-cache key as
+/// "ctx.<field>" (the buffering and yield keys share it).
+inline void key_link_context(cache::KeyBuilder& kb, const LinkContext& ctx) {
+  kb.field("ctx.layer", static_cast<int>(ctx.layer));
+  kb.field("ctx.style", static_cast<int>(ctx.style));
+  kb.field("ctx.length", ctx.length);
+  kb.field("ctx.input_slew", ctx.input_slew);
+  kb.field("ctx.activity", ctx.activity);
+  kb.field("ctx.frequency", ctx.frequency);
+  kb.field("ctx.wire.scattering", ctx.wire_options.scattering);
+  kb.field("ctx.wire.barrier", ctx.wire_options.barrier);
+  kb.field("ctx.wire.res_scale", ctx.wire_options.res_scale);
+  kb.field("ctx.wire.cap_scale", ctx.wire_options.cap_scale);
+}
 
 /// The solution candidate: repeater kind/size/count and the cross-talk
 /// assumption (miller_factor = kWorstCaseMiller for simultaneous opposing

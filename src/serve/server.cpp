@@ -441,9 +441,11 @@ void Server::start() {
   s.started = Clock::now();
   for (int i = 0; i < s.options.workers; ++i)
     s.worker_threads.emplace_back([&s] { s.worker_loop(); });
+  // The fds go in by value: stop() resets the members while these run.
   if (s.unix_fd >= 0)
-    s.accept_threads.emplace_back([&s] { s.accept_loop(s.unix_fd); });
-  if (s.tcp_fd >= 0) s.accept_threads.emplace_back([&s] { s.accept_loop(s.tcp_fd); });
+    s.accept_threads.emplace_back([&s, fd = s.unix_fd] { s.accept_loop(fd); });
+  if (s.tcp_fd >= 0)
+    s.accept_threads.emplace_back([&s, fd = s.tcp_fd] { s.accept_loop(fd); });
   log_info("pimd: serving",
            s.options.socket_path.empty() ? "" : " on " + s.options.socket_path,
            s.bound_tcp_port >= 0 ? " tcp 127.0.0.1:" + std::to_string(s.bound_tcp_port)
@@ -488,7 +490,11 @@ void Server::stop() {
     // still be enqueueing. In-flight flows observe the cooperative
     // cancel flag (when the drain came from SIGINT/SIGTERM) and degrade
     // to partial results; their responses still flush.
-    s.drain_workers.store(true);
+    {
+      // Under the lock, or a worker between predicate and wait misses it.
+      std::lock_guard<std::mutex> lock(s.queue_mu);
+      s.drain_workers.store(true);
+    }
     s.queue_cv.notify_all();
     for (std::thread& t : s.worker_threads) t.join();
     s.worker_threads.clear();

@@ -2,40 +2,20 @@
 
 namespace pim::kernels {
 
-// The SoA sweep. Under PIM_SIMD the pointers are restrict-qualified and
-// the loop carries an ivdep hint so the compiler may vectorize the
-// independent per-device evaluations; the arithmetic is the same inline
-// function either way, so the bits do not change (strict IEEE build).
-#if defined(PIM_SIMD)
-#define PIM_KERNEL_RESTRICT __restrict__
-#else
-#define PIM_KERNEL_RESTRICT
-#endif
-
-void eval_alpha_power_batch(size_t count, const double* PIM_KERNEL_RESTRICT sign,
-                            const double* PIM_KERNEL_RESTRICT ksw,
-                            const double* PIM_KERNEL_RESTRICT vth,
-                            const double* PIM_KERNEL_RESTRICT alpha,
-                            const double* PIM_KERNEL_RESTRICT k_vdsat,
-                            const double* PIM_KERNEL_RESTRICT lambda,
-                            const double* PIM_KERNEL_RESTRICT nvt,
-                            const double* PIM_KERNEL_RESTRICT vg,
-                            const double* PIM_KERNEL_RESTRICT vd,
-                            const double* PIM_KERNEL_RESTRICT vs,
-                            double* PIM_KERNEL_RESTRICT i_d,
-                            double* PIM_KERNEL_RESTRICT di_dvg,
-                            double* PIM_KERNEL_RESTRICT di_dvd,
-                            double* PIM_KERNEL_RESTRICT di_dvs) {
-#if defined(PIM_SIMD) && defined(__GNUC__)
-#pragma GCC ivdep
-#endif
+// The SoA sweep. It stays scalar: the value-dependent operating-region
+// branches and the strict-IEEE pow/exp/log1p calls keep the compiler from
+// vectorizing it, so the per-device evaluations run in order.
+void eval_alpha_power_batch(size_t count, const double* sign, const double* ksw,
+                            const double* vth, const double* alpha,
+                            const double* k_vdsat, const double* lambda,
+                            const double* nvt, const double* vg, const double* vd,
+                            const double* vs, double* i_d, double* di_dvg,
+                            double* di_dvd, double* di_dvs) {
   for (size_t i = 0; i < count; ++i) {
     eval_branch_folded(sign[i], ksw[i], vth[i], alpha[i], k_vdsat[i], lambda[i],
                        nvt[i], vg[i], vd[i], vs[i], i_d[i], di_dvg[i], di_dvd[i],
                        di_dvs[i]);
   }
 }
-
-#undef PIM_KERNEL_RESTRICT
 
 }  // namespace pim::kernels

@@ -13,11 +13,9 @@
 //   nvt = n_sub * v_thermal_300k (subthreshold swing)
 // so folding changes no floating-point result.
 //
-// PIM_SIMD only toggles vectorization *hints* (restrict-qualified SoA
-// pass, GCC ivdep) — never the arithmetic. The build uses strict IEEE
-// semantics (no -ffast-math, no FMA contraction), so ON/OFF and
-// scalar/batch all produce the same bits; scripts/check_kernels.sh
-// enforces this end to end.
+// The build uses strict IEEE semantics (no -ffast-math, no FMA
+// contraction), so scalar and batch produce the same bits;
+// scripts/check_kernels.sh enforces this end to end.
 #pragma once
 
 #include <cmath>

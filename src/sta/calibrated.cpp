@@ -4,9 +4,8 @@
 #include <map>
 #include <mutex>
 
-#include "cache/manifest.hpp"
+#include "cache/memoize.hpp"
 #include "cache/sha256.hpp"
-#include "cache/store.hpp"
 #include "charlib/coeffs_io.hpp"
 #include "deadline/deadline.hpp"
 #include "obs/metrics.hpp"
@@ -16,6 +15,14 @@
 #include "util/log.hpp"
 
 namespace pim {
+
+// The fit's cache payload is its .pimfit text.
+template <>
+struct cache::Payload<TechnologyFit> {
+  static std::string encode(const TechnologyFit& fit) { return write_fit(fit); }
+  static TechnologyFit decode(const std::string& text) { return parse_fit(text); }
+};
+
 namespace {
 
 // Everything that determines a calibrated fit: the technology content
@@ -58,64 +65,18 @@ void count_corner(const Corner& corner, const char* event) {
 }
 
 // Advertises the resolved fit as the artifact behind its coefficient
-// hash — the token model cache signatures embed — and reports it to any
-// enclosing provenance scope, so downstream cached wrappers (buffering,
-// Monte-Carlo, cosi) can record the fit key as an upstream edge. Called
-// on every return path, hit and compute alike, so the graph is complete
-// wherever the fit came from.
-TechnologyFit announce_fit(TechnologyFit fit, const cache::CacheKey& key,
-                           const cache::Tracked& scope) {
+// hash — the token model cache signatures embed — so downstream cached
+// wrappers (buffering, Monte-Carlo, cosi) can record the fit key as an
+// upstream edge. Called on every return path, hit and compute alike, so
+// the graph is complete wherever the fit came from.
+TechnologyFit announce_fit(TechnologyFit fit, const cache::CacheKey& key) {
   cache::register_artifact(cache::sha256_hex(write_fit(fit)), key);
-  scope.publish(key);
   return fit;
 }
 
-TechnologyFit corner_calibrated_fit_impl(const Technology& tech, const Corner& corner,
-                                         const std::string& cache_path,
-                                         const CharacterizationOptions& characterization,
-                                         const CompositionOptions& composition) {
-  const TechNode node = tech.node;
-  // Provenance scope: facets recorded by fit_cache_key (tech content,
-  // corner, deck params) land here and are written as the entry's
-  // manifest by Store::put.
-  cache::Tracked scope;
-  const cache::CacheKey key = fit_cache_key(tech, corner, characterization, composition);
-  // The coefficient-file tier carries no corner identity, so it only
-  // serves (and is only refreshed by) the nominal corner.
-  const bool file_tier = !cache_path.empty() && corner.is_nominal();
-  if (file_tier) {
-    std::ifstream probe(cache_path);
-    if (probe.good()) {
-      try {
-        TechnologyFit cached = load_fit(cache_path);
-        if (cached.node == node) return announce_fit(std::move(cached), key, scope);
-        log_warn("calibrated_fit: cache '", cache_path, "' holds a different node; refitting");
-      } catch (const Error& e) {
-        log_warn("calibrated_fit: ignoring unreadable cache '", cache_path, "': ", e.what());
-      }
-    }
-  }
-  // Content-addressed tier: keyed by the derated tech content, the
-  // corner id, and every deck parameter, so a hit is exactly the fit
-  // this flow would recompute.
-  if (auto payload = cache::Store::global().get(key)) {
-    try {
-      TechnologyFit cached = parse_fit(*payload);
-      require(cached.node == node, "calibrated_fit: cached fit node mismatch",
-              ErrorCode::io_parse);
-      count_corner(corner, "hit");
-      if (file_tier) save_fit(cached, cache_path);
-      return announce_fit(std::move(cached), key, scope);
-    } catch (const Error& e) {
-      // Fail-open (the store already verified the payload digest, so
-      // this is effectively unreachable): recompute below. The store
-      // counted cache.hit for the digest-valid payload but could not see
-      // this payload-level corruption, so it is counted exactly once
-      // here — never both here and in the store for one lookup.
-      PIM_COUNT("cache.corrupt");
-      log_warn("calibrated_fit: ignoring unparsable cache entry: ", e.what());
-    }
-  }
+TechnologyFit compute_fit(const Technology& tech, const Corner& corner,
+                          const CharacterizationOptions& characterization,
+                          const CompositionOptions& composition) {
   log_info("calibrated_fit: characterizing ", tech.name, " at corner '", corner.name,
            "' (this runs transistor-level sims)");
   count_corner(corner, "compute");
@@ -126,8 +87,8 @@ TechnologyFit corner_calibrated_fit_impl(const Technology& tech, const Corner& c
   // carries no deadline state, so storing a fit regressed from patched
   // tables would poison warm full-budget runs. Refuse with the typed
   // stop error instead (docs/robustness.md: flows without partial
-  // semantics surface deadline_exceeded/cancelled). The scope unwinds
-  // with the exception, so nothing is cached or manifested.
+  // semantics surface deadline_exceeded/cancelled). memoize's scope
+  // unwinds with the exception, so nothing is cached or manifested.
   if (library.partial()) {
     const deadline::StopReason reason = library.stop_reason();
     count_corner(corner, "truncated");
@@ -145,9 +106,51 @@ TechnologyFit corner_calibrated_fit_impl(const Technology& tech, const Corner& c
   fit.leakage.n1 *= corner.leakage;
   fit.leakage.p0 *= corner.leakage;
   fit.leakage.p1 *= corner.leakage;
-  cache::Store::global().put(key, write_fit(fit));
+  return fit;
+}
+
+TechnologyFit corner_calibrated_fit_impl(const Technology& tech, const Corner& corner,
+                                         const std::string& cache_path,
+                                         const CharacterizationOptions& characterization,
+                                         const CompositionOptions& composition) {
+  const TechNode node = tech.node;
+  // Facets recorded by fit_cache_key (tech content, corner, deck params)
+  // become the entry's manifest; `key` keeps the key for announce_fit.
+  cache::CacheKey key;
+  const auto make_key = [&] {
+    return key = fit_cache_key(tech, corner, characterization, composition);
+  };
+  // The coefficient-file tier carries no corner identity, so it only
+  // serves (and is only refreshed by) the nominal corner.
+  const bool file_tier = !cache_path.empty() && corner.is_nominal();
+  if (file_tier) {
+    std::ifstream probe(cache_path);
+    if (probe.good()) {
+      try {
+        TechnologyFit cached = load_fit(cache_path);
+        if (cached.node == node) {
+          const cache::Tracked scope;
+          scope.publish(make_key());
+          return announce_fit(std::move(cached), key);
+        }
+        log_warn("calibrated_fit: cache '", cache_path, "' holds a different node; refitting");
+      } catch (const Error& e) {
+        log_warn("calibrated_fit: ignoring unreadable cache '", cache_path, "': ", e.what());
+      }
+    }
+  }
+  // Content-addressed tier: keyed by the derated tech content, the
+  // corner id, and every deck parameter, so a hit is exactly the fit
+  // this flow would recompute.
+  TechnologyFit fit = cache::memoize<TechnologyFit>(
+      make_key, [&] { return compute_fit(tech, corner, characterization, composition); },
+      [&](const TechnologyFit& hit) {
+        require(hit.node == node, "calibrated_fit: cached fit node mismatch",
+                ErrorCode::io_parse);
+        count_corner(corner, "hit");
+      });
   if (file_tier) save_fit(fit, cache_path);
-  return announce_fit(std::move(fit), key, scope);
+  return announce_fit(std::move(fit), key);
 }
 
 // ---------------------------------------------------------------- residency

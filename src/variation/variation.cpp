@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
-#include <sstream>
 
-#include "cache/store.hpp"
+#include "cache/memoize.hpp"
 #include "deadline/deadline.hpp"
 #include "numeric/regression.hpp"
 #include "charlib/characterize.hpp"
@@ -14,7 +12,6 @@
 #include "obs/trace.hpp"
 #include "util/error.hpp"
 #include "util/faultinject.hpp"
-#include "util/strings.hpp"
 
 namespace pim {
 namespace {
@@ -253,18 +250,9 @@ cache::CacheKey yield_cache_key(const std::string& signature, const Corner& corn
                                 int samples, uint64_t seed,
                                 const VariationSigmas& sigmas) {
   cache::KeyBuilder kb("yield");
-  kb.field("model", signature);
+  kb.model(signature);
   kb.facet("corner", corner.name, corner.cache_id());
-  kb.field("ctx.layer", static_cast<int>(ctx.layer));
-  kb.field("ctx.style", static_cast<int>(ctx.style));
-  kb.field("ctx.length", ctx.length);
-  kb.field("ctx.input_slew", ctx.input_slew);
-  kb.field("ctx.activity", ctx.activity);
-  kb.field("ctx.frequency", ctx.frequency);
-  kb.field("ctx.wire.scattering", ctx.wire_options.scattering);
-  kb.field("ctx.wire.barrier", ctx.wire_options.barrier);
-  kb.field("ctx.wire.res_scale", ctx.wire_options.res_scale);
-  kb.field("ctx.wire.cap_scale", ctx.wire_options.cap_scale);
+  key_link_context(kb, ctx);
   kb.field("design.kind", static_cast<int>(design.kind));
   kb.field("design.drive", design.drive);
   kb.field("design.repeaters", design.num_repeaters);
@@ -276,60 +264,6 @@ cache::CacheKey yield_cache_key(const std::string& signature, const Corner& corn
   kb.field("sigmas.wire_res", sigmas.wire_res);
   kb.field("sigmas.wire_cap", sigmas.wire_cap);
   return kb.finish();
-}
-
-// `key value` lines with one `delays` record carrying the full sorted
-// vector at 17 significant digits, so yields and quantiles computed from
-// a hit match the direct run bit for bit.
-std::string serialize_mc(const MonteCarloResult& r) {
-  std::ostringstream os;
-  os << "nominal_delay " << format_sig(r.nominal_delay, 17) << "\n";
-  os << "mean_delay " << format_sig(r.mean_delay, 17) << "\n";
-  os << "sigma_delay " << format_sig(r.sigma_delay, 17) << "\n";
-  os << "mean_power " << format_sig(r.mean_power, 17) << "\n";
-  os << "failed_samples " << r.failed_samples << "\n";
-  os << "delays";
-  for (double d : r.delays) os << " " << format_sig(d, 17);
-  os << "\n";
-  return os.str();
-}
-
-MonteCarloResult parse_mc(const std::string& text) {
-  std::map<std::string, std::vector<std::string>> fields;
-  std::istringstream is(text);
-  std::string line;
-  while (std::getline(is, line)) {
-    auto tokens = split_whitespace(line);
-    require(tokens.size() >= 2, "yield cache: malformed line", ErrorCode::io_parse);
-    const std::string name = tokens.front();
-    tokens.erase(tokens.begin());
-    fields[name] = std::move(tokens);
-  }
-  auto need = [&fields](const char* name) -> const std::vector<std::string>& {
-    const auto it = fields.find(name);
-    require(it != fields.end(),
-            std::string("yield cache: missing field '") + name + "'",
-            ErrorCode::io_parse);
-    return it->second;
-  };
-  auto scalar = [&need](const char* name) {
-    const auto& v = need(name);
-    require(v.size() == 1, std::string("yield cache: field '") + name + "' is not scalar",
-            ErrorCode::io_parse);
-    return parse_double(v.front());
-  };
-  MonteCarloResult r;
-  r.nominal_delay = scalar("nominal_delay");
-  r.mean_delay = scalar("mean_delay");
-  r.sigma_delay = scalar("sigma_delay");
-  r.mean_power = scalar("mean_power");
-  r.failed_samples = static_cast<int>(parse_long(need("failed_samples").front()));
-  const auto& delays = need("delays");
-  r.delays.reserve(delays.size());
-  for (const std::string& d : delays) r.delays.push_back(parse_double(d));
-  require(std::is_sorted(r.delays.begin(), r.delays.end()),
-          "yield cache: delay vector is not sorted", ErrorCode::io_parse);
-  return r;
 }
 
 }  // namespace
@@ -353,40 +287,19 @@ MonteCarloResult monte_carlo_link_at_corner(const ProposedModel& model,
   const std::string signature = model.cache_signature();
   if (signature.empty())
     return monte_carlo_link(model, context, design, samples, seed, sigmas);
-  // Provenance scope: corner + sampling-plan facets from the key builder
-  // plus upstream edges to the fit artifacts behind the model signature.
-  cache::Tracked scope;
-  const cache::CacheKey key = yield_cache_key(signature, corner, context,
-                                              design, samples, seed, sigmas);
-  for (const cache::CacheKey& fit : cache::resolve_artifacts(signature))
-    scope.upstream(fit);
-  if (auto payload = cache::Store::global().get(key)) {
-    try {
-      MonteCarloResult cached = parse_mc(*payload);
-      require(!cached.delays.empty(), "yield cache: empty delay vector",
-              ErrorCode::io_parse);
-      cached.requested_samples = samples;  // only complete runs are cached
-      tally_yield(cached);
-      scope.publish(key);
-      return cached;
-    } catch (const Error&) {
-      // The store vouched for the payload digest, so this parse failure
-      // is the only corrupt signal for the lookup — counted once here,
-      // never a second time when the recompute below repopulates the
-      // entry (fail-open).
-      PIM_COUNT("cache.corrupt");
-    }
-  }
-  const MonteCarloResult result =
-      monte_carlo_link(model, context, design, samples, seed, sigmas);
-  // A truncated run's statistics cover a prefix of the sampling plan the
-  // key describes — caching it would poison later full-budget lookups
-  // (and an uncached partial gets no manifest either).
-  if (!result.partial) {
-    cache::Store::global().put(key, serialize_mc(result));
-    scope.publish(key);
-  }
-  return result;
+  return cache::memoize<MonteCarloResult>(
+      [&] {
+        return yield_cache_key(signature, corner, context, design, samples, seed,
+                               sigmas);
+      },
+      [&] { return monte_carlo_link(model, context, design, samples, seed, sigmas); },
+      [&](MonteCarloResult& hit) {
+        require(!hit.delays.empty() &&
+                    std::is_sorted(hit.delays.begin(), hit.delays.end()),
+                "yield cache: delay vector is empty or unsorted", ErrorCode::io_parse);
+        hit.requested_samples = samples;  // only complete runs are cached
+        tally_yield(hit);
+      });
 }
 
 }  // namespace pim

@@ -84,6 +84,18 @@ struct MonteCarloResult {
   double delay_quantile(double q) const;
 };
 
+/// Result-cache payload binding (cache/memoize.hpp), in payload order;
+/// only complete runs are cached, so requested_samples/partial are not.
+template <typename B>
+void bind(B& b, MonteCarloResult& v) {
+  b.field("nominal_delay", v.nominal_delay);
+  b.field("mean_delay", v.mean_delay);
+  b.field("sigma_delay", v.sigma_delay);
+  b.field("mean_power", v.mean_power);
+  b.field("failed_samples", v.failed_samples);
+  b.field("delays", v.delays);
+}
+
 /// Runs `samples` Monte-Carlo corners (deterministic for a given seed).
 MonteCarloResult monte_carlo_link(const ProposedModel& model, const LinkContext& context,
                                   const LinkDesign& design, int samples,

@@ -16,6 +16,7 @@
 #include "cache/invalidate.hpp"
 #include "cache/key.hpp"
 #include "cache/manifest.hpp"
+#include "cache/memoize.hpp"
 #include "cache/sha256.hpp"
 #include "cache/store.hpp"
 #include "charlib/coeffs_io.hpp"
@@ -653,6 +654,140 @@ TEST_F(CacheDirFixture, VerifyScrubsOrphansAndCorruptPairs) {
   obs::set_enabled(false);
 }
 
+// Payload bytes the line codec wrote before the per-struct bindings
+// existed. Entries already on disk hold exactly this text, so the
+// bindings must reproduce it byte for byte and read it back.
+constexpr const char* kGoldenBufferingPayload =
+    "feasible 1\n"
+    "kind 1\n"
+    "drive 16\n"
+    "repeaters 7\n"
+    "miller 0\n"
+    "layer 1\n"
+    "cost 0.10000000000000001\n"
+    "evaluations 240\n"
+    "delay 3.3e-10\n"
+    "output_slew 3.3333333333333335e-11\n"
+    "switched_cap 4.5599999999999998e-13\n"
+    "dynamic_power 0.00125\n"
+    "leakage_power 1.9999999999999999e-06\n"
+    "repeater_area 1.6999999999999999e-11\n"
+    "wire_area 6e-09\n";
+
+constexpr const char* kGoldenMonteCarloPayload =
+    "nominal_delay 1.2e-10\n"
+    "mean_delay 1.2642857142857143e-10\n"
+    "sigma_delay 1.3e-11\n"
+    "mean_power 0.0030000000000000001\n"
+    "failed_samples 2\n"
+    "delays 1.0999999999999999e-10 1.2e-10 1.2500000000000001e-10 "
+    "1.4285714285714285e-10\n";
+
+TEST(PayloadBinding, BufferingResultMatchesGoldenBytes) {
+  BufferingResult r;
+  r.feasible = true;
+  r.design.kind = CellKind::Buffer;
+  r.design.drive = 16;
+  r.design.num_repeaters = 7;
+  r.design.miller_factor = 0.0;
+  r.layer = WireLayer::Intermediate;
+  r.cost = 0.1;
+  r.evaluations = 240;
+  r.estimate.delay = 3.3e-10;
+  r.estimate.output_slew = 1.0e-10 / 3.0;
+  r.estimate.switched_cap = 4.56e-13;
+  r.estimate.dynamic_power = 1.25e-3;
+  r.estimate.leakage_power = 2e-6;
+  r.estimate.repeater_area = 1.7e-11;
+  r.estimate.wire_area = 6.0e-9;
+  EXPECT_EQ(Payload<BufferingResult>::encode(r), kGoldenBufferingPayload);
+
+  const BufferingResult d = Payload<BufferingResult>::decode(kGoldenBufferingPayload);
+  EXPECT_EQ(d.feasible, r.feasible);
+  EXPECT_EQ(d.design.kind, r.design.kind);
+  EXPECT_EQ(d.design.drive, r.design.drive);
+  EXPECT_EQ(d.design.num_repeaters, r.design.num_repeaters);
+  EXPECT_EQ(d.design.miller_factor, r.design.miller_factor);
+  EXPECT_EQ(d.layer, r.layer);
+  EXPECT_EQ(d.cost, r.cost);
+  EXPECT_EQ(d.evaluations, r.evaluations);
+  EXPECT_EQ(d.estimate.delay, r.estimate.delay);
+  EXPECT_EQ(d.estimate.output_slew, r.estimate.output_slew);
+  EXPECT_EQ(d.estimate.switched_cap, r.estimate.switched_cap);
+  EXPECT_EQ(d.estimate.dynamic_power, r.estimate.dynamic_power);
+  EXPECT_EQ(d.estimate.leakage_power, r.estimate.leakage_power);
+  EXPECT_EQ(d.estimate.repeater_area, r.estimate.repeater_area);
+  EXPECT_EQ(d.estimate.wire_area, r.estimate.wire_area);
+}
+
+TEST(PayloadBinding, MonteCarloResultMatchesGoldenBytes) {
+  MonteCarloResult r;
+  r.delays = {1.1e-10, 1.2e-10, 1.25e-10, 1.0e-9 / 7.0};
+  r.nominal_delay = 1.2e-10;
+  r.mean_delay = 1.2642857142857143e-10;
+  r.sigma_delay = 1.3e-11;
+  r.mean_power = 3e-3;
+  r.failed_samples = 2;
+  EXPECT_EQ(Payload<MonteCarloResult>::encode(r), kGoldenMonteCarloPayload);
+
+  const MonteCarloResult d = Payload<MonteCarloResult>::decode(kGoldenMonteCarloPayload);
+  EXPECT_EQ(d.delays, r.delays);
+  EXPECT_EQ(d.nominal_delay, r.nominal_delay);
+  EXPECT_EQ(d.mean_delay, r.mean_delay);
+  EXPECT_EQ(d.sigma_delay, r.sigma_delay);
+  EXPECT_EQ(d.mean_power, r.mean_power);
+  EXPECT_EQ(d.failed_samples, r.failed_samples);
+}
+
+TEST(PayloadBinding, MissingOrMalformedFieldsThrow) {
+  EXPECT_THROW(Payload<MonteCarloResult>::decode("nominal_delay 1e-10\n"), Error);
+  EXPECT_THROW(Payload<BufferingResult>::decode("garbage"), Error);
+  std::string bad = kGoldenBufferingPayload;
+  bad.replace(bad.find("drive 16"), 8, "drive 1 6");
+  EXPECT_THROW(Payload<BufferingResult>::decode(bad), Error);
+}
+
+// A minimal memoized type: `partial` opts a result out of caching.
+struct Probe {
+  double value = 0.0;
+  bool partial = false;
+};
+
+template <typename B>
+void bind(B& b, Probe& v) {
+  b.field("value", v.value);
+}
+
+TEST_F(CacheDirFixture, MemoizeScrubsCorruptPayloadEvenWhenRecomputeIsPartial) {
+  obs::set_enabled(true);
+  Store& store = Store::global();
+  const CacheKey key = key_of("probe");
+  store.put(key, "not a probe payload\n");  // digest-valid, unparsable
+  const obs::Counter& corrupt = obs::registry().counter("cache.corrupt");
+  const int64_t before = corrupt.value();
+  int computes = 0;
+  const auto run = [&] {
+    Tracked outer;
+    const Probe p = memoize<Probe>([&] { return key; },
+                                   [&] {
+                                     ++computes;
+                                     return Probe{1.5, true};
+                                   });
+    EXPECT_EQ(p.value, 1.5);
+    // Partial results are never published (nor stored).
+    EXPECT_TRUE(outer.upstream_keys().empty());
+  };
+  run();
+  EXPECT_EQ(corrupt.value(), before + 1);
+  EXPECT_FALSE(std::filesystem::exists(store.entry_path(key)));
+  EXPECT_FALSE(store.get(key).has_value());
+  // The scrubbed entry is a clean miss: no second corrupt count.
+  run();
+  EXPECT_EQ(corrupt.value(), before + 1);
+  EXPECT_EQ(computes, 2);
+  obs::set_enabled(false);
+}
+
 // End-to-end bit-identity of the cached flows, on a reduced deck so the
 // cold pass stays fast. One fixture characterizes once; every case then
 // proves warm == cold byte for byte.
@@ -802,6 +937,79 @@ TEST_F(CachedFlowsFixture, WrappersRecordProvenanceAndConesPropagate) {
   // Retuning a corner this flow never touched dirties nothing.
   cone = dirty_cone(manifests, {{"corner", "ss", "retuned-id"}});
   EXPECT_TRUE(cone.dirty.empty());
+}
+
+// The key a cached call resolves, read back from an enclosing scope
+// (every resolved cached call publishes its key there).
+template <typename Fn>
+CacheKey published_key(Fn&& call) {
+  Tracked outer;
+  call();
+  EXPECT_EQ(outer.upstream_keys().size(), 1u);
+  return outer.upstream_keys().at(0);
+}
+
+// Payload-level fail-open: an entry whose digest verifies but whose
+// payload does not parse is counted once in cache.corrupt, recomputed to
+// exactly the uncached result, and rewritten, so the next lookup is a
+// clean disk hit.
+TEST_F(CachedFlowsFixture, UnparsablePayloadsFailOpenAndAreRewritten) {
+  obs::set_enabled(true);
+  Store& store = Store::global();
+  const obs::Counter& corrupt = obs::registry().counter("cache.corrupt");
+  const obs::Counter& disk_hit = obs::registry().counter("cache.disk.hit");
+  // Plants a digest-valid, unparsable payload under `key`, then checks
+  // that `cached()` fails open to a result `same` accepts and rewrites
+  // the entry.
+  const auto check = [&](const CacheKey& key, const auto& cached, const auto& same) {
+    store.put(key, "not a " + key.kind + " payload\n");
+    store.clear_memory();
+    const int64_t corrupt_before = corrupt.value();
+    EXPECT_TRUE(same(cached())) << key.kind;
+    EXPECT_EQ(corrupt.value(), corrupt_before + 1) << key.kind;
+    store.clear_memory();
+    const int64_t disk_before = disk_hit.value();
+    EXPECT_TRUE(same(cached())) << key.kind;
+    EXPECT_EQ(disk_hit.value(), disk_before + 1) << key.kind;
+    EXPECT_EQ(corrupt.value(), corrupt_before + 1) << key.kind;
+  };
+
+  TechnologyFit cold;
+  const auto fit = [&] {
+    return calibrated_fit(TechNode::N65, "", char_options(), comp_options());
+  };
+  const CacheKey fit_key = published_key([&] { cold = fit(); });
+  ASSERT_EQ(fit_key.kind, "fit");
+  check(fit_key, fit,
+        [&](const TechnologyFit& f) { return write_fit(f) == write_fit(cold); });
+
+  const ProposedModel model(technology(TechNode::N65), cold);
+  BufferingOptions opt;
+  opt.weight = 0.5;
+  const BufferingResult direct = optimize_buffering(model, ctx(), opt);
+  const auto buffering = [&] { return optimize_buffering_cached(model, ctx(), opt); };
+  const CacheKey buf_key = published_key(buffering);
+  ASSERT_EQ(buf_key.kind, "buffering");
+  check(buf_key, buffering, [&](const BufferingResult& r) {
+    return Payload<BufferingResult>::encode(r) ==
+               Payload<BufferingResult>::encode(direct) &&
+           r.estimate.total_power() == direct.estimate.total_power();
+  });
+
+  const MonteCarloResult direct_mc =
+      monte_carlo_link(model, ctx(), direct.design, 300, 7);
+  const auto yield = [&] {
+    return monte_carlo_link_cached(model, ctx(), direct.design, 300, 7);
+  };
+  const CacheKey mc_key = published_key(yield);
+  ASSERT_EQ(mc_key.kind, "yield");
+  check(mc_key, yield, [&](const MonteCarloResult& r) {
+    return Payload<MonteCarloResult>::encode(r) ==
+               Payload<MonteCarloResult>::encode(direct_mc) &&
+           r.requested_samples == direct_mc.requested_samples &&
+           r.partial == direct_mc.partial;
+  });
+  obs::set_enabled(false);
 }
 
 // The incremental contract: after an edit invalidates a cone, the warm

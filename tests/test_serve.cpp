@@ -10,14 +10,19 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstring>
+#include <future>
+#include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "api/wire.hpp"
 #include "obs/report.hpp"
 #include "serve/server.hpp"
 #include "util/error.hpp"
+#include "util/log.hpp"
 
 namespace pim::serve {
 namespace {
@@ -311,6 +316,39 @@ TEST(Serve, ListenersCloseAfterStop) {
       << "listener should be closed after stop()";
   ::close(fd2);
   ::close(fd);
+}
+
+// stop() right after start() must join every worker: a worker between
+// its predicate check and its wait must not miss the drain wake-up. Four
+// loops restart servers side by side, so threads get preempted inside
+// that window; they run off the test thread, so a lost wake-up fails the
+// test instead of hanging it.
+TEST(Serve, StopRightAfterStartJoinsEveryWorker) {
+  const LogLevel level = log_level();
+  set_log_level(LogLevel::Warn);
+  auto done = std::make_shared<std::promise<void>>();
+  std::future<void> finished = done->get_future();
+  std::thread([done] {
+    std::vector<std::thread> loops;
+    for (int t = 0; t < 4; ++t)
+      loops.emplace_back([t] {
+        ServerOptions options;
+        options.socket_path = ::testing::TempDir() + "pim_serve_restart_" +
+                              std::to_string(::getpid()) + "_" + std::to_string(t) +
+                              ".sock";
+        options.workers = 2;
+        for (int i = 0; i < 1000; ++i) {
+          Server server(options);
+          server.start();
+          server.stop();
+        }
+      });
+    for (std::thread& loop : loops) loop.join();
+    done->set_value();
+  }).detach();
+  EXPECT_EQ(finished.wait_for(std::chrono::seconds(60)), std::future_status::ready)
+      << "stop() never returned: a worker missed the drain wake-up";
+  set_log_level(level);
 }
 
 TEST(Serve, StartValidatesItsOptions) {
