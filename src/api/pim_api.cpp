@@ -48,22 +48,14 @@ void check_version(int version, const char* who) {
 // Uniform exception boundary: the facade never throws — every failure
 // comes back as an Expected error carrying the ErrorCode taxonomy.
 //
-// Each run_* call is also a metrics scope: the registry is zeroed on
-// entry so a long-lived process making successive facade calls (a
-// daemon, a notebook) gets per-request counters/timers in its ledger and
-// profile snapshots instead of an accumulation over all prior requests.
-// The trace buffer is left alone — span capture belongs to whoever
-// enabled tracing (the CLI's span around the whole command must survive
-// the call).
-//
-// And a deadline scope: the request's deadline_ms budget is armed for
-// exactly the duration of the body (nested scopes keep the tighter
-// deadline); on exit the deadline.remaining_ns gauge is force-set so the
-// ledger records how much budget a truncated run had left.
+// Each run_* call is also a deadline scope: the request's deadline_ms
+// budget is armed on the calling thread for exactly the duration of the
+// body (nested scopes keep the tighter deadline); on exit the
+// deadline.remaining_ns gauge is force-set so the ledger records how
+// much budget a truncated run had left.
 template <typename R, typename F>
 Expected<R> guarded(const char* who, int64_t deadline_ms, F&& body) {
   try {
-    obs::registry().reset();
     deadline::Scope budget(deadline_ms);
     return body();
   } catch (const Error& e) {

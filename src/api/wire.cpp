@@ -833,14 +833,6 @@ int exit_code_for(ErrorCode code) {
 }
 
 std::string execute_line(const std::string& line) {
-  return execute_line(line,
-                      [](bool, const std::function<void()>& dispatch) { dispatch(); });
-}
-
-std::string execute_line(
-    const std::string& line,
-    const std::function<void(bool uses_deadline, const std::function<void()>& dispatch)>&
-        around) {
   bool has_id = false;
   int64_t id = 0;
   std::string op;
@@ -860,24 +852,8 @@ std::string execute_line(
         op = v->text;
     }
     const RequestLine request = request_from_envelope(envelope);
-    const auto deadline_of = [](const AnyRequest& r) {
-      return std::visit([](const auto& v) { return v.deadline_ms > 0; }, r);
-    };
-    bool uses_deadline = false;
-    if (request.is_batch) {
-      uses_deadline = request.batch.deadline_ms > 0;
-      for (const AnyRequest& item : request.batch.items)
-        uses_deadline = uses_deadline || deadline_of(item);
-    } else {
-      uses_deadline = deadline_of(request.request);
-    }
-    std::string response;
-    around(uses_deadline, [&] {
-      response = request.is_batch
-                     ? write_batch_result_line(request, run_batch(request.batch))
-                     : write_result_line(request, run_any(request.request));
-    });
-    return response;
+    return request.is_batch ? write_batch_result_line(request, run_batch(request.batch))
+                            : write_result_line(request, run_any(request.request));
   } catch (const Error& e) {
     return write_error_line(has_id, id, op, e);
   } catch (const std::exception& e) {

@@ -31,7 +31,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 
 #include "api/pim_api.hpp"
@@ -129,18 +128,5 @@ int exit_code_for(ErrorCode code);
 /// function, which is what makes a warm daemon response byte-identical
 /// to a direct in-process call.
 std::string execute_line(const std::string& line);
-
-/// As execute_line, but runs the dispatch (run_any / run_batch) inside
-/// `around`, which receives whether the parsed request (or any batch
-/// item) carries a deadline_ms budget and MUST invoke `dispatch`
-/// exactly once. The daemon uses this to isolate deadline-carrying
-/// requests from concurrent workers: the deadline scope is process-wide
-/// ambient state (src/deadline), so two workers arming different
-/// budgets would truncate each other. Parsing happens outside `around`;
-/// dispatch and response serialization happen inside it.
-std::string execute_line(
-    const std::string& line,
-    const std::function<void(bool uses_deadline, const std::function<void()>& dispatch)>&
-        around);
 
 }  // namespace pim::api::wire

@@ -18,50 +18,16 @@ int64_t steady_now_ns() {
       .count();
 }
 
-// Absolute steady-clock deadline in ns; 0 = no deadline armed.
-std::atomic<int64_t>& deadline_ns_slot() {
-  static std::atomic<int64_t> ns{0};
-  return ns;
-}
+// The calling thread's deadline and grace depth. Constant-initialized,
+// so reading it needs no TLS guard.
+thread_local State tls_state;
 
-std::atomic<bool>& cancel_slot() {
-  static std::atomic<bool> flag{false};
-  return flag;
-}
-
-// Single fast-path flag: true iff a deadline is armed or a cancel is
-// pending. Maintained on every state change so check()'s disengaged path
-// is one relaxed load (plus the fault-armed load).
-std::atomic<bool>& engaged_slot() {
-  static std::atomic<bool> flag{false};
-  return flag;
-}
-
-// Process-wide (not thread-local): grace must also cover pool workers
-// running parallel regions inside the graced finalization work.
-std::atomic<int>& grace_depth() {
-  static std::atomic<int> depth{0};
-  return depth;
-}
-
-void refresh_engaged() {
-  engaged_slot().store(
-      deadline_ns_slot().load(std::memory_order_relaxed) != 0 ||
-          cancel_slot().load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
-}
-
-void set_deadline_abs_ns(int64_t abs_ns) {
-  deadline_ns_slot().store(abs_ns, std::memory_order_relaxed);
-  refresh_engaged();
-}
+// Process-wide: a SIGINT/SIGTERM (or request_cancel) stops every thread.
+std::atomic<bool> cancel_flag{false};
 
 extern "C" void pim_deadline_signal_handler(int) {
-  // Async-signal-safe: two lock-free atomic stores, nothing else. The
-  // engaged flag must be set directly (refresh_engaged reads two slots,
-  // which is also safe, but keep the handler minimal).
-  cancel_slot().store(true, std::memory_order_relaxed);
-  engaged_slot().store(true, std::memory_order_relaxed);
+  // Async-signal-safe: one lock-free atomic store, nothing else.
+  cancel_flag.store(true, std::memory_order_relaxed);
 }
 
 }  // namespace
@@ -81,41 +47,34 @@ ErrorCode error_code_for(StopReason reason) {
 }
 
 void set_budget_ms(int64_t budget_ms) {
-  if (budget_ms <= 0) {
-    set_deadline_abs_ns(0);
-    return;
-  }
-  set_deadline_abs_ns(steady_now_ns() + budget_ms * 1'000'000);
+  tls_state.deadline_ns = budget_ms <= 0 ? 0 : steady_now_ns() + budget_ms * 1'000'000;
 }
 
 void reset() {
-  deadline_ns_slot().store(0, std::memory_order_relaxed);
-  cancel_slot().store(false, std::memory_order_relaxed);
-  engaged_slot().store(false, std::memory_order_relaxed);
+  tls_state.deadline_ns = 0;
+  cancel_flag.store(false, std::memory_order_relaxed);
 }
 
-void request_cancel() {
-  cancel_slot().store(true, std::memory_order_relaxed);
-  engaged_slot().store(true, std::memory_order_relaxed);
-}
+void request_cancel() { cancel_flag.store(true, std::memory_order_relaxed); }
 
-bool cancel_requested() { return cancel_slot().load(std::memory_order_relaxed); }
+bool cancel_requested() { return cancel_flag.load(std::memory_order_relaxed); }
 
 int64_t remaining_ns() {
-  const int64_t deadline = deadline_ns_slot().load(std::memory_order_relaxed);
+  const int64_t deadline = tls_state.deadline_ns;
   if (deadline == 0) return INT64_MAX;
   const int64_t left = deadline - steady_now_ns();
   return left > 0 ? left : 0;
 }
 
-bool engaged() { return engaged_slot().load(std::memory_order_relaxed); }
+bool engaged() { return tls_state.deadline_ns != 0 || cancel_requested(); }
 
 StopReason check() {
-  // Fast path: nothing armed anywhere — one relaxed load each for the
-  // deadline/cancel state and the fault harness.
-  const bool live = engaged();
+  // Fast path: nothing armed for this thread — its deadline, the cancel
+  // flag and the fault harness are all idle.
+  const State& state = tls_state;
+  const bool live = state.deadline_ns != 0 || cancel_requested();
   if (!live && !fault::armed()) return StopReason::none;
-  if (grace_depth().load(std::memory_order_relaxed) > 0) return StopReason::none;
+  if (state.grace_depth > 0) return StopReason::none;
 
   // Fault sites first so injected stops are index-pure under the exec
   // engine's per-item streams (the wall clock would otherwise race them).
@@ -124,9 +83,8 @@ StopReason check() {
   if (!live) return StopReason::none;
 
   PIM_COUNT("cancel.checks");
-  if (cancel_slot().load(std::memory_order_relaxed)) return StopReason::cancelled;
-  const int64_t deadline = deadline_ns_slot().load(std::memory_order_relaxed);
-  if (deadline != 0 && steady_now_ns() >= deadline)
+  if (cancel_requested()) return StopReason::cancelled;
+  if (state.deadline_ns != 0 && steady_now_ns() >= state.deadline_ns)
     return StopReason::deadline_exceeded;
   return StopReason::none;
 }
@@ -158,16 +116,14 @@ void record_stop_metrics(size_t partial_items) {
   obs::registry().gauge("partial.items").force_set(static_cast<double>(partial_items));
 }
 
-GraceScope::GraceScope() { grace_depth().fetch_add(1, std::memory_order_relaxed); }
-GraceScope::~GraceScope() { grace_depth().fetch_sub(1, std::memory_order_relaxed); }
+GraceScope::GraceScope() { ++tls_state.grace_depth; }
+GraceScope::~GraceScope() { --tls_state.grace_depth; }
 
-Scope::Scope(int64_t budget_ms)
-    : prev_deadline_ns_(deadline_ns_slot().load(std::memory_order_relaxed)) {
+Scope::Scope(int64_t budget_ms) : prev_deadline_ns_(tls_state.deadline_ns) {
   if (budget_ms > 0) {
     const int64_t mine = steady_now_ns() + budget_ms * 1'000'000;
     // Never loosen an outer deadline: nested scopes keep the tighter one.
-    if (prev_deadline_ns_ == 0 || mine < prev_deadline_ns_)
-      set_deadline_abs_ns(mine);
+    if (prev_deadline_ns_ == 0 || mine < prev_deadline_ns_) tls_state.deadline_ns = mine;
   }
 }
 
@@ -175,7 +131,12 @@ Scope::~Scope() {
   const int64_t left = remaining_ns();
   obs::registry().gauge("deadline.remaining_ns")
       .force_set(left == INT64_MAX ? 0.0 : static_cast<double>(left));
-  set_deadline_abs_ns(prev_deadline_ns_);
+  tls_state.deadline_ns = prev_deadline_ns_;
 }
+
+State current() { return tls_state; }
+
+InheritScope::InheritScope(const State& state) : prev_(tls_state) { tls_state = state; }
+InheritScope::~InheritScope() { tls_state = prev_; }
 
 }  // namespace pim::deadline

@@ -1,17 +1,20 @@
 // Cooperative cancellation and wall-clock time budgets.
 //
-// One ambient process-wide token carries (a) an absolute steady-clock
-// deadline armed from a millisecond budget and (b) an external cancel
-// flag tripped by request_cancel() — typically from the CLI's
-// SIGINT/SIGTERM handlers. Long-running code does not receive a token
-// argument; it polls check() at item boundaries (the exec engine does
-// this automatically for every parallel region), which keeps the API
-// surface identical whether or not a budget is set.
+// Each thread carries (a) an absolute steady-clock deadline armed from a
+// millisecond budget and (b) a GraceScope depth; the exec engine runs
+// every pool chunk under its submitter's state, so concurrent requests
+// keep their own budgets. The external cancel flag tripped by
+// request_cancel() — typically from SIGINT/SIGTERM handlers — is
+// process-wide. Long-running code does not receive a token argument; it
+// polls check() at item boundaries (the exec engine does this
+// automatically for every parallel region), which keeps the API surface
+// identical whether or not a budget is set.
 //
-// check() is engineered for the hot path: when no deadline is armed, no
-// cancel is pending, and the fault harness is disarmed, it is a single
-// relaxed atomic load and branch — regions without budgets run at full
-// speed and produce byte-identical output to a build without this layer.
+// check() is engineered for the hot path: when this thread has no
+// deadline, no cancel is pending, and the fault harness is disarmed, it
+// is a thread-local read, two relaxed loads and a branch — regions
+// without budgets run at full speed and produce byte-identical output to
+// a build without this layer.
 //
 // Determinism contract (docs/robustness.md): wall-clock expiry is
 // inherently timing-dependent, so the engine converts any stop into a
@@ -48,14 +51,14 @@ const char* stop_reason_name(StopReason reason);
 /// `reason` must not be none.
 ErrorCode error_code_for(StopReason reason);
 
-/// Arms the ambient wall-clock budget: check() starts reporting
-/// deadline_exceeded once `budget_ms` milliseconds of steady-clock time
+/// Arms the calling thread's wall-clock budget: check() there starts
+/// reporting deadline_exceeded once `budget_ms` milliseconds of steady-clock time
 /// have elapsed from this call. budget_ms <= 0 clears any armed deadline.
 /// Does not touch the cancel flag.
 void set_budget_ms(int64_t budget_ms);
 
-/// Disarms the deadline AND clears the cancel flag (tests / request
-/// boundaries). The CLI's signal handlers can re-trip cancel afterwards.
+/// Disarms this thread's deadline AND clears the cancel flag (tests /
+/// request boundaries). The CLI's signal handlers can re-trip cancel.
 void reset();
 
 /// Trips the external cancel flag. Async-signal-safe (one lock-free
@@ -65,12 +68,12 @@ void request_cancel();
 /// True when request_cancel() has been called since the last reset().
 bool cancel_requested();
 
-/// Nanoseconds of budget left; INT64_MAX when no deadline is armed,
-/// clamped at 0 once expired.
+/// Nanoseconds of this thread's budget left; INT64_MAX when no deadline
+/// is armed, clamped at 0 once expired.
 int64_t remaining_ns();
 
-/// True when a deadline is armed or a cancel is pending — i.e. check()
-/// is off its zero-cost fast path for a reason other than fault arming.
+/// True when this thread has a deadline armed or a cancel is pending —
+/// i.e. check() is off its fast path for a reason other than faults.
 bool engaged();
 
 /// The poll. Order of precedence: fault sites (deterministic, drawn from
@@ -95,11 +98,12 @@ Error stop_error(StopReason reason, size_t completed, size_t total);
 /// api entry points call it at scope exit.
 void record_stop_metrics(size_t partial_items);
 
-/// Suppresses check() (process-wide) for the scope: every poll reports
-/// none while at least one GraceScope is alive. For the *bounded*
-/// finalization work that must still complete after a stop was
-/// acknowledged — re-evaluating an already-built best-so-far
-/// architecture, flushing reports — not for dodging the budget.
+/// Suppresses check() on this thread (and its regions' pool chunks) for
+/// the scope: every poll there reports none while at least one
+/// GraceScope is alive. For the *bounded* finalization work that must
+/// still complete after a stop was acknowledged — re-evaluating an
+/// already-built best-so-far architecture, flushing reports — not for
+/// dodging the budget.
 class GraceScope {
  public:
   GraceScope();
@@ -122,6 +126,27 @@ class Scope {
 
  private:
   int64_t prev_deadline_ns_;  // absolute; 0 = none was armed
+};
+
+/// A thread's deadline state. current() captures the calling thread's;
+/// an InheritScope installs one on another thread for its lifetime (the
+/// exec engine wraps every pool chunk in one, as it wraps every item in
+/// a fault::ScopedStream).
+struct State {
+  int64_t deadline_ns = 0;  ///< absolute steady-clock ns; 0 = none armed
+  int grace_depth = 0;      ///< live GraceScopes
+};
+State current();
+
+class InheritScope {
+ public:
+  explicit InheritScope(const State& state);
+  ~InheritScope();
+  InheritScope(const InheritScope&) = delete;
+  InheritScope& operator=(const InheritScope&) = delete;
+
+ private:
+  State prev_;
 };
 
 }  // namespace pim::deadline

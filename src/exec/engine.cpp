@@ -108,16 +108,17 @@ struct ChunkResult {
   // did NOT run); SIZE_MAX when the chunk ran to its end.
   size_t stop_index = SIZE_MAX;
   deadline::StopReason stop = deadline::StopReason::none;
+  obs::MetricShard metrics;  // merged by the submitting thread after the join
 };
 
-// Runs one contiguous chunk of items on the current thread: per-item
-// fault stream, per-item deadline/cancel poll, per-chunk metric shard
-// (merged before returning), and per-item error capture. fail_fast stops
-// the chunk at its first failure.
-void run_chunk(size_t begin, size_t end, bool fail_fast,
+// Runs one contiguous chunk of items on the current thread under the
+// submitting thread's deadline state: per-item fault stream, per-item
+// deadline/cancel poll, per-chunk metric shard, and per-item error
+// capture. fail_fast stops the chunk at its first failure.
+void run_chunk(size_t begin, size_t end, bool fail_fast, const deadline::State& inherited,
                const std::function<void(size_t)>& body, ChunkResult& result) {
-  obs::MetricShard shard;
-  obs::ShardScope scope(shard);
+  deadline::InheritScope inherit(inherited);
+  obs::ShardScope scope(result.metrics);
   const bool was_inside = in_region();
   in_region() = true;
   for (size_t i = begin; i < end; ++i) {
@@ -148,7 +149,6 @@ void run_chunk(size_t begin, size_t end, bool fail_fast,
     }
   }
   in_region() = was_inside;
-  shard.flush();
 }
 
 // --------------------------------------------------- scheduler metrics
@@ -178,12 +178,13 @@ struct ExecMetrics {
 // histogram, and a chrome-trace span carrying the worker's real thread
 // id. Returns the chunk duration in ns (0 when collection is off).
 int64_t run_chunk_instr(size_t begin, size_t end, bool fail_fast,
+                        const deadline::State& inherited,
                         const std::function<void(size_t)>& body,
                         ChunkResult& result, int64_t queued_ns) {
   const bool timing = obs::enabled();
   const bool tracing = obs::trace_enabled();
   if (!timing && !tracing) {
-    run_chunk(begin, end, fail_fast, body, result);
+    run_chunk(begin, end, fail_fast, inherited, body, result);
     return 0;
   }
   ExecMetrics& m = ExecMetrics::get();
@@ -192,7 +193,7 @@ int64_t run_chunk_instr(size_t begin, size_t end, bool fail_fast,
     if (queued_ns >= 0) m.queue_wait.record_ns(start - queued_ns);
     m.chunk_items.record_ns(static_cast<int64_t>(end - begin));
   }
-  run_chunk(begin, end, fail_fast, body, result);
+  run_chunk(begin, end, fail_fast, inherited, body, result);
   const int64_t dur = obs::now_ns() - start;
   if (timing) m.chunk_run.record_ns(dur);
   obs::record_trace_event("exec.chunk.run", start, dur);
@@ -222,12 +223,15 @@ namespace {
 
 // Reduces chunk results into the region outcome: cutoff = the minimum
 // stop index over chunks (completed set = [0, cutoff)), stop reason from
-// that chunk, and only failures below the cutoff survive. Single-chunk
-// regions pass a span of one.
+// that chunk, and only failures below the cutoff survive. Runs on the
+// submitting thread after the join, so it merges the chunk shards into
+// that thread's shard (or the globals), in chunk order, with no lock.
+// Single-chunk regions pass a span of one.
 RegionOutcome reduce_chunks(size_t n, std::vector<ChunkResult>& results) {
   RegionOutcome out;
   out.cutoff = n;
-  for (const ChunkResult& r : results) {
+  for (ChunkResult& r : results) {
+    r.metrics.flush(obs::shard_slot());
     if (r.stop_index < out.cutoff) {
       out.cutoff = r.stop_index;
       out.stop = r.stop;
@@ -255,12 +259,13 @@ RegionOutcome run_region(size_t n, const ParallelOptions& options,
   const size_t grain = options.grain == 0 ? 1 : options.grain;
   want = std::min(want, (n + grain - 1) / grain);
   if (want < 1) want = 1;
+  const deadline::State inherited = deadline::current();
 
   // Serial (or nested) regions run the identical per-item code path on
   // this thread, so results are bit-identical to any parallel schedule.
   if (want == 1 || in_region()) {
     std::vector<ChunkResult> results(1);
-    run_chunk_instr(0, n, fail_fast, body, results[0], /*queued_ns=*/-1);
+    run_chunk_instr(0, n, fail_fast, inherited, body, results[0], /*queued_ns=*/-1);
     return reduce_chunks(n, results);
   }
 
@@ -288,7 +293,7 @@ RegionOutcome run_region(size_t n, const ParallelOptions& options,
       const size_t end = std::min(n, begin + chunk);
       if (begin < end)
         chunk_dur[c] =
-            run_chunk_instr(begin, end, fail_fast, body, results[c], submit_ns);
+            run_chunk_instr(begin, end, fail_fast, inherited, body, results[c], submit_ns);
       // Notify under the lock: the caller destroys `join` as soon as it
       // observes remaining == 0, which it can only do after we release
       // the mutex — so the condition variable outlives this call.
@@ -300,7 +305,7 @@ RegionOutcome run_region(size_t n, const ParallelOptions& options,
     });
   }
   // The calling thread takes chunk 0, then joins.
-  chunk_dur[0] = run_chunk_instr(0, std::min(n, chunk), fail_fast, body,
+  chunk_dur[0] = run_chunk_instr(0, std::min(n, chunk), fail_fast, inherited, body,
                                  results[0], /*queued_ns=*/-1);
   {
     std::unique_lock<std::mutex> lock(join.mu);

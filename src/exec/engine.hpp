@@ -20,10 +20,12 @@
 //    fault::ScopedStream(i), so armed sites fire on the same items at any
 //    thread count (see util/faultinject.hpp).
 //  - Metrics stay exact: each chunk buffers counter increments AND timer
-//    samples (histogram buckets included) in a per-thread
-//    obs::MetricShard merged at join — no lock, no shared cache line on
-//    the hot path, and reported totals/quantiles are bit-identical at
-//    any thread count. The engine itself exports exec.* scheduler
+//    samples (histogram buckets included) in its own obs::MetricShard,
+//    which the submitting thread merges after the join, in chunk order,
+//    into its own active shard (or the globals when it has none) — no
+//    lock, no shared cache line on the hot path, reported
+//    totals/quantiles are bit-identical at any thread count, and a
+//    caller that counts one request under a shard sees all of it. The engine itself exports exec.* scheduler
 //    metrics (queue-wait/chunk histograms, busy/idle/imbalance gauges)
 //    when collection is on — see docs/observability.md.
 //
@@ -35,8 +37,10 @@
 // semantics: every failure is captured per item and returned alongside
 // the surviving values, ascending by item index.
 //
-// Deadlines & cancellation (docs/robustness.md): every item boundary
-// polls pim::deadline::check() under the item's fault stream. A stop is
+// Deadlines & cancellation (docs/robustness.md): every chunk runs under
+// the submitting thread's deadline state (its budget and grace depth,
+// deadline::InheritScope), and every item boundary polls
+// pim::deadline::check() under the item's fault stream. A stop is
 // reported with *prefix-cutoff* semantics: each chunk records the first
 // item index at which the stop triggered, the region's cutoff is the
 // minimum over chunks, the completed set is exactly [0, cutoff), and any
@@ -107,7 +111,8 @@ struct RegionOutcome {
 
 /// Core runner: executes body(i) for i in [0, n) over static contiguous
 /// chunks on the shared pool, with per-item fault streams, per-item
-/// deadline/cancel polls, and per-chunk metric shards. fail_fast stops
+/// deadline/cancel polls under the caller's deadline state, and
+/// per-chunk metric shards merged into the caller's. fail_fast stops
 /// each chunk at its first failure.
 RegionOutcome run_region(size_t n, const ParallelOptions& options,
                          bool fail_fast,

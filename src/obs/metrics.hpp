@@ -20,6 +20,7 @@
 // "spice.newton.iterations" or "buffering.candidate.count".
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -59,6 +60,14 @@ struct TimerDelta {
   int64_t min_ns = INT64_MAX;
   int64_t max_ns = 0;
   int64_t buckets[kTimerBuckets] = {};
+
+  void merge(const TimerDelta& other) {
+    count += other.count;
+    total_ns += other.total_ns;
+    min_ns = std::min(min_ns, other.min_ns);
+    max_ns = std::max(max_ns, other.max_ns);
+    for (int k = 0; k < kTimerBuckets; ++k) buckets[k] += other.buckets[k];
+  }
 };
 
 /// Per-thread metric buffer for parallel hot loops. A worker thread that
@@ -74,10 +83,17 @@ class MetricShard {
   void add(Counter& counter, int64_t delta);
   void record(Timer& timer, int64_t ns);
 
-  /// Applies every buffered delta to its metric and empties the shard.
-  void flush();
+  /// Applies every buffered delta to its metric — or, given `parent`,
+  /// moves it into that shard, which keeps buffering it — and empties
+  /// this shard.
+  void flush(MetricShard* parent = nullptr);
+
+  /// The delta buffered for `counter` since the last flush.
+  int64_t counted(const Counter& counter) const;
 
  private:
+  TimerDelta& delta_for(Timer& timer);
+
   // Hot loops touch a handful of distinct metrics, so a linear scan over
   // a small vector beats hashing.
   std::vector<std::pair<Counter*, int64_t>> deltas_;
@@ -244,33 +260,46 @@ class Timer {
   std::atomic<int64_t> buckets_[kBuckets] = {};
 };
 
-inline void MetricShard::record(Timer& timer, int64_t ns) {
-  TimerDelta* slot = nullptr;
-  for (TimerDelta& d : timers_) {
-    if (d.timer == &timer) {
-      slot = &d;
-      break;
-    }
-  }
-  if (slot == nullptr) {
-    timers_.emplace_back();
-    slot = &timers_.back();
-    slot->timer = &timer;
-  }
-  ++slot->count;
-  slot->total_ns += ns;
-  if (ns < slot->min_ns) slot->min_ns = ns;
-  if (ns > slot->max_ns) slot->max_ns = ns;
-  ++slot->buckets[Timer::bucket_of(ns)];
+inline TimerDelta& MetricShard::delta_for(Timer& timer) {
+  for (TimerDelta& d : timers_)
+    if (d.timer == &timer) return d;
+  timers_.emplace_back();
+  timers_.back().timer = &timer;
+  return timers_.back();
 }
 
-inline void MetricShard::flush() {
-  for (auto& [slot, buffered] : deltas_)
-    if (buffered != 0) slot->merge(buffered);
+inline void MetricShard::record(Timer& timer, int64_t ns) {
+  TimerDelta& slot = delta_for(timer);
+  ++slot.count;
+  slot.total_ns += ns;
+  if (ns < slot.min_ns) slot.min_ns = ns;
+  if (ns > slot.max_ns) slot.max_ns = ns;
+  ++slot.buckets[Timer::bucket_of(ns)];
+}
+
+inline void MetricShard::flush(MetricShard* parent) {
+  for (auto& [slot, buffered] : deltas_) {
+    if (buffered == 0) continue;
+    if (parent != nullptr)
+      parent->add(*slot, buffered);
+    else
+      slot->merge(buffered);
+  }
   deltas_.clear();
-  for (TimerDelta& d : timers_)
-    if (d.count != 0) d.timer->merge(d);
+  for (const TimerDelta& d : timers_) {
+    if (d.count == 0) continue;
+    if (parent != nullptr)
+      parent->delta_for(*d.timer).merge(d);
+    else
+      d.timer->merge(d);
+  }
   timers_.clear();
+}
+
+inline int64_t MetricShard::counted(const Counter& counter) const {
+  for (const auto& [slot, buffered] : deltas_)
+    if (slot == &counter) return buffered;
+  return 0;
 }
 
 /// Point-in-time copy of one timer, taken for reporting.
@@ -309,10 +338,9 @@ class MetricsRegistry {
 
   MetricsSnapshot snapshot() const;
 
-  /// Zeroes every metric (registrations survive). For tests, repeated
-  /// bench phases, and the per-run scope pim::api establishes (every
-  /// run_* entry point resets, so successive requests in one process
-  /// never bleed into each other's ledger snapshots).
+  /// Zeroes every metric (registrations survive). For tests and
+  /// repeated bench phases. To count one request in a shared process,
+  /// run it under its own MetricShard instead (pimd does, per request).
   void reset();
 
  private:

@@ -13,7 +13,6 @@
 #include <deque>
 #include <mutex>
 #include <set>
-#include <shared_mutex>
 #include <thread>
 #include <vector>
 
@@ -106,6 +105,15 @@ void envelope_identity(const std::string& line, bool& has_id, int64_t& id,
   }
 }
 
+// Whether a response line reports failure. The envelope's own "ok" is
+// the first one in every response (only "id" and "op" precede it, and a
+// quote inside a string value is escaped, so no value can spell it); a
+// batch whose envelope is ok but holds failed items is not an error.
+bool failed(const std::string& response) {
+  const size_t at = response.find("\"ok\":");
+  return at != std::string::npos && response.compare(at + 5, 5, "false") == 0;
+}
+
 }  // namespace
 
 struct Server::Impl {
@@ -138,13 +146,9 @@ struct Server::Impl {
   std::condition_variable queue_cv;
   std::deque<Job> queue;
 
-  // Deadline isolation (see api/wire.hpp execute_line): requests that
-  // arm a budget take this exclusively; deadline-free requests share.
-  std::shared_mutex deadline_mu;
-
   // Daemon-owned stats. Standalone metric instances, NOT registry
-  // entries: every pim::api call resets the global registry on entry,
-  // so daemon-lifetime aggregates must live outside it.
+  // entries: the registry is the process's, which an embedder may
+  // reset, so daemon-lifetime aggregates live outside it.
   Clock::time_point started = Clock::now();
   std::atomic<int64_t> accepted{0};
   std::atomic<int64_t> rejected{0};
@@ -154,6 +158,11 @@ struct Server::Impl {
   std::atomic<int64_t> store_misses{0};
   std::atomic<int64_t> resident_hits{0};
   obs::Timer latency;
+  // Counters the stats fold in from each request's MetricShard.
+  const obs::Counter& cache_hit = obs::registry().counter("cache.hit");
+  const obs::Counter& cache_miss = obs::registry().counter("cache.miss");
+  const obs::Counter& fit_resident_hit = obs::registry().counter("fit.resident.hit");
+  const obs::Counter& model_resident_hit = obs::registry().counter("model.resident.hit");
 
   void bind_unix();
   void bind_tcp();
@@ -162,7 +171,6 @@ struct Server::Impl {
   void worker_loop();
   void handle_line(const std::shared_ptr<Connection>& conn, const std::string& line);
   void respond_inline(const std::shared_ptr<Connection>& conn, std::string text);
-  void sample_request_counters();
   std::string stats_json() const;
 };
 
@@ -230,15 +238,20 @@ void Server::Impl::reader_loop(std::shared_ptr<Connection> conn) {
     const ssize_t n = ::recv(conn->fd, chunk, sizeof(chunk), 0);
     if (n < 0 && errno == EINTR) continue;
     if (n <= 0) break;
+    // Lines are cut at an advancing offset and the consumed prefix is
+    // erased once per recv, so pipelined input costs linear time. Bytes
+    // kept from the last recv hold no newline; the scan skips them.
+    size_t start = 0;
+    size_t pos = buffer.size();
     buffer.append(chunk, static_cast<size_t>(n));
-    size_t pos;
-    while ((pos = buffer.find('\n')) != std::string::npos) {
-      std::string line = buffer.substr(0, pos);
-      buffer.erase(0, pos + 1);
+    while ((pos = buffer.find('\n', pos)) != std::string::npos) {
+      std::string line = buffer.substr(start, pos - start);
+      start = ++pos;
       if (!line.empty() && line.back() == '\r') line.pop_back();
       if (line.empty()) continue;
       handle_line(conn, line);
     }
+    buffer.erase(0, start);
     if (buffer.size() > kMaxLineBytes) {
       respond_inline(conn,
                      api::wire::write_error_line(
@@ -320,22 +333,6 @@ void Server::Impl::handle_line(const std::shared_ptr<Connection>& conn,
   queue_cv.notify_one();
 }
 
-// After each dispatch, fold the request's registry counters into the
-// daemon aggregates. pim::api resets the registry on entry, so at
-// --workers 1 the post-call registry holds exactly this request's
-// counts; with concurrent workers the attribution is approximate (the
-// totals remain a faithful sample, and check_serve.sh pins workers=1
-// where it asserts exact hit counts). For a batch, the registry holds
-// the last item only — a documented stats approximation, not a
-// correctness concern.
-void Server::Impl::sample_request_counters() {
-  obs::MetricsRegistry& reg = obs::registry();
-  store_hits.fetch_add(reg.counter("cache.hit").value());
-  store_misses.fetch_add(reg.counter("cache.miss").value());
-  resident_hits.fetch_add(reg.counter("fit.resident.hit").value() +
-                          reg.counter("model.resident.hit").value());
-}
-
 void Server::Impl::worker_loop() {
   for (;;) {
     Job job;
@@ -350,22 +347,25 @@ void Server::Impl::worker_loop() {
       queue.pop_front();
     }
     const Clock::time_point t0 = Clock::now();
-    const std::string response = api::wire::execute_line(
-        job.line, [&](bool uses_deadline, const std::function<void()>& dispatch) {
-          if (uses_deadline) {
-            std::unique_lock<std::shared_mutex> guard(deadline_mu);
-            dispatch();
-          } else {
-            std::shared_lock<std::shared_mutex> guard(deadline_mu);
-            dispatch();
-          }
-        });
+    // The request runs under its own shard (its pool chunks merge into
+    // it), so the counts read back are exactly its own — every item of a
+    // batch — at any worker count.
+    obs::MetricShard shard;
+    std::string response;
+    {
+      obs::ShardScope scope(shard);
+      response = api::wire::execute_line(job.line);
+    }
     latency.record_ns(
         std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - t0)
             .count());
-    sample_request_counters();
+    store_hits.fetch_add(shard.counted(cache_hit));
+    store_misses.fetch_add(shard.counted(cache_miss));
+    resident_hits.fetch_add(shard.counted(fit_resident_hit) +
+                            shard.counted(model_resident_hit));
+    shard.flush();
     completed.fetch_add(1);
-    if (response.find("\"ok\":false") != std::string::npos) errors.fetch_add(1);
+    if (failed(response)) errors.fetch_add(1);
     {
       std::lock_guard<std::mutex> lock(job.conn->mu);
       job.slot->text = response;
@@ -434,7 +434,7 @@ void Server::start() {
           "pimd: no listener configured (need a socket path or a TCP port)",
           ErrorCode::bad_input);
   // Latency histograms and the per-request cache counters the stats
-  // endpoint samples both ride the obs registry switch.
+  // endpoint reads both ride the obs registry switch.
   obs::set_enabled(true);
   if (!s.options.socket_path.empty()) s.bind_unix();
   if (s.options.tcp_port >= 0) s.bind_tcp();

@@ -15,12 +15,11 @@
 //    typed `overloaded` error (exit_code 3) — retryable by contract,
 //    since the work never started. Rejections keep per-connection
 //    response order like any other response.
-//  - Deadlines: a request carrying deadline_ms > 0 runs exclusively
-//    (the ambient deadline scope is process-wide, so concurrent workers
-//    arming different budgets would truncate each other); deadline-free
-//    requests run concurrently under a shared lock. Flows degrade to
-//    partial results or typed deadline errors exactly as direct
-//    pim::api calls do.
+//  - Deadlines: a request's deadline_ms budget is armed on the worker
+//    thread running it and inherited by the pool chunks that request
+//    submits, so requests with and without budgets run concurrently and
+//    never truncate each other. Flows degrade to partial results or
+//    typed deadline errors exactly as direct pim::api calls do.
 //  - Heavy flows parallelize internally through pim::exec, so a worker
 //    here is a dispatcher, not the unit of compute parallelism.
 //  - Graceful drain: once stop() is called (pimd calls it when
@@ -30,8 +29,9 @@
 //    returns. Nothing accepted is ever silently dropped.
 //  - A {"op":"stats"} request is answered inline by the connection
 //    reader (never queued, so it stays live under load) with queue
-//    depth, admission counters, cache hit rates, and p50/p99 request
-//    latency from the obs histogram.
+//    depth, admission counters, exact cache hit counts (each request
+//    runs under its own obs::MetricShard), and p50/p99 request latency
+//    from the obs histogram.
 #pragma once
 
 #include <cstdint>

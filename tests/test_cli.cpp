@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <cstdlib>
@@ -11,17 +12,20 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "../tools/cli_args.hpp"
 #include "api/pim_api.hpp"
 #include "api/wire.hpp"
 #include "cache/key.hpp"
 #include "cache/store.hpp"
+#include "charlib/coeffs_io.hpp"
 #include "exec/engine.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
 #include "obs/ledger.hpp"
+#include "tech/technology.hpp"
 #include "util/error.hpp"
 #include "util/paths.hpp"
 #include "util/version.hpp"
@@ -765,22 +769,68 @@ TEST(ApiFacade, SynthesisWithBaselineModelRoundTrip) {
   EXPECT_NE(result.value().dot_text.find("digraph"), std::string::npos);
 }
 
-TEST(ApiFacade, SuccessiveRunsDoNotBleedMetrics) {
-  // Every run_* entry point opens a fresh metric scope: counters left
-  // over from a previous request in the same process must not leak into
-  // the next request's reports or ledger snapshot.
+TEST(ApiFacade, SuccessiveRunsUnderOwnShardsDoNotBleedMetrics) {
+  // pim::api leaves the process registry alone; a long-lived caller
+  // takes one request's metrics from a MetricShard it runs the request
+  // under (pimd does this per request). Counts from earlier requests —
+  // in the registry or in another request's shard — never reach it.
+  const std::string dir = ::testing::TempDir() + "pim_api_shard_" + std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  cache::set_dir(dir + "/cache");
+  cache::set_mode(cache::Mode::ReadWrite);
+  const Technology& tech = technology(TechNode::N65);
+  TechnologyFit fit;
+  fit.node = tech.node;
+  fit.vdd = tech.vdd;
+  RepeaterEdgeFit e;
+  e.a0 = 5e-12;
+  e.a1 = 0.05;
+  e.rho0 = 2e-3;
+  e.rho1 = 1e6;
+  e.b0 = 2e-12;
+  e.b1 = 0.3;
+  e.b2 = 5e-4;
+  fit.inv_rise = fit.inv_fall = fit.buf_rise = fit.buf_fall = e;
+  fit.gamma = 7e-10;
+  fit.leakage.n0 = fit.leakage.p0 = 1e-9;
+  fit.leakage.n1 = fit.leakage.p1 = 1e-2;
+  fit.area0 = 1e-12;
+  fit.area1 = 1e-6;
+  save_fit(fit, dir + "/coeffs.pimfit");
+
+  api::LinkEvalRequest req;
+  req.link.tech = "65nm";
+  req.link.length_mm = 3.0;
+  req.link.coeffs_path = dir + "/coeffs.pimfit";
+  ASSERT_TRUE(api::run_evaluate(req).ok());  // cold: makes the model resident
+
   obs::set_enabled(true);
-  obs::registry().counter("stale.request.count").add(99);
-  obs::registry().timer("stale.request.time").record_ns(1234);
+  obs::registry().reset();
+  obs::Counter& stale = obs::registry().counter("stale.request.count");
+  obs::Counter& resident = obs::registry().counter("model.resident.hit");
+  stale.add(99);
+  std::vector<int64_t> hits;
+  for (int run = 0; run < 2; ++run) {
+    obs::MetricShard shard;
+    {
+      obs::ShardScope scope(shard);
+      ASSERT_TRUE(api::run_evaluate(req).ok());
+    }
+    EXPECT_EQ(shard.counted(stale), 0);
+    hits.push_back(shard.counted(resident));
+    shard.flush();
+  }
+  EXPECT_EQ(hits[0], 1);
+  EXPECT_EQ(hits[1], 1) << "the second request's shard saw the first one's hit";
+  EXPECT_EQ(stale.value(), 99) << "a facade call wiped the process registry";
+  EXPECT_EQ(resident.value(), 2);
 
-  api::TechfileRequest req;
-  req.tech = "45nm";
-  ASSERT_TRUE(api::run_techfile(req).ok());
-
-  EXPECT_EQ(obs::registry().counter("stale.request.count").value(), 0);
-  EXPECT_EQ(obs::registry().timer("stale.request.time").count(), 0);
   obs::set_enabled(false);
   obs::registry().reset();
+  cache::reset_mode();
+  cache::set_dir("");
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -15,9 +15,12 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <cmath>
 #include <filesystem>
+#include <future>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "api/pim_api.hpp"
@@ -234,6 +237,111 @@ TEST_F(DeadlineFixture, StoppedRegionsRecordObsGauges) {
   ASSERT_TRUE(batch.truncated());
   EXPECT_EQ(obs::registry().gauge("partial.items").value(),
             static_cast<double>(batch.completed));
+}
+
+// ------------------------------------------------------------ isolation
+//
+// Deadline state is per thread: concurrent requests on other threads
+// keep their own budgets and grace, while the pool chunks of a region
+// inherit the submitting thread's state.
+
+// Arms an already-expired budget on the calling thread.
+void arm_expired_budget() {
+  deadline::set_budget_ms(1);
+  ::usleep(3000);
+  ASSERT_EQ(deadline::check(), deadline::StopReason::deadline_exceeded);
+}
+
+TEST_F(DeadlineFixture, ExpiredBudgetOnOneThreadLeavesAnotherThreadsRegionAlone) {
+  std::promise<void> armed, finished;
+  std::thread holder([&] {
+    arm_expired_budget();
+    armed.set_value();
+    finished.get_future().wait();
+    deadline::set_budget_ms(0);
+  });
+  armed.get_future().wait();
+
+  std::atomic<size_t> ran{0};
+  exec::ParallelOptions opt;
+  opt.threads = 4;
+  EXPECT_NO_THROW(exec::parallel_for(1000, [&](size_t) { ran.fetch_add(1); }, opt));
+  EXPECT_EQ(ran.load(), 1000u);
+  EXPECT_EQ(deadline::check(), deadline::StopReason::none);
+  finished.set_value();
+  holder.join();
+}
+
+TEST_F(DeadlineFixture, GraceOnOneThreadDoesNotHideAnotherThreadsExpiredBudget) {
+  std::promise<void> graced, finished;
+  std::thread holder([&] {
+    deadline::GraceScope grace;
+    graced.set_value();
+    finished.get_future().wait();
+  });
+  graced.get_future().wait();
+
+  arm_expired_budget();
+  EXPECT_EQ(deadline::check(), deadline::StopReason::deadline_exceeded);
+  exec::ParallelOptions opt;
+  opt.threads = 4;
+  const auto batch =
+      exec::parallel_try_map<int>(100, [](size_t i) { return static_cast<int>(i); }, opt);
+  EXPECT_EQ(batch.stop, deadline::StopReason::deadline_exceeded);
+  EXPECT_EQ(batch.completed, 0u);
+  finished.set_value();
+  holder.join();
+}
+
+TEST_F(DeadlineFixture, PoolChunksInheritTheSubmittersExpiredBudget) {
+  arm_expired_budget();
+  // Another thread's request boundary disarms only that thread.
+  std::thread([] { deadline::reset(); }).join();
+
+  std::atomic<int> calls{0};
+  exec::ParallelOptions opt;
+  opt.threads = 4;
+  const auto batch = exec::parallel_try_map<int>(
+      1000,
+      [&](size_t i) {
+        calls.fetch_add(1);
+        return static_cast<int>(i);
+      },
+      opt);
+  EXPECT_EQ(calls.load(), 0) << "a pool chunk ran items past the expired budget";
+  EXPECT_EQ(batch.stop, deadline::StopReason::deadline_exceeded);
+  EXPECT_EQ(batch.completed, 0u);
+}
+
+TEST_F(DeadlineFixture, PoolChunksInheritBudgetAndGraceAndRestoreTheWorker) {
+  exec::ParallelOptions opt;
+  opt.threads = 4;
+  {
+    deadline::Scope budget(3'600'000);
+    std::atomic<int> unbudgeted{0};
+    exec::parallel_for(
+        64,
+        [&](size_t) {
+          if (deadline::remaining_ns() == INT64_MAX) unbudgeted.fetch_add(1);
+        },
+        opt);
+    EXPECT_EQ(unbudgeted.load(), 0);
+  }
+  {
+    // A graced tail (cosi synthesis finalization) still completes its
+    // pool work under an expired budget.
+    arm_expired_budget();
+    deadline::GraceScope grace;
+    std::atomic<size_t> ran{0};
+    EXPECT_NO_THROW(exec::parallel_for(1000, [&](size_t) { ran.fetch_add(1); }, opt));
+    EXPECT_EQ(ran.load(), 1000u);
+  }
+  deadline::set_budget_ms(0);
+  // The pool workers went back to their own (idle) state.
+  std::atomic<int> engaged{0};
+  exec::parallel_for(
+      64, [&](size_t) { engaged.fetch_add(deadline::engaged() ? 1 : 0); }, opt);
+  EXPECT_EQ(engaged.load(), 0);
 }
 
 // ------------------------------------------------------------- variation

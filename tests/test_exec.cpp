@@ -206,6 +206,32 @@ TEST_F(ExecFixture, MetricShardsLoseNoCounts) {
             static_cast<int64_t>(n));
 }
 
+TEST_F(ExecFixture, ChunkShardsMergeIntoTheSubmittersShard) {
+  // A caller counting one request under its own shard sees every count
+  // its pool chunks made, and nothing reaches the registry until it
+  // flushes.
+  obs::Counter& items = obs::registry().counter("exec.test.items");
+  obs::Timer& timer = obs::registry().timer("exec.test.item.time");
+  obs::MetricShard request;
+  {
+    obs::ShardScope scope(request);
+    exec::parallel_for(
+        1000,
+        [&](size_t i) {
+          items.add();
+          timer.record_ns(static_cast<int64_t>(i));
+        },
+        {.threads = 4});
+  }
+  EXPECT_EQ(items.value(), 0);
+  EXPECT_EQ(timer.count(), 0);
+  EXPECT_EQ(request.counted(items), 1000);
+  request.flush();
+  EXPECT_EQ(items.value(), 1000);
+  EXPECT_EQ(timer.count(), 1000);
+  EXPECT_EQ(timer.max_ns(), 999);
+}
+
 TEST_F(ExecFixture, ShardMergedTimersAreBitIdenticalAtAnyThreadCount) {
   // Timer samples recorded inside a region are buffered per chunk and
   // merged at join; every aggregate — histogram buckets included — must

@@ -403,6 +403,37 @@ TEST_F(ObsTest, ShardMergedTimerIsBitIdenticalToDirect) {
     EXPECT_EQ(sharded.bucket(k), direct.bucket(k)) << "bucket " << k;
 }
 
+TEST_F(ObsTest, ShardFlushIntoAParentMovesEveryDelta) {
+  Counter& c = registry().counter("shard.parent.count");
+  Timer& t = registry().timer("shard.parent.time");
+  MetricShard parent;
+  MetricShard child;
+  {
+    ShardScope scope(parent);
+    c.add(2);
+    t.record_ns(50);
+  }
+  {
+    ShardScope scope(child);
+    c.add(3);
+    t.record_ns(400);
+    t.record_ns(10);
+  }
+  EXPECT_EQ(child.counted(c), 3);
+  child.flush(&parent);
+  EXPECT_EQ(child.counted(c), 0);
+  EXPECT_EQ(parent.counted(c), 5);
+  EXPECT_EQ(c.value(), 0);
+  EXPECT_EQ(t.count(), 0);
+  parent.flush();
+  EXPECT_EQ(c.value(), 5);
+  EXPECT_EQ(t.count(), 3);
+  EXPECT_EQ(t.total_ns(), 460);
+  EXPECT_EQ(t.min_ns(), 10);
+  EXPECT_EQ(t.max_ns(), 400);
+  EXPECT_EQ(t.bucket(Timer::bucket_of(400)), 1);
+}
+
 TEST_F(ObsTest, ShardScopeRestoresPreviousSlot) {
   MetricShard outer_shard;
   MetricShard inner_shard;

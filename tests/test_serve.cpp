@@ -12,6 +12,7 @@
 
 #include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <future>
 #include <memory>
 #include <string>
@@ -19,8 +20,11 @@
 #include <vector>
 
 #include "api/wire.hpp"
+#include "cache/store.hpp"
+#include "charlib/coeffs_io.hpp"
 #include "obs/report.hpp"
 #include "serve/server.hpp"
+#include "tech/technology.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
 
@@ -349,6 +353,170 @@ TEST(Serve, StopRightAfterStartJoinsEveryWorker) {
   EXPECT_EQ(finished.wait_for(std::chrono::seconds(60)), std::future_status::ready)
       << "stop() never returned: a worker missed the drain wake-up";
   set_log_level(level);
+}
+
+TEST(Serve, ErrorsCountFailedResponsesNotFailedBatchItems) {
+  ServerOptions options;
+  options.tcp_port = 0;
+  options.workers = 2;
+  Server server(options);
+  server.start();
+  const int fd = connect_tcp(server.tcp_port());
+  LineReader reader{fd, {}};
+
+  // The envelope is ok; only the second item failed.
+  send_line(fd,
+            "{\"op\":\"batch\",\"id\":1,\"items\":[{\"op\":\"techfile\",\"tech\":\"65nm\"},"
+            "{\"op\":\"techfile\",\"tech\":\"no-such-tech\"}]}");
+  const obs::JsonValue batch = obs::parse_json(reader.next());
+  EXPECT_TRUE(batch.find("ok")->boolean);
+  EXPECT_EQ(stat(*batch.find("result"), "failed"), 1.0);
+  obs::JsonValue stats = obs::parse_json(server.stats_json());
+  EXPECT_EQ(stat(stats, "completed"), 1.0);
+  EXPECT_EQ(stat(stats, "errors"), 0.0);
+
+  send_line(fd, "this is } not json");
+  EXPECT_FALSE(obs::parse_json(reader.next()).find("ok")->boolean);
+  stats = obs::parse_json(server.stats_json());
+  EXPECT_EQ(stat(stats, "completed"), 2.0);
+  EXPECT_EQ(stat(stats, "errors"), 1.0);
+  ::close(fd);
+  server.stop();
+}
+
+TEST(Serve, PipelinedLinesInOneSendAllComeBackInOrder) {
+  constexpr int kLines = 2000;
+  ServerOptions options;
+  options.tcp_port = 0;
+  options.workers = 2;
+  options.queue_limit = kLines;
+  Server server(options);
+  server.start();
+  const int fd = connect_tcp(server.tcp_port());
+
+  std::string blob;
+  for (int i = 0; i < kLines; ++i)
+    blob += "{\"op\":\"techfile\",\"id\":" + std::to_string(i) +
+            ",\"tech\":\"65nm\"}\n";
+  // Written from another thread: the responses (a few MB) must be read
+  // while the requests are still going out.
+  std::thread writer([&] {
+    size_t off = 0;
+    while (off < blob.size()) {
+      const ssize_t n = ::send(fd, blob.data() + off, blob.size() - off, MSG_NOSIGNAL);
+      ASSERT_GT(n, 0) << "send failed: " << std::strerror(errno);
+      off += static_cast<size_t>(n);
+    }
+  });
+  LineReader reader{fd, {}};
+  for (int i = 0; i < kLines; ++i) {
+    const obs::JsonValue v = obs::parse_json(reader.next());
+    ASSERT_EQ(v.find("id")->number, static_cast<double>(i));
+    ASSERT_TRUE(v.find("ok")->boolean) << "line " << i;
+  }
+  writer.join();
+  EXPECT_EQ(stat(obs::parse_json(server.stats_json()), "completed"),
+            static_cast<double>(kLines));
+  ::close(fd);
+  server.stop();
+}
+
+// Resident and store hit totals from the stats endpoint.
+struct HitCounts {
+  double resident = 0;
+  double store = 0;
+};
+
+HitCounts hit_counts(const Server& server) {
+  const obs::JsonValue v = obs::parse_json(server.stats_json());
+  const obs::JsonValue* cache = v.find("cache");
+  return {stat(*cache, "resident_hits"), stat(*cache, "store_hits")};
+}
+
+TEST(Serve, BatchStatsCountEveryItemExactlyAtFourWorkers) {
+  // A coefficient file makes the 65nm fit resident without
+  // characterizing; the scratch cache keeps the store hermetic.
+  const std::string dir = ::testing::TempDir() + "pim_serve_batch_stats_" +
+                          std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  cache::set_dir(dir + "/cache");
+  cache::set_mode(cache::Mode::ReadWrite);
+  const Technology& tech = technology(TechNode::N65);
+  TechnologyFit fit;
+  fit.node = tech.node;
+  fit.vdd = tech.vdd;
+  RepeaterEdgeFit e;
+  e.a0 = 5e-12;
+  e.a1 = 0.05;
+  e.rho0 = 2e-3;
+  e.rho1 = 1e6;
+  e.b0 = 2e-12;
+  e.b1 = 0.3;
+  e.b2 = 5e-4;
+  fit.inv_rise = fit.inv_fall = fit.buf_rise = fit.buf_fall = e;
+  fit.gamma = 7e-10;
+  fit.leakage.n0 = fit.leakage.p0 = 1e-9;
+  fit.leakage.n1 = fit.leakage.p1 = 1e-2;
+  fit.area0 = 1e-12;
+  fit.area1 = 1e-6;
+  save_fit(fit, dir + "/coeffs_65nm.pimfit");
+  const std::string evaluate = "{\"op\":\"evaluate\",\"link\":{\"tech\":\"65nm\","
+                               "\"length_mm\":3.0,\"coeffs_path\":\"" +
+                               dir + "/coeffs_65nm.pimfit\"}}";
+  const std::string batch =
+      "{\"op\":\"batch\",\"items\":[" + evaluate + "," + evaluate + "," + evaluate + "]}";
+
+  ServerOptions options;
+  options.tcp_port = 0;
+  options.workers = 4;
+  Server server(options);
+  server.start();
+  const int fd = connect_tcp(server.tcp_port());
+  LineReader reader{fd, {}};
+  send_line(fd, evaluate);  // cold: loads the file, makes fit and model resident
+  ASSERT_NE(reader.next().find("\"ok\":true"), std::string::npos);
+
+  const HitCounts before = hit_counts(server);
+  send_line(fd, evaluate);
+  ASSERT_NE(reader.next().find("\"ok\":true"), std::string::npos);
+  const HitCounts one = hit_counts(server);
+  const double per_evaluate = one.resident - before.resident;
+  const double store_per_evaluate = one.store - before.store;
+  ASSERT_GT(per_evaluate, 0.0);
+
+  send_line(fd, batch);
+  ASSERT_NE(reader.next().find("\"failed\":0"), std::string::npos);
+  const HitCounts three = hit_counts(server);
+  EXPECT_EQ(three.resident - one.resident, 3 * per_evaluate);
+  EXPECT_EQ(three.store - one.store, 3 * store_per_evaluate);
+
+  // Eight batches in flight at once over four connections: the four
+  // workers run them concurrently and every item still counts once.
+  constexpr int kConnections = 4;
+  constexpr int kBatchesEach = 2;
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kConnections; ++c) {
+    clients.emplace_back([&] {
+      const int cfd = connect_tcp(server.tcp_port());
+      LineReader creader{cfd, {}};
+      for (int b = 0; b < kBatchesEach; ++b) send_line(cfd, batch);
+      for (int b = 0; b < kBatchesEach; ++b)
+        EXPECT_NE(creader.next().find("\"failed\":0"), std::string::npos);
+      ::close(cfd);
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  const HitCounts all = hit_counts(server);
+  EXPECT_EQ(all.resident - three.resident,
+            kConnections * kBatchesEach * 3 * per_evaluate);
+  EXPECT_EQ(all.store - three.store, kConnections * kBatchesEach * 3 * store_per_evaluate);
+
+  ::close(fd);
+  server.stop();
+  cache::reset_mode();
+  cache::set_dir("");
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Serve, StartValidatesItsOptions) {
