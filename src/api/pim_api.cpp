@@ -4,6 +4,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <utility>
 
 #include "buffering/optimize.hpp"
 #include "cache/invalidate.hpp"
@@ -38,13 +39,6 @@ namespace {
 
 using namespace pim::unit;
 
-void check_version(int version, const char* who) {
-  require(version == kApiVersion,
-          std::string(who) + ": request api_version " + std::to_string(version) +
-              " does not match pim::api::kApiVersion " + std::to_string(kApiVersion),
-          ErrorCode::bad_input);
-}
-
 // Uniform exception boundary: the facade never throws — every failure
 // comes back as an Expected error carrying the ErrorCode taxonomy.
 //
@@ -53,17 +47,44 @@ void check_version(int version, const char* who) {
 // body (nested scopes keep the tighter deadline); on exit the
 // deadline.remaining_ns gauge is force-set so the ledger records how
 // much budget a truncated run had left.
-template <typename R, typename F>
-Expected<R> guarded(const char* who, int64_t deadline_ms, F&& body) {
+//
+// The request's api_version is checked inside the boundary, and the body
+// receives the entry-point name `who` for its own error messages.
+template <typename R, typename Req, typename F>
+Expected<R> guarded(const char* who, const Req& request, F&& body) {
   try {
-    deadline::Scope budget(deadline_ms);
-    return body();
+    deadline::Scope budget(request.deadline_ms);
+    check_version(request.api_version, who);
+    return body(who);
   } catch (const Error& e) {
     return Expected<R>(e.with_context(std::string("in pim::api::") + who));
   } catch (const std::exception& e) {
     return Expected<R>(
         Error(std::string(who) + ": " + e.what(), ErrorCode::internal));
   }
+}
+
+// The op table's row for request type Req: its result type, its entry
+// point, and the entry point's name, which error contexts cite ("in
+// pim::api::run_cache_admin") and which need not follow from the wire op
+// name.
+template <typename Req>
+struct Op;
+#define PIM_API_ENTRY(Req, Res, wire_name, entry)                            \
+  template <>                                                               \
+  struct Op<Req> {                                                          \
+    using Result = Res;                                                     \
+    static constexpr const char* entry_name = #entry;                       \
+    static Expected<Res> run(const Req& request) { return entry(request); } \
+  };
+PIM_API_OPS(PIM_API_ENTRY)
+#undef PIM_API_ENTRY
+
+// A table op: the result type and the entry-point name come from its row.
+template <typename Req, typename F>
+Expected<typename Op<Req>::Result> guarded(const Req& request, F&& body) {
+  return guarded<typename Op<Req>::Result>(Op<Req>::entry_name, request,
+                                           std::forward<F>(body));
 }
 
 // Every entry point resolves its tech spec — a built-in node name or a
@@ -196,19 +217,24 @@ std::unique_ptr<InterconnectModel> model_of(const std::string& name,
 
 }  // namespace
 
+void check_version(int version, const std::string& who) {
+  require(version == kApiVersion,
+          who + ": request api_version " + std::to_string(version) +
+              " does not match pim::api::kApiVersion " + std::to_string(kApiVersion),
+          ErrorCode::bad_input);
+}
+
 Expected<TechfileResult> run_techfile(const TechfileRequest& request) {
-  return guarded<TechfileResult>("run_techfile", request.deadline_ms, [&] {
-    check_version(request.api_version, "run_techfile");
+  return guarded(request, [&](const char* who) {
     TechfileResult result;
-    result.text = write_techfile(base_tech_of(request.tech, "run_techfile"));
+    result.text = write_techfile(base_tech_of(request.tech, who));
     return result;
   });
 }
 
 Expected<CharlibResult> run_charlib(const CharlibRequest& request) {
-  return guarded<CharlibResult>("run_charlib", request.deadline_ms, [&] {
-    check_version(request.api_version, "run_charlib");
-    const Technology& base = base_tech_of(request.tech, "run_charlib");
+  return guarded(request, [&](const char* who) {
+    const Technology& base = base_tech_of(request.tech, who);
     const Technology& tech = corner_technology(base, corner_of(base, request.corner));
     CharacterizationOptions opt;
     if (!request.drives.empty()) opt.drives = request.drives;
@@ -223,9 +249,8 @@ Expected<CharlibResult> run_charlib(const CharlibRequest& request) {
 }
 
 Expected<FitResult> run_fit(const FitRequest& request) {
-  return guarded<FitResult>("run_fit", request.deadline_ms, [&] {
-    check_version(request.api_version, "run_fit");
-    const Technology& base = base_tech_of(request.tech, "run_fit");
+  return guarded(request, [&](const char* who) {
+    const Technology& base = base_tech_of(request.tech, who);
     FitResult result;
     result.fit_text =
         write_fit(fit_of(base, corner_of(base, request.corner), request.coeffs_path));
@@ -234,12 +259,11 @@ Expected<FitResult> run_fit(const FitRequest& request) {
 }
 
 Expected<LinkEvalResult> run_evaluate(const LinkEvalRequest& request) {
-  return guarded<LinkEvalResult>("run_evaluate", request.deadline_ms, [&] {
-    check_version(request.api_version, "run_evaluate");
-    const Technology& base = base_tech_of(request.link.tech, "run_evaluate");
+  return guarded(request, [&](const char* who) {
+    const Technology& base = base_tech_of(request.link.tech, who);
     const Corner corner = corner_of(base, request.link.corner);
     const Technology& tech = corner_technology(base, corner);
-    const LinkContext ctx = context_of(base, request.link, "run_evaluate");
+    const LinkContext ctx = context_of(base, request.link, who);
     const LinkDesign design = design_of(request.link);
     const std::shared_ptr<const ProposedModel> model =
         resident_model_of(base, corner, request.link.coeffs_path);
@@ -266,11 +290,10 @@ Expected<LinkEvalResult> run_evaluate(const LinkEvalRequest& request) {
 }
 
 Expected<BufferResult> run_buffer(const BufferRequest& request) {
-  return guarded<BufferResult>("run_buffer", request.deadline_ms, [&] {
-    check_version(request.api_version, "run_buffer");
-    const Technology& base = base_tech_of(request.link.tech, "run_buffer");
+  return guarded(request, [&](const char* who) {
+    const Technology& base = base_tech_of(request.link.tech, who);
     const Corner corner = corner_of(base, request.link.corner);
-    const LinkContext ctx = context_of(base, request.link, "run_buffer");
+    const LinkContext ctx = context_of(base, request.link, who);
     BufferingOptions opt;
     opt.weight = request.weight;
     if (request.budget_ps > 0.0) opt.max_delay = request.budget_ps * ps;
@@ -294,13 +317,12 @@ Expected<BufferResult> run_buffer(const BufferRequest& request) {
 }
 
 Expected<YieldResult> run_yield(const YieldRequest& request) {
-  return guarded<YieldResult>("run_yield", request.deadline_ms, [&] {
-    check_version(request.api_version, "run_yield");
-    require(request.samples >= 1, "run_yield: samples must be at least 1",
+  return guarded(request, [&](const char* who) {
+    require(request.samples >= 1, std::string(who) + ": samples must be at least 1",
             ErrorCode::bad_input);
-    const Technology& base = base_tech_of(request.link.tech, "run_yield");
+    const Technology& base = base_tech_of(request.link.tech, who);
     const Corner corner = corner_of(base, request.link.corner);
-    const LinkContext ctx = context_of(base, request.link, "run_yield");
+    const LinkContext ctx = context_of(base, request.link, who);
     const LinkDesign design = design_of(request.link);
     const std::shared_ptr<const ProposedModel> model =
         resident_model_of(base, corner, request.link.coeffs_path);
@@ -323,12 +345,11 @@ Expected<YieldResult> run_yield(const YieldRequest& request) {
 }
 
 Expected<NoiseResult> run_noise(const NoiseRequest& request) {
-  return guarded<NoiseResult>("run_noise", request.deadline_ms, [&] {
-    check_version(request.api_version, "run_noise");
-    const Technology& base = base_tech_of(request.link.tech, "run_noise");
+  return guarded(request, [&](const char* who) {
+    const Technology& base = base_tech_of(request.link.tech, who);
     const Corner corner = corner_of(base, request.link.corner);
     const Technology& tech = corner_technology(base, corner);
-    const LinkContext ctx = context_of(base, request.link, "run_noise");
+    const LinkContext ctx = context_of(base, request.link, who);
     LinkDesign design = design_of(request.link);
     design.num_repeaters = 1;  // noise is per wire segment
     const ResidentFit resident = resident_corner_fit(base, corner, request.link.coeffs_path);
@@ -348,11 +369,10 @@ Expected<NoiseResult> run_noise(const NoiseRequest& request) {
 }
 
 Expected<TimerResult> run_timer(const TimerRequest& request) {
-  return guarded<TimerResult>("run_timer", request.deadline_ms, [&] {
-    check_version(request.api_version, "run_timer");
-    const Technology& base = base_tech_of(request.link.tech, "run_timer");
+  return guarded(request, [&](const char* who) {
+    const Technology& base = base_tech_of(request.link.tech, who);
     const Technology& tech = corner_technology(base, corner_of(base, request.link.corner));
-    const LinkContext ctx = context_of(base, request.link, "run_timer");
+    const LinkContext ctx = context_of(base, request.link, who);
     const LinkDesign design = design_of(request.link);
     CharacterizationOptions copt;
     copt.drives = {design.drive};
@@ -375,10 +395,9 @@ Expected<TimerResult> run_timer(const TimerRequest& request) {
 }
 
 Expected<CornersResult> run_corners(const CornersRequest& request) {
-  return guarded<CornersResult>("run_corners", request.deadline_ms, [&] {
-    check_version(request.api_version, "run_corners");
-    const Technology& tech = base_tech_of(request.link.tech, "run_corners");
-    const LinkContext ctx = context_of(tech, request.link, "run_corners");
+  return guarded(request, [&](const char* who) {
+    const Technology& tech = base_tech_of(request.link.tech, who);
+    const LinkContext ctx = context_of(tech, request.link, who);
     const LinkDesign design = design_of(request.link);
     const std::vector<Corner> corners = tech.scenario_set().resolve(request.corners);
     const CornerModelSet set =
@@ -407,11 +426,10 @@ Expected<CornersResult> run_corners(const CornersRequest& request) {
 }
 
 Expected<ExportResult> run_export(const ExportRequest& request) {
-  return guarded<ExportResult>("run_export", request.deadline_ms, [&] {
-    check_version(request.api_version, "run_export");
-    const Technology& base = base_tech_of(request.link.tech, "run_export");
+  return guarded(request, [&](const char* who) {
+    const Technology& base = base_tech_of(request.link.tech, who);
     const Technology& tech = corner_technology(base, corner_of(base, request.link.corner));
-    const LinkContext ctx = context_of(base, request.link, "run_export");
+    const LinkContext ctx = context_of(base, request.link, who);
     const LinkDesign design = design_of(request.link);
     ExportResult result;
     if (request.want_deck) {
@@ -426,18 +444,18 @@ Expected<ExportResult> run_export(const ExportRequest& request) {
 }
 
 Expected<SynthesisResult> run_synthesis(const SynthesisRequest& request) {
-  return guarded<SynthesisResult>("run_synthesis", request.deadline_ms, [&] {
-    check_version(request.api_version, "run_synthesis");
-    const Technology& base = base_tech_of(request.tech, "run_synthesis");
-    const SocSpec spec = spec_of(request.spec, "run_synthesis");
+  return guarded(request, [&](const char* who) {
+    const Technology& base = base_tech_of(request.tech, who);
+    const SocSpec spec = spec_of(request.spec, who);
     const std::unique_ptr<InterconnectModel> model = [&]() -> std::unique_ptr<InterconnectModel> {
       if (request.corners.empty()) return model_of(request.model, base, request.coeffs_path);
       // Worst-corner synthesis: every link the optimizer sizes is
       // evaluated at the per-metric worst case over the corner set, so
       // the synthesized NoC closes at every corner of it.
       require(request.model == "proposed",
-              "run_synthesis: --corners requires the proposed model (baselines carry "
-              "no per-corner calibration)",
+              std::string(who) +
+                  ": --corners requires the proposed model (baselines carry "
+                  "no per-corner calibration)",
               ErrorCode::bad_input);
       const std::vector<Corner> corners =
           base.scenario_set().resolve(request.corners);
@@ -452,7 +470,7 @@ Expected<SynthesisResult> run_synthesis(const SynthesisRequest& request) {
         return build_mesh_noc(spec, *model, {}, shape);
       }
       require(request.rows == 0 && request.cols == 0,
-              "run_synthesis: rows/cols only apply to mesh construction",
+              std::string(who) + ": rows/cols only apply to mesh construction",
               ErrorCode::bad_input);
       return synthesize_noc(spec, *model);
     }();
@@ -478,9 +496,8 @@ Expected<SynthesisResult> run_synthesis(const SynthesisRequest& request) {
 }
 
 Expected<InvalidateResult> run_invalidate(const InvalidateRequest& request) {
-  return guarded<InvalidateResult>("run_invalidate", request.deadline_ms, [&] {
-    check_version(request.api_version, "run_invalidate");
-    const Technology& base = base_tech_of(request.tech, "run_invalidate");
+  return guarded(request, [&](const char* who) {
+    const Technology& base = base_tech_of(request.tech, who);
     const std::vector<cache::Facet> changed = technology_facets(base);
     const std::vector<cache::Manifest> manifests = cache::scan_manifests(cache::dir());
     const cache::DirtyCone cone = cache::dirty_cone(manifests, changed);
@@ -509,8 +526,7 @@ Expected<InvalidateResult> run_invalidate(const InvalidateRequest& request) {
 }
 
 Expected<CacheAdminResult> run_cache_admin(const CacheAdminRequest& request) {
-  return guarded<CacheAdminResult>("run_cache_admin", request.deadline_ms, [&] {
-    check_version(request.api_version, "run_cache_admin");
+  return guarded(request, [&](const char* who) {
     CacheAdminResult result;
     result.action = request.action;
     result.dir = cache::dir();
@@ -528,7 +544,7 @@ Expected<CacheAdminResult> run_cache_admin(const CacheAdminRequest& request) {
     }
     if (request.action == "prune") {
       require(request.budget_bytes >= 0,
-              "run_cache_admin: prune budget_bytes must be non-negative",
+              std::string(who) + ": prune budget_bytes must be non-negative",
               ErrorCode::bad_input);
       const cache::PruneResult pruned = cache::prune_cache(
           result.dir, static_cast<size_t>(request.budget_bytes));
@@ -551,29 +567,12 @@ Expected<CacheAdminResult> run_cache_admin(const CacheAdminRequest& request) {
       result.scrubbed = static_cast<int64_t>(verified.scrubbed());
       return result;
     }
-    fail("run_cache_admin: action must be stats, prune, or verify",
+    fail(std::string(who) + ": action must be stats, prune, or verify",
          ErrorCode::bad_input);
   });
 }
 
 namespace {
-
-// One overload per AnyRequest alternative, so run_any dispatch is a
-// compile-time total function — adding a variant member without a
-// dispatch overload fails to build instead of failing at runtime.
-Expected<TechfileResult> dispatch_one(const TechfileRequest& r) { return run_techfile(r); }
-Expected<CharlibResult> dispatch_one(const CharlibRequest& r) { return run_charlib(r); }
-Expected<FitResult> dispatch_one(const FitRequest& r) { return run_fit(r); }
-Expected<LinkEvalResult> dispatch_one(const LinkEvalRequest& r) { return run_evaluate(r); }
-Expected<BufferResult> dispatch_one(const BufferRequest& r) { return run_buffer(r); }
-Expected<YieldResult> dispatch_one(const YieldRequest& r) { return run_yield(r); }
-Expected<NoiseResult> dispatch_one(const NoiseRequest& r) { return run_noise(r); }
-Expected<TimerResult> dispatch_one(const TimerRequest& r) { return run_timer(r); }
-Expected<CornersResult> dispatch_one(const CornersRequest& r) { return run_corners(r); }
-Expected<ExportResult> dispatch_one(const ExportRequest& r) { return run_export(r); }
-Expected<SynthesisResult> dispatch_one(const SynthesisRequest& r) { return run_synthesis(r); }
-Expected<InvalidateResult> dispatch_one(const InvalidateRequest& r) { return run_invalidate(r); }
-Expected<CacheAdminResult> dispatch_one(const CacheAdminRequest& r) { return run_cache_admin(r); }
 
 // True when the result alternative carries a partial flag and it is set.
 bool is_partial(const AnyResult& result) {
@@ -592,7 +591,7 @@ bool is_partial(const AnyResult& result) {
 Expected<AnyResult> run_any(const AnyRequest& request) {
   return std::visit(
       [](const auto& item) -> Expected<AnyResult> {
-        auto out = dispatch_one(item);
+        auto out = Op<std::decay_t<decltype(item)>>::run(item);
         if (!out) return Expected<AnyResult>(out.error());
         return Expected<AnyResult>(AnyResult(out.take()));
       },
@@ -600,8 +599,7 @@ Expected<AnyResult> run_any(const AnyRequest& request) {
 }
 
 Expected<BatchResult> run_batch(const BatchRequest& request) {
-  return guarded<BatchResult>("run_batch", request.deadline_ms, [&] {
-    check_version(request.api_version, "run_batch");
+  return guarded<BatchResult>("run_batch", request, [&](const char*) {
     BatchResult result;
     const size_t n = request.items.size();
     result.items.reserve(n);

@@ -32,6 +32,7 @@
 
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <variant>
 #include <vector>
 
@@ -411,24 +412,63 @@ struct CacheAdminResult {
 Expected<CacheAdminResult> run_cache_admin(const CacheAdminRequest& request);
 
 // ---------------------------------------------------------------------------
+// The op table
+// ---------------------------------------------------------------------------
+
+/// Every facade op, one row each:
+///   X(request type, result type, wire op name, run_* entry point)
+/// AnyRequest/AnyResult, run_any's dispatch, and the wire codec's op
+/// names, decode, and instantiations are all generated from it, so an op
+/// is spelled here and nowhere else (docs/api.md, "Adding an op").
+#define PIM_API_OPS(X)                                                  \
+  X(TechfileRequest, TechfileResult, "techfile", run_techfile)          \
+  X(CharlibRequest, CharlibResult, "charlib", run_charlib)              \
+  X(FitRequest, FitResult, "fit", run_fit)                              \
+  X(LinkEvalRequest, LinkEvalResult, "evaluate", run_evaluate)          \
+  X(BufferRequest, BufferResult, "buffer", run_buffer)                  \
+  X(YieldRequest, YieldResult, "yield", run_yield)                      \
+  X(NoiseRequest, NoiseResult, "noise", run_noise)                      \
+  X(TimerRequest, TimerResult, "timer", run_timer)                      \
+  X(CornersRequest, CornersResult, "corners", run_corners)              \
+  X(ExportRequest, ExportResult, "export", run_export)                  \
+  X(SynthesisRequest, SynthesisResult, "synthesis", run_synthesis)      \
+  X(InvalidateRequest, InvalidateResult, "invalidate", run_invalidate)  \
+  X(CacheAdminRequest, CacheAdminResult, "cache", run_cache_admin)
+
+// Unpacks the table rows into the AnyRequest/AnyResult variants below.
+namespace detail {
+template <typename Req, typename Res>
+struct OpRow {};
+template <typename Rows>
+struct OpVariants;
+template <typename... Req, typename... Res>
+struct OpVariants<std::tuple<OpRow<Req, Res>...>> {
+  using Requests = std::variant<Req...>;
+  using Results = std::variant<Res...>;
+};
+// Every row expands with a trailing comma, which a braced list accepts.
+#define PIM_API_OP_ROW(Req, Res, wire_name, entry) OpRow<Req, Res>{},
+using OpRows = decltype(std::tuple{PIM_API_OPS(PIM_API_OP_ROW)});
+#undef PIM_API_OP_ROW
+}  // namespace detail
+
+/// Throws Error(bad_input) unless `version` is kApiVersion; `who`
+/// prefixes the message. Every run_* entry point and the wire decode
+/// call this one check.
+void check_version(int version, const std::string& who);
+
+// ---------------------------------------------------------------------------
 // Batched execution
 // ---------------------------------------------------------------------------
 
-/// Any single request the facade accepts. Batches hold these; a batch
-/// cannot nest another batch (the variant has no BatchRequest member), so
-/// the shared-budget semantics below stay one level deep by construction.
-using AnyRequest =
-    std::variant<TechfileRequest, CharlibRequest, FitRequest, LinkEvalRequest,
-                 BufferRequest, YieldRequest, NoiseRequest, TimerRequest,
-                 CornersRequest, ExportRequest, SynthesisRequest,
-                 InvalidateRequest, CacheAdminRequest>;
+/// Any single request the facade accepts, in op-table order. Batches
+/// hold these; a batch cannot nest another batch (the variant has no
+/// BatchRequest member), so the shared-budget semantics below stay one
+/// level deep by construction.
+using AnyRequest = detail::OpVariants<detail::OpRows>::Requests;
 
 /// The matching result alternatives, index-aligned with AnyRequest.
-using AnyResult =
-    std::variant<TechfileResult, CharlibResult, FitResult, LinkEvalResult,
-                 BufferResult, YieldResult, NoiseResult, TimerResult,
-                 CornersResult, ExportResult, SynthesisResult,
-                 InvalidateResult, CacheAdminResult>;
+using AnyResult = detail::OpVariants<detail::OpRows>::Results;
 
 /// Dispatches one AnyRequest to its run_* entry point. The item's own
 /// api_version / deadline_ms fields apply exactly as in a direct call.

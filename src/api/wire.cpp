@@ -2,8 +2,12 @@
 
 #include <cmath>
 #include <concepts>
+#include <iterator>
+#include <limits>
+#include <type_traits>
 #include <vector>
 
+#include "obs/report.hpp"
 #include "util/error.hpp"
 
 namespace pim::api::wire {
@@ -21,46 +25,32 @@ using obs::json_quote;
 // decode, which is the additive-evolution rule from docs/api.md.
 // ---------------------------------------------------------------------------
 
-class JsonWriter;
-class JsonReader;
-
-template <typename B> void bind(B& b, LinkSpec& v);
-template <typename B> void bind(B& b, TechfileRequest& v);
-template <typename B> void bind(B& b, CharlibRequest& v);
-template <typename B> void bind(B& b, FitRequest& v);
-template <typename B> void bind(B& b, LinkEvalRequest& v);
-template <typename B> void bind(B& b, BufferRequest& v);
-template <typename B> void bind(B& b, YieldRequest& v);
-template <typename B> void bind(B& b, NoiseRequest& v);
-template <typename B> void bind(B& b, TimerRequest& v);
-template <typename B> void bind(B& b, CornersRequest& v);
-template <typename B> void bind(B& b, ExportRequest& v);
-template <typename B> void bind(B& b, SynthesisRequest& v);
-template <typename B> void bind(B& b, InvalidateRequest& v);
-template <typename B> void bind(B& b, CacheAdminRequest& v);
-template <typename B> void bind(B& b, TechfileResult& v);
-template <typename B> void bind(B& b, CharlibResult& v);
-template <typename B> void bind(B& b, FitResult& v);
-template <typename B> void bind(B& b, LinkEvalResult& v);
-template <typename B> void bind(B& b, BufferResult& v);
-template <typename B> void bind(B& b, YieldResult& v);
-template <typename B> void bind(B& b, NoiseResult& v);
-template <typename B> void bind(B& b, TimerResult& v);
-template <typename B> void bind(B& b, CornerTimingRow& v);
-template <typename B> void bind(B& b, CornersResult& v);
-template <typename B> void bind(B& b, ExportResult& v);
-template <typename B> void bind(B& b, SynthesisResult& v);
-template <typename B> void bind(B& b, InvalidateKindRow& v);
-template <typename B> void bind(B& b, InvalidateResult& v);
-template <typename B> void bind(B& b, CacheKindRow& v);
-template <typename B> void bind(B& b, CacheAdminResult& v);
-
 template <typename T> std::string struct_text(T& value);
 template <typename T> T decode_struct(const JsonValue& object, const std::string& who);
 
 // Integral wire fields, excluding bool (which has its own JSON kind).
 template <typename T>
 concept WireInt = std::integral<T> && !std::same_as<T, bool>;
+
+// True when `d` is an integer T holds exactly; casting any other double to
+// T is undefined. T's range is [-2^digits, 2^digits) (from 0 when
+// unsigned), and both bounds are exact doubles.
+template <WireInt T>
+bool representable(double d) {
+  const double limit = std::ldexp(1.0, std::numeric_limits<T>::digits);
+  return std::nearbyint(d) == d && d >= (std::is_signed_v<T> ? -limit : 0.0) && d < limit;
+}
+
+// Converts a JSON number to T, rejecting a fractional or out-of-range
+// value as bad_input with a message naming the field.
+template <WireInt T>
+T checked_integer(double d, const std::string& who, const char* name) {
+  if (!representable<T>(d))
+    fail(who + ": field '" + name + "' " +
+             (std::nearbyint(d) == d ? "is out of range" : "must be an integer"),
+         ErrorCode::bad_input);
+  return static_cast<T>(d);
+}
 
 // ---------------------------------------------------------------------------
 // Writer: canonical object text — no whitespace, declaration order.
@@ -196,11 +186,7 @@ class JsonReader {
   template <WireInt T>
   T integer(const JsonValue& value, const char* name) const {
     expect(value, JsonValue::Kind::Number, name, "an integer");
-    const double d = value.number;
-    require(std::nearbyint(d) == d,
-            who_ + ": field '" + std::string(name) + "' must be an integer",
-            ErrorCode::bad_input);
-    return static_cast<T>(d);
+    return checked_integer<T>(value.number, who_, name);
   }
 
   const JsonValue& object_;
@@ -497,42 +483,16 @@ T decode_struct(const JsonValue& object, const std::string& who) {
 }
 
 // ---------------------------------------------------------------------------
-// Op table
+// Ops (generated from PIM_API_OPS in pim_api.hpp)
 // ---------------------------------------------------------------------------
 
-const char* op_name(const TechfileRequest&) { return "techfile"; }
-const char* op_name(const CharlibRequest&) { return "charlib"; }
-const char* op_name(const FitRequest&) { return "fit"; }
-const char* op_name(const LinkEvalRequest&) { return "evaluate"; }
-const char* op_name(const BufferRequest&) { return "buffer"; }
-const char* op_name(const YieldRequest&) { return "yield"; }
-const char* op_name(const NoiseRequest&) { return "noise"; }
-const char* op_name(const TimerRequest&) { return "timer"; }
-const char* op_name(const CornersRequest&) { return "corners"; }
-const char* op_name(const ExportRequest&) { return "export"; }
-const char* op_name(const SynthesisRequest&) { return "synthesis"; }
-const char* op_name(const InvalidateRequest&) { return "invalidate"; }
-const char* op_name(const CacheAdminRequest&) { return "cache"; }
-const char* op_name(const TechfileResult&) { return "techfile"; }
-const char* op_name(const CharlibResult&) { return "charlib"; }
-const char* op_name(const FitResult&) { return "fit"; }
-const char* op_name(const LinkEvalResult&) { return "evaluate"; }
-const char* op_name(const BufferResult&) { return "buffer"; }
-const char* op_name(const YieldResult&) { return "yield"; }
-const char* op_name(const NoiseResult&) { return "noise"; }
-const char* op_name(const TimerResult&) { return "timer"; }
-const char* op_name(const CornersResult&) { return "corners"; }
-const char* op_name(const ExportResult&) { return "export"; }
-const char* op_name(const SynthesisResult&) { return "synthesis"; }
-const char* op_name(const InvalidateResult&) { return "invalidate"; }
-const char* op_name(const CacheAdminResult&) { return "cache"; }
-
-void check_wire_version(int version, const std::string& who) {
-  require(version == kApiVersion,
-          who + ": request api_version " + std::to_string(version) +
-              " does not match pim::api::kApiVersion " + std::to_string(kApiVersion),
-          ErrorCode::bad_input);
-}
+// Wire op names, index-aligned with AnyRequest and AnyResult.
+constexpr const char* kOpNames[] = {
+#define PIM_WIRE_OP_NAME(Req, Res, wire_name, entry) wire_name,
+    PIM_API_OPS(PIM_WIRE_OP_NAME)
+#undef PIM_WIRE_OP_NAME
+};
+static_assert(std::size(kOpNames) == std::variant_size_v<AnyRequest>);
 
 // Decodes one request envelope into its struct. `top_level` envelopes
 // own the routing keys (op, id); batch item envelopes carry an op but
@@ -545,28 +505,19 @@ T decode_request(const JsonValue& envelope, const std::string& who, bool top_lev
   T value{};
   bind(r, value);
   r.finish();
-  check_wire_version(value.api_version, who);
+  check_version(value.api_version, who);
   return value;
 }
 
 AnyRequest decode_any(const std::string& op, const JsonValue& envelope,
                       const std::string& who, bool top_level) {
-  if (op == "techfile") return decode_request<TechfileRequest>(envelope, who, top_level);
-  if (op == "charlib") return decode_request<CharlibRequest>(envelope, who, top_level);
-  if (op == "fit") return decode_request<FitRequest>(envelope, who, top_level);
-  if (op == "evaluate") return decode_request<LinkEvalRequest>(envelope, who, top_level);
-  if (op == "buffer") return decode_request<BufferRequest>(envelope, who, top_level);
-  if (op == "yield") return decode_request<YieldRequest>(envelope, who, top_level);
-  if (op == "noise") return decode_request<NoiseRequest>(envelope, who, top_level);
-  if (op == "timer") return decode_request<TimerRequest>(envelope, who, top_level);
-  if (op == "corners") return decode_request<CornersRequest>(envelope, who, top_level);
-  if (op == "export") return decode_request<ExportRequest>(envelope, who, top_level);
-  if (op == "synthesis") return decode_request<SynthesisRequest>(envelope, who, top_level);
-  if (op == "invalidate") return decode_request<InvalidateRequest>(envelope, who, top_level);
-  if (op == "cache") return decode_request<CacheAdminRequest>(envelope, who, top_level);
-  fail(who + ": unknown op '" + op +
-           "' (expected techfile, charlib, fit, evaluate, buffer, yield, noise, "
-           "timer, corners, export, synthesis, invalidate, cache, or batch)",
+#define PIM_WIRE_DECODE(Req, Res, wire_name, entry) \
+  if (op == wire_name) return decode_request<Req>(envelope, who, top_level);
+  PIM_API_OPS(PIM_WIRE_DECODE)
+#undef PIM_WIRE_DECODE
+  std::string expected;
+  for (const char* name : kOpNames) expected += std::string(name) + ", ";
+  fail(who + ": unknown op '" + op + "' (expected " + expected + "or " + kBatchOp + ")",
        ErrorCode::bad_input);
 }
 
@@ -580,7 +531,7 @@ BatchRequest decode_batch(const JsonValue& envelope, const std::string& who) {
   const JsonValue* items = envelope.find("items");
   r.consume("items");
   r.finish();
-  check_wire_version(batch.api_version, who);
+  check_version(batch.api_version, who);
   require(items != nullptr && items->kind == JsonValue::Kind::Array,
           who + ": field 'items' must be an array of request envelopes",
           ErrorCode::bad_input);
@@ -630,114 +581,23 @@ std::string batch_item_json(const std::string& op, const Expected<AnyResult>& it
   return w.finish();
 }
 
-}  // namespace
-
-std::string op_of(const AnyRequest& request) {
-  return std::visit([](const auto& v) { return std::string(op_name(v)); }, request);
-}
-
-std::string op_of(const AnyResult& result) {
-  return std::visit([](const auto& v) { return std::string(op_name(v)); }, result);
-}
-
-template <typename T>
-std::string to_json(const T& value) {
-  return struct_text(const_cast<T&>(value));
-}
-
-template <typename T>
-T from_json_object(const obs::JsonValue& object, const std::string& who) {
-  return decode_struct<T>(object, who);
-}
-
-template <typename T>
-T from_json(const std::string& text, const std::string& who) {
-  return decode_struct<T>(parse_wire_json(text), who);
-}
-
-// The codec is instantiated for exactly the facade surface; anything
-// else fails to link, which keeps the wire contract enumerable.
-#define PIM_WIRE_INSTANTIATE(T)                                                  \
-  template std::string to_json<T>(const T&);                                     \
-  template T from_json_object<T>(const obs::JsonValue&, const std::string&);     \
-  template T from_json<T>(const std::string&, const std::string&)
-PIM_WIRE_INSTANTIATE(LinkSpec);
-PIM_WIRE_INSTANTIATE(TechfileRequest);
-PIM_WIRE_INSTANTIATE(CharlibRequest);
-PIM_WIRE_INSTANTIATE(FitRequest);
-PIM_WIRE_INSTANTIATE(LinkEvalRequest);
-PIM_WIRE_INSTANTIATE(BufferRequest);
-PIM_WIRE_INSTANTIATE(YieldRequest);
-PIM_WIRE_INSTANTIATE(NoiseRequest);
-PIM_WIRE_INSTANTIATE(TimerRequest);
-PIM_WIRE_INSTANTIATE(CornersRequest);
-PIM_WIRE_INSTANTIATE(ExportRequest);
-PIM_WIRE_INSTANTIATE(SynthesisRequest);
-PIM_WIRE_INSTANTIATE(InvalidateRequest);
-PIM_WIRE_INSTANTIATE(CacheAdminRequest);
-PIM_WIRE_INSTANTIATE(TechfileResult);
-PIM_WIRE_INSTANTIATE(CharlibResult);
-PIM_WIRE_INSTANTIATE(FitResult);
-PIM_WIRE_INSTANTIATE(LinkEvalResult);
-PIM_WIRE_INSTANTIATE(BufferResult);
-PIM_WIRE_INSTANTIATE(YieldResult);
-PIM_WIRE_INSTANTIATE(NoiseResult);
-PIM_WIRE_INSTANTIATE(TimerResult);
-PIM_WIRE_INSTANTIATE(CornerTimingRow);
-PIM_WIRE_INSTANTIATE(CornersResult);
-PIM_WIRE_INSTANTIATE(ExportResult);
-PIM_WIRE_INSTANTIATE(SynthesisResult);
-PIM_WIRE_INSTANTIATE(InvalidateKindRow);
-PIM_WIRE_INSTANTIATE(InvalidateResult);
-PIM_WIRE_INSTANTIATE(CacheKindRow);
-PIM_WIRE_INSTANTIATE(CacheAdminResult);
-#undef PIM_WIRE_INSTANTIATE
-
-std::string write_request_line(int64_t id, const AnyRequest& request) {
-  return std::visit(
-      [&](const auto& v) {
-        JsonWriter w;
-        w.field("op", std::string(op_name(v)));
-        w.field("id", id);
-        bind(w, const_cast<std::decay_t<decltype(v)>&>(v));
-        return w.finish();
-      },
-      request);
-}
-
-std::string write_request_line(int64_t id, const BatchRequest& request) {
-  JsonWriter w;
-  w.field("op", std::string(kBatchOp));
-  w.field("id", id);
-  w.field("api_version", request.api_version);
-  w.field("deadline_ms", request.deadline_ms);
-  std::string items = "[";
-  for (size_t i = 0; i < request.items.size(); ++i) {
-    if (i > 0) items += ',';
-    items += std::visit(
-        [](const auto& v) {
-          JsonWriter item;
-          item.field("op", std::string(op_name(v)));
-          bind(item, const_cast<std::decay_t<decltype(v)>&>(v));
-          return item.finish();
-        },
-        request.items[i]);
-  }
-  items += ']';
-  w.raw("items", items);
+// Appends the request's own fields to an envelope that already holds its
+// routing keys, and closes it.
+std::string request_text(JsonWriter& w, const AnyRequest& request) {
+  std::visit([&](const auto& v) { bind(w, const_cast<std::decay_t<decltype(v)>&>(v)); },
+             request);
   return w.finish();
 }
 
-RequestLine request_from_envelope(const obs::JsonValue& envelope) {
+RequestLine request_from_envelope(const JsonValue& envelope) {
   require(envelope.kind == JsonValue::Kind::Object,
           "wire: request line must be a JSON object", ErrorCode::bad_input);
   RequestLine out;
   if (const JsonValue* id = envelope.find("id")) {
-    require(id->kind == JsonValue::Kind::Number &&
-                std::nearbyint(id->number) == id->number,
-            "wire: field 'id' must be an integer", ErrorCode::bad_input);
+    require(id->kind == JsonValue::Kind::Number, "wire: field 'id' must be an integer",
+            ErrorCode::bad_input);
     out.has_id = true;
-    out.id = static_cast<int64_t>(id->number);
+    out.id = checked_integer<int64_t>(id->number, "wire", "id");
   }
   const JsonValue* op = envelope.find("op");
   require(op != nullptr && op->kind == JsonValue::Kind::String,
@@ -751,6 +611,87 @@ RequestLine request_from_envelope(const obs::JsonValue& envelope) {
     out.request = decode_any(out.op, envelope, who, /*top_level=*/true);
   }
   return out;
+}
+
+// The one best-effort identity reader: an id that is not an integer in
+// int64 range, or an op that is not a string, stays absent.
+Identity identity_of(const JsonValue& envelope) {
+  Identity out;
+  if (envelope.kind != JsonValue::Kind::Object) return out;
+  if (const JsonValue* v = envelope.find("id");
+      v != nullptr && v->kind == JsonValue::Kind::Number &&
+      representable<int64_t>(v->number)) {
+    out.has_id = true;
+    out.id = static_cast<int64_t>(v->number);
+  }
+  if (const JsonValue* v = envelope.find("op");
+      v != nullptr && v->kind == JsonValue::Kind::String)
+    out.op = v->text;
+  return out;
+}
+
+}  // namespace
+
+std::string op_of(const AnyRequest& request) { return kOpNames[request.index()]; }
+
+std::string op_of(const AnyResult& result) { return kOpNames[result.index()]; }
+
+template <typename T>
+std::string to_json(const T& value) {
+  return struct_text(const_cast<T&>(value));
+}
+
+template <typename T>
+T from_json(const std::string& text, const std::string& who) {
+  return decode_struct<T>(parse_wire_json(text), who);
+}
+
+// The codec is instantiated for exactly the facade surface; anything
+// else fails to link, which keeps the wire contract enumerable.
+#define PIM_WIRE_INSTANTIATE(T)              \
+  template std::string to_json<T>(const T&); \
+  template T from_json<T>(const std::string&, const std::string&);
+#define PIM_WIRE_INSTANTIATE_OP(Req, Res, wire_name, entry) \
+  PIM_WIRE_INSTANTIATE(Req) PIM_WIRE_INSTANTIATE(Res)
+PIM_API_OPS(PIM_WIRE_INSTANTIATE_OP)
+PIM_WIRE_INSTANTIATE(LinkSpec)
+PIM_WIRE_INSTANTIATE(CornerTimingRow)
+PIM_WIRE_INSTANTIATE(InvalidateKindRow)
+PIM_WIRE_INSTANTIATE(CacheKindRow)
+#undef PIM_WIRE_INSTANTIATE_OP
+#undef PIM_WIRE_INSTANTIATE
+
+std::string write_request_line(int64_t id, const AnyRequest& request) {
+  JsonWriter w;
+  w.field("op", op_of(request));
+  w.field("id", id);
+  return request_text(w, request);
+}
+
+std::string write_request_line(int64_t id, const BatchRequest& request) {
+  JsonWriter w;
+  w.field("op", std::string(kBatchOp));
+  w.field("id", id);
+  w.field("api_version", request.api_version);
+  w.field("deadline_ms", request.deadline_ms);
+  std::string items = "[";
+  for (size_t i = 0; i < request.items.size(); ++i) {
+    if (i > 0) items += ',';
+    JsonWriter item;
+    item.field("op", op_of(request.items[i]));
+    items += request_text(item, request.items[i]);
+  }
+  items += ']';
+  w.raw("items", items);
+  return w.finish();
+}
+
+Identity read_identity(const std::string& line) {
+  try {
+    return identity_of(obs::parse_json(line));
+  } catch (...) {
+    return {};
+  }
 }
 
 RequestLine parse_request_line(const std::string& line) {
@@ -833,31 +774,19 @@ int exit_code_for(ErrorCode code) {
 }
 
 std::string execute_line(const std::string& line) {
-  bool has_id = false;
-  int64_t id = 0;
-  std::string op;
+  Identity identity;
   try {
     const JsonValue envelope = parse_wire_json(line);
     // Best-effort identity before the strict decode, so even a decode
     // error echoes whatever id/op the caller sent.
-    if (envelope.kind == JsonValue::Kind::Object) {
-      if (const JsonValue* v = envelope.find("id");
-          v != nullptr && v->kind == JsonValue::Kind::Number &&
-          std::nearbyint(v->number) == v->number) {
-        has_id = true;
-        id = static_cast<int64_t>(v->number);
-      }
-      if (const JsonValue* v = envelope.find("op");
-          v != nullptr && v->kind == JsonValue::Kind::String)
-        op = v->text;
-    }
+    identity = identity_of(envelope);
     const RequestLine request = request_from_envelope(envelope);
     return request.is_batch ? write_batch_result_line(request, run_batch(request.batch))
                             : write_result_line(request, run_any(request.request));
   } catch (const Error& e) {
-    return write_error_line(has_id, id, op, e);
+    return write_error_line(identity.has_id, identity.id, identity.op, e);
   } catch (const std::exception& e) {
-    return write_error_line(has_id, id, op,
+    return write_error_line(identity.has_id, identity.id, identity.op,
                             Error(std::string("wire: ") + e.what(), ErrorCode::internal));
   }
 }

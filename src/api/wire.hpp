@@ -27,20 +27,19 @@
 //    field name fails loudly instead of silently running the default.
 //  - api_version is validated during decode, before any dispatch.
 //  - Integers ride JSON numbers (doubles): exact up to 2^53, which
-//    covers every count/seed/byte total the API carries in practice.
+//    covers every count/seed/byte total the API carries in practice. A
+//    value outside the field's integer type is rejected as bad_input.
 #pragma once
 
 #include <cstdint>
 #include <string>
 
 #include "api/pim_api.hpp"
-#include "obs/report.hpp"
 
 namespace pim::api::wire {
 
-/// Stable wire op name of a request/result alternative ("techfile",
-/// "charlib", "fit", "evaluate", "buffer", "yield", "noise", "timer",
-/// "corners", "export", "synthesis", "invalidate", "cache").
+/// Stable wire op name of a request/result alternative — its row's name
+/// in the op table (PIM_API_OPS in api/pim_api.hpp).
 std::string op_of(const AnyRequest& request);
 std::string op_of(const AnyResult& result);
 
@@ -53,13 +52,10 @@ inline constexpr const char* kBatchOp = "batch";
 template <typename T>
 std::string to_json(const T& value);
 
-/// Decodes one struct from a parsed JSON object. Absent members keep
-/// the struct defaults; unknown members, duplicate members, and type
-/// mismatches throw Error(bad_input). `who` prefixes error messages.
-template <typename T>
-T from_json_object(const obs::JsonValue& object, const std::string& who);
-
-/// from_json_object over a full document.
+/// Decodes one struct from a JSON object document. Absent members keep
+/// the struct defaults; unknown members, duplicate members, type
+/// mismatches, and integers out of the field's range throw
+/// Error(bad_input). `who` prefixes error messages.
 template <typename T>
 T from_json(const std::string& text, const std::string& who);
 
@@ -88,7 +84,20 @@ std::string write_request_line(int64_t id, const BatchRequest& request);
 /// JSON, a missing/unknown op, unknown fields, or an api_version
 /// mismatch — validated here, before any dispatch.
 RequestLine parse_request_line(const std::string& line);
-RequestLine request_from_envelope(const obs::JsonValue& envelope);
+
+/// The routing identity of a request line, read best-effort.
+struct Identity {
+  bool has_id = false;
+  int64_t id = 0;
+  std::string op;  ///< empty when absent
+};
+
+/// Reads a line's id and op without validating the rest. Never throws: a
+/// malformed line, an id that is not an integer in int64 range, and an op
+/// that is not a string all leave that part absent. Error responses
+/// produced outside the strict decode (execute_line, pimd's inline
+/// stats and admission rejections) echo what this returns.
+Identity read_identity(const std::string& line);
 
 // ---------------------------------------------------------------------------
 // Response lines

@@ -128,11 +128,6 @@ void save_metrics_json(const std::string& path) {
   write_file(path, metrics_to_json(registry().snapshot()));
 }
 
-void save_metrics_csv(const std::string& path) {
-  update_process_gauges();
-  write_file(path, metrics_to_csv(registry().snapshot()));
-}
-
 void save_trace(const std::string& path) {
   write_file(path, trace_to_chrome_json(trace_events()));
 }

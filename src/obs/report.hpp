@@ -44,7 +44,6 @@ std::string trace_to_chrome_json(const std::vector<TraceEvent>& events);
 /// Snapshot the global registry / trace buffer and write to `path`,
 /// throwing pim::Error on I/O failure.
 void save_metrics_json(const std::string& path);
-void save_metrics_csv(const std::string& path);
 void save_trace(const std::string& path);
 
 /// Minimal parsed-JSON tree for report validation.

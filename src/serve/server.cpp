@@ -85,26 +85,6 @@ void flush_locked(Connection& conn) {
   }
 }
 
-// Best-effort id/op extraction for responses produced outside the
-// worker path (stats, admission rejections): never throws, tolerates
-// malformed lines (the identity just stays absent).
-void envelope_identity(const std::string& line, bool& has_id, int64_t& id,
-                       std::string& op) {
-  try {
-    const obs::JsonValue v = obs::parse_json(line);
-    if (v.kind != obs::JsonValue::Kind::Object) return;
-    if (const obs::JsonValue* m = v.find("id");
-        m != nullptr && m->kind == obs::JsonValue::Kind::Number) {
-      has_id = true;
-      id = static_cast<int64_t>(m->number);
-    }
-    if (const obs::JsonValue* m = v.find("op");
-        m != nullptr && m->kind == obs::JsonValue::Kind::String)
-      op = m->text;
-  } catch (...) {
-  }
-}
-
 // Whether a response line reports failure. The envelope's own "ok" is
 // the first one in every response (only "id" and "op" precede it, and a
 // quote inside a string value is escaped, so no value can spell it); a
@@ -290,13 +270,10 @@ void Server::Impl::handle_line(const std::shared_ptr<Connection>& conn,
   // The substring gate keeps the hot path at a single parse (inside the
   // worker); a false hit only costs this extra parse.
   if (line.find("\"stats\"") != std::string::npos) {
-    bool has_id = false;
-    int64_t id = 0;
-    std::string op;
-    envelope_identity(line, has_id, id, op);
-    if (op == "stats") {
+    const api::wire::Identity identity = api::wire::read_identity(line);
+    if (identity.op == "stats") {
       std::string text = "{";
-      if (has_id) text += "\"id\":" + std::to_string(id) + ",";
+      if (identity.has_id) text += "\"id\":" + std::to_string(identity.id) + ",";
       text += "\"op\":\"stats\",\"ok\":true,\"result\":" + stats_json() + "}";
       respond_inline(conn, std::move(text));
       return;
@@ -309,10 +286,7 @@ void Server::Impl::handle_line(const std::shared_ptr<Connection>& conn,
     if (draining || queue.size() >= static_cast<size_t>(options.queue_limit)) {
       lock.unlock();
       rejected.fetch_add(1);
-      bool has_id = false;
-      int64_t id = 0;
-      std::string op;
-      envelope_identity(line, has_id, id, op);
+      const api::wire::Identity identity = api::wire::read_identity(line);
       const Error error =
           draining ? Error("pimd: server is draining; request not accepted",
                            ErrorCode::cancelled)
@@ -320,7 +294,8 @@ void Server::Impl::handle_line(const std::shared_ptr<Connection>& conn,
                                std::to_string(options.queue_limit) +
                                " pending); retry later",
                            ErrorCode::overloaded);
-      respond_inline(conn, api::wire::write_error_line(has_id, id, op, error));
+      respond_inline(conn, api::wire::write_error_line(identity.has_id, identity.id,
+                                                       identity.op, error));
       return;
     }
     accepted.fetch_add(1);

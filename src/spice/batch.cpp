@@ -714,14 +714,4 @@ TransientResult run_transient(const Circuit& circuit, const TransientOptions& op
   return std::move(batch.lanes[0]).take();
 }
 
-Expected<TransientResult> try_run_transient(const Circuit& circuit,
-                                            const TransientOptions& options,
-                                            const std::vector<NodeId>& probes) {
-  try {
-    return run_transient(circuit, options, probes);
-  } catch (const Error& e) {
-    return e;
-  }
-}
-
 }  // namespace pim

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "spice/circuit.hpp"
-#include "util/expected.hpp"
 
 namespace pim {
 
@@ -77,12 +76,6 @@ struct TransientResult {
 TransientResult run_transient(const Circuit& circuit,
                               const TransientOptions& options,
                               const std::vector<NodeId>& probes);
-
-/// Recoverable variant: returns the result or the error without throwing,
-/// for batch flows that skip-and-record failed simulations.
-Expected<TransientResult> try_run_transient(const Circuit& circuit,
-                                            const TransientOptions& options,
-                                            const std::vector<NodeId>& probes);
 
 /// Reference scalar implementation. run_transient() routes through the
 /// batched SoA engine (spice/batch.hpp); this entry point keeps the

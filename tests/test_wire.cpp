@@ -3,7 +3,10 @@
 // the shared error envelope, and run_batch's per-item semantics.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "api/pim_api.hpp"
@@ -29,6 +32,24 @@ std::string reserialized(const T& value) {
 template <typename T>
 void expect_roundtrip(const T& value) {
   EXPECT_EQ(to_json(value), reserialized(value));
+}
+
+// One default-constructed value of every alternative of variant V, in
+// index order.
+template <typename V, size_t... I>
+std::vector<V> every_alternative(std::index_sequence<I...>) {
+  return {V(std::in_place_index<I>)...};
+}
+template <typename V>
+std::vector<V> every_alternative() {
+  return every_alternative<V>(std::make_index_sequence<std::variant_size_v<V>>{});
+}
+
+// The response to a line that must fail at execute time.
+obs::JsonValue error_of(const std::string& line) {
+  const obs::JsonValue v = obs::parse_json(wire::execute_line(line));
+  EXPECT_FALSE(v.find("ok")->boolean) << line;
+  return v;
 }
 
 LinkSpec sample_link() {
@@ -362,6 +383,31 @@ TEST(WireEnvelope, UnknownOpListsTheValidOnes) {
   }
 }
 
+TEST(WireEnvelope, OpTableIsCompleteInEveryDirection) {
+  std::string unknown_op_error;
+  try {
+    wire::parse_request_line("{\"op\":\"frobnicate\"}");
+  } catch (const Error& e) {
+    unknown_op_error = e.what();
+  }
+  const std::vector<AnyRequest> requests = every_alternative<AnyRequest>();
+  const std::vector<AnyResult> results = every_alternative<AnyResult>();
+  ASSERT_EQ(requests.size(), results.size());
+  std::set<std::string> ops;
+  for (size_t i = 0; i < requests.size(); ++i) {
+    const std::string op = wire::op_of(requests[i]);
+    ops.insert(op);
+    const wire::RequestLine parsed =
+        wire::parse_request_line(wire::write_request_line(1, requests[i]));
+    EXPECT_EQ(parsed.request.index(), i) << op;
+    EXPECT_EQ(parsed.op, op);
+    EXPECT_EQ(wire::op_of(results[i]), op) << "result alternative " << i;
+    EXPECT_NE(unknown_op_error.find(" " + op + ","), std::string::npos)
+        << op << " missing from: " << unknown_op_error;
+  }
+  EXPECT_EQ(ops.size(), requests.size()) << "two rows share a wire op name";
+}
+
 TEST(WireEnvelope, NestedBatchIsRejected) {
   EXPECT_THROW(wire::parse_request_line(
                    "{\"op\":\"batch\",\"items\":[{\"op\":\"batch\",\"items\":[]}]}"),
@@ -419,6 +465,47 @@ TEST(WireExecute, ErrorResponseEchoesTheRequestId) {
   EXPECT_EQ(v.find("id")->number, 31.0);
   EXPECT_EQ(v.find("op")->text, "techfile");
   EXPECT_FALSE(v.find("ok")->boolean);
+}
+
+TEST(WireExecute, OutOfRangeIdIsBadInputAndNotEchoed) {
+  const obs::JsonValue v =
+      error_of("{\"op\":\"techfile\",\"id\":1e300,\"tech\":\"no-such\"}");
+  EXPECT_EQ(v.find("id"), nullptr);
+  EXPECT_EQ(v.find("op")->text, "techfile");
+  EXPECT_EQ(v.find("error")->find("code")->text, "bad_input");
+  EXPECT_NE(v.find("error")->find("message")->text.find("'id'"), std::string::npos);
+}
+
+TEST(WireExecute, OutOfRangeLinkDriveIsBadInput) {
+  const obs::JsonValue v = error_of(
+      "{\"op\":\"yield\",\"id\":2,\"link\":{\"tech\":\"65nm\",\"length_mm\":5,"
+      "\"drive\":1e12},\"samples\":10}");
+  EXPECT_EQ(v.find("id")->number, 2.0);
+  EXPECT_EQ(v.find("error")->find("code")->text, "bad_input");
+  EXPECT_EQ(v.find("error")->find("exit_code")->number, 2.0);
+  EXPECT_NE(v.find("error")->find("message")->text.find("'drive' is out of range"),
+            std::string::npos);
+}
+
+TEST(WireExecute, OutOfRangeSamplesIsBadInput) {
+  const obs::JsonValue v = error_of(
+      "{\"op\":\"yield\",\"id\":3,\"link\":{\"tech\":\"65nm\",\"length_mm\":5},"
+      "\"samples\":4294967297}");
+  EXPECT_EQ(v.find("error")->find("code")->text, "bad_input");
+  EXPECT_NE(v.find("error")->find("message")->text.find("'samples' is out of range"),
+            std::string::npos);
+}
+
+TEST(WireIdentity, ReaderKeepsOnlyIntegerIdsInRange) {
+  const wire::Identity ok = wire::read_identity("{\"op\":\"stats\",\"id\":12}");
+  EXPECT_TRUE(ok.has_id);
+  EXPECT_EQ(ok.id, 12);
+  EXPECT_EQ(ok.op, "stats");
+  EXPECT_FALSE(wire::read_identity("{\"op\":\"stats\",\"id\":1.5}").has_id);
+  EXPECT_FALSE(wire::read_identity("{\"op\":\"stats\",\"id\":1e300}").has_id);
+  const wire::Identity malformed = wire::read_identity("{\"op\":");
+  EXPECT_FALSE(malformed.has_id);
+  EXPECT_EQ(malformed.op, "");
 }
 
 TEST(WireExecute, RepeatLinesAreByteIdentical) {

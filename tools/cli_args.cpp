@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "api/pim_api.hpp"
+#include "api/wire.hpp"
 #include "cache/store.hpp"
 #include "exec/engine.hpp"
 #include "obs/ledger.hpp"
@@ -417,15 +418,7 @@ void write_observability_reports(const Args& args) {
   }
 }
 
-int exit_code_for(const Error& error) {
-  switch (error.code()) {
-    case ErrorCode::bad_input: return 2;
-    case ErrorCode::internal: return 4;
-    case ErrorCode::deadline_exceeded:
-    case ErrorCode::cancelled: return kExitPartial;
-    default: return 3;
-  }
-}
+int exit_code_for(const Error& error) { return api::wire::exit_code_for(error.code()); }
 
 void append_run_ledger(const std::string& command, const Args& args,
                        int exit_code, int64_t wall_ns) {

@@ -111,8 +111,9 @@ int64_t resolved_deadline_ms(const Args& args);
 /// PIM_OUT_DIR configured one.
 void write_observability_reports(const Args& args);
 
-/// Maps the error taxonomy to the CLI exit-code contract: bad_input -> 2,
-/// internal -> 4, deadline_exceeded/cancelled -> 5, everything else -> 3.
+/// Maps the error taxonomy to the CLI exit-code contract, which is the
+/// wire's (api::wire::exit_code_for): bad_input -> 2, internal -> 4,
+/// deadline_exceeded/cancelled -> 5, everything else -> 3.
 int exit_code_for(const Error& error);
 
 /// The exit code for a run that finished with a graceful partial result
