@@ -72,15 +72,15 @@ int main() {
   };
 
   // --- calibrated fit: the characterization deck is the expensive part.
+  const Technology& tech = technology(TechNode::N65);
   TechnologyFit cold_fit, warm_fit;
   const double fit_cold =
-      seconds_of([&] { cold_fit = calibrated_fit(TechNode::N65, ""); });
+      seconds_of([&] { cold_fit = calibrated_fit(tech, Corner{}); });
   cache::Store::global().clear_memory();  // force the disk tier, like a new process
   const double fit_warm =
-      seconds_of([&] { warm_fit = calibrated_fit(TechNode::N65, ""); });
+      seconds_of([&] { warm_fit = calibrated_fit(tech, Corner{}); });
   record("fit", fit_cold, fit_warm, write_fit(warm_fit) == write_fit(cold_fit));
 
-  const Technology& tech = technology(TechNode::N65);
   const ProposedModel model(tech, cold_fit);
   LinkContext ctx;
   ctx.length = 5 * mm;

@@ -31,7 +31,7 @@ inline TechnologyFit cached_fit(TechNode node) {
   CharacterizationOptions copt;
   copt.drives = {2, 4, 8, 16, 32, 64};
   const std::string path = out_dir() + "/coeffs_" + tech_node_name(node) + ".pimfit";
-  return calibrated_fit(node, path, copt);
+  return calibrated_fit(technology(node), Corner{}, path, copt);
 }
 
 /// The trio nearly every bench binary opens with: the built-in

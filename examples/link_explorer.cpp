@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
 
   const Technology& tech = technology(node);
   const TechnologyFit fit =
-      calibrated_fit(node, "pim_coeffs_" + tech.name + ".pimfit");
+      calibrated_fit(tech, Corner{}, "pim_coeffs_" + tech.name + ".pimfit");
   const ProposedModel model(tech, fit);
 
   LinkContext ctx;

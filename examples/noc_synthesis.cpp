@@ -42,7 +42,8 @@ int main(int argc, char** argv) {
   printf("technology %s @ %.2f GHz\n\n", tech.name.c_str(),
          unit::to_GHz(tech.clock_frequency));
 
-  const TechnologyFit fit = calibrated_fit(node, "pim_coeffs_" + tech.name + ".pimfit");
+  const TechnologyFit fit =
+      calibrated_fit(tech, Corner{}, "pim_coeffs_" + tech.name + ".pimfit");
   const ProposedModel proposed(tech, fit);
   const BakogluModel original(tech);
 

@@ -25,7 +25,7 @@ int main() {
 
   // 1. Calibrated coefficients (cached across runs).
   const Technology& tech = technology(TechNode::N65);
-  const TechnologyFit fit = calibrated_fit(TechNode::N65, "pim_coeffs_65nm.pimfit");
+  const TechnologyFit fit = calibrated_fit(tech, Corner{}, "pim_coeffs_65nm.pimfit");
   printf("technology %s: vdd=%.2f V, clock=%.2f GHz\n", tech.name.c_str(), tech.vdd,
          unit::to_GHz(tech.clock_frequency));
   printf("composition calibration (coupled): kappa_c=%.3f kappa_c1=%.3f kappa_w=%.3f\n"

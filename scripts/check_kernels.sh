@@ -10,8 +10,8 @@ workdir=$(mktemp -d)
 trap 'rm -rf "$workdir"' EXIT
 
 echo "=== build ==="
-cmake -B build -G Ninja >/dev/null
-cmake --build build --target pim >/dev/null
+cmake -B build >/dev/null
+cmake --build build --target pim_cli >/dev/null
 pim=./build/tools/pim
 
 common=(--cache off --out-dir "$workdir/out" --ledger off --log-level warn)

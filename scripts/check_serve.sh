@@ -17,7 +17,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cmake -B build -G Ninja >/dev/null
+cmake -B build >/dev/null
 cmake --build build --target pimd pim_cli >/dev/null
 
 workdir=$(mktemp -d)

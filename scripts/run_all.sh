@@ -6,7 +6,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cmake -B build -G Ninja
+cmake -B build
 cmake --build build
 ctest --test-dir build --output-on-failure
 

@@ -400,8 +400,7 @@ Expected<CornersResult> run_corners(const CornersRequest& request) {
     const LinkContext ctx = context_of(tech, request.link, who);
     const LinkDesign design = design_of(request.link);
     const std::vector<Corner> corners = tech.scenario_set().resolve(request.corners);
-    const CornerModelSet set =
-        corner_model_set(tech, corners, request.link.coeffs_path);
+    const CornerModelSet set(tech, corner_fits(tech, corners, request.link.coeffs_path));
     CornerSignoffOptions opt;
     opt.target_period = request.target_period_ps * ps;
     const CornerSignoffResult signoff = signoff_corners(set, ctx, design, opt);
@@ -460,7 +459,7 @@ Expected<SynthesisResult> run_synthesis(const SynthesisRequest& request) {
       const std::vector<Corner> corners =
           base.scenario_set().resolve(request.corners);
       return std::make_unique<WorstCornerModel>(
-          corner_model_set(base, corners, request.coeffs_path));
+          CornerModelSet(base, corner_fits(base, corners, request.coeffs_path)));
     }();
     const NocSynthesisResult r = [&] {
       if (request.mesh) {

@@ -7,15 +7,6 @@
 namespace pim {
 
 CornerModelSet::CornerModelSet(
-    TechNode node, const std::vector<std::pair<Corner, TechnologyFit>>& fits) {
-  require(!fits.empty(), "CornerModelSet: needs at least one corner",
-          ErrorCode::bad_input);
-  models_.reserve(fits.size());
-  for (const auto& [corner, fit] : fits)
-    models_.push_back({corner, ProposedModel(corner_technology(node, corner), fit)});
-}
-
-CornerModelSet::CornerModelSet(
     const Technology& base, const std::vector<std::pair<Corner, TechnologyFit>>& fits) {
   require(!fits.empty(), "CornerModelSet: needs at least one corner",
           ErrorCode::bad_input);

@@ -25,15 +25,11 @@ struct CornerModel {
 };
 
 /// A corner-indexed coefficient set: each (corner, fit) pair becomes a
-/// ProposedModel bound to corner_technology(node, corner). Order follows
+/// ProposedModel bound to corner_technology(base, corner). Order follows
 /// the input pairs; by convention the first entry is the reference
 /// (nominal) corner.
 class CornerModelSet {
  public:
-  CornerModelSet(TechNode node, const std::vector<std::pair<Corner, TechnologyFit>>& fits);
-
-  /// Same binding against an arbitrary base descriptor (e.g. one loaded
-  /// from a tech file), via corner_technology(base, corner).
   CornerModelSet(const Technology& base,
                  const std::vector<std::pair<Corner, TechnologyFit>>& fits);
 

@@ -109,50 +109,6 @@ TechnologyFit compute_fit(const Technology& tech, const Corner& corner,
   return fit;
 }
 
-TechnologyFit corner_calibrated_fit_impl(const Technology& tech, const Corner& corner,
-                                         const std::string& cache_path,
-                                         const CharacterizationOptions& characterization,
-                                         const CompositionOptions& composition) {
-  const TechNode node = tech.node;
-  // Facets recorded by fit_cache_key (tech content, corner, deck params)
-  // become the entry's manifest; `key` keeps the key for announce_fit.
-  cache::CacheKey key;
-  const auto make_key = [&] {
-    return key = fit_cache_key(tech, corner, characterization, composition);
-  };
-  // The coefficient-file tier carries no corner identity, so it only
-  // serves (and is only refreshed by) the nominal corner.
-  const bool file_tier = !cache_path.empty() && corner.is_nominal();
-  if (file_tier) {
-    std::ifstream probe(cache_path);
-    if (probe.good()) {
-      try {
-        TechnologyFit cached = load_fit(cache_path);
-        if (cached.node == node) {
-          const cache::Tracked scope;
-          scope.publish(make_key());
-          return announce_fit(std::move(cached), key);
-        }
-        log_warn("calibrated_fit: cache '", cache_path, "' holds a different node; refitting");
-      } catch (const Error& e) {
-        log_warn("calibrated_fit: ignoring unreadable cache '", cache_path, "': ", e.what());
-      }
-    }
-  }
-  // Content-addressed tier: keyed by the derated tech content, the
-  // corner id, and every deck parameter, so a hit is exactly the fit
-  // this flow would recompute.
-  TechnologyFit fit = cache::memoize<TechnologyFit>(
-      make_key, [&] { return compute_fit(tech, corner, characterization, composition); },
-      [&](const TechnologyFit& hit) {
-        require(hit.node == node, "calibrated_fit: cached fit node mismatch",
-                ErrorCode::io_parse);
-        count_corner(corner, "hit");
-      });
-  if (file_tier) save_fit(fit, cache_path);
-  return announce_fit(std::move(fit), key);
-}
-
 // ---------------------------------------------------------------- residency
 
 // The process-wide resident tier: parsed fits keyed by their content-
@@ -176,6 +132,50 @@ std::map<std::string, ResidentEntry>& resident_memo() {
 }
 
 }  // namespace
+
+TechnologyFit calibrated_fit(const Technology& base, const Corner& corner,
+                             const std::string& cache_path,
+                             const CharacterizationOptions& characterization,
+                             const CompositionOptions& composition) {
+  const Technology& tech = corner_technology(base, corner);
+  // Facets recorded by fit_cache_key (tech content, corner, deck params)
+  // become the entry's manifest; `key` keeps the key for announce_fit.
+  cache::CacheKey key;
+  const auto make_key = [&] {
+    return key = fit_cache_key(tech, corner, characterization, composition);
+  };
+  // The coefficient-file tier carries no corner identity, so it only
+  // serves (and is only refreshed by) the nominal corner.
+  const bool file_tier = !cache_path.empty() && corner.is_nominal();
+  if (file_tier) {
+    std::ifstream probe(cache_path);
+    if (probe.good()) {
+      try {
+        TechnologyFit cached = load_fit(cache_path);
+        if (cached.node == tech.node) {
+          const cache::Tracked scope;
+          scope.publish(make_key());
+          return announce_fit(std::move(cached), key);
+        }
+        log_warn("calibrated_fit: cache '", cache_path, "' holds a different node; refitting");
+      } catch (const Error& e) {
+        log_warn("calibrated_fit: ignoring unreadable cache '", cache_path, "': ", e.what());
+      }
+    }
+  }
+  // Content-addressed tier: keyed by the derated tech content, the
+  // corner id, and every deck parameter, so a hit is exactly the fit
+  // this flow would recompute.
+  TechnologyFit fit = cache::memoize<TechnologyFit>(
+      make_key, [&] { return compute_fit(tech, corner, characterization, composition); },
+      [&](const TechnologyFit& hit) {
+        require(hit.node == tech.node, "calibrated_fit: cached fit node mismatch",
+                ErrorCode::io_parse);
+        count_corner(corner, "hit");
+      });
+  if (file_tier) save_fit(fit, cache_path);
+  return announce_fit(std::move(fit), key);
+}
 
 ResidentFit resident_corner_fit(const Technology& base, const Corner& corner,
                                 const std::string& cache_path,
@@ -211,8 +211,7 @@ ResidentFit resident_corner_fit(const Technology& base, const Corner& corner,
     }
   }
   auto fit = std::make_shared<const TechnologyFit>(
-      corner_calibrated_fit_impl(tech, corner, cache_path, characterization,
-                                 composition));
+      calibrated_fit(base, corner, cache_path, characterization, composition));
   const std::string coeff_hash = cache::sha256_hex(write_fit(*fit));
   if (memo_enabled) {
     std::lock_guard<std::mutex> lock(resident_mutex());
@@ -224,28 +223,6 @@ ResidentFit resident_corner_fit(const Technology& base, const Corner& corner,
 void clear_resident_fits() {
   std::lock_guard<std::mutex> lock(resident_mutex());
   resident_memo().clear();
-}
-
-TechnologyFit calibrated_fit(TechNode node, const std::string& cache_path,
-                             const CharacterizationOptions& characterization,
-                             const CompositionOptions& composition) {
-  return corner_calibrated_fit(node, Corner{}, cache_path, characterization, composition);
-}
-
-TechnologyFit corner_calibrated_fit(TechNode node, const Corner& corner,
-                                    const std::string& cache_path,
-                                    const CharacterizationOptions& characterization,
-                                    const CompositionOptions& composition) {
-  return corner_calibrated_fit_impl(corner_technology(node, corner), corner, cache_path,
-                                    characterization, composition);
-}
-
-TechnologyFit corner_calibrated_fit(const Technology& base, const Corner& corner,
-                                    const std::string& cache_path,
-                                    const CharacterizationOptions& characterization,
-                                    const CompositionOptions& composition) {
-  return corner_calibrated_fit_impl(corner_technology(base, corner), corner, cache_path,
-                                    characterization, composition);
 }
 
 }  // namespace pim

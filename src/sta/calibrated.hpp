@@ -12,34 +12,22 @@
 
 namespace pim {
 
-/// Returns the fully calibrated coefficient set for `node`. When
-/// `cache_path` is non-empty and holds a parseable fit for the same node,
-/// it is returned directly; otherwise the full flow runs and (when a path
-/// was given) the result is saved there. Equivalent to
-/// `corner_calibrated_fit` at the nominal corner.
-TechnologyFit calibrated_fit(TechNode node, const std::string& cache_path = "",
+/// Returns the fully calibrated coefficient set for `base` at `corner`:
+/// runs the characterize -> fit -> calibrate flow against the derated
+/// descriptor from corner_technology(base, corner), applies the corner's
+/// leakage derate to the fitted leakage coefficients, and folds the
+/// corner id into the content-cache key so each corner caches
+/// independently (equal-content bases share fits). A built-in node is
+/// `calibrated_fit(technology(node), Corner{})`. When `cache_path` is
+/// non-empty and holds a parseable fit for the same node, it is returned
+/// directly; otherwise the full flow runs and (when a path was given) the
+/// result is saved there. That coefficient-file tier only applies to the
+/// nominal corner (.pimfit files carry no corner identity). Counts
+/// corner.<name>.fit.{hit,compute} obs metrics.
+TechnologyFit calibrated_fit(const Technology& base, const Corner& corner,
+                             const std::string& cache_path = "",
                              const CharacterizationOptions& characterization = {},
                              const CompositionOptions& composition = {});
-
-/// Per-corner calibration: runs the same characterize -> fit -> calibrate
-/// flow against the derated descriptor from corner_technology(), applies
-/// the corner's leakage derate to the fitted leakage coefficients, and
-/// folds the corner id into the content-cache key so each corner caches
-/// independently. The `cache_path` coefficient-file tier only applies to
-/// the nominal corner (.pimfit files carry no corner identity). Counts
-/// corner.<name>.fit.{hit,compute} obs metrics.
-TechnologyFit corner_calibrated_fit(TechNode node, const Corner& corner,
-                                    const std::string& cache_path = "",
-                                    const CharacterizationOptions& characterization = {},
-                                    const CompositionOptions& composition = {});
-
-/// Same flow against an arbitrary base descriptor (e.g. one loaded from
-/// a tech file) instead of the built-in table: derates via
-/// corner_technology(base, corner), so equal-content bases share fits.
-TechnologyFit corner_calibrated_fit(const Technology& base, const Corner& corner,
-                                    const std::string& cache_path = "",
-                                    const CharacterizationOptions& characterization = {},
-                                    const CompositionOptions& composition = {});
 
 /// A calibrated fit held resident in process RAM, plus the identities a
 /// serving layer keys further memoization on (resident models, cached
@@ -51,7 +39,7 @@ struct ResidentFit {
   std::string coeff_hash;  ///< SHA-256 of write_fit(*fit) — the signature token
 };
 
-/// corner_calibrated_fit with a process-wide residency memo in front of
+/// calibrated_fit with a process-wide residency memo in front of
 /// the content-addressed store: a warm call skips the store read, the
 /// payload parse, AND the coefficient re-hash, returning the same shared
 /// fit a previous call resolved. Every observable contract of the store

@@ -8,8 +8,8 @@
 namespace pim {
 
 std::vector<std::pair<Corner, TechnologyFit>> corner_fits(
-    TechNode node, const std::vector<Corner>& corners, const std::string& cache_path,
-    const CharacterizationOptions& characterization,
+    const Technology& base, const std::vector<Corner>& corners,
+    const std::string& cache_path, const CharacterizationOptions& characterization,
     const CompositionOptions& composition) {
   require(!corners.empty(), "corner_fits: needs at least one corner",
           ErrorCode::bad_input);
@@ -19,48 +19,13 @@ std::vector<std::pair<Corner, TechnologyFit>> corner_fits(
   // is a real error, not a degradable sample.
   std::vector<TechnologyFit> fits = exec::parallel_map<TechnologyFit>(
       corners.size(), [&](size_t i) {
-        return corner_calibrated_fit(node, corners[i], cache_path, characterization,
-                                     composition);
+        return calibrated_fit(base, corners[i], cache_path, characterization, composition);
       });
   std::vector<std::pair<Corner, TechnologyFit>> out;
   out.reserve(corners.size());
   for (size_t i = 0; i < corners.size(); ++i)
     out.emplace_back(corners[i], std::move(fits[i]));
   return out;
-}
-
-std::vector<std::pair<Corner, TechnologyFit>> corner_fits(
-    const Technology& base, const std::vector<Corner>& corners,
-    const std::string& cache_path, const CharacterizationOptions& characterization,
-    const CompositionOptions& composition) {
-  require(!corners.empty(), "corner_fits: needs at least one corner",
-          ErrorCode::bad_input);
-  std::vector<TechnologyFit> fits = exec::parallel_map<TechnologyFit>(
-      corners.size(), [&](size_t i) {
-        return corner_calibrated_fit(base, corners[i], cache_path, characterization,
-                                     composition);
-      });
-  std::vector<std::pair<Corner, TechnologyFit>> out;
-  out.reserve(corners.size());
-  for (size_t i = 0; i < corners.size(); ++i)
-    out.emplace_back(corners[i], std::move(fits[i]));
-  return out;
-}
-
-CornerModelSet corner_model_set(TechNode node, const std::vector<Corner>& corners,
-                                const std::string& cache_path,
-                                const CharacterizationOptions& characterization,
-                                const CompositionOptions& composition) {
-  return CornerModelSet(
-      node, corner_fits(node, corners, cache_path, characterization, composition));
-}
-
-CornerModelSet corner_model_set(const Technology& base, const std::vector<Corner>& corners,
-                                const std::string& cache_path,
-                                const CharacterizationOptions& characterization,
-                                const CompositionOptions& composition) {
-  return CornerModelSet(
-      base, corner_fits(base, corners, cache_path, characterization, composition));
 }
 
 CornerSignoffResult signoff_corners(const CornerModelSet& set,

@@ -1,10 +1,10 @@
 // Multi-corner calibration and signoff — the scenario layer's face inside
 // pim::sta.
 //
-// corner_fits() runs the characterize -> fit -> calibrate flow once per
-// corner (fanned out over pim::exec; each corner's own deck sweeps then
-// run inline on that worker), corner_model_set() packages the results as
-// a CornerModelSet, and signoff_corners() answers the signoff question:
+// corner_fits() runs calibrated_fit() once per corner (fanned out over
+// pim::exec; each corner's own deck sweeps then run inline on that
+// worker); `CornerModelSet(base, corner_fits(base, corners))` packages
+// the results, and signoff_corners() answers the signoff question:
 // per-corner delay/slack/noise for one link, plus which corner dominates.
 #pragma once
 
@@ -17,35 +17,15 @@
 
 namespace pim {
 
-/// Calibrated fit per corner, in `corners` order. Corners are fanned out
-/// over pim::exec (deterministic ordered results at any --threads); each
-/// corner caches independently via corner_calibrated_fit. `cache_path`
-/// follows the corner_calibrated_fit contract (nominal corner only).
-std::vector<std::pair<Corner, TechnologyFit>> corner_fits(
-    TechNode node, const std::vector<Corner>& corners,
-    const std::string& cache_path = "",
-    const CharacterizationOptions& characterization = {},
-    const CompositionOptions& composition = {});
-
-/// Same fan-out against an arbitrary base descriptor (e.g. one loaded
-/// from a tech file), via corner_calibrated_fit(base, corner, ...).
+/// Calibrated fit of `base` per corner, in `corners` order. Corners are
+/// fanned out over pim::exec (deterministic ordered results at any
+/// --threads); each corner caches independently via calibrated_fit.
+/// `cache_path` follows the calibrated_fit contract (nominal corner only).
 std::vector<std::pair<Corner, TechnologyFit>> corner_fits(
     const Technology& base, const std::vector<Corner>& corners,
     const std::string& cache_path = "",
     const CharacterizationOptions& characterization = {},
     const CompositionOptions& composition = {});
-
-/// corner_fits() packaged as a corner-indexed model set.
-CornerModelSet corner_model_set(TechNode node, const std::vector<Corner>& corners,
-                                const std::string& cache_path = "",
-                                const CharacterizationOptions& characterization = {},
-                                const CompositionOptions& composition = {});
-
-/// Base-descriptor variant of corner_model_set.
-CornerModelSet corner_model_set(const Technology& base, const std::vector<Corner>& corners,
-                                const std::string& cache_path = "",
-                                const CharacterizationOptions& characterization = {},
-                                const CompositionOptions& composition = {});
 
 /// Knobs for signoff_corners.
 struct CornerSignoffOptions {

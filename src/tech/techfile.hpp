@@ -64,7 +64,7 @@ const Technology& technology_from_spec(const std::string& spec);
 /// in its scenario set, the per-corner derated tech-content facet (type
 /// "tech", name "<tech>@<corner>") and the corner-identity facet (type
 /// "corner", name "<corner>"). Mirrors exactly what
-/// corner_calibrated_fit records into its manifests, so handing this
+/// calibrated_fit records into its manifests, so handing this
 /// list for the edited descriptor to cache::dirty_cone() stales every
 /// artifact whose inputs the edit actually touched: a base-parameter
 /// edit shifts every per-corner derated hash, a single-corner retune

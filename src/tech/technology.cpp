@@ -170,22 +170,10 @@ Technology Technology::derated(const Corner& corner) const {
   return t;
 }
 
-const Technology& corner_technology(TechNode node, const Corner& corner) {
+const Technology& corner_technology(const Technology& base, const Corner& corner) {
   static std::mutex mutex;
   // std::map nodes never move, so returned references stay valid for the
   // life of the process — model layers hold `const Technology*` into it.
-  static std::map<std::string, Technology> registry;
-  const std::string key = tech_node_name(node) + "@" + corner.cache_id();
-  std::lock_guard<std::mutex> lock(mutex);
-  const auto it = registry.find(key);
-  if (it != registry.end()) return it->second;
-  Technology& fresh = registry.emplace(key, technology(node).derated(corner)).first->second;
-  register_stable_technology(&fresh);
-  return fresh;
-}
-
-const Technology& corner_technology(const Technology& base, const Corner& corner) {
-  static std::mutex mutex;
   static std::map<std::string, Technology> registry;
   // Keyed by content, not address: two loads of the same tech file (or a
   // reload after a no-op edit) share registry entries and hence fits.

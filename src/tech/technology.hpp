@@ -99,15 +99,12 @@ struct Technology {
 /// The built-in calibrated descriptor for `node`.
 const Technology& technology(TechNode node);
 
-/// Stable-reference registry of derated built-in descriptors: the same
-/// (node, corner) pair always returns the same Technology object, so
-/// model layers that hold `const Technology*` may point at it safely.
-const Technology& corner_technology(TechNode node, const Corner& corner);
-
-/// Same stable-reference guarantee for an arbitrary base descriptor
-/// (e.g. one loaded from a tech file): the registry is keyed by the
-/// base's content hash plus the corner id, so equal-content bases share
-/// entries regardless of where they were parsed.
+/// Stable-reference registry of derated descriptors: `base.derated(corner)`,
+/// keyed by the base's content hash plus the corner id, so the same
+/// (content, corner) pair always returns the same Technology object —
+/// model layers that hold `const Technology*` may point at it safely, and
+/// equal-content bases (a built-in node, or the same tech file parsed
+/// twice) share entries regardless of where they came from.
 const Technology& corner_technology(const Technology& base, const Corner& corner);
 
 }  // namespace pim

@@ -1,6 +1,7 @@
 #include "util/strings.hpp"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -63,9 +64,12 @@ long parse_long(std::string_view text) {
   const std::string buffer{trim(text)};
   require(!buffer.empty(), "parse_long: empty input", ErrorCode::bad_input);
   char* end = nullptr;
+  errno = 0;
   const long value = std::strtol(buffer.c_str(), &end, 10);
   require(end == buffer.c_str() + buffer.size(),
           "parse_long: trailing characters in '" + buffer + "'",
+          ErrorCode::bad_input);
+  require(errno != ERANGE, "parse_long: '" + buffer + "' is out of range",
           ErrorCode::bad_input);
   return value;
 }

@@ -23,7 +23,8 @@ bool starts_with(std::string_view text, std::string_view prefix);
 /// Parses a floating-point number; throws pim::Error on any trailing junk.
 double parse_double(std::string_view text);
 
-/// Parses a non-negative integer; throws pim::Error on any trailing junk.
+/// Parses a decimal integer; throws pim::Error (bad_input) on trailing
+/// junk or a value outside the range of long.
 long parse_long(std::string_view text);
 
 /// printf-style formatting into std::string.

@@ -116,7 +116,7 @@ MonteCarloResult monte_carlo_link_cached(const ProposedModel& model,
                                          const VariationSigmas& sigmas = {});
 
 /// Monte-Carlo around a chosen process corner: `model` must be the
-/// corner-calibrated model (corner_model_set / corner_calibrated_fit), so
+/// corner-calibrated model (CornerModelSet / calibrated_fit), so
 /// the samples perturb that corner's fit exactly as monte_carlo_link
 /// perturbs nominal — same sampler, same RNG streams, bit-identical at
 /// any --threads. The cache key folds the corner id next to the model

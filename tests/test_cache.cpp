@@ -30,6 +30,8 @@
 #include "util/units.hpp"
 #include "variation/variation.hpp"
 
+#include "fit_options.hpp"
+
 namespace pim::cache {
 namespace {
 
@@ -793,19 +795,9 @@ TEST_F(CacheDirFixture, MemoizeScrubsCorruptPayloadEvenWhenRecomputeIsPartial) {
 // proves warm == cold byte for byte.
 class CachedFlowsFixture : public CacheDirFixture {
  protected:
-  static CharacterizationOptions char_options() {
-    CharacterizationOptions copt;
-    copt.drives = {2, 8, 32};
-    copt.buffers = false;
-    return copt;
-  }
-  static CompositionOptions comp_options() {
-    CompositionOptions comp;
-    comp.drives = {8, 32};
-    comp.segment_lengths = {0.5e-3, 1.5e-3};
-    comp.input_slews = {50e-12, 300e-12};
-    comp.chain_lengths = {1, 3};
-    return comp;
+  static TechnologyFit fit_65nm(const CompositionOptions& comp = trimmed_composition()) {
+    return calibrated_fit(technology(TechNode::N65), Corner{}, "",
+                          trimmed_inverter_characterization(), comp);
   }
   static LinkContext ctx() {
     LinkContext c;
@@ -817,19 +809,16 @@ class CachedFlowsFixture : public CacheDirFixture {
 };
 
 TEST_F(CachedFlowsFixture, FitBufferingAndYieldHitsAreBitIdentical) {
-  const TechnologyFit cold =
-      calibrated_fit(TechNode::N65, "", char_options(), comp_options());
+  const TechnologyFit cold = fit_65nm();
   // Fresh memory tier: the warm pass must come from the disk entry.
   Store::global().clear_memory();
-  const TechnologyFit warm =
-      calibrated_fit(TechNode::N65, "", char_options(), comp_options());
+  const TechnologyFit warm = fit_65nm();
   EXPECT_EQ(write_fit(warm), write_fit(cold));
 
   // A different deck parameter is a different key — no false sharing.
-  CompositionOptions other = comp_options();
+  CompositionOptions other = trimmed_composition();
   other.chain_lengths = {1, 2};
-  const TechnologyFit refit =
-      calibrated_fit(TechNode::N65, "", char_options(), other);
+  const TechnologyFit refit = fit_65nm(other);
   EXPECT_NE(write_fit(refit), write_fit(cold));
 
   const ProposedModel model(technology(TechNode::N65), cold);
@@ -873,8 +862,7 @@ TEST_F(CachedFlowsFixture, FitBufferingAndYieldHitsAreBitIdentical) {
 
 TEST_F(CachedFlowsFixture, WrappersRecordProvenanceAndConesPropagate) {
   clear_artifact_registry();
-  const TechnologyFit fit =
-      calibrated_fit(TechNode::N65, "", char_options(), comp_options());
+  const TechnologyFit fit = fit_65nm();
   const ProposedModel model(technology(TechNode::N65), fit);
   BufferingOptions opt;
   opt.weight = 0.5;
@@ -975,9 +963,7 @@ TEST_F(CachedFlowsFixture, UnparsablePayloadsFailOpenAndAreRewritten) {
   };
 
   TechnologyFit cold;
-  const auto fit = [&] {
-    return calibrated_fit(TechNode::N65, "", char_options(), comp_options());
-  };
+  const auto fit = [&] { return fit_65nm(); };
   const CacheKey fit_key = published_key([&] { cold = fit(); });
   ASSERT_EQ(fit_key.kind, "fit");
   check(fit_key, fit,
@@ -1017,8 +1003,7 @@ TEST_F(CachedFlowsFixture, UnparsablePayloadsFailOpenAndAreRewritten) {
 // bit-identical to a cold rerun at ANY thread count. TSan builds
 // (scripts/check_tsan.sh) run this with race detection.
 TEST_F(CachedFlowsFixture, IncrementalRecomputeIsBitIdenticalAcrossThreads) {
-  const TechnologyFit cold_fit =
-      calibrated_fit(TechNode::N65, "", char_options(), comp_options());
+  const TechnologyFit cold_fit = fit_65nm();
   const ProposedModel cold_model(technology(TechNode::N65), cold_fit);
   BufferingOptions opt;
   opt.weight = 0.5;
@@ -1033,8 +1018,7 @@ TEST_F(CachedFlowsFixture, IncrementalRecomputeIsBitIdenticalAcrossThreads) {
     std::vector<CacheKey> stale;
     for (const Manifest& m : scan_manifests(dir_)) stale.push_back(m.key);
     evict_keys(Store::global(), stale);
-    const TechnologyFit refit =
-        calibrated_fit(TechNode::N65, "", char_options(), comp_options());
+    const TechnologyFit refit = fit_65nm();
     EXPECT_EQ(write_fit(refit), write_fit(cold_fit)) << "threads=" << threads;
     const ProposedModel model(technology(TechNode::N65), refit);
     const BufferingResult rebuf = optimize_buffering_cached(model, ctx(), opt);

@@ -57,12 +57,24 @@ TEST(CliArgs, PositionalsAndFlags) {
 }
 
 TEST(CliArgs, TypedGettersWithFallbacks) {
-  const Args args = make({"--n", "7", "--x", "2.5"});
+  const Args args =
+      make({"--n", "7", "--x", "2.5", "--min", "-2147483648", "--drive", "4294967308"});
   EXPECT_EQ(args.get_long("n", 0), 7);
   EXPECT_EQ(args.get_long("missing", 42), 42);
   EXPECT_DOUBLE_EQ(args.get_double("x", 0.0), 2.5);
   EXPECT_DOUBLE_EQ(args.get_double("missing", 1.5), 1.5);
   EXPECT_THROW(args.get_long("x", 0), Error);  // "2.5" is not an integer
+  EXPECT_EQ(args.get_int("n", 0), 7);
+  EXPECT_EQ(args.get_int("missing", 12), 12);
+  EXPECT_EQ(args.get_int("min", 0), -2147483648);
+  // 2^32 + 12 fits a long but not an int: rejected, naming the flag.
+  try {
+    args.get_int("drive", 12);
+    FAIL() << "expected out-of-range";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::bad_input);
+    EXPECT_NE(std::string(e.what()).find("--drive"), std::string::npos) << e.what();
+  }
 }
 
 TEST(CliArgs, SwitchFollowedByFlag) {
@@ -187,6 +199,12 @@ TEST(CliExitCodes, ThreadsFlagAcceptedOnAnyCommand) {
   EXPECT_EQ(run_cli("techfile 45nm --threads 2"), 0);
   EXPECT_EQ(run_cli("techfile 45nm --threads 0"), 2);   // must be >= 1
   EXPECT_EQ(run_cli("techfile 45nm --threads junk"), 2);
+}
+
+TEST(CliExitCodes, IntegerFlagOutsideIntIsUsageError) {
+  // 4294967308 = 2^32 + 12: a truncating cast would silently read drive 12.
+  EXPECT_EQ(run_cli("export 65nm --length 1 --drive 4294967308"), 2);
+  EXPECT_EQ(run_cli("export 65nm --length 1 --drive 99999999999999999999"), 2);
 }
 
 TEST(CliExitCodes, UnknownFaultSiteIsUsageError) {

@@ -40,6 +40,8 @@
 #include "util/units.hpp"
 #include "variation/variation.hpp"
 
+#include "fit_options.hpp"
+
 namespace pim {
 namespace {
 
@@ -481,7 +483,7 @@ TEST_F(DeadlineFixture, CharlibPatchesTruncatedTailWhenQuorumHolds) {
 TEST_F(DeadlineFixture, CalibratedFitRefusesTruncatedLibraryAndNeverCaches) {
   // A fit has no partial semantics and its cache key carries no deadline
   // state: a stop that leaves charlib's quorum intact must surface the
-  // typed error from corner_calibrated_fit, and neither cache tier may
+  // typed error from calibrated_fit, and neither cache tier may
   // keep coefficients regressed from the patched tables.
   struct ScratchCache {
     std::string dir;
@@ -499,16 +501,11 @@ TEST_F(DeadlineFixture, CalibratedFitRefusesTruncatedLibraryAndNeverCaches) {
     }
   } scratch;
 
-  CharacterizationOptions copt;
+  CharacterizationOptions copt = trimmed_inverter_characterization();
   copt.slew_axis = {20 * ps, 100 * ps};
   copt.fanout_axis = {2.0, 8.0};
-  copt.drives = {2, 8, 32};
-  copt.buffers = false;
-  CompositionOptions comp;
-  comp.drives = {8, 32};
-  comp.segment_lengths = {0.5e-3, 1.5e-3};
-  comp.input_slews = {50e-12, 300e-12};
-  comp.chain_lengths = {1, 3};
+  const CompositionOptions comp = trimmed_composition();
+  const Technology& base = technology(TechNode::N65);
 
   // Seed whose first fire lands on the last of the 2x2 sweep's four
   // points, so the quorum holds and characterization itself degrades to
@@ -522,7 +519,7 @@ TEST_F(DeadlineFixture, CalibratedFitRefusesTruncatedLibraryAndNeverCaches) {
   fault::configure("cancel-midchunk:0.3:" + std::to_string(chosen));
 
   try {
-    corner_calibrated_fit(TechNode::N65, Corner{}, "", copt, comp);
+    calibrated_fit(base, Corner{}, "", copt, comp);
     FAIL() << "expected cancelled";
   } catch (const Error& e) {
     EXPECT_EQ(e.code(), ErrorCode::cancelled);
@@ -533,12 +530,10 @@ TEST_F(DeadlineFixture, CalibratedFitRefusesTruncatedLibraryAndNeverCaches) {
   // A clean retry recomputes from scratch; bit-identity against a
   // cache-off ground truth proves no biased entry was served.
   fault::clear();
-  const TechnologyFit clean =
-      corner_calibrated_fit(TechNode::N65, Corner{}, "", copt, comp);
+  const TechnologyFit clean = calibrated_fit(base, Corner{}, "", copt, comp);
   EXPECT_EQ(cache::Store::global().memory_entries(), 1u);
   cache::set_mode(cache::Mode::Off);
-  const TechnologyFit truth =
-      corner_calibrated_fit(TechNode::N65, Corner{}, "", copt, comp);
+  const TechnologyFit truth = calibrated_fit(base, Corner{}, "", copt, comp);
   EXPECT_EQ(write_fit(clean), write_fit(truth));
 }
 

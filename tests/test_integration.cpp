@@ -14,26 +14,17 @@
 #include "util/error.hpp"
 #include "util/units.hpp"
 
+#include "fit_options.hpp"
+
 namespace pim {
 namespace {
 
 using namespace pim::unit;
 
 CharacterizationOptions trimmed_char() {
-  CharacterizationOptions opt;
-  opt.drives = {2, 8, 32};
+  CharacterizationOptions opt = trimmed_inverter_characterization();
   opt.slew_axis = {30e-12, 120e-12, 300e-12};
   opt.fanout_axis = {2.0, 8.0, 20.0};
-  opt.buffers = false;
-  return opt;
-}
-
-CompositionOptions trimmed_comp() {
-  CompositionOptions opt;
-  opt.drives = {8, 32};
-  opt.segment_lengths = {0.5e-3, 1.5e-3};
-  opt.input_slews = {50e-12, 300e-12};
-  opt.chain_lengths = {1, 3};
   return opt;
 }
 
@@ -43,7 +34,8 @@ class FlowFixture : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     fit_ = new TechnologyFit(
-        calibrated_fit(TechNode::N90, "", trimmed_char(), trimmed_comp()));
+        calibrated_fit(technology(TechNode::N90), Corner{}, "", trimmed_char(),
+                       trimmed_composition()));
     model_ = new ProposedModel(technology(TechNode::N90), *fit_);
   }
   static void TearDownTestSuite() {
@@ -138,7 +130,7 @@ TEST(IntegrationSmallNodes, SixteenNanometerFlowWorks) {
   // (thinnest barrier, strongest scattering, lowest vdd).
   const Technology& tech = technology(TechNode::N16);
   CharacterizationOptions copt = trimmed_char();
-  CompositionOptions comp = trimmed_comp();
+  CompositionOptions comp = trimmed_composition();
   const TechnologyFit fit = calibrate_composition(
       tech, fit_technology(tech, characterize_library(tech, copt)), comp);
   const ProposedModel model(tech, fit);

@@ -11,7 +11,6 @@
 #include "numeric/leastsq.hpp"
 #include "numeric/lu.hpp"
 #include "numeric/matrix.hpp"
-#include "numeric/optimize.hpp"
 #include "numeric/regression.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -321,25 +320,6 @@ TEST(Regression, Stats) {
   EXPECT_DOUBLE_EQ(mean({1.0, 2.0, 3.0}), 2.0);
   EXPECT_NEAR(max_relative_error({1.1, 2.0}, {1.0, 2.0}), 0.1, 1e-12);
   EXPECT_DOUBLE_EQ(r_squared({1, 2, 3}, {1, 2, 3}), 1.0);
-}
-
-TEST(Optimize, GoldenSectionFindsParabolaMinimum) {
-  const auto res = golden_section_minimize([](double x) { return (x - 1.7) * (x - 1.7); },
-                                           -10.0, 10.0, 1e-8);
-  EXPECT_NEAR(res.x, 1.7, 1e-6);
-  EXPECT_NEAR(res.value, 0.0, 1e-10);
-}
-
-TEST(Optimize, TernarySearchExactOnUnimodal) {
-  const auto res = ternary_search_min([](long x) { return static_cast<double>((x - 37) * (x - 37)); },
-                                      0, 1000);
-  EXPECT_EQ(res.x, 37);
-  EXPECT_DOUBLE_EQ(res.value, 0.0);
-}
-
-TEST(Optimize, ScanMinIsExact) {
-  const auto res = scan_min([](long x) { return std::fabs(static_cast<double>(x) - 5.0); }, -3, 20);
-  EXPECT_EQ(res.x, 5);
 }
 
 TEST(Interp, LinearInterpolatesAndExtrapolates) {

@@ -25,28 +25,12 @@
 #include "util/units.hpp"
 #include "variation/variation.hpp"
 
+#include "fit_options.hpp"
+
 namespace pim {
 namespace {
 
 using namespace pim::unit;
-
-// Cheap-but-real characterization/composition settings (mirrors the
-// variation test fixture) so per-corner flows stay fast.
-CharacterizationOptions cheap_characterization() {
-  CharacterizationOptions copt;
-  copt.drives = {2, 8, 32};
-  copt.buffers = false;
-  return copt;
-}
-
-CompositionOptions cheap_composition() {
-  CompositionOptions comp;
-  comp.drives = {8, 32};
-  comp.segment_lengths = {0.5e-3, 1.5e-3};
-  comp.input_slews = {50e-12, 300e-12};
-  comp.chain_lengths = {1, 3};
-  return comp;
-}
 
 LinkContext link_ctx() {
   LinkContext c;
@@ -194,15 +178,16 @@ TEST(Derating, FactorsScaleTheRightFields) {
 
 TEST(Derating, CornerTechnologyRegistryIsStable) {
   const Corner& ss = ScenarioSet::builtin().corner("ss");
-  const Technology& a = corner_technology(TechNode::N65, ss);
-  const Technology& b = corner_technology(TechNode::N65, ss);
+  const Technology& base = technology(TechNode::N65);
+  const Technology& a = corner_technology(base, ss);
+  const Technology& b = corner_technology(base, ss);
   EXPECT_EQ(&a, &b);  // stable address: models may hold the pointer
-  const Technology& ff = corner_technology(TechNode::N65, ScenarioSet::builtin().corner("ff"));
+  const Technology& ff = corner_technology(base, ScenarioSet::builtin().corner("ff"));
   EXPECT_NE(&a, &ff);
   // The registry's nominal entry matches the built-in descriptor.
-  const Technology& nom = corner_technology(TechNode::N65, Corner{});
-  EXPECT_DOUBLE_EQ(nom.vdd, technology(TechNode::N65).vdd);
-  EXPECT_DOUBLE_EQ(nom.nmos.k_sat, technology(TechNode::N65).nmos.k_sat);
+  const Technology& nom = corner_technology(base, Corner{});
+  EXPECT_DOUBLE_EQ(nom.vdd, base.vdd);
+  EXPECT_DOUBLE_EQ(nom.nmos.k_sat, base.nmos.k_sat);
 }
 
 // ------------------------------------------------------------ techfile
@@ -277,9 +262,10 @@ class CornerFlowFixture : public ::testing::Test {
     const ScenarioSet& set = ScenarioSet::builtin();
     corners_ = new std::vector<Corner>{set.corner("nominal"), set.corner("ss"),
                                        set.corner("ff")};
-    fits_ = new std::vector<std::pair<Corner, TechnologyFit>>(corner_fits(
-        TechNode::N65, *corners_, "", cheap_characterization(), cheap_composition()));
-    set_ = new CornerModelSet(TechNode::N65, *fits_);
+    fits_ = new std::vector<std::pair<Corner, TechnologyFit>>(
+        corner_fits(technology(TechNode::N65), *corners_, "",
+                    trimmed_inverter_characterization(), trimmed_composition()));
+    set_ = new CornerModelSet(technology(TechNode::N65), *fits_);
   }
   static void TearDownTestSuite() {
     delete set_;
@@ -312,10 +298,11 @@ TEST_F(CornerFlowFixture, SlowAndFastCornersBracketNominal) {
 }
 
 TEST_F(CornerFlowFixture, NominalCornerFitMatchesCalibratedFit) {
-  // calibrated_fit is documented as corner_calibrated_fit at nominal;
-  // the coefficient sets must be bit-identical.
+  // A default Corner{} is the nominal corner: a plain calibrated_fit and
+  // the set's nominal entry must be bit-identical coefficient sets.
   const TechnologyFit plain =
-      calibrated_fit(TechNode::N65, "", cheap_characterization(), cheap_composition());
+      calibrated_fit(technology(TechNode::N65), Corner{}, "",
+                     trimmed_inverter_characterization(), trimmed_composition());
   const TechnologyFit& nominal = set_->at("nominal").model.fit();
   EXPECT_DOUBLE_EQ(plain.vdd, nominal.vdd);
   EXPECT_DOUBLE_EQ(plain.gamma, nominal.gamma);
@@ -346,9 +333,9 @@ TEST_F(CornerFlowFixture, WarmPerCornerCacheIsBitIdenticalToCold) {
   // fresh lookup after dropping the memory tier must replay the stored
   // payload bit-for-bit.
   cache::Store::global().clear_memory();
-  const TechnologyFit warm = corner_calibrated_fit(TechNode::N65, ss, "",
-                                                   cheap_characterization(),
-                                                   cheap_composition());
+  const TechnologyFit warm =
+      calibrated_fit(technology(TechNode::N65), ss, "",
+                     trimmed_inverter_characterization(), trimmed_composition());
   EXPECT_EQ(hits.value(), hits_before + 1);
   const TechnologyFit& cold = set_->at("ss").model.fit();
   EXPECT_DOUBLE_EQ(warm.vdd, cold.vdd);
@@ -363,7 +350,7 @@ TEST_F(CornerFlowFixture, WarmPerCornerCacheIsBitIdenticalToCold) {
   EXPECT_DOUBLE_EQ(warm.comp_coupled.kappa_c, cold.comp_coupled.kappa_c);
   EXPECT_DOUBLE_EQ(warm.comp_shielded.kappa_w, cold.comp_shielded.kappa_w);
   // Same model behavior, not just same stored numbers.
-  const ProposedModel m(corner_technology(TechNode::N65, ss), warm);
+  const ProposedModel m(corner_technology(technology(TechNode::N65), ss), warm);
   EXPECT_DOUBLE_EQ(m.evaluate(link_ctx(), link_design()).delay,
                    set_->at("ss").model.evaluate(link_ctx(), link_design()).delay);
 }
@@ -376,7 +363,7 @@ TEST_F(CornerFlowFixture, CornerModelSetLookup) {
 }
 
 TEST_F(CornerFlowFixture, WorstCornerModelTakesPerMetricMax) {
-  const WorstCornerModel worst(CornerModelSet(TechNode::N65, *fits_));
+  const WorstCornerModel worst(CornerModelSet(technology(TechNode::N65), *fits_));
   EXPECT_EQ(worst.name(), "proposed@worst");
   EXPECT_NE(worst.cache_signature().find("worst("), std::string::npos);
 
@@ -456,7 +443,7 @@ TEST_F(CornerFlowFixture, MonteCarloAtSlowCornerShiftsTheDistribution) {
 
 TEST(LibertyAtCorner, ExportTimerRoundTripAtSlowCorner) {
   const Corner& ss = ScenarioSet::builtin().corner("ss");
-  const Technology& ss_tech = corner_technology(TechNode::N65, ss);
+  const Technology& ss_tech = corner_technology(technology(TechNode::N65), ss);
   CharacterizationOptions copt;
   copt.drives = {8};
   copt.buffers = false;

@@ -24,6 +24,8 @@
 #include "util/error.hpp"
 #include "util/units.hpp"
 
+#include "fit_options.hpp"
+
 namespace pim {
 namespace {
 
@@ -59,16 +61,8 @@ class StaFixture : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     tech_ = &technology(TechNode::N65);
-    CharacterizationOptions copt;
-    copt.drives = {2, 8, 32};
-    // Trimmed calibration axes keep the fixture fast; benches use the
-    // full defaults.
-    CompositionOptions comp;
-    comp.drives = {8, 32};
-    comp.segment_lengths = {0.5e-3, 1.5e-3};
-    comp.input_slews = {50e-12, 300e-12};
-    comp.chain_lengths = {1, 3};
-    fit_ = new TechnologyFit(calibrated_fit(TechNode::N65, "", copt, comp));
+    fit_ = new TechnologyFit(calibrated_fit(*tech_, Corner{}, "", trimmed_characterization(),
+                                            trimmed_composition()));
     model_ = new ProposedModel(*tech_, *fit_);
   }
   static void TearDownTestSuite() {
@@ -438,7 +432,7 @@ TEST_F(StaFixture, CalibratedFitCacheHitsAndValidates) {
   const std::string path = testing::TempDir() + "/pim_fit_cache.coeffs";
   save_fit(*fit_, path);
   // Cache hit: returns without re-characterizing (instant).
-  const TechnologyFit cached = calibrated_fit(TechNode::N65, path);
+  const TechnologyFit cached = calibrated_fit(*tech_, Corner{}, path);
   EXPECT_DOUBLE_EQ(cached.gamma, fit_->gamma);
   std::remove(path.c_str());
 }

@@ -293,16 +293,15 @@ TEST(TechFacets, CornerRetuneMovesOnlyThatCornersCone) {
   EXPECT_NE(after[3].id, before[3].id);  // slow cache_id moved
 }
 
-TEST(CornerTechnologyTest, BaseOverloadMatchesNodeOverloadAndIsStable) {
+TEST(CornerTechnologyTest, MatchesDeratedBaseAndIsStable) {
   const Technology& base = technology(TechNode::N45);
   const Corner& ss = base.scenario_set().corner("ss");
-  const Technology& via_node = corner_technology(TechNode::N45, ss);
-  const Technology& via_base = corner_technology(base, ss);
-  // Content-identical through either path, so fits keyed on the derated
-  // content are shared between TechNode and file-loaded flows.
-  EXPECT_EQ(write_techfile(via_base), write_techfile(via_node));
+  const Technology& derated = corner_technology(base, ss);
+  // The registry entry is exactly base.derated(ss), so fits keyed on the
+  // derated content match a direct derate of the same base.
+  EXPECT_EQ(write_techfile(derated), write_techfile(base.derated(ss)));
   // Registry-stable: repeated resolution returns the same instance.
-  EXPECT_EQ(&via_base, &corner_technology(base, ss));
+  EXPECT_EQ(&derated, &corner_technology(base, ss));
 }
 
 }  // namespace

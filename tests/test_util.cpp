@@ -170,6 +170,10 @@ TEST(Strings, ParseLong) {
   EXPECT_EQ(parse_long(" -7 "), -7);
   EXPECT_THROW(parse_long("4.2"), Error);
   EXPECT_THROW(parse_long(""), Error);
+  // strtol saturates and sets ERANGE; the saturated value must not leak.
+  EXPECT_EQ(parse_long("9223372036854775807"), 9223372036854775807L);
+  EXPECT_THROW(parse_long("99999999999999999999"), Error);
+  EXPECT_THROW(parse_long("-99999999999999999999"), Error);
 }
 
 TEST(Strings, Format) {

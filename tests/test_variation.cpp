@@ -10,6 +10,8 @@
 #include "util/units.hpp"
 #include "variation/variation.hpp"
 
+#include "fit_options.hpp"
+
 namespace pim {
 namespace {
 
@@ -51,15 +53,9 @@ TEST(VariationSampling, DeterministicAndClamped) {
 class VariationFixture : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    CharacterizationOptions copt;
-    copt.drives = {2, 8, 32};
-    copt.buffers = false;
-    CompositionOptions comp;
-    comp.drives = {8, 32};
-    comp.segment_lengths = {0.5e-3, 1.5e-3};
-    comp.input_slews = {50e-12, 300e-12};
-    comp.chain_lengths = {1, 3};
-    fit_ = new TechnologyFit(calibrated_fit(TechNode::N65, "", copt, comp));
+    fit_ = new TechnologyFit(calibrated_fit(technology(TechNode::N65), Corner{}, "",
+                                            trimmed_inverter_characterization(),
+                                            trimmed_composition()));
     model_ = new ProposedModel(technology(TechNode::N65), *fit_);
   }
   static void TearDownTestSuite() {

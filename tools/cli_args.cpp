@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 
 #include "api/pim_api.hpp"
@@ -69,6 +70,15 @@ long Args::get_long(const std::string& flag, long fallback) const {
   require(!it->second.empty(), "cli: --" + flag + " needs a value",
           ErrorCode::bad_input);
   return parse_long(it->second);
+}
+
+int Args::get_int(const std::string& flag, int fallback) const {
+  const long value = get_long(flag, fallback);
+  require(value >= std::numeric_limits<int>::min() &&
+              value <= std::numeric_limits<int>::max(),
+          "cli: --" + flag + " is out of range: " + std::to_string(value),
+          ErrorCode::bad_input);
+  return static_cast<int>(value);
 }
 
 void Args::check_known(const std::vector<std::string>& known) const {
@@ -341,10 +351,10 @@ void apply_global_flags(const Args& args) {
     fault::configure(args.get("inject-fault"));
   }
   if (args.has("threads")) {
-    const long n = args.get_long("threads", 0);
+    const int n = args.get_int("threads", 0);
     require(n >= 1, "cli: --threads must be a positive integer",
             ErrorCode::bad_input);
-    exec::set_threads(static_cast<int>(n));
+    exec::set_threads(n);
   }
   if (args.has("cache")) {
     cache::Mode mode;

@@ -30,6 +30,9 @@ class Args {
   std::string get(const std::string& flag, const std::string& fallback = "") const;
   double get_double(const std::string& flag, double fallback) const;
   long get_long(const std::string& flag, long fallback) const;
+  /// get_long, rejecting (bad_input, naming the flag) a value that does
+  /// not fit an int.
+  int get_int(const std::string& flag, int fallback) const;
 
   /// Throws pim::Error if any parsed flag is not in `known`.
   void check_known(const std::vector<std::string>& known) const;

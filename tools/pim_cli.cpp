@@ -68,8 +68,8 @@ api::LinkSpec link_arg(const Args& args) {
           ErrorCode::bad_input);
   link.style = args.get("style", "SS");
   link.input_slew_ps = args.get_double("slew", 100.0);
-  link.drive = static_cast<int>(args.get_long("drive", 12));
-  link.repeaters = static_cast<int>(args.get_long("repeaters", 0));
+  link.drive = args.get_int("drive", 12);
+  link.repeaters = args.get_int("repeaters", 0);
   link.coeffs_path = args.get("coeffs", "");
   link.corner = args.get("corner", "");
   return link;
@@ -203,7 +203,7 @@ int cmd_yield(const Args& args) {
   api::YieldRequest req;
   req.deadline_ms = resolved_deadline_ms(args);
   req.link = link_arg(args);
-  req.samples = static_cast<int>(args.get_long("samples", 1000));
+  req.samples = args.get_int("samples", 1000);
   const api::YieldResult r = api::run_yield(req).take();
   std::printf("%d corners: nominal %.1f ps, mean %.1f ps, sigma %.2f ps\n",
               r.samples, r.nominal_delay_ps, r.mean_delay_ps, r.sigma_delay_ps);
@@ -303,8 +303,8 @@ int cmd_mesh(const Args& args) {
           ErrorCode::bad_input);
   req.tech = tech_arg(args, 1);
   req.mesh = true;
-  req.rows = static_cast<int>(args.get_long("rows", 0));
-  req.cols = static_cast<int>(args.get_long("cols", 0));
+  req.rows = args.get_int("rows", 0);
+  req.cols = args.get_int("cols", 0);
   req.coeffs_path = args.get("coeffs", "");
   const api::SynthesisResult r = api::run_synthesis(req).take();
   std::printf("%s mesh at %s: %d routers, %d links\n", r.spec_name.c_str(),
@@ -439,7 +439,7 @@ int cmd_serve(const Args& args) {
   obs::TraceSpan span("cli.serve");
   const bool local = args.has("local");
   const std::string socket_path = args.get("socket", "");
-  const int tcp_port = static_cast<int>(args.get_long("tcp", -1));
+  const int tcp_port = args.get_int("tcp", -1);
   require(local || !socket_path.empty() || tcp_port >= 0,
           "serve: need --local, --socket <path>, or --tcp <port>",
           ErrorCode::bad_input);

@@ -101,9 +101,9 @@ int pimd_main(int argc, char** argv) {
 
   serve::ServerOptions options;
   options.socket_path = args.get("socket", "");
-  options.tcp_port = static_cast<int>(args.get_long("tcp", -1));
-  options.workers = static_cast<int>(args.get_long("workers", 1));
-  options.queue_limit = static_cast<int>(args.get_long("queue", 64));
+  options.tcp_port = args.get_int("tcp", -1);
+  options.workers = args.get_int("workers", 1);
+  options.queue_limit = args.get_int("queue", 64);
 
   const int64_t start_ns = obs::now_ns();
   int exit_code = 0;
