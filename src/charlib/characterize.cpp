@@ -175,11 +175,11 @@ PointOutcome measure_point(const Technology& tech, CellKind kind,
                                        input_ramp(tech, in_rises[e], slew));
     lanes[e].cap_farads.emplace_back(fx->load_cap, load);
   }
-  TransientBatch batch = run_transient_batch(fx->plan, sim_options(slew, dt_max),
-                                             {fx->in, fx->out}, lanes);
+  std::vector<Expected<TransientResult>> batch = run_transient_batch(
+      fx->plan, sim_options(slew, dt_max), {fx->in, fx->out}, lanes);
   for (int e = 0; e < 2; ++e) {
     try {
-      const TransientResult res = std::move(batch.lanes[e]).take();
+      const TransientResult res = batch[e].take();
       edges[e]->point = extract_timing(res, fx->in, fx->out, kTableEdges[e],
                                        in_rises[e], tech.vdd);
     } catch (const Error& err) {

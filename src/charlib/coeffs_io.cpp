@@ -1,11 +1,11 @@
 #include "charlib/coeffs_io.hpp"
 
-#include <fstream>
 #include <map>
 #include <sstream>
 
 #include "util/error.hpp"
 #include "util/strings.hpp"
+#include "util/textfile.hpp"
 
 namespace pim {
 namespace {
@@ -163,18 +163,11 @@ TechnologyFit parse_fit(const std::string& text) {
 }
 
 void save_fit(const TechnologyFit& fit, const std::string& path) {
-  std::ofstream out(path);
-  require(out.good(), "save_fit: cannot open '" + path + "'");
-  out << write_fit(fit);
-  require(out.good(), "save_fit: write failed");
+  write_text_file(path, write_fit(fit), "save_fit");
 }
 
 TechnologyFit load_fit(const std::string& path) {
-  std::ifstream in(path);
-  require(in.good(), "load_fit: cannot open '" + path + "'");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return parse_fit(buffer.str());
+  return parse_fit(read_text_file(path, "load_fit"));
 }
 
 }  // namespace pim

@@ -1,7 +1,5 @@
 #include "cosi/spec.hpp"
 
-#include <cmath>
-
 #include "util/error.hpp"
 
 namespace pim {
@@ -22,12 +20,6 @@ void SocSpec::validate() const {
     require(f.src != f.dst, "SocSpec: self-flow");
     require(f.bandwidth > 0.0, "SocSpec: flow bandwidth must be positive");
   }
-}
-
-double SocSpec::core_distance(int a, int b) const {
-  const Core& ca = cores.at(static_cast<size_t>(a));
-  const Core& cb = cores.at(static_cast<size_t>(b));
-  return std::fabs(ca.x - cb.x) + std::fabs(ca.y - cb.y);
 }
 
 double SocSpec::total_bandwidth() const {

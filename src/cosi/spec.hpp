@@ -39,9 +39,6 @@ struct SocSpec {
   /// range, positive bandwidths, cores inside the die, no self-flows).
   void validate() const;
 
-  /// Manhattan distance between two core centers.
-  double core_distance(int a, int b) const;
-
   /// Sum of all flow bandwidths [bit/s].
   double total_bandwidth() const;
 };

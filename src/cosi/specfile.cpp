@@ -1,11 +1,11 @@
 #include "cosi/specfile.hpp"
 
-#include <fstream>
 #include <map>
 #include <sstream>
 
 #include "util/error.hpp"
 #include "util/strings.hpp"
+#include "util/textfile.hpp"
 
 namespace pim {
 
@@ -99,18 +99,11 @@ SocSpec parse_soc_spec(const std::string& text) {
 }
 
 void save_soc_spec(const SocSpec& spec, const std::string& path) {
-  std::ofstream out(path);
-  require(out.good(), "save_soc_spec: cannot open '" + path + "'");
-  out << write_soc_spec(spec);
-  require(out.good(), "save_soc_spec: write failed");
+  write_text_file(path, write_soc_spec(spec), "save_soc_spec");
 }
 
 SocSpec load_soc_spec(const std::string& path) {
-  std::ifstream in(path);
-  require(in.good(), "load_soc_spec: cannot open '" + path + "'");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return parse_soc_spec(buffer.str());
+  return parse_soc_spec(read_text_file(path, "load_soc_spec"));
 }
 
 }  // namespace pim

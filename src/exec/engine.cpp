@@ -255,10 +255,8 @@ RegionOutcome run_region(size_t n, const ParallelOptions& options,
                          bool fail_fast,
                          const std::function<void(size_t)>& body) {
   if (n == 0) return {{}, deadline::StopReason::none, 0};
-  size_t want = static_cast<size_t>(options.threads >= 1 ? options.threads : threads());
-  const size_t grain = options.grain == 0 ? 1 : options.grain;
-  want = std::min(want, (n + grain - 1) / grain);
-  if (want < 1) want = 1;
+  const size_t want = std::min(
+      static_cast<size_t>(options.threads >= 1 ? options.threads : threads()), n);
   const deadline::State inherited = deadline::current();
 
   // Serial (or nested) regions run the identical per-item code path on

@@ -13,7 +13,7 @@
 //  - Ordered reduction: results land in a slot vector by item index and
 //    callers reduce in index order after the join, so sums, argmins, and
 //    "first failure" are identical at any thread count.
-//  - Per-item seeded RNG streams: the seeded variants hand item i an
+//  - Per-item seeded RNG streams: parallel_try_map_seeded hands item i an
 //    Rng(derive_stream_seed(seed, i)) — SplitMix64 substreams that are a
 //    pure function of (seed, i), never of execution order.
 //  - Fault injection stays deterministic: each item runs under a
@@ -67,7 +67,6 @@
 
 #include "deadline/deadline.hpp"
 #include "util/error.hpp"
-#include "util/expected.hpp"
 #include "util/rng.hpp"
 
 namespace pim::exec {
@@ -85,11 +84,8 @@ int threads();
 /// Per-call knobs for the parallel primitives.
 struct ParallelOptions {
   /// Worker count for this region; 0 uses the global threads() default.
+  /// A region never runs on more threads than it has items.
   int threads = 0;
-  /// Minimum items per chunk: regions with fewer than 2*grain items run
-  /// on proportionally fewer threads (a 3-item sweep never spins up 8
-  /// workers). Chunking stays static either way.
-  size_t grain = 1;
 };
 
 namespace detail {
@@ -132,19 +128,6 @@ inline void parallel_for(size_t n, const std::function<void(size_t)>& body,
     throw deadline::stop_error(outcome.stop, outcome.cutoff, n);
 }
 
-/// parallel_for with a per-item RNG stream derived from (seed, i).
-inline void parallel_for_seeded(size_t n, uint64_t seed,
-                                const std::function<void(size_t, Rng&)>& body,
-                                const ParallelOptions& options = {}) {
-  parallel_for(
-      n,
-      [&](size_t i) {
-        Rng rng(derive_stream_seed(seed, i));
-        body(i, rng);
-      },
-      options);
-}
-
 /// Maps fn over [0, n) into a vector ordered by item index (R must be
 /// default-constructible). Fail-fast error semantics as parallel_for.
 template <typename R>
@@ -169,25 +152,8 @@ struct BatchResult {
   deadline::StopReason stop = deadline::StopReason::none;
   size_t completed = 0;  ///< prefix cutoff; == values.size() when stop == none
 
-  bool all_ok() const { return failed.empty() && stop == deadline::StopReason::none; }
   size_t surviving() const { return completed - failed.size(); }
-  /// Lowest failing item's error. Only valid when !failed.empty().
-  const Error& first_error() const { return errors.front(); }
   bool truncated() const { return stop != deadline::StopReason::none; }
-
-  /// All values when every item survived, else the first error (a real
-  /// failure outranks the stop) — for call sites that want
-  /// Expected-style propagation instead of degradation.
-  Expected<std::vector<R>> into_expected() && {
-    if (!failed.empty()) return Expected<std::vector<R>>(errors.front());
-    if (truncated())
-      return Expected<std::vector<R>>(
-          deadline::stop_error(stop, completed, values.size()));
-    std::vector<R> out;
-    out.reserve(values.size());
-    for (auto& v : values) out.push_back(std::move(*v));
-    return Expected<std::vector<R>>(std::move(out));
-  }
 };
 
 /// Maps fn over [0, n), recording per-item failures instead of aborting

@@ -1,11 +1,11 @@
 #include "liberty/libertyfile.hpp"
 #include <algorithm>
 
-#include <fstream>
 #include <sstream>
 
 #include "util/error.hpp"
 #include "util/strings.hpp"
+#include "util/textfile.hpp"
 
 namespace pim {
 namespace {
@@ -296,18 +296,11 @@ class LibertyParser {
 CellLibrary parse_liberty(const std::string& text) { return LibertyParser(text).parse(); }
 
 void save_liberty(const CellLibrary& library, const std::string& path) {
-  std::ofstream out(path);
-  require(out.good(), "save_liberty: cannot open '" + path + "'");
-  out << write_liberty(library);
-  require(out.good(), "save_liberty: write failed");
+  write_text_file(path, write_liberty(library), "save_liberty");
 }
 
 CellLibrary load_liberty(const std::string& path) {
-  std::ifstream in(path);
-  require(in.good(), "load_liberty: cannot open '" + path + "'");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return parse_liberty(buffer.str());
+  return parse_liberty(read_text_file(path, "load_liberty"));
 }
 
 }  // namespace pim

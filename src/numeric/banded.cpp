@@ -41,16 +41,6 @@ Vector BandedMatrix::multiply(const Vector& x) const {
   return y;
 }
 
-Matrix BandedMatrix::to_dense() const {
-  Matrix m(n_, n_);
-  for (size_t r = 0; r < n_; ++r) {
-    const size_t c_lo = r > lower_ ? r - lower_ : 0;
-    const size_t c_hi = std::min(n_ - 1, r + upper_);
-    for (size_t c = c_lo; c <= c_hi; ++c) m(r, c) = at(r, c);
-  }
-  return m;
-}
-
 BandedLu::BandedLu(BandedMatrix a) : lu_(std::move(a)) {
   Expected<void> done = eliminate();
   if (!done.ok()) throw done.error();
@@ -138,10 +128,6 @@ void BandedLu::solve_in_place(Vector& x) const {
     for (size_t c = ri + 1; c <= c_hi; ++c) acc -= lu_.at(ri, c) * x[c];
     x[ri] = acc / lu_.at(ri, ri);
   }
-}
-
-void BandedLu::solve_many_in_place(std::vector<Vector>& xs) const {
-  for (Vector& x : xs) solve_in_place(x);
 }
 
 }  // namespace pim

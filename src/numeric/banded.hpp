@@ -50,9 +50,6 @@ class BandedMatrix {
   /// y = A x.
   Vector multiply(const Vector& x) const;
 
-  /// Expands to a dense matrix (tests and fallbacks).
-  Matrix to_dense() const;
-
   /// Raw column-compressed storage; entry (r, c) lives at
   /// (upper + r - c) * n + c. The batched transient engine stamps through
   /// precomputed slots of this layout (see spice/plan.hpp).
@@ -106,9 +103,6 @@ class BandedLu {
   /// Solves A x = b in place: `x` holds b on entry, the solution on exit.
   /// Same arithmetic as solve(), without the allocation.
   void solve_in_place(Vector& x) const;
-
-  /// Batched right-hand sides: solve_in_place over every vector.
-  void solve_many_in_place(std::vector<Vector>& xs) const;
 
   bool factored() const { return factored_; }
 

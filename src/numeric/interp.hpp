@@ -25,8 +25,6 @@ class Grid2D {
   /// Bilinear interpolation at (r, c), extrapolating at the boundary.
   double eval(double r, double c) const;
 
-  const Vector& row_axis() const { return rows_; }
-  const Vector& col_axis() const { return cols_; }
   const Matrix& values() const { return values_; }
 
  private:

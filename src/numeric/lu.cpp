@@ -55,7 +55,6 @@ Expected<void> LuDecomposition::factor() {
       for (size_t c = k + 1; c < n; ++c) lu_(r, c) -= factor * lu_(k, c);
     }
   }
-  cond_ = n == 0 || diag_min == 0.0 ? 0.0 : diag_max / diag_min;
   factored_ = true;
   return {};
 }
@@ -155,16 +154,6 @@ void LuDecomposition::solve_into(const Vector& b, Vector& x) const {
   // solution is s .* y.
   if (!col_scale_.empty())
     for (size_t i = 0; i < n; ++i) x[i] *= col_scale_[i];
-}
-
-void LuDecomposition::solve_many_into(const std::vector<Vector>& bs,
-                                      std::vector<Vector>& xs) const {
-  xs.resize(bs.size());
-  for (size_t i = 0; i < bs.size(); ++i) solve_into(bs[i], xs[i]);
-}
-
-Vector solve_dense(Matrix a, const Vector& b) {
-  return LuDecomposition(std::move(a)).solve(b);
 }
 
 Expected<Vector> try_solve_dense(Matrix a, const Vector& b) {

@@ -50,18 +50,9 @@ class LuDecomposition {
   /// Same arithmetic as solve(), without the per-call allocation.
   void solve_into(const Vector& b, Vector& x) const;
 
-  /// Batched right-hand sides: solve_into for each pair.
-  void solve_many_into(const std::vector<Vector>& bs,
-                       std::vector<Vector>& xs) const;
-
   bool factored() const { return factored_; }
 
   size_t size() const { return lu_.rows(); }
-
-  /// Cheap condition estimate: max|u_kk| / min|u_kk| over the U diagonal.
-  /// A crude lower bound on the true condition number, good enough to
-  /// flag near-singular systems in error messages and reports.
-  double condition_estimate() const { return cond_; }
 
   /// True when the factorization only succeeded on the column-equilibrated
   /// retry.
@@ -74,13 +65,9 @@ class LuDecomposition {
   Matrix lu_;
   std::vector<size_t> perm_;
   Vector col_scale_;  ///< empty unless equilibrated: x = scale .* y
-  double cond_ = 0.0;
   bool equilibrated_ = false;
   bool factored_ = false;
 };
-
-/// One-shot convenience: factor `a` and solve for `b`. Throws on singular.
-Vector solve_dense(Matrix a, const Vector& b);
 
 /// Recoverable one-shot solve.
 Expected<Vector> try_solve_dense(Matrix a, const Vector& b);

@@ -42,23 +42,10 @@ Matrix Matrix::multiply(const Matrix& other) const {
   return out;
 }
 
-Matrix Matrix::transposed() const {
-  Matrix out(cols_, rows_);
-  for (size_t r = 0; r < rows_; ++r)
-    for (size_t c = 0; c < cols_; ++c) out(c, r) = (*this)(r, c);
-  return out;
-}
-
 double norm2(const Vector& v) {
   double acc = 0.0;
   for (double x : v) acc += x * x;
   return std::sqrt(acc);
-}
-
-double norm_inf(const Vector& v) {
-  double best = 0.0;
-  for (double x : v) best = std::max(best, std::fabs(x));
-  return best;
 }
 
 Vector subtract(const Vector& a, const Vector& b) {

@@ -38,9 +38,6 @@ class Matrix {
   /// Matrix-matrix product; `other.rows()` must equal `cols()`.
   Matrix multiply(const Matrix& other) const;
 
-  /// Transposed copy.
-  Matrix transposed() const;
-
   /// Raw row-major storage; entry (r, c) lives at r * cols() + c. The
   /// batched transient engine stamps through precomputed slots of this
   /// layout (see spice/plan.hpp).
@@ -55,9 +52,6 @@ class Matrix {
 
 /// Euclidean norm.
 double norm2(const Vector& v);
-
-/// Largest |v_i|.
-double norm_inf(const Vector& v);
 
 /// Element-wise a - b; sizes must match.
 Vector subtract(const Vector& a, const Vector& b);

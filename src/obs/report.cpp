@@ -3,11 +3,11 @@
 #include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 
 #include "obs/ledger.hpp"
 #include "util/error.hpp"
+#include "util/textfile.hpp"
 
 namespace pim::obs {
 namespace {
@@ -43,13 +43,6 @@ std::string json_escape(const std::string& s) {
     }
   }
   return out;
-}
-
-void write_file(const std::string& path, const std::string& content) {
-  std::ofstream out(path);
-  require(out.good(), "obs: cannot open '" + path + "' for writing");
-  out << content;
-  require(out.good(), "obs: failed writing '" + path + "'");
 }
 
 }  // namespace
@@ -95,19 +88,6 @@ std::string metrics_to_json(const MetricsSnapshot& snapshot) {
   return os.str();
 }
 
-std::string metrics_to_csv(const MetricsSnapshot& snapshot) {
-  std::ostringstream os;
-  os << "kind,name,value,count,total_ns,mean_ns,min_ns,max_ns\n";
-  for (const auto& [name, v] : snapshot.counters)
-    os << "counter," << name << ',' << v << ",,,,,\n";
-  for (const auto& [name, v] : snapshot.gauges)
-    os << "gauge," << name << ',' << json_number(v) << ",,,,,\n";
-  for (const TimerSnapshot& t : snapshot.timers)
-    os << "timer," << t.name << ",," << t.count << ',' << t.total_ns << ','
-       << json_number(t.mean_ns()) << ',' << t.min_ns << ',' << t.max_ns << '\n';
-  return os.str();
-}
-
 std::string trace_to_chrome_json(const std::vector<TraceEvent>& events) {
   std::ostringstream os;
   os << "{\"traceEvents\": [";
@@ -125,11 +105,11 @@ std::string trace_to_chrome_json(const std::vector<TraceEvent>& events) {
 
 void save_metrics_json(const std::string& path) {
   update_process_gauges();
-  write_file(path, metrics_to_json(registry().snapshot()));
+  write_text_file(path, metrics_to_json(registry().snapshot()), "obs");
 }
 
 void save_trace(const std::string& path) {
-  write_file(path, trace_to_chrome_json(trace_events()));
+  write_text_file(path, trace_to_chrome_json(trace_events()), "obs");
 }
 
 // ---------------------------------------------------------------------------
@@ -175,8 +155,19 @@ class JsonParser {
 
   JsonValue parse_value() {
     const char c = peek();
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
+    if (c == '{' || c == '[') {
+      // Each level recurses, so an unbounded document (a line of 200,000
+      // '[') would overflow the stack. No report or wire shape nests
+      // deeper than a handful of levels.
+      if (depth_ == kMaxDepth)
+        fail("json: nesting deeper than " + std::to_string(kMaxDepth) +
+                 " levels at offset " + std::to_string(pos_),
+             ErrorCode::bad_input);
+      ++depth_;
+      JsonValue v = c == '{' ? parse_object() : parse_array();
+      --depth_;
+      return v;
+    }
     if (c == '"') {
       JsonValue v;
       v.kind = JsonValue::Kind::String;
@@ -300,8 +291,11 @@ class JsonParser {
     return v;
   }
 
+  static constexpr int kMaxDepth = 64;
+
   const std::string& text_;
   size_t pos_ = 0;
+  int depth_ = 0;  ///< objects and arrays currently open
 };
 
 }  // namespace

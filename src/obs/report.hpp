@@ -1,9 +1,9 @@
-// Reporters: serialize the metrics registry to JSON and CSV, and the
-// trace buffer to Chrome `chrome://tracing` JSON.
+// Reporters: serialize the metrics registry to JSON and the trace
+// buffer to Chrome `chrome://tracing` JSON.
 //
 // Also exposes a minimal JSON reader (objects, arrays, strings, numbers,
-// booleans, null) so tests and validation scripts can round-trip the
-// emitted reports without an external dependency.
+// booleans, null) for the wire codec, tests and validation scripts,
+// without an external dependency.
 #pragma once
 
 #include <string>
@@ -31,12 +31,6 @@ std::string json_number(double v);
 ///                           "p50_ns": ..., "p99_ns": ...}, ...} }
 std::string metrics_to_json(const MetricsSnapshot& snapshot);
 
-/// Flat CSV with one row per metric:
-///   kind,name,value,count,total_ns,mean_ns,min_ns,max_ns
-/// Counters fill `value` with the tally; gauges with the reading; timers
-/// leave `value` empty and fill the timing columns.
-std::string metrics_to_csv(const MetricsSnapshot& snapshot);
-
 /// Chrome trace-event JSON ("traceEvents" array of complete "X" events,
 /// microsecond timestamps) loadable in chrome://tracing and Perfetto.
 std::string trace_to_chrome_json(const std::vector<TraceEvent>& events);
@@ -61,6 +55,8 @@ struct JsonValue {
 };
 
 /// Parses one JSON document, throwing pim::Error on malformed input.
+/// Objects and arrays nest at most 64 deep; a deeper document is
+/// rejected as bad_input naming the limit.
 JsonValue parse_json(const std::string& text);
 
 }  // namespace pim::obs

@@ -20,11 +20,11 @@
 namespace pim {
 namespace {
 
+using solver::Integrator;
+
 // All mutable state of one lane. Lanes never read each other's state:
 // the lockstep structure batches the device evaluations, not the math.
 struct Lane {
-  size_t index = 0;  // position in the caller's lane list
-
   // Resolved per-lane parameters (base plan values + LaneSpec overrides).
   std::vector<double> cap_farads;
   std::vector<double> ksw;
@@ -98,8 +98,8 @@ bool bits_equal(const std::vector<double>& a, const std::vector<double>& b) {
 class BatchEngine {
  public:
   BatchEngine(const CompiledCircuit& plan, const TransientOptions& opt,
-              const std::vector<NodeId>& probes, const BatchOptions& bopt)
-      : plan_(plan), opt_(opt), probes_(probes), bopt_(bopt) {
+              const std::vector<NodeId>& probes)
+      : plan_(plan), opt_(opt), probes_(probes) {
     require(opt_.dt > 0.0 && opt_.t_stop > 0.0,
             "run_transient: dt and t_stop must be positive", ErrorCode::bad_input);
     for (NodeId p : probes_)
@@ -108,54 +108,22 @@ class BatchEngine {
               ErrorCode::bad_input);
   }
 
-  TransientBatch run(const std::vector<LaneSpec>& specs) {
-    TransientBatch out;
+  std::vector<Expected<TransientResult>> run(const std::vector<LaneSpec>& specs) {
+    std::vector<Expected<TransientResult>> out;
     const size_t n = specs.size();
-    out.cutoff = n;
-    out.lanes.reserve(n);
-    for (size_t i = 0; i < n; ++i)
-      out.lanes.push_back(Error("transient batch: lane not run"));
-
-    const size_t wave_width = std::max<size_t>(bopt_.wave_width, 1);
-    for (size_t wave_start = 0; wave_start < n; wave_start += wave_width) {
-      const size_t wave_end = std::min(n, wave_start + wave_width);
-      if (out.stop != deadline::StopReason::none) break;
-
-      // Admission: one deadline poll per lane, drawn under the lane's own
-      // fault stream so the cutoff is a pure function of (seed, index).
-      size_t admit_end = wave_end;
-      if (bopt_.poll_deadline) {
-        for (size_t i = wave_start; i < wave_end; ++i) {
-          fault::ScopedStream stream(i);
-          const deadline::StopReason reason = deadline::check();
-          if (reason != deadline::StopReason::none) {
-            out.stop = reason;
-            out.cutoff = i;
-            admit_end = i;
-            break;
-          }
-        }
-      }
-
-      std::vector<Lane> wave;
-      wave.reserve(admit_end - wave_start);
-      for (size_t i = wave_start; i < admit_end; ++i) {
-        wave.emplace_back();
-        init_lane(wave.back(), i, specs[i]);
-      }
+    out.reserve(n);
+    for (size_t wave_start = 0; wave_start < n; wave_start += kWaveWidth) {
+      const size_t wave_end = std::min(n, wave_start + kWaveWidth);
+      std::vector<Lane> wave(wave_end - wave_start);
+      for (size_t i = wave_start; i < wave_end; ++i)
+        init_lane(wave[i - wave_start], specs[i]);
       run_wave(wave);
       for (Lane& lane : wave) {
         if (lane.failed)
-          out.lanes[lane.index] = std::move(*lane.error);
+          out.push_back(std::move(*lane.error));
         else
-          out.lanes[lane.index] = std::move(lane.result);
+          out.push_back(std::move(lane.result));
       }
-    }
-
-    if (out.stop != deadline::StopReason::none) {
-      for (size_t i = out.cutoff; i < n; ++i)
-        out.lanes[i] = deadline::stop_error(out.stop, out.cutoff, n);
-      deadline::record_stop_metrics(out.cutoff);
     }
     return out;
   }
@@ -163,8 +131,7 @@ class BatchEngine {
  private:
   // Resolves LaneSpec overrides onto the plan's base values. Override
   // mistakes fail only this lane, typed bad_input.
-  void init_lane(Lane& lane, size_t index, const LaneSpec& spec) {
-    lane.index = index;
+  void init_lane(Lane& lane, const LaneSpec& spec) {
     lane.cap_farads = plan_.cap_farads;
     lane.ksw = plan_.devices.ksw;
     lane.waves = plan_.vsource_wave;
@@ -249,7 +216,7 @@ class BatchEngine {
     // Steady-state replay stays off while fault injection is armed: a
     // replayed step performs no per-step fault draw, so skipping would
     // shift every later draw in the lane's stream.
-    skip_ok_ = bopt_.steady_skip && !fault::armed();
+    skip_ok_ = !fault::armed();
 
     // Settling pre-roll: backward Euler, inputs frozen at t = 0.
     if (opt_.t_settle > 0.0 && opt_.settle_steps > 0) {
@@ -269,7 +236,7 @@ class BatchEngine {
     const long steps = static_cast<long>(std::ceil(opt_.t_stop / opt_.dt - 1e-9));
     for (long k = 1; k <= steps; ++k) {
       const double t = std::min(opt_.t_stop, static_cast<double>(k) * opt_.dt);
-      lockstep_advance(wave, t, opt_.dt, opt_.integrator, true,
+      lockstep_advance(wave, t, opt_.dt, Integrator::Trapezoidal, true,
                        /*inputs_const=*/false);
       for (Lane& lane : wave)
         if (!lane.failed) record(lane, t);
@@ -391,7 +358,7 @@ class BatchEngine {
   void retry_halved(Lane& lane, double t, double dt, Integrator integrator,
                     bool record_sources, int depth, const Vector& v_save,
                     const std::vector<double>& cap_save) {
-    if (depth >= opt_.max_step_halvings) {
+    if (depth >= solver::kMaxStepHalvings) {
       PIM_COUNT("spice.transient.error");
       lane.fail_lane(Error(
           "run_transient: Newton failed to converge at t = " + format_sig(t, 6) +
@@ -472,7 +439,7 @@ class BatchEngine {
     }
 
     const size_t dev_count = plan_.devices.count;
-    for (int iter = 0; iter < opt_.max_newton; ++iter) {
+    for (int iter = 0; iter < solver::kMaxNewton; ++iter) {
       iterating_.clear();
       for (Lane* lp : cohort)
         if (lp->newton_active) iterating_.push_back(lp);
@@ -525,11 +492,11 @@ class BatchEngine {
           const int ui = plan_.unknown_of_node[node];
           if (ui < 0) continue;
           double delta = (*solution)[static_cast<size_t>(ui)] - lane.v_node[node];
-          delta = std::clamp(delta, -opt_.v_step_limit, opt_.v_step_limit);
+          delta = std::clamp(delta, -solver::kVStepLimit, solver::kVStepLimit);
           lane.v_node[node] += delta;
           worst = std::max(worst, std::fabs(delta));
         }
-        if (worst < opt_.v_tol) {
+        if (worst < solver::kVTol) {
           lane.converged = true;
           lane.newton_active = false;
         }
@@ -683,11 +650,13 @@ class BatchEngine {
   // a tiny last-ulp limit cycle; period 3 is the longest observed, so 4
   // leaves margin while keeping the per-step comparison trivial.
   static constexpr size_t kMaxCyclePeriod = 4;
+  // Lanes per lockstep cohort: bounds the engine's working set; has no
+  // effect on any lane's numeric result.
+  static constexpr size_t kWaveWidth = 8;
 
   const CompiledCircuit& plan_;
   TransientOptions opt_;
   const std::vector<NodeId>& probes_;
-  BatchOptions bopt_;
   bool skip_ok_ = false;
 
   // Engine scratch (reused across steps/iterations; no per-solve allocs).
@@ -699,19 +668,16 @@ class BatchEngine {
 
 }  // namespace
 
-TransientBatch run_transient_batch(const CompiledCircuit& plan,
-                                   const TransientOptions& options,
-                                   const std::vector<NodeId>& probes,
-                                   const std::vector<LaneSpec>& lanes,
-                                   const BatchOptions& batch_options) {
-  return BatchEngine(plan, options, probes, batch_options).run(lanes);
+std::vector<Expected<TransientResult>> run_transient_batch(
+    const CompiledCircuit& plan, const TransientOptions& options,
+    const std::vector<NodeId>& probes, const std::vector<LaneSpec>& lanes) {
+  return BatchEngine(plan, options, probes).run(lanes);
 }
 
 TransientResult run_transient(const Circuit& circuit, const TransientOptions& options,
                               const std::vector<NodeId>& probes) {
   const CompiledCircuit plan = CompiledCircuit::compile(circuit, options.band_threshold);
-  TransientBatch batch = run_transient_batch(plan, options, probes, {LaneSpec{}});
-  return std::move(batch.lanes[0]).take();
+  return run_transient_batch(plan, options, probes, {LaneSpec{}})[0].take();
 }
 
 }  // namespace pim

@@ -14,16 +14,13 @@
 // Determinism contract (docs/kernels.md): a single nominal lane is
 // bit-identical to the original scalar solver (run_transient_reference),
 // and every lane is bit-identical to a scalar run of the same perturbed
-// circuit — lane results never depend on batch composition, wave width,
-// or thread count. Deadline polling is opt-in and follows the exec
-// engine's prefix-cutoff rule per lane: completed lanes are exactly
-// [0, cutoff), and the fault sites behind deadline::check() are drawn
-// under per-lane ScopedStream(index), making the cutoff index-pure.
+// circuit — lane results never depend on batch composition or thread
+// count. The engine does not poll deadlines itself: production batches
+// run inside pim::exec items, which poll once per item.
 #pragma once
 
 #include <vector>
 
-#include "deadline/deadline.hpp"
 #include "spice/plan.hpp"
 #include "spice/transient.hpp"
 #include "util/expected.hpp"
@@ -40,43 +37,10 @@ struct LaneSpec {
   std::vector<std::pair<size_t, Waveform>> vsource_wave; ///< vsource index -> wave
 };
 
-struct BatchOptions {
-  /// Lanes per lockstep cohort. Bounds the engine's working set and sets
-  /// the granularity of wall-clock deadline polls; has no effect on any
-  /// lane's numeric result.
-  size_t wave_width = 8;
-  /// When set, one deadline::check() per lane at wave admission (under
-  /// fault::ScopedStream(lane index)). Off by default so plain
-  /// run_transient and exec-driven callers keep their existing draw
-  /// patterns — the exec engine already polls once per item.
-  bool poll_deadline = false;
-  /// Steady-state cycle replay (docs/kernels.md): once a lane's converged
-  /// per-step state repeats bit-exactly with a short period and every
-  /// source waveform is past its final breakpoint, the remaining steps
-  /// provably repeat that cycle, so the engine replays the recorded
-  /// states instead of re-solving them. Results are bit-identical either
-  /// way (the replay condition is exact state equality); the toggle
-  /// exists for A/B tests and benchmarks. Automatically disabled while
-  /// the fault-injection harness is armed, which keeps per-step fault
-  /// draw sequences intact.
-  bool steady_skip = true;
-};
-
-/// Batch outcome. `lanes[i]` holds lane i's result or typed error; on an
-/// early stop, lanes [cutoff, n) hold the stop error and `completed`
-/// lanes are exactly [0, cutoff) — the prefix-cutoff contract.
-struct TransientBatch {
-  std::vector<Expected<TransientResult>> lanes;
-  deadline::StopReason stop = deadline::StopReason::none;
-  size_t cutoff = 0;  ///< lanes.size() when the batch ran to completion
-
-  bool truncated() const { return stop != deadline::StopReason::none; }
-};
-
-TransientBatch run_transient_batch(const CompiledCircuit& plan,
-                                   const TransientOptions& options,
-                                   const std::vector<NodeId>& probes,
-                                   const std::vector<LaneSpec>& lanes,
-                                   const BatchOptions& batch_options = {});
+/// Runs every lane of `lanes` over the shared `plan`. Element i of the
+/// result holds lane i's result or its typed error.
+std::vector<Expected<TransientResult>> run_transient_batch(
+    const CompiledCircuit& plan, const TransientOptions& options,
+    const std::vector<NodeId>& probes, const std::vector<LaneSpec>& lanes);
 
 }  // namespace pim

@@ -4,11 +4,11 @@
 #include <map>
 #include <tuple>
 #include <sstream>
-#include <fstream>
 
 #include "util/error.hpp"
 #include "util/faultinject.hpp"
 #include "util/strings.hpp"
+#include "util/textfile.hpp"
 
 namespace pim {
 namespace {
@@ -253,24 +253,18 @@ class DeckParser {
 Circuit parse_deck(const std::string& text) { return DeckParser(text).parse(); }
 
 void save_deck(const Circuit& circuit, const std::string& path) {
-  // The injected failure must precede the ofstream: a real open failure
+  // The injected failure must precede the open: a real open failure
   // leaves the target untouched, so the fault may not truncate it either.
   require(!fault::should_fire(fault::kIoOpen),
           "save_deck: cannot open '" + path + "'", ErrorCode::io_parse);
-  std::ofstream out(path);
-  require(out.good(), "save_deck: cannot open '" + path + "'",
-          ErrorCode::io_parse);
-  out << write_deck(circuit);
-  require(out.good(), "save_deck: write failed", ErrorCode::io_parse);
+  write_text_file(path, write_deck(circuit), "save_deck");
 }
 
 Circuit load_deck(const std::string& path) {
-  std::ifstream in(path);
-  require(in.good() && !fault::should_fire(fault::kIoOpen),
+  const std::string text = read_text_file(path, "load_deck");
+  require(!fault::should_fire(fault::kIoOpen),
           "load_deck: cannot open '" + path + "'", ErrorCode::io_parse);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return parse_deck(buffer.str());
+  return parse_deck(text);
 }
 
 }  // namespace pim

@@ -15,6 +15,8 @@
 
 namespace pim {
 
+using solver::Integrator;
+
 const std::vector<double>& TransientResult::trace(NodeId node) const {
   if (trace_index_.size() != traces.size()) {
     trace_index_.clear();
@@ -133,7 +135,7 @@ class TransientSolver {
     const long steps = static_cast<long>(std::ceil(opt_.t_stop / opt_.dt - 1e-9));
     for (long k = 1; k <= steps; ++k) {
       const double t = std::min(opt_.t_stop, static_cast<double>(k) * opt_.dt);
-      advance(t, opt_.dt, opt_.integrator, &result, 0);
+      advance(t, opt_.dt, Integrator::Trapezoidal, &result, 0);
       record(t, result);
     }
     // Tallies are accumulated in plain locals and flushed once per run so
@@ -207,7 +209,7 @@ class TransientSolver {
   // Advances from t - dt to t, retrying a non-convergent Newton solve
   // with timestep halving: the failed interval is restored to its
   // pre-step state and re-run as two half-steps, recursively, up to
-  // opt_.max_step_halvings levels (bounded backoff). Only when the
+  // solver::kMaxStepHalvings levels (bounded backoff). Only when the
   // smallest step still diverges does the run surface no_convergence.
   void advance(double t, double dt, Integrator integrator, TransientResult* result,
                int depth) {
@@ -217,7 +219,7 @@ class TransientSolver {
     const std::vector<double> cap_save = cap_current_;
     if (step(t, dt, integrator, result)) return;
 
-    if (depth >= opt_.max_step_halvings) {
+    if (depth >= solver::kMaxStepHalvings) {
       PIM_COUNT("spice.transient.error");
       fail("run_transient: Newton failed to converge at t = " + format_sig(t, 6) +
                " s (dt = " + format_sig(dt, 4) + " s, after " + std::to_string(depth) +
@@ -261,7 +263,7 @@ class TransientSolver {
     // Fault site: simulate a diverging Newton loop for this attempt only,
     // so the halving retry path gets exercised deterministically.
     const bool inject = fault::should_fire(fault::kNewtonDiverge);
-    for (int iter = 0; !inject && iter < opt_.max_newton; ++iter) {
+    for (int iter = 0; !inject && iter < solver::kMaxNewton; ++iter) {
       ++n_newton_;
       ++n_solves_;
       assemble();
@@ -281,11 +283,11 @@ class TransientSolver {
         const int ui = unknown_of_node_[node];
         if (ui < 0) continue;
         double delta = v_new[static_cast<size_t>(ui)] - v_node_[node];
-        delta = std::clamp(delta, -opt_.v_step_limit, opt_.v_step_limit);
+        delta = std::clamp(delta, -solver::kVStepLimit, solver::kVStepLimit);
         v_node_[node] += delta;
         worst = std::max(worst, std::fabs(delta));
       }
-      if (worst < opt_.v_tol) {
+      if (worst < solver::kVTol) {
         converged = true;
         break;
       }

@@ -2,11 +2,11 @@
 //
 // Modified nodal analysis where voltage-source nodes are eliminated
 // (their voltages are known at every time point), capacitors become
-// trapezoidal (or backward-Euler) companion models, and MOSFETs are
-// Newton-linearized each iteration. The linear system is solved with a
-// banded LU when the netlist's node numbering yields a narrow band —
-// which buffered-interconnect netlists built along the wire always do —
-// and a dense LU otherwise.
+// trapezoidal companion models, and MOSFETs are Newton-linearized each
+// iteration. The linear system is solved with a banded LU when the
+// netlist's node numbering yields a narrow band — which
+// buffered-interconnect netlists built along the wire always do — and a
+// dense LU otherwise.
 //
 // A backward-Euler settling phase (inputs frozen at t = 0) runs before
 // the main window so the circuit starts from its DC operating point; this
@@ -21,8 +21,6 @@
 
 namespace pim {
 
-enum class Integrator { Trapezoidal, BackwardEuler };
-
 /// Knobs for a transient run. Defaults suit repeater-scale circuits; the
 /// sign-off analyzer overrides t_stop/dt per line length.
 struct TransientOptions {
@@ -30,16 +28,23 @@ struct TransientOptions {
   double dt = 1e-12;          ///< fixed timestep [s]
   double t_settle = 2e-9;     ///< pre-roll to reach DC, inputs frozen at t=0 [s]
   int settle_steps = 400;     ///< steps across the settling pre-roll
-  Integrator integrator = Integrator::Trapezoidal;
-  int max_newton = 60;        ///< Newton iterations per step before retrying
-  double v_tol = 1e-6;        ///< convergence: max |dV| between iterations [V]
-  double v_step_limit = 0.3;  ///< per-iteration voltage damping clamp [V]
   size_t band_threshold = 48; ///< use dense LU above this half-bandwidth
-  /// Retry guardrail: a step whose Newton loop fails is re-run as two
-  /// half-steps, recursively, up to this many halvings (dt shrinks by as
-  /// much as 2^max_step_halvings) before the run surfaces no_convergence.
-  int max_step_halvings = 4;
 };
+
+/// Fixed Newton-solver settings, shared by both engines so the batched
+/// engine stays bit-identical to the reference.
+namespace solver {
+/// Companion model of a window: the main window is trapezoidal, the
+/// settling pre-roll backward Euler.
+enum class Integrator { Trapezoidal, BackwardEuler };
+inline constexpr int kMaxNewton = 60;         ///< iterations per step before retrying
+inline constexpr double kVTol = 1e-6;         ///< convergence: max |dV| per iteration [V]
+inline constexpr double kVStepLimit = 0.3;    ///< per-iteration voltage damping clamp [V]
+/// A step whose Newton loop fails is re-run as two half-steps,
+/// recursively, up to this many halvings (dt / 16) before the run
+/// surfaces no_convergence.
+inline constexpr int kMaxStepHalvings = 4;
+}  // namespace solver
 
 /// Per-source integrated quantities over the main window (not the
 /// settling pre-roll), in vsource declaration order.

@@ -11,6 +11,7 @@
 #include "obs/trace.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
+#include "util/textfile.hpp"
 
 namespace pim {
 namespace {
@@ -260,18 +261,11 @@ Technology parse_techfile(const std::string& text) {
 }
 
 void save_techfile(const Technology& tech, const std::string& path) {
-  std::ofstream out(path);
-  require(out.good(), "save_techfile: cannot open '" + path + "'");
-  out << write_techfile(tech);
-  require(out.good(), "save_techfile: write failed");
+  write_text_file(path, write_techfile(tech), "save_techfile");
 }
 
 Technology load_techfile(const std::string& path) {
-  std::ifstream in(path);
-  require(in.good(), "load_techfile: cannot open '" + path + "'");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return parse_techfile(buffer.str());
+  return parse_techfile(read_text_file(path, "load_techfile"));
 }
 
 namespace {

@@ -1,9 +1,9 @@
 #include "util/csv.hpp"
 
-#include <fstream>
 #include <sstream>
 
 #include "util/error.hpp"
+#include "util/textfile.hpp"
 
 namespace pim {
 namespace {
@@ -48,10 +48,7 @@ std::string CsvWriter::to_string() const {
 }
 
 void CsvWriter::write_file(const std::string& path) const {
-  std::ofstream out(path);
-  require(out.good(), "CsvWriter: cannot open '" + path + "' for writing");
-  out << to_string();
-  require(out.good(), "CsvWriter: write to '" + path + "' failed");
+  write_text_file(path, to_string(), "CsvWriter");
 }
 
 }  // namespace pim

@@ -77,6 +77,22 @@ TEST(CliArgs, TypedGettersWithFallbacks) {
   }
 }
 
+TEST(CliArgs, IntListChecksEveryEntryAndNamesTheFlag) {
+  const Args args = make({"--drives", "2,8,32", "--wrap", "2,4294967308",
+                          "--huge", "99999999999999999999"});
+  EXPECT_EQ(args.get_int_list("drives"), (std::vector<int>{2, 8, 32}));
+  for (const char* flag : {"wrap", "huge"}) {
+    try {
+      args.get_int_list(flag);
+      FAIL() << "expected out-of-range for --" << flag;
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::bad_input);
+      EXPECT_NE(std::string(e.what()).find(std::string("--") + flag), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(CliArgs, SwitchFollowedByFlag) {
   const Args args = make({"--golden", "--length", "3"});
   EXPECT_TRUE(args.has("golden"));
@@ -205,6 +221,11 @@ TEST(CliExitCodes, IntegerFlagOutsideIntIsUsageError) {
   // 4294967308 = 2^32 + 12: a truncating cast would silently read drive 12.
   EXPECT_EQ(run_cli("export 65nm --length 1 --drive 4294967308"), 2);
   EXPECT_EQ(run_cli("export 65nm --length 1 --drive 99999999999999999999"), 2);
+  EXPECT_EQ(run_cli("characterize 65nm --drives 2,4294967308"), 2);
+}
+
+TEST(CliExitCodes, MissingInputFileIsRuntimeError) {
+  EXPECT_EQ(run_cli("noc /nonexistent/pim_missing.soc 65nm"), 3);
 }
 
 TEST(CliExitCodes, UnknownFaultSiteIsUsageError) {

@@ -52,8 +52,11 @@ TEST(Spec, ValidationCatchesErrors) {
 
 TEST(Spec, DistanceAndBandwidth) {
   const SocSpec s = tiny_spec();
-  EXPECT_NEAR(s.core_distance(0, 1), 3.0 * mm, 1e-9);
-  EXPECT_NEAR(s.core_distance(0, 2), 1.5 * mm + 3.0 * mm, 1e-9);
+  // Core distances are Manhattan, measured between the cores' nodes.
+  const NocArchitecture arch(s);
+  EXPECT_NEAR(arch.node_distance(arch.core_node(0), arch.core_node(1)), 3.0 * mm, 1e-9);
+  EXPECT_NEAR(arch.node_distance(arch.core_node(0), arch.core_node(2)),
+              1.5 * mm + 3.0 * mm, 1e-9);
   EXPECT_NEAR(s.total_bandwidth(), 3.5e9, 1.0);
 }
 

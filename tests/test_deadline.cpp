@@ -195,7 +195,6 @@ TEST_F(DeadlineFixture, FaultStopsHavePrefixCutoffAtAnyThreadCount) {
     EXPECT_EQ(batch.stop, deadline::StopReason::deadline_exceeded) << threads;
     EXPECT_EQ(batch.completed, cutoff) << threads;
     EXPECT_TRUE(batch.truncated());
-    EXPECT_FALSE(batch.all_ok());
     for (size_t i = 0; i < cutoff; ++i) {
       ASSERT_TRUE(batch.values[i].has_value()) << threads << " item " << i;
       EXPECT_EQ(*batch.values[i], static_cast<double>(i) * 1.25);
@@ -217,18 +216,36 @@ TEST_F(DeadlineFixture, ParallelForThrowsTypedStopWithCompletedCount) {
 }
 
 TEST_F(DeadlineFixture, RealFailureBelowCutoffOutranksTheStop) {
-  exec::BatchResult<double> batch;
-  batch.values.resize(5);
-  batch.values[0] = 1.0;
-  batch.values[2] = 3.0;
-  batch.failed = {1};
-  batch.errors = {Error("boom", ErrorCode::no_convergence)};
-  batch.stop = deadline::StopReason::deadline_exceeded;
-  batch.completed = 3;
-  EXPECT_EQ(batch.surviving(), 2u);
-  const auto expected = std::move(batch).into_expected();
-  ASSERT_FALSE(expected.ok());
-  EXPECT_EQ(expected.error().code(), ErrorCode::no_convergence);
+  constexpr size_t kItems = 400;
+  const std::string spec = "deadline-expire:0.01:11";
+  fault::configure(spec);
+  const size_t cutoff = predicted_cutoff(fault::kDeadlineExpire, kItems);
+  ASSERT_GT(cutoff, 1u) << "seed fires too early; pick another";
+  ASSERT_LT(cutoff, kItems) << "seed never fires; pick another";
+  const size_t bad = cutoff / 2;
+  const auto body = [bad](size_t i) {
+    if (i == bad) fail("boom", ErrorCode::no_convergence);
+    return static_cast<double>(i);
+  };
+
+  for (int threads : {1, 2, 8}) {
+    // parallel_for raises the failure, not the stop: it would have been
+    // raised without the stop too.
+    fault::configure(spec);
+    try {
+      exec::parallel_for(kItems, [&](size_t i) { body(i); }, {.threads = threads});
+      FAIL() << "expected the item failure";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::no_convergence) << threads;
+    }
+    // parallel_try_map keeps both: the failure, and the truncated prefix.
+    fault::configure(spec);
+    const auto batch = exec::parallel_try_map<double>(kItems, body, {.threads = threads});
+    EXPECT_TRUE(batch.truncated()) << threads;
+    EXPECT_EQ(batch.completed, cutoff) << threads;
+    EXPECT_EQ(batch.failed, std::vector<size_t>{bad}) << threads;
+    EXPECT_EQ(batch.surviving(), cutoff - 1) << threads;
+  }
 }
 
 TEST_F(DeadlineFixture, StoppedRegionsRecordObsGauges) {

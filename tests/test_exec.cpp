@@ -85,10 +85,10 @@ TEST_F(ExecFixture, SeededStreamsAreThreadCountInvariant) {
   const uint64_t seed = 2026;
   const size_t n = 64;
   const auto draw = [&](int t) {
-    std::vector<double> out(n);
-    exec::parallel_for_seeded(
-        n, seed, [&](size_t i, Rng& rng) { out[i] = rng.next_double(); },
-        {.threads = t});
+    const auto batch = exec::parallel_try_map_seeded<double>(
+        n, seed, [](size_t, Rng& rng) { return rng.next_double(); }, {.threads = t});
+    std::vector<double> out;
+    for (const auto& v : batch.values) out.push_back(v.value());
     return out;
   };
   const std::vector<double> serial = draw(1);
@@ -143,9 +143,9 @@ TEST_F(ExecFixture, TryMapRecordsFailuresAscendingAndKeepsSurvivors) {
   for (size_t i = 0; i < 50; i += 7) expect_failed.push_back(i);
   EXPECT_EQ(batch.failed, expect_failed);
   ASSERT_EQ(batch.errors.size(), expect_failed.size());
-  EXPECT_FALSE(batch.all_ok());
+  EXPECT_FALSE(batch.truncated());
   EXPECT_EQ(batch.surviving(), 50u - expect_failed.size());
-  EXPECT_EQ(batch.first_error().code(), ErrorCode::bad_input);
+  EXPECT_EQ(batch.errors.front().code(), ErrorCode::bad_input);
   for (size_t i = 0; i < 50; ++i) {
     if (i % 7 == 0) {
       EXPECT_FALSE(batch.values[i].has_value());
@@ -154,22 +154,6 @@ TEST_F(ExecFixture, TryMapRecordsFailuresAscendingAndKeepsSurvivors) {
       EXPECT_EQ(*batch.values[i], static_cast<int>(2 * i));
     }
   }
-}
-
-TEST_F(ExecFixture, IntoExpectedPropagatesFirstErrorOrAllValues) {
-  auto bad = exec::parallel_try_map<int>(10, [](size_t i) {
-    if (i == 4) fail("only four", ErrorCode::no_convergence);
-    return static_cast<int>(i);
-  });
-  const Expected<std::vector<int>> failed = std::move(bad).into_expected();
-  ASSERT_FALSE(failed.ok());
-  EXPECT_EQ(failed.error().code(), ErrorCode::no_convergence);
-
-  auto good =
-      exec::parallel_try_map<int>(10, [](size_t i) { return static_cast<int>(i); });
-  const Expected<std::vector<int>> ok = std::move(good).into_expected();
-  ASSERT_TRUE(ok.ok());
-  for (size_t i = 0; i < 10; ++i) EXPECT_EQ(ok.value()[i], static_cast<int>(i));
 }
 
 TEST_F(ExecFixture, NestedRegionsRunInlineWithoutDeadlock) {
@@ -190,10 +174,6 @@ TEST_F(ExecFixture, EmptyAndTinyRegionsWork) {
       1, [](size_t) { return 41; }, {.threads = 8});
   ASSERT_EQ(one.size(), 1u);
   EXPECT_EQ(one[0], 41);
-  // grain keeps short sweeps from fanning out, without changing results.
-  const auto coarse = exec::parallel_map<size_t>(
-      12, [](size_t i) { return i; }, {.threads = 8, .grain = 6});
-  for (size_t i = 0; i < 12; ++i) EXPECT_EQ(coarse[i], i);
 }
 
 // ------------------------------------------------------------- metrics

@@ -41,18 +41,8 @@ TEST(Matrix, MultiplyMatrixMatchesIdentity) {
     for (size_t c = 0; c < 3; ++c) EXPECT_DOUBLE_EQ(prod(r, c), a(r, c));
 }
 
-TEST(Matrix, TransposedSwapsShape) {
-  Matrix a(2, 3);
-  a(0, 2) = 7.0;
-  const Matrix t = a.transposed();
-  EXPECT_EQ(t.rows(), 3u);
-  EXPECT_EQ(t.cols(), 2u);
-  EXPECT_DOUBLE_EQ(t(2, 0), 7.0);
-}
-
 TEST(VectorOps, Norms) {
   EXPECT_DOUBLE_EQ(norm2({3.0, 4.0}), 5.0);
-  EXPECT_DOUBLE_EQ(norm_inf({-3.0, 2.0}), 3.0);
   EXPECT_DOUBLE_EQ(dot({1, 2}, {3, 4}), 11.0);
 }
 
@@ -70,7 +60,7 @@ TEST_P(LuRandomTest, SolveRecoversKnownSolution) {
   Vector x_true(n);
   for (int i = 0; i < n; ++i) x_true[i] = rng.uniform(-10.0, 10.0);
   const Vector b = a.multiply(x_true);
-  const Vector x = solve_dense(a, b);
+  const Vector x = LuDecomposition(a).solve(b);
   for (int i = 0; i < n; ++i) EXPECT_NEAR(x[i], x_true[i], 1e-8);
 }
 
@@ -82,7 +72,7 @@ TEST(Lu, PivotingHandlesZeroDiagonal) {
   a(0, 1) = 1.0;
   a(1, 0) = 1.0;
   a(1, 1) = 0.0;
-  const Vector x = solve_dense(a, {2.0, 3.0});
+  const Vector x = LuDecomposition(a).solve({2.0, 3.0});
   EXPECT_NEAR(x[0], 3.0, 1e-12);
   EXPECT_NEAR(x[1], 2.0, 1e-12);
 }
@@ -93,7 +83,7 @@ TEST(Lu, SingularThrows) {
   a(0, 1) = 2.0;
   a(1, 0) = 2.0;
   a(1, 1) = 4.0;
-  EXPECT_THROW(solve_dense(a, {1.0, 1.0}), Error);
+  EXPECT_THROW(LuDecomposition(a).solve({1.0, 1.0}), Error);
 }
 
 TEST(Lu, CreateReportsSingularityWithoutThrowing) {
@@ -114,23 +104,6 @@ TEST(Lu, CreateReportsSingularityWithoutThrowing) {
   EXPECT_EQ(x.error().code(), ErrorCode::singular_matrix);
 }
 
-TEST(Lu, ConditionEstimateFlagsIllConditioning) {
-  Matrix well(2, 2);
-  well(0, 0) = 2.0;
-  well(1, 1) = 1.0;
-  Matrix ill(2, 2);
-  ill(0, 0) = 1.0;
-  ill(0, 1) = 1.0;
-  ill(1, 0) = 1.0;
-  ill(1, 1) = 1.0 + 1e-10;
-  const LuDecomposition lu_well{well};
-  const LuDecomposition lu_ill{ill};
-  EXPECT_GE(lu_well.condition_estimate(), 1.0);
-  EXPECT_LT(lu_well.condition_estimate(), 10.0);
-  EXPECT_GT(lu_ill.condition_estimate(), 1e8);
-  EXPECT_FALSE(lu_well.equilibrated());
-}
-
 // Property: banded solve agrees with dense solve on random banded systems.
 class BandedTest : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
@@ -138,15 +111,20 @@ TEST_P(BandedTest, MatchesDense) {
   const auto [n, band] = GetParam();
   Rng rng(static_cast<uint64_t>(n * 31 + band));
   BandedMatrix bm(n, band, band);
+  Matrix dense(n, n);  // the same add() entries, densely stored
+  const auto add = [&](int r, int c, double v) {
+    bm.add(r, c, v);
+    dense(r, c) += v;
+  };
   for (int r = 0; r < n; ++r) {
     for (int c = std::max(0, r - band); c <= std::min(n - 1, r + band); ++c)
-      bm.add(r, c, rng.uniform(-1.0, 1.0));
-    bm.add(r, r, 2.0 * band + 3.0);  // diagonal dominance: safe without pivoting
+      add(r, c, rng.uniform(-1.0, 1.0));
+    add(r, r, 2.0 * band + 3.0);  // diagonal dominance: safe without pivoting
   }
   Vector b(n);
   for (int i = 0; i < n; ++i) b[i] = rng.uniform(-5.0, 5.0);
   const Vector x_band = BandedLu(bm).solve(b);
-  const Vector x_dense = solve_dense(bm.to_dense(), b);
+  const Vector x_dense = LuDecomposition(dense).solve(b);
   for (int i = 0; i < n; ++i) EXPECT_NEAR(x_band[i], x_dense[i], 1e-9);
 }
 
@@ -163,15 +141,20 @@ TEST(Banded, RejectsOutOfBandEntry) {
 
 TEST(Banded, MultiplyMatchesDense) {
   BandedMatrix bm(4, 1, 1);
-  bm.add(0, 0, 2.0);
-  bm.add(0, 1, -1.0);
-  bm.add(1, 0, -1.0);
-  bm.add(1, 1, 2.0);
-  bm.add(2, 2, 1.5);
-  bm.add(3, 3, 1.0);
+  Matrix dense(4, 4);  // the same add() entries, densely stored
+  const auto add = [&](size_t r, size_t c, double v) {
+    bm.add(r, c, v);
+    dense(r, c) += v;
+  };
+  add(0, 0, 2.0);
+  add(0, 1, -1.0);
+  add(1, 0, -1.0);
+  add(1, 1, 2.0);
+  add(2, 2, 1.5);
+  add(3, 3, 1.0);
   const Vector x = {1.0, 2.0, 3.0, 4.0};
   const Vector y_band = bm.multiply(x);
-  const Vector y_dense = bm.to_dense().multiply(x);
+  const Vector y_dense = dense.multiply(x);
   for (size_t i = 0; i < 4; ++i) EXPECT_DOUBLE_EQ(y_band[i], y_dense[i]);
 }
 
@@ -398,15 +381,20 @@ TEST_P(BandedAsymmetric, MatchesDense) {
   const auto [n, kl, ku] = GetParam();
   Rng rng(static_cast<uint64_t>(n * 7 + kl * 3 + ku));
   BandedMatrix bm(n, kl, ku);
+  Matrix dense(n, n);  // the same add() entries, densely stored
+  const auto add = [&](int r, int c, double v) {
+    bm.add(r, c, v);
+    dense(r, c) += v;
+  };
   for (int r = 0; r < n; ++r) {
     for (int c = std::max(0, r - kl); c <= std::min(n - 1, r + ku); ++c)
-      bm.add(r, c, rng.uniform(-1.0, 1.0));
-    bm.add(r, r, kl + ku + 3.0);
+      add(r, c, rng.uniform(-1.0, 1.0));
+    add(r, r, kl + ku + 3.0);
   }
   Vector b(n);
   for (int i = 0; i < n; ++i) b[i] = rng.uniform(-5.0, 5.0);
   const Vector xb = BandedLu(bm).solve(b);
-  const Vector xd = solve_dense(bm.to_dense(), b);
+  const Vector xd = LuDecomposition(dense).solve(b);
   for (int i = 0; i < n; ++i) EXPECT_NEAR(xb[i], xd[i], 1e-9);
 }
 
@@ -463,21 +451,17 @@ TEST(BandedLu, RefactorRejectsShapeMismatchAndBatchedSolveMatches) {
   EXPECT_THROW(lu.refactor(random_banded(8, 1, 5)), Error);
   EXPECT_THROW(lu.refactor(random_banded(9, 2, 5)), Error);
 
+  // Several right-hand sides through one factorization: each in-place
+  // solve matches the allocating solve bit-for-bit.
   const BandedMatrix a = random_banded(8, 2, 21);
   ASSERT_TRUE(lu.refactor(a).ok());
-  std::vector<Vector> rhs;
   Rng rng(7);
   for (int k = 0; k < 3; ++k) {
     Vector b(8);
     for (double& v : b) v = rng.uniform(-1, 1);
-    rhs.push_back(b);
-  }
-  std::vector<Vector> batched = rhs;
-  lu.solve_many_in_place(batched);
-  for (int k = 0; k < 3; ++k) {
-    const Vector solo = lu.solve(rhs[static_cast<size_t>(k)]);
-    for (size_t i = 0; i < 8; ++i)
-      EXPECT_EQ(batched[static_cast<size_t>(k)][i], solo[i]);
+    const Vector solo = lu.solve(b);
+    lu.solve_in_place(b);
+    for (size_t i = 0; i < 8; ++i) EXPECT_EQ(b[i], solo[i]);
   }
 }
 

@@ -194,18 +194,6 @@ TEST_F(ObsTest, JsonEscapesAwkwardNames) {
   EXPECT_DOUBLE_EQ(counters->find("weird.\"name\"\\with\nstuff")->number, 1.0);
 }
 
-TEST_F(ObsTest, CsvReportListsEveryMetric) {
-  registry().counter("c.one.count").add(3);
-  registry().gauge("g.two.level").set(0.25);
-  registry().timer("t.three.time").record_ns(10);
-  const std::string csv = metrics_to_csv(registry().snapshot());
-  EXPECT_NE(csv.find("kind,name,value,count,total_ns,mean_ns,min_ns,max_ns"),
-            std::string::npos);
-  EXPECT_NE(csv.find("counter,c.one.count,3"), std::string::npos);
-  EXPECT_NE(csv.find("gauge,g.two.level,0.25"), std::string::npos);
-  EXPECT_NE(csv.find("timer,t.three.time"), std::string::npos);
-}
-
 TEST_F(ObsTest, TraceBufferRecordsNestedSpans) {
   set_trace_enabled(true, 64);
   {

@@ -176,6 +176,30 @@ TEST(Serve, MalformedLineGetsTypedErrorWithoutKillingTheConnection) {
   server.stop();
 }
 
+TEST(Serve, DeeplyNestedLineIsBadInputAndTheDaemonKeepsServing) {
+  ServerOptions options;
+  options.tcp_port = 0;
+  Server server(options);
+  server.start();
+
+  const int fd = connect_tcp(server.tcp_port());
+  LineReader reader{fd, {}};
+  send_line(fd, std::string(200000, '['));
+  const std::string error_response = reader.next();
+  ASSERT_FALSE(error_response.empty()) << "daemon died on a deeply nested line";
+  {
+    const obs::JsonValue v = obs::parse_json(error_response);
+    EXPECT_FALSE(v.find("ok")->boolean);
+    EXPECT_EQ(v.find("error")->find("code")->text, "bad_input");
+  }
+  send_line(fd, "{\"op\":\"techfile\",\"id\":4,\"tech\":\"65nm\"}");
+  const std::string ok_response = reader.next();
+  EXPECT_NE(ok_response.find("\"id\":4"), std::string::npos);
+  EXPECT_NE(ok_response.find("\"ok\":true"), std::string::npos);
+  ::close(fd);
+  server.stop();
+}
+
 TEST(Serve, UnknownTechStaysTypedAndTheConnectionSurvives) {
   ServerOptions options;
   options.tcp_port = 0;

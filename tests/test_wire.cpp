@@ -458,6 +458,34 @@ TEST(WireExecute, MalformedLineBecomesTypedErrorResponse) {
   EXPECT_EQ(v.find("error")->find("exit_code")->number, 2.0);
 }
 
+TEST(WireExecute, DeeplyNestedLineIsBadInputNamingTheDepth) {
+  // The reader recurses once per level, so without a cap 200,000 '['
+  // would overflow the stack instead of failing typed.
+  const std::string response = wire::execute_line(std::string(200000, '['));
+  const obs::JsonValue v = obs::parse_json(response);
+  EXPECT_FALSE(v.find("ok")->boolean);
+  EXPECT_EQ(v.find("error")->find("code")->text, "bad_input");
+  EXPECT_NE(v.find("error")->find("message")->text.find("deeper than 64"),
+            std::string::npos)
+      << response;
+
+  // The cap is 64 levels of objects or arrays, counted together.
+  const auto nested = [](int depth) {
+    std::string line;
+    for (int i = 0; i < depth; ++i) line += i % 2 ? "[" : "{\"k\":";
+    line += "0";
+    for (int i = depth; i-- > 0;) line += i % 2 ? "]" : "}";
+    return line;
+  };
+  EXPECT_NO_THROW(obs::parse_json(nested(64)));
+  try {
+    obs::parse_json(nested(65));
+    FAIL() << "expected bad_input";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::bad_input);
+  }
+}
+
 TEST(WireExecute, ErrorResponseEchoesTheRequestId) {
   const std::string response =
       wire::execute_line("{\"op\":\"techfile\",\"id\":31,\"tech\":\"no-such\"}");

@@ -16,24 +16,15 @@
 // Exit codes: 0 no regressions, 1 regression(s), 2 usage/parse failure.
 #include <cmath>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "obs/report.hpp"
 #include "util/error.hpp"
+#include "util/textfile.hpp"
 
 namespace {
 
 using pim::obs::JsonValue;
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path);
-  if (!in.good()) throw pim::Error("cannot read '" + path + "'");
-  std::ostringstream os;
-  os << in.rdbuf();
-  return os.str();
-}
 
 double number_of(const JsonValue* v, double fallback = 0.0) {
   return (v != nullptr && v->kind == JsonValue::Kind::Number) ? v->number : fallback;
@@ -57,8 +48,8 @@ int run(int argc, char** argv) {
     std::fputs("usage: bench_compare <baseline.json> <fresh.json>\n", stderr);
     return 2;
   }
-  const JsonValue base = pim::obs::parse_json(slurp(argv[1]));
-  const JsonValue fresh = pim::obs::parse_json(slurp(argv[2]));
+  const JsonValue base = pim::obs::parse_json(pim::read_text_file(argv[1], "bench_compare"));
+  const JsonValue fresh = pim::obs::parse_json(pim::read_text_file(argv[2], "bench_compare"));
   const JsonValue* base_metrics = base.find("metrics");
   const JsonValue* fresh_metrics = fresh.find("metrics");
   if (base_metrics == nullptr || fresh_metrics == nullptr) {

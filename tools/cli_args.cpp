@@ -22,6 +22,29 @@
 #include "util/version.hpp"
 
 namespace pim::cli {
+namespace {
+
+// `text` as a long; a missing or malformed value is bad_input naming
+// the flag.
+long long_flag(const std::string& flag, const std::string& text) {
+  require(!text.empty(), "cli: --" + flag + " needs a value", ErrorCode::bad_input);
+  try {
+    return parse_long(text);
+  } catch (const Error& e) {
+    throw e.with_context("cli: --" + flag);
+  }
+}
+
+// `value` as an int; out of range is bad_input naming the flag.
+int int_flag(const std::string& flag, long value) {
+  require(value >= std::numeric_limits<int>::min() &&
+              value <= std::numeric_limits<int>::max(),
+          "cli: --" + flag + " is out of range: " + std::to_string(value),
+          ErrorCode::bad_input);
+  return static_cast<int>(value);
+}
+
+}  // namespace
 
 Args::Args(int argc, char** argv, int from) {
   for (int i = from; i < argc; ++i) {
@@ -66,19 +89,18 @@ double Args::get_double(const std::string& flag, double fallback) const {
 
 long Args::get_long(const std::string& flag, long fallback) const {
   const auto it = flags_.find(flag);
-  if (it == flags_.end()) return fallback;
-  require(!it->second.empty(), "cli: --" + flag + " needs a value",
-          ErrorCode::bad_input);
-  return parse_long(it->second);
+  return it == flags_.end() ? fallback : long_flag(flag, it->second);
 }
 
 int Args::get_int(const std::string& flag, int fallback) const {
-  const long value = get_long(flag, fallback);
-  require(value >= std::numeric_limits<int>::min() &&
-              value <= std::numeric_limits<int>::max(),
-          "cli: --" + flag + " is out of range: " + std::to_string(value),
-          ErrorCode::bad_input);
-  return static_cast<int>(value);
+  return int_flag(flag, get_long(flag, fallback));
+}
+
+std::vector<int> Args::get_int_list(const std::string& flag) const {
+  std::vector<int> out;
+  for (const std::string& entry : split(get(flag), ','))
+    out.push_back(int_flag(flag, long_flag(flag, entry)));
+  return out;
 }
 
 void Args::check_known(const std::vector<std::string>& known) const {

@@ -33,6 +33,8 @@ class Args {
   /// get_long, rejecting (bad_input, naming the flag) a value that does
   /// not fit an int.
   int get_int(const std::string& flag, int fallback) const;
+  /// Comma-separated ints, each entry checked as by get_int.
+  std::vector<int> get_int_list(const std::string& flag) const;
 
   /// Throws pim::Error if any parsed flag is not in `known`.
   void check_known(const std::vector<std::string>& known) const;

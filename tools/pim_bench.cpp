@@ -196,7 +196,7 @@ std::vector<BenchMetric> bench_mc_batch() {
   auto start = Clock::now();
   const CompiledCircuit plan =
       CompiledCircuit::compile(base.c, topt.band_threshold);
-  const TransientBatch batch =
+  const std::vector<Expected<TransientResult>> batch =
       run_transient_batch(plan, topt, {base.in, base.out}, lanes);
   const double batch_us = seconds_since(start) * 1e6 / kLanes;
 
@@ -209,7 +209,7 @@ std::vector<BenchMetric> bench_mc_batch() {
   }
   const double solo_us = seconds_since(start) * 1e6 / kLanes;
   for (int i = 0; i < kLanes; ++i) {
-    const TransientResult& lane = batch.lanes[i].value();
+    const TransientResult& lane = batch[i].value();
     bool same = lane.time == solo[i].time && lane.traces.size() == solo[i].traces.size();
     for (size_t t = 0; same && t < lane.traces.size(); ++t)
       same = lane.traces[t].node == solo[i].traces[t].node &&

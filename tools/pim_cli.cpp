@@ -20,7 +20,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <string>
 
@@ -34,6 +33,7 @@
 #include "util/faultinject.hpp"
 #include "util/log.hpp"
 #include "util/strings.hpp"
+#include "util/textfile.hpp"
 
 #include "cli_args.hpp"
 
@@ -76,11 +76,9 @@ api::LinkSpec link_arg(const Args& args) {
 }
 
 void save_text(const std::string& text, const std::string& path) {
-  std::ofstream out(path);
-  require(out.good() && !fault::should_fire(fault::kIoOpen),
-          "cli: cannot open '" + path + "'", ErrorCode::io_parse);
-  out << text;
-  require(out.good(), "cli: failed writing '" + path + "'", ErrorCode::io_parse);
+  require(!fault::should_fire(fault::kIoOpen), "cli: cannot open '" + path + "'",
+          ErrorCode::io_parse);
+  write_text_file(path, text, "cli");
 }
 
 int cmd_techfile(const Args& args) {
@@ -97,9 +95,7 @@ int cmd_characterize(const Args& args) {
   api::CharlibRequest req;
   req.deadline_ms = resolved_deadline_ms(args);
   req.tech = tech_arg(args, 0);
-  if (args.has("drives"))
-    for (const std::string& d : split(args.get("drives"), ','))
-      req.drives.push_back(static_cast<int>(parse_long(d)));
+  if (args.has("drives")) req.drives = args.get_int_list("drives");
   req.want_fit = args.has("coeffs");
   req.corner = args.get("corner", "");
   log_info("characterizing ", req.tech, " (transistor-level simulations)...");
