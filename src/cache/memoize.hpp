@@ -5,68 +5,37 @@
 // A digest-valid payload that fails either way counts `cache.corrupt`
 // once, is erased, and is recomputed. Partial results (a true `partial`
 // member) are never stored or published; every other result is published
-// to the enclosing scope. Payload<T> defaults to `name value` lines from
-// T's field binding `bind(B&, T&)`, shared by the writer and the reader;
-// doubles at 17 significant digits keep hits bit-identical.
+// to the enclosing scope. Payload<T> defaults to T's field binding
+// `bind(B&, T&)` as block text (util/blocktext.hpp) at depth 0, doubles at
+// 17 significant digits so hits are bit-identical.
 #pragma once
 
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "cache/manifest.hpp"
 #include "cache/store.hpp"
 #include "obs/metrics.hpp"
+#include "util/blocktext.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
-#include "util/strings.hpp"
 
 namespace pim::cache {
 
-/// Integers, enums and bools are written as their integer value.
-class PayloadWriter {
- public:
-  void field(const char* name, double v);
-  template <typename T>
-  void field(const char* name, T v) {
-    line(name, std::to_string(static_cast<long long>(v)));
-  }
-  /// One line: the name, then each value after a space.
-  void field(const char* name, const std::vector<double>& v);
-  std::string finish() { return std::move(out_); }
-
- private:
-  void line(const char* name, std::string_view value);
-  std::string out_;
-};
-
-/// Throws Error on a missing or malformed field. `text` must outlive it.
-class PayloadReader {
- public:
-  explicit PayloadReader(std::string_view text) : text_(text) {}
-  void field(const char* name, double& v);
-  template <typename T>
-  void field(const char* name, T& v) { v = static_cast<T>(parse_long(values(name))); }
-  void field(const char* name, std::vector<double>& v);
-
- private:
-  std::string_view values(const char* name) const;  ///< the line after the name
-  std::string_view text_;
-};
-
-/// T's payload codec: its field binding, unless specialized for a type
-/// that keeps its own format.
+/// T's payload codec: its field binding as block text at depth 0, unless
+/// specialized for a type that keeps its own format.
 template <typename T>
 struct Payload {
   static std::string encode(const T& value) {
-    PayloadWriter w;
+    blocktext::Writer w(17);
     bind(w, const_cast<T&>(value));  // the writer only reads
     return w.finish();
   }
   static T decode(std::string_view text) {
-    PayloadReader r(text);
+    blocktext::Reader r(text, "cache payload");
     T value;
     bind(r, value);
+    r.finish();
     return value;
   }
 };

@@ -3,8 +3,8 @@
 // runs thousands of transistor-level simulations, the coefficient file is
 // a handful of numbers.
 //
-// Format: line-based `key value` pairs inside a `coefficients "90nm" {}`
-// block, one sub-block per (kind, edge) fit.
+// Format: block text (docs/formats.md) at 17 significant digits: a
+// `coefficients "90nm" {}` block with one sub-block per (kind, edge) fit.
 #pragma once
 
 #include <string>

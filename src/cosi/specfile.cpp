@@ -39,7 +39,7 @@ SocSpec parse_soc_spec(const std::string& text) {
   bool closed = false;
 
   auto syntax = [&](const std::string& msg) {
-    fail("soc spec: line " + std::to_string(lineno) + ": " + msg);
+    fail("soc spec: line " + std::to_string(lineno) + ": " + msg, ErrorCode::io_parse);
   };
 
   while (std::getline(is, line)) {
@@ -48,7 +48,7 @@ SocSpec parse_soc_spec(const std::string& text) {
     if (hash != std::string::npos) line.erase(hash);
     const auto tokens = split_whitespace(line);
     if (tokens.empty()) continue;
-    require(!closed, "soc spec: content after closing brace");
+    require(!closed, "soc spec: content after closing brace", ErrorCode::io_parse);
 
     if (!in_block) {
       if (tokens[0] != "soc" || tokens.size() != 3 || tokens.back() != "{")
@@ -80,7 +80,7 @@ SocSpec parse_soc_spec(const std::string& text) {
       c.width = parse_double(tokens[4]);
       c.height = parse_double(tokens[5]);
       require(core_index.emplace(c.name, static_cast<int>(spec.cores.size())).second,
-              "soc spec: duplicate core '" + c.name + "'");
+              "soc spec: duplicate core '" + c.name + "'", ErrorCode::io_parse);
       spec.cores.push_back(c);
     } else if (tokens[0] == "flow") {
       if (tokens.size() != 4) syntax("flow takes src dst bandwidth");
@@ -93,7 +93,7 @@ SocSpec parse_soc_spec(const std::string& text) {
       syntax("unknown statement '" + tokens[0] + "'");
     }
   }
-  require(closed, "soc spec: missing closing brace");
+  require(closed, "soc spec: missing closing brace", ErrorCode::io_parse);
   spec.validate();
   return spec;
 }

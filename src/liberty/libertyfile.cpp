@@ -95,7 +95,8 @@ class LibertyParser {
         const size_t brace_close = t.find('}');
         size_t cut = std::min({brace_open, semi, brace_close});
         require(cut != std::string_view::npos,
-                "liberty: line " + std::to_string(lineno) + ": statement missing terminator");
+                "liberty: line " + std::to_string(lineno) + ": statement missing terminator",
+                ErrorCode::io_parse);
         parse_statement(t.substr(0, cut + 1), t[cut], lineno);
         t = trim(t.substr(cut + 1));
       }
@@ -113,19 +114,19 @@ class LibertyParser {
     while (!peek_close()) {
       const Statement& st = next();
       if (st.key == "technology" && !st.opens_block) {
-        require(st.values.size() == 1, err(st, "technology takes one value"));
+        require(st.values.size() == 1, err(st, "technology takes one value"), ErrorCode::io_parse);
         node = tech_node_from_name(st.values[0]);
       } else if (st.key == "voltage" && !st.opens_block) {
-        require(st.values.size() == 1, err(st, "voltage takes one value"));
+        require(st.values.size() == 1, err(st, "voltage takes one value"), ErrorCode::io_parse);
         vdd = parse_double(st.values[0]);
       } else if (st.key == "cell" && st.opens_block) {
         cells.push_back(parse_cell(st.arg));
       } else {
-        fail(err(st, "unexpected statement '" + st.key + "'"));
+        fail(err(st, "unexpected statement '" + st.key + "'"), ErrorCode::io_parse);
       }
     }
     consume_close();
-    require(vdd > 0.0, "liberty: missing voltage");
+    require(vdd > 0.0, "liberty: missing voltage", ErrorCode::io_parse);
     CellLibrary out(lib_name, node, vdd);
     for (auto& c : cells) out.add_cell(std::move(c));
     return out;
@@ -142,7 +143,8 @@ class LibertyParser {
     std::string_view body = trim(text.substr(0, text.size() - 1));
     if (terminator == '}') {
       require(body.empty(),
-              "liberty: line " + std::to_string(lineno) + ": content before '}'");
+              "liberty: line " + std::to_string(lineno) + ": content before '}'",
+              ErrorCode::io_parse);
       st.closes_block = true;
       statements_.push_back(std::move(st));
       return;
@@ -153,14 +155,16 @@ class LibertyParser {
     if (paren != std::string_view::npos) {
       const size_t close = body.find(')', paren);
       require(close != std::string_view::npos,
-              "liberty: line " + std::to_string(lineno) + ": unclosed '('");
+              "liberty: line " + std::to_string(lineno) + ": unclosed '('", ErrorCode::io_parse);
       st.arg = std::string(trim(body.substr(paren + 1, close - paren - 1)));
       body = trim(body.substr(0, paren));
       st.key = std::string(body);
-      require(!st.key.empty(), "liberty: line " + std::to_string(lineno) + ": missing key");
+      require(!st.key.empty(), "liberty: line " + std::to_string(lineno) + ": missing key",
+              ErrorCode::io_parse);
     } else {
       auto tokens = split_whitespace(body);
-      require(!tokens.empty(), "liberty: line " + std::to_string(lineno) + ": empty statement");
+      require(!tokens.empty(), "liberty: line " + std::to_string(lineno) + ": empty statement",
+              ErrorCode::io_parse);
       st.key = tokens.front();
       st.values.assign(tokens.begin() + 1, tokens.end());
     }
@@ -168,24 +172,24 @@ class LibertyParser {
   }
 
   const Statement& next() {
-    require(pos_ < statements_.size(), "liberty: unexpected end of input");
+    require(pos_ < statements_.size(), "liberty: unexpected end of input", ErrorCode::io_parse);
     return statements_[pos_++];
   }
 
   bool peek_close() const {
-    require(pos_ < statements_.size(), "liberty: unexpected end of input");
+    require(pos_ < statements_.size(), "liberty: unexpected end of input", ErrorCode::io_parse);
     return statements_[pos_].closes_block;
   }
 
   void consume_close() {
     const Statement& st = next();
-    require(st.closes_block, err(st, "expected '}'"));
+    require(st.closes_block, err(st, "expected '}'"), ErrorCode::io_parse);
   }
 
   const Statement& expect_open(const char* key) {
     const Statement& st = next();
     require(st.opens_block && st.key == key,
-            err(st, std::string("expected '") + key + " (...) {'"));
+            err(st, std::string("expected '") + key + " (...) {'"), ErrorCode::io_parse);
     return st;
   }
 
@@ -200,13 +204,14 @@ class LibertyParser {
     std::vector<Vector> rows;
     while (!peek_close()) {
       const Statement& st = next();
-      require(st.key == "row" && !st.opens_block, err(st, "expected 'row ...;'"));
+      require(st.key == "row" && !st.opens_block, err(st, "expected 'row ...;'"),
+              ErrorCode::io_parse);
       rows.push_back(parse_values(st));
       require(rows.back().size() == rows.front().size(),
-              err(st, "ragged rows in table"));
+              err(st, "ragged rows in table"), ErrorCode::io_parse);
     }
     consume_close();
-    require(!rows.empty(), "liberty: empty table block");
+    require(!rows.empty(), "liberty: empty table block", ErrorCode::io_parse);
     Matrix m(rows.size(), rows.front().size());
     for (size_t r = 0; r < rows.size(); ++r)
       for (size_t c = 0; c < rows[r].size(); ++c) m(r, c) = rows[r][c];
@@ -226,11 +231,11 @@ class LibertyParser {
       } else if (st.key == "out_slew" && st.opens_block) {
         t.out_slew = parse_matrix_block();
       } else {
-        fail(err(st, "unexpected statement in timing block"));
+        fail(err(st, "unexpected statement in timing block"), ErrorCode::io_parse);
       }
     }
     consume_close();
-    require(t.valid(), "liberty: incomplete timing table");
+    require(t.valid(), "liberty: incomplete timing table", ErrorCode::io_parse);
     return t;
   }
 
@@ -242,7 +247,8 @@ class LibertyParser {
     while (!peek_close()) {
       const Statement& st = next();
       auto one = [&](const char* what) {
-        require(st.values.size() == 1, err(st, std::string(what) + " takes one value"));
+        require(st.values.size() == 1, err(st, std::string(what) + " takes one value"),
+                ErrorCode::io_parse);
         return st.values[0];
       };
       if (st.key == "kind") {
@@ -252,7 +258,7 @@ class LibertyParser {
         } else if (v == "BUF") {
           cell.kind = CellKind::Buffer;
         } else {
-          fail(err(st, "unknown cell kind '" + v + "'"));
+          fail(err(st, "unknown cell kind '" + v + "'"), ErrorCode::io_parse);
         }
       } else if (st.key == "drive") {
         cell.drive = static_cast<int>(parse_long(one("drive")));
@@ -276,14 +282,15 @@ class LibertyParser {
           cell.fall = parse_timing();
           have_fall = true;
         } else {
-          fail(err(st, "timing edge must be rise or fall"));
+          fail(err(st, "timing edge must be rise or fall"), ErrorCode::io_parse);
         }
       } else {
-        fail(err(st, "unexpected statement '" + st.key + "' in cell"));
+        fail(err(st, "unexpected statement '" + st.key + "' in cell"), ErrorCode::io_parse);
       }
     }
     consume_close();
-    require(have_rise && have_fall, "liberty: cell '" + name + "' missing timing tables");
+    require(have_rise && have_fall, "liberty: cell '" + name + "' missing timing tables",
+            ErrorCode::io_parse);
     return cell;
   }
 

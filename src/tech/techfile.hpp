@@ -1,17 +1,17 @@
 // Text serialization of a Technology descriptor — the library's analog of
-// LEF/ITF technology inputs. The format is line-based:
+// LEF/ITF technology inputs — in block text (util/blocktext.hpp,
+// docs/formats.md):
 //
 //   technology "90nm" {
 //     vdd 1.2
-//     nmos { vth 0.32 ... }
-//     interconnect {
-//       global { width 4.5e-07 ... }
+//     nmos {
+//       vth 0.32
 //       ...
 //     }
+//     ...
 //   }
 //
-// Each line is `key value`, `key {` (open block), or `}` (close block);
-// `#` starts a comment. All values are SI. Round-tripping a built-in
+// All values are SI, at 12 significant digits. Round-tripping a built-in
 // technology reproduces it exactly to printed precision.
 #pragma once
 
@@ -26,8 +26,8 @@ namespace pim {
 /// Serializes `tech` to the tech-file text format.
 std::string write_techfile(const Technology& tech);
 
-/// Parses a tech file; throws pim::Error with a line number on syntax
-/// errors, unknown keys, or missing required fields.
+/// Parses a tech file; throws pim::Error (io_parse) naming the line of any
+/// malformed, missing, unknown or duplicate field.
 Technology parse_techfile(const std::string& text);
 
 /// File convenience wrappers.

@@ -34,7 +34,7 @@ TechNode tech_node_from_name(const std::string& name) {
     const std::string full = tech_node_name(n);
     if (name == full || name + "nm" == full) return n;
   }
-  fail("tech_node_from_name: unknown technology '" + name + "'");
+  fail("tech_node_from_name: unknown technology '" + name + "'", ErrorCode::io_parse);
 }
 
 namespace {

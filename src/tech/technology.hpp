@@ -28,7 +28,9 @@ const std::vector<TechNode>& all_tech_nodes();
 /// "90nm", "65nm", ...
 std::string tech_node_name(TechNode node);
 
-/// Parses "90nm" / "90" style names; throws on unknown.
+/// Parses "90nm" / "90" style names. An unknown name throws pim::Error
+/// (io_parse): the library reads these names from files (.tech and
+/// .pimfit labels, Liberty `technology`) and checks any other first.
 TechNode tech_node_from_name(const std::string& name);
 
 /// Wire geometry of one routing-layer class.

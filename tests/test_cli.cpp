@@ -228,6 +228,19 @@ TEST(CliExitCodes, MissingInputFileIsRuntimeError) {
   EXPECT_EQ(run_cli("noc /nonexistent/pim_missing.soc 65nm"), 3);
 }
 
+// A malformed input file is a runtime failure (io_parse, exit 3), not an
+// internal error.
+TEST(CliExitCodes, MalformedInputFileIsRuntimeError) {
+  const std::string tech = ::testing::TempDir() + "pim_cli_bad.tech";
+  std::ofstream(tech) << "technology \"45nm\" {\n  vdd 1.1 volts\n}\n";
+  EXPECT_EQ(run_cli("techfile " + tech), 3);
+  const std::string soc = ::testing::TempDir() + "pim_cli_bad.soc";
+  std::ofstream(soc) << "soc \"bad\" {\n  die 0.006\n}\n";
+  EXPECT_EQ(run_cli("noc " + soc + " 45nm"), 3);
+  std::remove(tech.c_str());
+  std::remove(soc.c_str());
+}
+
 TEST(CliExitCodes, UnknownFaultSiteIsUsageError) {
   EXPECT_EQ(run_cli("techfile 45nm --inject-fault bogus.site"), 2);
 }

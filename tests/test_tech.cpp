@@ -1,16 +1,21 @@
 // Tests for pim::tech — technology descriptors, wire extraction physics,
-// and tech-file round trips.
+// and tech-file round trips; plus the block-text formats (.tech, .pimfit,
+// cache payloads): pinned bytes, strict keys and hostile input.
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <string>
 #include <vector>
 
+#include "cache/memoize.hpp"
 #include "cache/sha256.hpp"
+#include "charlib/coeffs_io.hpp"
 #include "tech/techfile.hpp"
 #include "tech/technology.hpp"
 #include "tech/wire.hpp"
 #include "util/error.hpp"
 #include "util/units.hpp"
+#include "variation/variation.hpp"
 
 namespace pim {
 namespace {
@@ -189,6 +194,284 @@ TEST(Techfile, FileRoundTrip) {
   const Technology r = load_techfile(path);
   EXPECT_EQ(r.node, TechNode::N22);
   EXPECT_THROW(load_techfile("/nonexistent/dir/x.tech"), Error);
+}
+
+// ------------------------------------------------------ block-text formats
+
+// The tech-file and .pimfit bytes are the content identity behind every
+// fit cache key (technology_content_hash, the model signature's
+// coeff_hash), so a codec change must not move a single byte of them.
+TEST(TechfileGolden, BuiltinNodeBytesArePinned) {
+  const std::vector<std::pair<TechNode, const char*>> pins = {
+      {TechNode::N90, "2b9b7a4a589bb9a926615420fb323419c262c60205b9e74c2171b9ab5a7cf405"},
+      {TechNode::N65, "2f28ea060605879c5fc53b2864d742da49620a225dacac2b28acd1f78d19b916"},
+      {TechNode::N45, "50812e76033476e3b40d9b9f3ea0ba206686399666ac03f0e860495ac81beda8"},
+      {TechNode::N32, "4bca8a0057ddc3b0f357f4be58d7e0af6caaa68d65b71ba75fb46b8dc5358a53"},
+      {TechNode::N22, "93a3cb366c5079a6e2adfe1e6f7db5d049057b8321d755537043810d273b66fe"},
+      {TechNode::N16, "86bdcec40984bdb1dc4043738b1d3d0a505d181934b0b9fb911f979cdb447e45"},
+  };
+  for (const auto& [node, sha] : pins)
+    EXPECT_EQ(cache::sha256_hex(write_techfile(technology(node))), sha)
+        << tech_node_name(node);
+}
+
+// 45nm with a techfile-defined corner set, in set (not name) order.
+Technology tech_with_corners() {
+  Technology t = technology(TechNode::N45);
+  Corner slow;
+  slow.name = "slow";
+  slow.nmos_strength = 0.85;
+  slow.pmos_strength = 0.9;
+  slow.wire_res = 1.1;
+  slow.temperature_c = 125.0;
+  slow.vdd_scale = 0.9;
+  Corner fast;
+  fast.name = "fast";
+  fast.nmos_strength = 1.0 / 0.85;
+  fast.device_cap = 0.95;
+  fast.leakage = 3.0;
+  t.corners = ScenarioSet({Corner{}, slow, fast});
+  return t;
+}
+
+TEST(TechfileGolden, CustomCornersBytesArePinned) {
+  const std::string text = write_techfile(tech_with_corners());
+  EXPECT_EQ(cache::sha256_hex(text),
+            "c38fb2c2790f850a01ba0a790d75b70722447cd5c9cea8de42f1bac3c8fec935");
+  EXPECT_NE(text.find("    fast {\n      nmos_strength 1.17647058824\n"),
+            std::string::npos);
+  // Parsed corner sets come back sorted by name.
+  const Technology r = parse_techfile(text);
+  ASSERT_EQ(r.corners.size(), 3u);
+  EXPECT_EQ(r.corners.corners()[0].name, "fast");
+  EXPECT_EQ(r.corners.corners()[1].name, "nominal");
+  EXPECT_EQ(r.corners.corners()[2].name, "slow");
+  EXPECT_EQ(r.corners.corner("slow").temperature_c, 125.0);
+}
+
+TechnologyFit hand_built_fit() {
+  TechnologyFit f;
+  f.node = TechNode::N32;
+  f.vdd = 0.9;
+  f.gamma = 1.0e-9 / 3.0;
+  f.leakage = {1e-8, 0.125, -2.5e-9, 1.0 / 7.0};
+  f.area0 = 1.5e-13;
+  f.area1 = 2.0e-6 / 3.0;
+  f.comp_coupled = {1.05, 0.97, 0.5, 0.0123};
+  f.comp_shielded = {1.0, 1.0 / 3.0, 0.25, 0.0};
+  f.inv_rise = {1.0, 0.1, 2e9, 1234.5, 1e-8, 1.5e-11, 0.55, 3e-5, 0.999, 0.987654321};
+  f.inv_fall = f.inv_rise;
+  f.inv_fall.a0 = 1.1;
+  f.buf_rise = f.inv_rise;
+  f.buf_rise.b0 = 2.0e-11 / 3.0;
+  f.buf_fall = f.inv_rise;
+  f.buf_fall.rho1 = -4.25e-9;
+  return f;
+}
+
+const char* const kGoldenFit =
+    "coefficients \"32nm\" {\n"
+    "  vdd 0.90000000000000002\n"
+    "  gamma 3.3333333333333337e-10\n"
+    "  leak_n0 1e-08\n"
+    "  leak_n1 0.125\n"
+    "  leak_p0 -2.5000000000000001e-09\n"
+    "  leak_p1 0.14285714285714285\n"
+    "  area0 1.4999999999999999e-13\n"
+    "  area1 6.666666666666666e-07\n"
+    "  kappa_c_coupled 1.05\n"
+    "  kappa_c1_coupled 0.96999999999999997\n"
+    "  kappa_w_coupled 0.5\n"
+    "  worst_err_coupled 0.0123\n"
+    "  kappa_c_shielded 1\n"
+    "  kappa_c1_shielded 0.33333333333333331\n"
+    "  kappa_w_shielded 0.25\n"
+    "  worst_err_shielded 0\n"
+    "  inv_rise {\n"
+    "    a0 1\n"
+    "    a1 0.10000000000000001\n"
+    "    a2 2000000000\n"
+    "    rho0 1234.5\n"
+    "    rho1 1e-08\n"
+    "    b0 1.5e-11\n"
+    "    b1 0.55000000000000004\n"
+    "    b2 3.0000000000000001e-05\n"
+    "    r2_intrinsic 0.999\n"
+    "    r2_drive_res 0.98765432099999995\n"
+    "  }\n"
+    "  inv_fall {\n"
+    "    a0 1.1000000000000001\n"
+    "    a1 0.10000000000000001\n"
+    "    a2 2000000000\n"
+    "    rho0 1234.5\n"
+    "    rho1 1e-08\n"
+    "    b0 1.5e-11\n"
+    "    b1 0.55000000000000004\n"
+    "    b2 3.0000000000000001e-05\n"
+    "    r2_intrinsic 0.999\n"
+    "    r2_drive_res 0.98765432099999995\n"
+    "  }\n"
+    "  buf_rise {\n"
+    "    a0 1\n"
+    "    a1 0.10000000000000001\n"
+    "    a2 2000000000\n"
+    "    rho0 1234.5\n"
+    "    rho1 1e-08\n"
+    "    b0 6.6666666666666663e-12\n"
+    "    b1 0.55000000000000004\n"
+    "    b2 3.0000000000000001e-05\n"
+    "    r2_intrinsic 0.999\n"
+    "    r2_drive_res 0.98765432099999995\n"
+    "  }\n"
+    "  buf_fall {\n"
+    "    a0 1\n"
+    "    a1 0.10000000000000001\n"
+    "    a2 2000000000\n"
+    "    rho0 1234.5\n"
+    "    rho1 -4.25e-09\n"
+    "    b0 1.5e-11\n"
+    "    b1 0.55000000000000004\n"
+    "    b2 3.0000000000000001e-05\n"
+    "    r2_intrinsic 0.999\n"
+    "    r2_drive_res 0.98765432099999995\n"
+    "  }\n"
+    "}\n";
+
+TEST(FitGolden, HandBuiltFitBytesArePinned) {
+  const TechnologyFit f = hand_built_fit();
+  EXPECT_EQ(write_fit(f), kGoldenFit);
+  const TechnologyFit r = parse_fit(kGoldenFit);
+  EXPECT_EQ(r.node, f.node);
+  EXPECT_EQ(r.gamma, f.gamma);
+  EXPECT_EQ(r.leakage.p1, f.leakage.p1);
+  EXPECT_EQ(r.comp_shielded.kappa_c1, f.comp_shielded.kappa_c1);
+  EXPECT_EQ(r.buf_rise.b0, f.buf_rise.b0);
+  EXPECT_EQ(r.buf_fall.rho1, f.buf_fall.rho1);
+  EXPECT_EQ(write_fit(r), kGoldenFit);
+}
+
+// The coefficient files the repo ships still load under the strict reader.
+TEST(FitGolden, ShippedCoefficientFilesLoad) {
+  for (const char* file :
+       {"/e2ebench/data/coeffs_65nm.pimfit", "/bench_out/coeffs_65nm.pimfit"})
+    EXPECT_EQ(load_fit(std::string(PIM_SOURCE_DIR) + file).node, TechNode::N65) << file;
+}
+
+// Runs `parse` and expects an io_parse Error whose message names `needle`,
+// and `line` unless it is 0.
+template <typename F>
+void expect_parse_error(F&& parse, const std::string& needle, int line) {
+  try {
+    parse();
+    ADD_FAILURE() << "parsed; expected an error naming " << needle;
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::io_parse) << e.what();
+    EXPECT_NE(e.message().find(needle), std::string::npos) << e.what();
+    if (line > 0) {
+      EXPECT_NE(e.message().find("line " + std::to_string(line) + ":"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+// `text` with `insert` placed before the first line that starts with `at`.
+std::string insert_before(std::string text, const std::string& at,
+                          const std::string& insert) {
+  const size_t pos = text.find("\n" + at);
+  EXPECT_NE(pos, std::string::npos) << at;
+  return text.insert(pos + 1, insert);
+}
+
+TEST(TechfileStrict, TypoedCornerFieldIsRejected) {
+  // Parsed leniently, this signed `slow` off at nominal strength.
+  const std::string text = insert_before(write_techfile(technology(TechNode::N45)), "}",
+                                         "  corners {\n"
+                                         "    nominal {\n"
+                                         "    }\n"
+                                         "    slow {\n"
+                                         "      nmos_strenght 0.85\n"
+                                         "    }\n"
+                                         "  }\n");
+  expect_parse_error([&] { parse_techfile(text); }, "unknown key 'nmos_strenght'", 54);
+}
+
+TEST(TechfileStrict, SparseCornersStillParse) {
+  const std::string text = insert_before(write_techfile(technology(TechNode::N45)), "}",
+                                         "  corners {\n"
+                                         "    nominal {\n"
+                                         "    }\n"
+                                         "    ss {\n"
+                                         "      nmos_strength 0.85\n"
+                                         "    }\n"
+                                         "  }\n");
+  const Technology r = parse_techfile(text);
+  EXPECT_TRUE(r.corners.corner("nominal").is_nominal());
+  EXPECT_EQ(r.corners.corner("ss").nmos_strength, 0.85);
+  EXPECT_EQ(r.corners.corner("ss").pmos_strength, 1.0);
+}
+
+TEST(TechfileStrict, DuplicateFieldIsRejected) {
+  const std::string tech = write_techfile(technology(TechNode::N45));
+  const std::string text = insert_before(tech, "  pn_ratio", "  vdd 2.0\n");
+  expect_parse_error([&] { parse_techfile(text); }, "duplicate key 'vdd'", 3);
+}
+
+TEST(TechfileStrict, UnknownBlocksAreRejected) {
+  const std::string tech = write_techfile(technology(TechNode::N45));
+  const std::string inner = insert_before(tech, "  nmos", "  thermal {\n    k 1\n  }\n");
+  expect_parse_error([&] { parse_techfile(inner); },
+                     "unknown block 'thermal' in block 'technology'", 6);
+  expect_parse_error([&] { parse_techfile(tech + "thermal {\n}\n"); },
+                     "unknown block 'thermal'", 51);
+}
+
+TEST(TechfileStrict, MalformedLinesAreIoParseErrors) {
+  const std::string tech = write_techfile(technology(TechNode::N45));
+  std::string garbled = tech;
+  garbled.replace(garbled.find("vdd 1.1"), 7, "vdd 1.1 volts");
+  expect_parse_error([&] { parse_techfile(garbled); }, "key 'vdd'", 2);
+  std::string label = tech;
+  label.replace(label.find("45nm"), 4, "28nm");
+  expect_parse_error([&] { parse_techfile(label); }, "unknown technology '28nm'", 0);
+}
+
+TEST(FitStrict, UnknownKeyIsRejected) {
+  const std::string text = insert_before(kGoldenFit, "  area0", "  area2 1e-13\n");
+  expect_parse_error([&] { parse_fit(text); },
+                     "unknown key 'area2' in block 'coefficients'", 8);
+}
+
+// Every byte-length prefix of a well-formed text either parses or throws
+// an io_parse Error: never another code, never a crash (the sanitizer run
+// in scripts/check_sanitize.sh covers this test).
+template <typename F>
+void expect_prefixes_parse_or_fail_cleanly(const std::string& text, F&& parse) {
+  for (size_t n = 0; n <= text.size(); ++n) {
+    try {
+      parse(text.substr(0, n));
+    } catch (const Error& e) {
+      ASSERT_EQ(e.code(), ErrorCode::io_parse) << "prefix " << n << ": " << e.what();
+    }
+  }
+}
+
+TEST(BlockTextHostile, EveryPrefixParsesOrThrowsIoParse) {
+  expect_prefixes_parse_or_fail_cleanly(write_techfile(technology(TechNode::N45)),
+                                        [](const std::string& t) { parse_techfile(t); });
+  expect_prefixes_parse_or_fail_cleanly(write_techfile(tech_with_corners()),
+                                        [](const std::string& t) { parse_techfile(t); });
+  expect_prefixes_parse_or_fail_cleanly(kGoldenFit,
+                                        [](const std::string& t) { parse_fit(t); });
+  MonteCarloResult mc;
+  for (int i = 0; i < 64; ++i) mc.delays.push_back(1e-10 + i * 1e-12 / 3.0);
+  mc.nominal_delay = 1.2e-10;
+  mc.mean_delay = 1.3e-10;
+  mc.sigma_delay = 1e-11 / 3.0;
+  mc.mean_power = 3e-3;
+  mc.failed_samples = 2;
+  expect_prefixes_parse_or_fail_cleanly(
+      cache::Payload<MonteCarloResult>::encode(mc),
+      [](const std::string& t) { cache::Payload<MonteCarloResult>::decode(t); });
 }
 
 TEST(TechHash, ContentHashMatchesTechfileBytesAndIsStable) {

@@ -1,6 +1,11 @@
-// Unit tests for pim::util — units, errors, strings, tables, CSV, RNG.
+// Unit tests for pim::util — units, errors, strings, block text, tables,
+// CSV, RNG.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "util/blocktext.hpp"
 #include "util/csv.hpp"
 #include "util/error.hpp"
 #include "util/expected.hpp"
@@ -179,6 +184,216 @@ TEST(Strings, ParseLong) {
 TEST(Strings, Format) {
   EXPECT_EQ(format("%d-%s", 3, "x"), "3-x");
   EXPECT_EQ(format_sig(0.00123456, 3), "0.00123");
+}
+
+// ------------------------------------------------------------- block text
+
+enum class Shade { Light, Dark };
+
+struct Leaf {
+  std::string name;
+  double weight = 0.5;
+  double spare = 9.0;
+};
+
+template <typename B>
+void bind(B& b, Leaf& v) {
+  b.field("weight", v.weight);
+  b.optional("spare", v.spare);
+}
+
+struct Tree {
+  double height = 0.0;
+  long rings = 0;
+  bool alive = false;
+  Shade shade = Shade::Light;
+  std::vector<double> samples;
+  std::vector<double> none;
+  Leaf crown;
+  std::vector<Leaf> leaves;
+};
+
+template <typename B>
+void bind(B& b, Tree& v) {
+  b.field("height", v.height);
+  b.field("rings", v.rings);
+  b.field("alive", v.alive);
+  b.field("shade", v.shade);
+  b.field("samples", v.samples);
+  b.field("none", v.none);
+  b.block("crown", v.crown);
+  b.named_blocks("leaves", v.leaves);
+}
+
+Tree sample_tree() {
+  Tree t;
+  t.height = 1.0 / 3.0;
+  t.rings = -42;
+  t.alive = true;
+  t.shade = Shade::Dark;
+  t.samples = {1.5, 2e-10};
+  t.crown.weight = 2.0;
+  t.leaves = {Leaf{"oak", 0.25, 9.0}, Leaf{"ash", 1.0, 3.0}};
+  return t;
+}
+
+const char* const kTreeText =
+    "height 0.33333\n"
+    "rings -42\n"
+    "alive 1\n"
+    "shade 1\n"
+    "samples 1.5 2e-10\n"
+    "none\n"
+    "crown {\n"
+    "  weight 2\n"
+    "  spare 9\n"
+    "}\n"
+    "leaves {\n"
+    "  oak {\n"
+    "    weight 0.25\n"
+    "    spare 9\n"
+    "  }\n"
+    "  ash {\n"
+    "    weight 1\n"
+    "    spare 3\n"
+    "  }\n"
+    "}\n";
+
+std::string write_tree(const Tree& t, int digits) {
+  blocktext::Writer w(digits);
+  bind(w, const_cast<Tree&>(t));
+  return w.finish();
+}
+
+Tree read_tree(const std::string& text) {
+  blocktext::Reader r(text, "tree");
+  Tree t;
+  bind(r, t);
+  r.finish();
+  return t;
+}
+
+// Reads `text` as a Tree and returns the io_parse message it must fail with.
+std::string tree_error(const std::string& text) {
+  try {
+    (void)read_tree(text);
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::io_parse) << e.what();
+    return e.message();
+  }
+  ADD_FAILURE() << "parsed:\n" << text;
+  return "";
+}
+
+// `text` with lines [first, last] (1-based) replaced by `with`, a line
+// or lines of its own unless empty.
+std::string edit_lines(const std::string& text, int first, int last,
+                       const std::string& with) {
+  size_t begin = 0;
+  for (int i = 1; i < first; ++i) begin = text.find('\n', begin) + 1;
+  size_t end = begin;
+  for (int i = first; i <= last; ++i) end = text.find('\n', end) + 1;
+  return text.substr(0, begin) + with + (with.empty() ? "" : "\n") + text.substr(end);
+}
+
+std::string edit_line(const std::string& text, int line, const std::string& with) {
+  return edit_lines(text, line, line, with);
+}
+
+TEST(BlockText, WriterSpellsTheGrammar) {
+  EXPECT_EQ(write_tree(sample_tree(), 5), kTreeText);
+  blocktext::Writer w(3);
+  const std::string label = "x y";
+  w.block("top", sample_tree().crown, &label);
+  EXPECT_EQ(w.finish(), "top \"x y\" {\n  weight 2\n  spare 9\n}\n");
+}
+
+TEST(BlockText, ReaderRoundTripsTheWriter) {
+  const Tree t = sample_tree();
+  const Tree r = read_tree(write_tree(t, 17));
+  EXPECT_EQ(r.height, t.height);
+  EXPECT_EQ(r.rings, t.rings);
+  EXPECT_EQ(r.alive, t.alive);
+  EXPECT_EQ(r.shade, t.shade);
+  EXPECT_EQ(r.samples, t.samples);
+  EXPECT_TRUE(r.none.empty());
+  EXPECT_EQ(r.crown.weight, t.crown.weight);
+  ASSERT_EQ(r.leaves.size(), 2u);
+  EXPECT_EQ(r.leaves[0].name, "oak");  // file order
+  EXPECT_EQ(r.leaves[1].name, "ash");
+  EXPECT_EQ(r.leaves[1].spare, 3.0);
+}
+
+TEST(BlockText, CommentsBlankLinesAndIndentationAreFree) {
+  const Tree r = read_tree(
+      "# a tree\n\nheight 2  # metres\n rings 3\nalive 0\nshade 0\nsamples\n"
+      "none\n\t crown   {\nweight 1\n   }\n");
+  EXPECT_EQ(r.height, 2.0);
+  EXPECT_EQ(r.rings, 3);
+  EXPECT_TRUE(r.samples.empty());
+  EXPECT_EQ(r.crown.weight, 1.0);
+  EXPECT_EQ(r.crown.spare, 9.0);  // optional and absent: keeps its value
+  EXPECT_TRUE(r.leaves.empty());  // absent named blocks: no items
+}
+
+TEST(BlockText, ErrorsAreIoParseNamingTheKeyAndLine) {
+  const std::string text = kTreeText;
+  EXPECT_EQ(tree_error(edit_line(text, 2, "")), "tree: line 19: missing field 'rings'");
+  EXPECT_EQ(tree_error(edit_line(text, 8, "")),
+            "tree: line 7: missing field 'weight' in block 'crown'");
+  EXPECT_EQ(tree_error(edit_line(text, 2, "rings -42\nrings 7")),
+            "tree: line 3: duplicate key 'rings'");
+  EXPECT_EQ(tree_error(edit_line(text, 9, "  spare 9\n  spar 9")),
+            "tree: line 10: unknown key 'spar' in block 'crown'");
+  EXPECT_EQ(tree_error(text + "extra {\n}\n"), "tree: line 21: unknown block 'extra'");
+  EXPECT_EQ(tree_error(edit_line(text, 1, "height 0.3x")),
+            "tree: line 1: key 'height': parse_double: trailing characters in '0.3x'");
+  EXPECT_EQ(tree_error(edit_line(text, 2, "rings 4.2")),
+            "tree: line 2: key 'rings': parse_long: trailing characters in '4.2'");
+  EXPECT_EQ(tree_error(edit_line(text, 5, "samples 1 zz 3")),
+            "tree: line 5: key 'samples': parse_double: trailing characters in 'zz'");
+  EXPECT_EQ(tree_error(edit_line(text, 16, "  oak {\n    weight 1\n  }\n  ash {")),
+            "tree: line 16: duplicate block 'oak' in block 'leaves'");
+  EXPECT_EQ(tree_error(edit_lines(text, 12, 15, "  oak 1")),
+            "tree: line 12: key 'oak' must open a block, on its own line");
+}
+
+TEST(BlockText, RejectsLinesOutsideTheGrammar) {
+  const std::string text = kTreeText;
+  // One-line blocks are not in the grammar.
+  EXPECT_EQ(tree_error(edit_lines(text, 7, 10, "crown { weight 2 }")),
+            "tree: line 7: key 'crown' must open a block, on its own line");
+  EXPECT_EQ(tree_error(edit_line(text, 7, "crown 2 {")),
+            "tree: line 7: expected 'key value...', 'key [\"label\"] {' or '}'");
+  EXPECT_EQ(tree_error(edit_line(text, 7, "crown \"c\" {")),
+            "tree: line 7: block 'crown' takes no label");
+  EXPECT_EQ(tree_error(edit_line(text, 1, "height {\n}")),
+            "tree: line 1: block 'height' must be a field, not a block");
+  EXPECT_EQ(tree_error(text + "}\n"), "tree: line 21: '}' closes no block");
+  EXPECT_EQ(tree_error(edit_line(text, 10, "")), "tree: line 7: block 'crown' is never closed");
+  EXPECT_EQ(tree_error(edit_lines(text, 12, 19, "")),
+            "tree: line 11: block 'leaves' is empty");
+  EXPECT_EQ(tree_error(""), "tree: line 1: missing field 'height'");
+}
+
+TEST(BlockText, LabelledBlocksNeedTheirLabel) {
+  const auto read_top = [](const std::string& text) {
+    blocktext::Reader r(text, "top");
+    Leaf leaf;
+    std::string label;
+    r.block("top", leaf, &label);
+    r.finish();
+    return label;
+  };
+  EXPECT_EQ(read_top("top \"a b\" {\nweight 1\n}\n"), "a b");
+  EXPECT_EQ(read_top("top \"\" {\nweight 1\n}\n"), "");
+  try {
+    read_top("top {\nweight 1\n}\n");
+    ADD_FAILURE() << "an unlabelled block parsed";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::io_parse);
+    EXPECT_EQ(e.message(), "top: line 1: block 'top' needs a \"label\"");
+  }
 }
 
 TEST(Table, RendersAlignedColumns) {
