@@ -103,7 +103,7 @@ struct CacheMetrics {
 
   /// Refreshes cache.hit_rate from the counters (call after the lookup's
   /// PIM_COUNT lands). Shard-buffered increments from in-flight parallel
-  /// chunks may lag the reading — fine for a gauge; totals stay exact.
+  /// runners may lag the reading — fine for a gauge; totals stay exact.
   void update_hit_rate() {
     const double h = static_cast<double>(hit.value());
     const double total = h + static_cast<double>(miss.value());

@@ -2,6 +2,7 @@
 #include <algorithm>
 
 #include "numeric/regression.hpp"
+#include "obs/trace.hpp"
 #include "util/error.hpp"
 
 namespace pim {
@@ -94,6 +95,7 @@ RepeaterEdgeFit fit_repeater_edge(const std::vector<const RepeaterCell*>& cells,
 }
 
 TechnologyFit fit_technology(const Technology& tech, const CellLibrary& library) {
+  PIM_OBS_SPAN("charlib.fit_technology");
   TechnologyFit fit;
   fit.node = tech.node;
   fit.vdd = library.vdd();

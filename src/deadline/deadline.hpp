@@ -2,7 +2,7 @@
 //
 // Each thread carries (a) an absolute steady-clock deadline armed from a
 // millisecond budget and (b) a GraceScope depth; the exec engine runs
-// every pool chunk under its submitter's state, so concurrent requests
+// every pool runner under its submitter's state, so concurrent requests
 // keep their own budgets. The external cancel flag tripped by
 // request_cancel() — typically from SIGINT/SIGTERM handlers — is
 // process-wide. Long-running code does not receive a token argument; it
@@ -98,7 +98,7 @@ Error stop_error(StopReason reason, size_t completed, size_t total);
 /// api entry points call it at scope exit.
 void record_stop_metrics(size_t partial_items);
 
-/// Suppresses check() on this thread (and its regions' pool chunks) for
+/// Suppresses check() on this thread (and its regions' pool runners) for
 /// the scope: every poll there reports none while at least one
 /// GraceScope is alive. For the *bounded* finalization work that must
 /// still complete after a stop was acknowledged — re-evaluating an
@@ -130,7 +130,7 @@ class Scope {
 
 /// A thread's deadline state. current() captures the calling thread's;
 /// an InheritScope installs one on another thread for its lifetime (the
-/// exec engine wraps every pool chunk in one, as it wraps every item in
+/// exec engine wraps every pool runner in one, as it wraps every item in
 /// a fault::ScopedStream).
 struct State {
   int64_t deadline_ns = 0;  ///< absolute steady-clock ns; 0 = none armed

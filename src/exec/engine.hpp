@@ -7,9 +7,12 @@
 // instead of growing ad-hoc threads per subsystem. Determinism contract
 // (docs/parallelism.md):
 //
-//  - Static chunking: items [0, n) are split into T contiguous chunks by
-//    index. Which thread runs a chunk is scheduler-dependent; which items
-//    form a chunk is not, and no item's computation depends on another's.
+//  - Ascending claims: T runners claim contiguous blocks of [0, n) in
+//    ascending order from one atomic cursor, about eight blocks per
+//    runner, so costly items do not stall one runner while the others
+//    idle. Which runner gets which items is scheduler-dependent; results,
+//    failures, the cutoff and metrics are not, and no item's computation
+//    depends on another's.
 //  - Ordered reduction: results land in a slot vector by item index and
 //    callers reduce in index order after the join, so sums, argmins, and
 //    "first failure" are identical at any thread count.
@@ -19,31 +22,32 @@
 //  - Fault injection stays deterministic: each item runs under a
 //    fault::ScopedStream(i), so armed sites fire on the same items at any
 //    thread count (see util/faultinject.hpp).
-//  - Metrics stay exact: each chunk buffers counter increments AND timer
-//    samples (histogram buckets included) in its own obs::MetricShard,
-//    which the submitting thread merges after the join, in chunk order,
-//    into its own active shard (or the globals when it has none) — no
+//  - Metrics stay exact: each runner buffers counter increments AND timer
+//    samples (histogram buckets included) in its own obs::MetricShard —
+//    integer sums only — which the submitting thread merges after the
+//    join into its own active shard (or the globals when it has none) — no
 //    lock, no shared cache line on the hot path, reported
 //    totals/quantiles are bit-identical at any thread count, and a
 //    caller that counts one request under a shard sees all of it. The engine itself exports exec.* scheduler
-//    metrics (queue-wait/chunk histograms, busy/idle/imbalance gauges)
+//    metrics (queue-wait/runner histograms, busy/idle/imbalance gauges)
 //    when collection is on — see docs/observability.md.
 //
 // Error semantics: parallel_for / parallel_map are fail-fast — the error
-// of the LOWEST failing item index is rethrown after the join (chunks
-// stop at their first failure; later items of other chunks may still have
-// run, which is fine because items are side-effect-free by contract).
+// of the LOWEST failing item index is rethrown after the join (a runner
+// stops at its first failure and no runner claims a new block after it;
+// later items already claimed may still run, which is fine because items
+// are side-effect-free by contract).
 // parallel_try_map implements the PR-2 skip-and-record degradation
 // semantics: every failure is captured per item and returned alongside
 // the surviving values, ascending by item index.
 //
-// Deadlines & cancellation (docs/robustness.md): every chunk runs under
+// Deadlines & cancellation (docs/robustness.md): every runner runs under
 // the submitting thread's deadline state (its budget and grace depth,
 // deadline::InheritScope), and every item boundary polls
 // pim::deadline::check() under the item's fault stream. A stop is
-// reported with *prefix-cutoff* semantics: each chunk records the first
+// reported with *prefix-cutoff* semantics: each runner records the first
 // item index at which the stop triggered, the region's cutoff is the
-// minimum over chunks, the completed set is exactly [0, cutoff), and any
+// minimum over runners, the completed set is exactly [0, cutoff), and any
 // results computed at indices >= cutoff are discarded. Since per-item
 // work is index-pure, every item below the cutoff carries a bit-identical
 // result at any thread count; with the fault-injected stop sites the
@@ -105,11 +109,11 @@ struct RegionOutcome {
   size_t cutoff = 0;  ///< completed items are exactly [0, cutoff)
 };
 
-/// Core runner: executes body(i) for i in [0, n) over static contiguous
-/// chunks on the shared pool, with per-item fault streams, per-item
+/// Core runner: executes body(i) for i in [0, n) over ascending claimed
+/// blocks on the shared pool, with per-item fault streams, per-item
 /// deadline/cancel polls under the caller's deadline state, and
-/// per-chunk metric shards merged into the caller's. fail_fast stops
-/// each chunk at its first failure.
+/// per-runner metric shards merged into the caller's. fail_fast stops
+/// claiming at the first failure.
 RegionOutcome run_region(size_t n, const ParallelOptions& options,
                          bool fail_fast,
                          const std::function<void(size_t)>& body);
@@ -167,7 +171,7 @@ BatchResult<R> parallel_try_map(size_t n, const std::function<R(size_t)>& fn,
       n, options, /*fail_fast=*/false, [&](size_t i) { out.values[i] = fn(i); });
   out.stop = outcome.stop;
   out.completed = outcome.cutoff;
-  // Prefix-cutoff discard: a chunk past the cutoff may have computed some
+  // Prefix-cutoff discard: a runner past the cutoff may have computed some
   // values before its own stop triggered; dropping them keeps the
   // completed set exactly [0, cutoff) at any thread count.
   for (size_t i = out.completed; i < n; ++i) out.values[i].reset();

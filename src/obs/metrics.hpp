@@ -12,7 +12,7 @@
 //  - Everything is thread-safe. Counters/gauges/timers update with
 //    relaxed atomics, so concurrent writers are race-free; parallel hot
 //    loops additionally install per-thread MetricShards (the exec engine
-//    does this per chunk) that buffer counter deltas AND timer samples
+//    does this per runner) that buffer counter deltas AND timer samples
 //    locally and merge them exactly at join, keeping even the atomic
 //    traffic off the hot path while totals stay exact.
 //
@@ -72,7 +72,7 @@ struct TimerDelta {
 
 /// Per-thread metric buffer for parallel hot loops. A worker thread that
 /// installs a shard (via ShardScope — the exec engine does this per
-/// chunk) turns every Counter::add and Timer::record_ns on that thread
+/// runner) turns every Counter::add and Timer::record_ns on that thread
 /// into a plain non-atomic accumulation into a small local table;
 /// flush() merges the buffered state into the shared atomics in one pass
 /// per metric. Totals stay exact — histogram bucket counts included, so
@@ -109,7 +109,7 @@ inline MetricShard*& shard_slot() {
 
 /// Installs `shard` as this thread's active shard for the scope; restores
 /// the previous slot on exit. Does NOT flush — the owner decides when the
-/// buffered deltas merge (the exec engine flushes at chunk join).
+/// buffered deltas merge (the exec engine flushes at the join).
 class ShardScope {
  public:
   explicit ShardScope(MetricShard& shard) : prev_(shard_slot()) {

@@ -65,7 +65,7 @@ size_t trace_dropped();
 void clear_trace();
 
 /// Appends an already-timed complete event attributed to the calling
-/// thread — for call sites (the exec engine's chunk runner) that measure
+/// thread — for call sites (the exec engine's runners) that measure
 /// the interval themselves because the duration also feeds metrics.
 /// No-op unless tracing is enabled. `name` must be a string literal.
 void record_trace_event(const char* name, int64_t start_ns, int64_t dur_ns);

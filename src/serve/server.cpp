@@ -155,19 +155,29 @@ struct Server::Impl {
 };
 
 void Server::Impl::bind_unix() {
+  // The socket file appears at bind(), but connect() is refused until
+  // listen(). So the listener is bound under a temporary name in the same
+  // directory and renamed onto socket_path after listen(): a client that
+  // sees the path can connect at once.
+  const std::string bound_path = options.socket_path + ".tmp";
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;
-  require(options.socket_path.size() < sizeof(addr.sun_path),
-          "pimd: socket path too long: " + options.socket_path, ErrorCode::bad_input);
-  std::strncpy(addr.sun_path, options.socket_path.c_str(), sizeof(addr.sun_path) - 1);
+  for (const std::string& path : {options.socket_path, bound_path})
+    require(path.size() < sizeof(addr.sun_path), "pimd: socket path too long: " + path,
+            ErrorCode::bad_input);
+  std::strncpy(addr.sun_path, bound_path.c_str(), sizeof(addr.sun_path) - 1);
   unix_fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
   require(unix_fd >= 0, "pimd: socket(AF_UNIX) failed", ErrorCode::io_parse);
-  ::unlink(options.socket_path.c_str());
+  ::unlink(bound_path.c_str());
   require(::bind(unix_fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0,
-          "pimd: cannot bind " + options.socket_path + ": " + std::strerror(errno),
+          "pimd: cannot bind " + bound_path + ": " + std::strerror(errno),
           ErrorCode::io_parse);
-  require(::listen(unix_fd, 64) == 0, "pimd: listen failed on " + options.socket_path,
-          ErrorCode::io_parse);
+  if (::listen(unix_fd, 64) != 0 ||
+      ::rename(bound_path.c_str(), options.socket_path.c_str()) != 0) {
+    const std::string why = std::strerror(errno);
+    ::unlink(bound_path.c_str());
+    fail("pimd: cannot listen on " + options.socket_path + ": " + why, ErrorCode::io_parse);
+  }
 }
 
 void Server::Impl::bind_tcp() {
@@ -322,7 +332,7 @@ void Server::Impl::worker_loop() {
       queue.pop_front();
     }
     const Clock::time_point t0 = Clock::now();
-    // The request runs under its own shard (its pool chunks merge into
+    // The request runs under its own shard (its pool runners merge into
     // it), so the counts read back are exactly its own — every item of a
     // batch — at any worker count.
     obs::MetricShard shard;
@@ -416,7 +426,7 @@ void Server::start() {
   s.started = Clock::now();
   for (int i = 0; i < s.options.workers; ++i)
     s.worker_threads.emplace_back([&s] { s.worker_loop(); });
-  // The fds go in by value: stop() resets the members while these run.
+  // The fds go in by value; stop() resets the members after joining these.
   if (s.unix_fd >= 0)
     s.accept_threads.emplace_back([&s, fd = s.unix_fd] { s.accept_loop(fd); });
   if (s.tcp_fd >= 0)
@@ -438,20 +448,24 @@ void Server::stop() {
   Impl& s = *impl_;
   std::call_once(s.stop_once, [&s] {
     s.stopping.store(true);
-    // 1. Stop accepting: closing the listeners unblocks accept().
+    // 1. Stop accepting: shutting a listener down makes every accept() on
+    // it fail at once. The fds are closed only after the accept threads
+    // are joined: closed earlier, an fd number could be recycled by
+    // another socket of the process before its accept thread reaches
+    // accept(), which would then take that socket's connections.
+    for (const int fd : {s.unix_fd, s.tcp_fd})
+      if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
+    for (std::thread& t : s.accept_threads) t.join();
+    s.accept_threads.clear();
     if (s.unix_fd >= 0) {
-      ::shutdown(s.unix_fd, SHUT_RDWR);
       ::close(s.unix_fd);
       ::unlink(s.options.socket_path.c_str());
       s.unix_fd = -1;
     }
     if (s.tcp_fd >= 0) {
-      ::shutdown(s.tcp_fd, SHUT_RDWR);
       ::close(s.tcp_fd);
       s.tcp_fd = -1;
     }
-    for (std::thread& t : s.accept_threads) t.join();
-    s.accept_threads.clear();
     // 2. Unblock readers; they finish lines already received (each gets
     // a response — accepted work is never dropped) and exit on EOF.
     // Readers are detached, so drain waits on the live counter instead

@@ -16,7 +16,7 @@
 //    since the work never started. Rejections keep per-connection
 //    response order like any other response.
 //  - Deadlines: a request's deadline_ms budget is armed on the worker
-//    thread running it and inherited by the pool chunks that request
+//    thread running it and inherited by the pool runners that request
 //    submits, so requests with and without budgets run concurrently and
 //    never truncate each other. Flows degrade to partial results or
 //    typed deadline errors exactly as direct pim::api calls do.

@@ -2,10 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "charlib/characterize.hpp"
+#include "exec/engine.hpp"
 #include "numeric/leastsq.hpp"
 #include "numeric/regression.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "util/error.hpp"
 
 namespace pim {
@@ -13,63 +17,57 @@ namespace {
 
 // One training configuration with its golden measurement.
 struct Sample {
-  int drive;
-  double segment;
-  double input_slew;
-  int repeaters;
-  double golden;
-  double ci;
-  double c_wire;  // Miller-weighted wire capacitance of one segment
-  double d_pam;   // Pamunuwa wire term of one segment
-  double wr;      // NMOS width (fall-edge symmetric device)
+  LinkContext ctx;
+  LinkDesign design;
+  double golden = 0.0;
+  double ci = 0.0;
+  double c_wire = 0.0;  // Miller-weighted wire capacitance of one segment
+  double d_pam = 0.0;   // Pamunuwa wire term of one segment
+  double wr = 0.0;      // NMOS width (fall-edge symmetric device)
 };
 
-// Fits the two weights of one style class against golden chains. The
+// Appends the training configurations of one style class to `samples`,
+// golden delays still unset.
+void add_training_set(const Technology& tech, const TechnologyFit& fit, DesignStyle style,
+                      const CompositionOptions& options, std::vector<Sample>& samples) {
+  for (int drive : options.drives) {
+    const RepeaterSizing sz = repeater_sizing(tech, CellKind::Inverter, drive);
+    for (double seg : options.segment_lengths) {
+      for (double slew : options.input_slews) {
+        for (int n : options.chain_lengths) {
+          Sample s;
+          s.ctx.layer = options.layer;
+          s.ctx.style = style;
+          s.ctx.length = seg * n;
+          s.ctx.input_slew = slew;
+          s.design.kind = CellKind::Inverter;
+          s.design.drive = drive;
+          s.design.num_repeaters = n;
+
+          const LinkGeometry g(tech, s.ctx, s.design);
+          s.ci = fit.gamma * (sz.wn_out + sz.wp_out);
+          s.c_wire = g.seg_cap_ground + s.design.miller_factor * g.seg_cap_couple_total;
+          s.d_pam = g.seg_res *
+                    (0.4 * g.seg_cap_ground +
+                     0.5 * s.design.miller_factor * g.seg_cap_couple_total + 0.7 * s.ci);
+          s.wr = sz.wn_out;
+          samples.push_back(s);
+        }
+      }
+    }
+  }
+}
+
+// Fits the two weights of one style class against its golden chains. The
 // model's inter-stage slew depends on kappa_c (through the stage load),
 // so the linear least squares is wrapped in a short fixed-point
 // iteration: compute the slew chain with the current weights, refit,
 // repeat. Training on multi-stage chains (not just single stages) lets
 // the weights absorb the waveform-shape error an NLDM-style slew metric
 // cannot see (the long RC tail a real driven wire hands the next stage).
-CompositionWeights fit_style_class(const Technology& tech, const TechnologyFit& fit,
-                                   DesignStyle style, const CompositionOptions& options) {
+CompositionWeights fit_style_class(const TechnologyFit& fit,
+                                   std::span<const Sample> samples) {
   const RepeaterEdgeFit& f = fit.edge_fit(CellKind::Inverter, false);
-
-  std::vector<Sample> samples;
-  for (int drive : options.drives) {
-    const RepeaterSizing sz = repeater_sizing(tech, CellKind::Inverter, drive);
-    for (double seg : options.segment_lengths) {
-      for (double slew : options.input_slews) {
-        for (int n : options.chain_lengths) {
-          LinkContext ctx;
-          ctx.layer = options.layer;
-          ctx.style = style;
-          ctx.length = seg * n;
-          ctx.input_slew = slew;
-
-          LinkDesign design;
-          design.kind = CellKind::Inverter;
-          design.drive = drive;
-          design.num_repeaters = n;
-
-          const LinkGeometry g(tech, ctx, design);
-          Sample s;
-          s.drive = drive;
-          s.segment = seg;
-          s.input_slew = slew;
-          s.repeaters = n;
-          s.ci = fit.gamma * (sz.wn_out + sz.wp_out);
-          s.c_wire = g.seg_cap_ground + design.miller_factor * g.seg_cap_couple_total;
-          s.d_pam = g.seg_res *
-                    (0.4 * g.seg_cap_ground +
-                     0.5 * design.miller_factor * g.seg_cap_couple_total + 0.7 * s.ci);
-          s.wr = sz.wn_out;
-          s.golden = signoff_link(tech, ctx, design, options.signoff).delay;
-          samples.push_back(s);
-        }
-      }
-    }
-  }
   require(samples.size() >= 3, "calibrate_composition: training set too small");
 
   CompositionWeights w;  // start from the paper's raw composition (1, 1, 1)
@@ -83,12 +81,12 @@ CompositionWeights fit_style_class(const Technology& tech, const TechnologyFit& 
       // error: short and long configurations count equally.
       const double scale = 1.0 / s.golden;
       // Slew chain under the current kappa_c.
-      double slew = s.input_slew;
+      double slew = s.ctx.input_slew;
       double sum_i = 0.0;
       double sum_rd_ci = 0.0;
       double sum_rho0_cw = 0.0;  // slew-independent driver-wire interaction
       double sum_rho1_cw = 0.0;  // slew-dependent driver-wire interaction
-      for (int k = 0; k < s.repeaters; ++k) {
+      for (int k = 0; k < s.design.num_repeaters; ++k) {
         const double rd = f.drive_resistance(slew, s.wr);
         sum_i += f.a0 + f.a1 * slew + f.a2 * slew * slew;
         sum_rd_ci += rd * s.ci;
@@ -98,7 +96,7 @@ CompositionWeights fit_style_class(const Technology& tech, const TechnologyFit& 
       }
       a(i, 0) = scale * sum_rho0_cw;
       a(i, 1) = scale * sum_rho1_cw;
-      a(i, 2) = scale * s.repeaters * s.d_pam;
+      a(i, 2) = scale * s.design.num_repeaters * s.d_pam;
       y[i] = scale * (s.golden - sum_i - sum_rd_ci);
     }
     // Ridge-regularized toward the paper's raw composition (all weights
@@ -149,8 +147,26 @@ CompositionWeights fit_style_class(const Technology& tech, const TechnologyFit& 
 
 TechnologyFit calibrate_composition(const Technology& tech, TechnologyFit fit,
                                     const CompositionOptions& options) {
-  fit.comp_coupled = fit_style_class(tech, fit, DesignStyle::SingleSpacing, options);
-  fit.comp_shielded = fit_style_class(tech, fit, DesignStyle::Shielded, options);
+  PIM_OBS_SPAN("sta.composition.calibrate");
+  std::vector<Sample> samples;
+  add_training_set(tech, fit, DesignStyle::SingleSpacing, options, samples);
+  const size_t coupled = samples.size();
+  add_training_set(tech, fit, DesignStyle::Shielded, options, samples);
+
+  // Every golden simulation of both classes is one parallel region. The
+  // coupled five-line bundles come first: they cost up to ten times a
+  // shielded line, and the engine hands out ascending blocks, so the
+  // cheap shielded jobs fill in behind them. Each configuration is
+  // index-pure, so the goldens are bit-identical at any thread count.
+  const std::vector<double> golden = exec::parallel_map<double>(samples.size(), [&](size_t i) {
+    PIM_COUNT("sta.composition.golden");
+    return signoff_link(tech, samples[i].ctx, samples[i].design, options.signoff).delay;
+  });
+  for (size_t i = 0; i < samples.size(); ++i) samples[i].golden = golden[i];
+
+  const std::span<const Sample> all(samples);
+  fit.comp_coupled = fit_style_class(fit, all.first(coupled));
+  fit.comp_shielded = fit_style_class(fit, all.subspan(coupled));
   return fit;
 }
 

@@ -34,7 +34,9 @@ struct CompositionOptions {
 };
 
 /// Returns `fit` with comp_coupled / comp_shielded filled in from golden
-/// single-stage simulations of `tech`.
+/// chain simulations of `tech`. The golden simulations of both classes
+/// run as one pim::exec region; the weights are bit-identical at any
+/// thread count.
 TechnologyFit calibrate_composition(const Technology& tech, TechnologyFit fit,
                                     const CompositionOptions& options = {});
 

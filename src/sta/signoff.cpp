@@ -4,6 +4,7 @@
 
 #include "charlib/characterize.hpp"
 #include "models/baseline.hpp"
+#include "spice/batch.hpp"
 #include "spice/measure.hpp"
 #include "spice/transient.hpp"
 #include "util/error.hpp"
@@ -88,14 +89,62 @@ void add_wire_segment(Circuit& ckt, const LinkGeometry& g, int npi,
   }
 }
 
+// Coupled styles get a five-line bundle: victim, two aggressors, two
+// phase-matched guards (see add_wire_segment for the geometry).
+size_t bundle_lines(const LinkContext& ctx) {
+  return ctx.style == DesignStyle::Shielded ? 1 : 5;
+}
+
+// The input wave of every line of the bundle, victim first, for one launch
+// polarity. They are the only difference between the rising and the
+// falling netlist of a line.
+std::vector<Waveform> launch_waves(const Technology& tech, const LinkContext& ctx,
+                                   const SignoffOptions& opt, bool launch_rising) {
+  const size_t lines = bundle_lines(ctx);
+  const double v0 = launch_rising ? 0.0 : tech.vdd;
+  const double v1 = tech.vdd - v0;
+  auto ramp = [&](double from, double to) {
+    return Waveform::ramp(from, to, kEdgeStart, ctx.input_slew);
+  };
+  std::vector<Waveform> waves;
+  waves.reserve(lines);
+  waves.push_back(opt.aggressors == AggressorMode::VictimQuiet ? Waveform::dc(0.0)
+                                                               : ramp(v0, v1));
+  for (size_t l = 1; l < lines; ++l) {
+    // Lines 1 and 2 are the direct aggressors; lines 3 and 4 (when
+    // present) are guards phase-matched to the victim so the aggressors
+    // themselves see a worst-case environment and stay aligned.
+    const bool direct_aggressor = l <= 2;
+    switch (opt.aggressors) {
+      case AggressorMode::Opposing:
+        waves.push_back(direct_aggressor ? ramp(v1, v0) : ramp(v0, v1));
+        break;
+      case AggressorMode::SameDirection:
+        waves.push_back(ramp(v0, v1));
+        break;
+      case AggressorMode::Quiet:
+        waves.push_back(Waveform::dc(0.0));
+        break;
+      case AggressorMode::VictimQuiet:
+        // All neighbors rise together; their buffered wires fall and
+        // couple the quiet (high) victim wire downward.
+        waves.push_back(ramp(0.0, tech.vdd));
+        break;
+    }
+  }
+  return waves;
+}
+
+// Voltage sources in build_line's declaration order: vdd, then one input
+// per line.
+constexpr size_t kFirstLineSource = 1;
+
 LinkNetlist build_line(const Technology& tech, const LinkContext& ctx,
                      const LinkDesign& design, const SignoffOptions& opt,
                      bool launch_rising) {
   const LinkGeometry g(tech, ctx, design);
   const RepeaterSizing sz = repeater_sizing(tech, design.kind, design.drive);
-  // Coupled styles get a five-line bundle: victim, two aggressors, two
-  // phase-matched guards (see add_wire_segment for the geometry).
-  const size_t lines = ctx.style == DesignStyle::Shielded ? 1 : 5;
+  const size_t lines = bundle_lines(ctx);
 
   LinkNetlist built;
   Circuit& ckt = built.circuit;
@@ -106,40 +155,8 @@ LinkNetlist build_line(const Technology& tech, const LinkContext& ctx,
   std::vector<NodeId> cur(lines);
   for (size_t l = 0; l < lines; ++l) cur[l] = ckt.add_node();
   built.victim_in = cur[0];
-
-  const double v0 = launch_rising ? 0.0 : tech.vdd;
-  const double v1 = tech.vdd - v0;
-  if (opt.aggressors == AggressorMode::VictimQuiet) {
-    ckt.add_vsource(cur[0], Waveform::dc(0.0));
-  } else {
-    ckt.add_vsource(cur[0], Waveform::ramp(v0, v1, kEdgeStart, ctx.input_slew));
-  }
-  for (size_t l = 1; l < lines; ++l) {
-    // Lines 1 and 2 are the direct aggressors; lines 3 and 4 (when
-    // present) are guards phase-matched to the victim so the aggressors
-    // themselves see a worst-case environment and stay aligned.
-    const bool direct_aggressor = l <= 2;
-    switch (opt.aggressors) {
-      case AggressorMode::Opposing:
-        if (direct_aggressor) {
-          ckt.add_vsource(cur[l], Waveform::ramp(v1, v0, kEdgeStart, ctx.input_slew));
-        } else {
-          ckt.add_vsource(cur[l], Waveform::ramp(v0, v1, kEdgeStart, ctx.input_slew));
-        }
-        break;
-      case AggressorMode::SameDirection:
-        ckt.add_vsource(cur[l], Waveform::ramp(v0, v1, kEdgeStart, ctx.input_slew));
-        break;
-      case AggressorMode::Quiet:
-        ckt.add_vsource(cur[l], Waveform::dc(0.0));
-        break;
-      case AggressorMode::VictimQuiet:
-        // All neighbors rise together; their buffered wires fall and
-        // couple the quiet (high) victim wire downward.
-        ckt.add_vsource(cur[l], Waveform::ramp(0.0, tech.vdd, kEdgeStart, ctx.input_slew));
-        break;
-    }
-  }
+  const std::vector<Waveform> waves = launch_waves(tech, ctx, opt, launch_rising);
+  for (size_t l = 0; l < lines; ++l) ckt.add_vsource(cur[l], waves[l]);
 
   for (int k = 0; k < design.num_repeaters; ++k) {
     add_repeaters(ckt, tech, design, sz, vdd, cur);
@@ -164,20 +181,30 @@ SignoffResult signoff_link(const Technology& tech, const LinkContext& ctx,
 
   // Size the simulation window from a cheap analytical estimate.
   const double estimate = PamunuwaModel(tech).evaluate(ctx, design).delay;
+  TransientOptions sim;
+  sim.dt = opt.dt;
+  sim.t_stop = kEdgeStart + ctx.input_slew + 3.0 * estimate + opt.window_margin;
+  sim.t_settle = 2e-9;
+  sim.settle_steps = 250;
 
+  // Both launch polarities share one topology and differ only in the line
+  // input waves, so the rising netlist is compiled once and the falling
+  // launch runs as a second lane of the same batch that overrides every
+  // line input with its falling wave. Each lane is bit-identical to a
+  // solo run of its own netlist (docs/kernels.md).
+  const LinkNetlist built = build_line(tech, ctx, design, opt, /*launch_rising=*/true);
+  const std::vector<Waveform> falling = launch_waves(tech, ctx, opt, /*launch_rising=*/false);
+  std::vector<LaneSpec> lanes(2);
+  for (size_t l = 0; l < falling.size(); ++l)
+    lanes[1].vsource_wave.emplace_back(kFirstLineSource + l, falling[l]);
+  std::vector<Expected<TransientResult>> runs =
+      run_transient_batch(CompiledCircuit::compile(built.circuit, sim.band_threshold), sim,
+                          {built.victim_in, built.victim_out}, lanes);
+
+  const bool inverted = design.kind == CellKind::Inverter && (design.num_repeaters % 2 == 1);
   SignoffResult worst;
   for (const bool launch_rising : {true, false}) {
-    LinkNetlist built = build_line(tech, ctx, design, opt, launch_rising);
-
-    TransientOptions sim;
-    sim.dt = opt.dt;
-    sim.t_stop = kEdgeStart + ctx.input_slew + 3.0 * estimate + opt.window_margin;
-    sim.t_settle = 2e-9;
-    sim.settle_steps = 250;
-    const TransientResult res =
-        run_transient(built.circuit, sim, {built.victim_in, built.victim_out});
-
-    const bool inverted = design.kind == CellKind::Inverter && (design.num_repeaters % 2 == 1);
+    const TransientResult res = runs[launch_rising ? 0 : 1].take();
     const EdgeKind in_edge = launch_rising ? EdgeKind::Rising : EdgeKind::Falling;
     const EdgeKind out_edge = (launch_rising != inverted) ? EdgeKind::Rising : EdgeKind::Falling;
 

@@ -6,10 +6,13 @@
 // shards lose no counts and fault fire counts stay exact under threads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "charlib/characterize.hpp"
@@ -174,6 +177,120 @@ TEST_F(ExecFixture, EmptyAndTinyRegionsWork) {
       1, [](size_t) { return 41; }, {.threads = 8});
   ASSERT_EQ(one.size(), 1u);
   EXPECT_EQ(one[0], 41);
+}
+
+// ------------------------------------------------------------ claiming
+
+// A region with deliberately skewed item costs: item 0 stalls until item
+// `wait_for` has started. Runners claim ascending blocks, so the runner
+// holding item 0 is stuck while the others claim and run everything up
+// to `wait_for` — items at the two ends are run by different runners, and
+// item 0 finishes after `wait_for`.
+class SkewedRegion {
+ public:
+  SkewedRegion(size_t n, size_t wait_for) : runner_(n), wait_for_(wait_for) {}
+
+  /// Call first in the item body.
+  void enter(size_t i) {
+    runner_[i] = std::this_thread::get_id();
+    if (i == wait_for_) started_.store(true);
+    if (i != 0) return;
+    const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!started_.load()) {
+      if (std::chrono::steady_clock::now() > give_up) {
+        timed_out_.store(true);
+        return;
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  }
+
+  bool timed_out() const { return timed_out_.load(); }
+  std::thread::id runner(size_t i) const { return runner_[i]; }
+
+ private:
+  std::vector<std::thread::id> runner_;  // slot i written only by item i
+  size_t wait_for_;
+  std::atomic<bool> started_{false};
+  std::atomic<bool> timed_out_{false};
+};
+
+TEST_F(ExecFixture, SkewedItemsEachRunOnceIntoTheirOwnSlot) {
+  const size_t n = 1000;
+  SkewedRegion region(n, n - 1);
+  std::vector<std::atomic<int>> hits(n);
+  const auto out = exec::parallel_map<size_t>(
+      n,
+      [&](size_t i) {
+        region.enter(i);
+        hits[i].fetch_add(1);
+        return 3 * i + 1;
+      },
+      {.threads = 4});
+  ASSERT_FALSE(region.timed_out()) << "no other runner claimed the last block";
+  EXPECT_NE(region.runner(0), region.runner(n - 1));
+  ASSERT_EQ(out.size(), n);
+  for (size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(hits[i].load(), 1) << "item " << i;
+    EXPECT_EQ(out[i], 3 * i + 1) << "item " << i;
+  }
+  // One chunk record per runner; their item counts add up to the region.
+  EXPECT_EQ(obs::registry().timer("exec.chunk.run").count(), 4);
+  EXPECT_EQ(obs::registry().timer("exec.chunk.items").total_ns(), static_cast<int64_t>(n));
+}
+
+TEST_F(ExecFixture, TryMapFailuresFromDifferentRunnersComeBackAscending) {
+  // Every item but the stalled one costs a short sleep, so the three free
+  // runners keep claiming blocks side by side and their failures
+  // interleave by index.
+  const size_t n = 256;
+  SkewedRegion region(n, n - 1);
+  const auto planted = [](size_t i) { return i % 7 == 0; };
+  const auto batch = exec::parallel_try_map<int>(
+      n,
+      [&](size_t i) {
+        region.enter(i);
+        std::this_thread::sleep_for(std::chrono::microseconds(20));
+        if (planted(i)) fail("planted at " + std::to_string(i), ErrorCode::bad_input);
+        return static_cast<int>(i);
+      },
+      {.threads = 4});
+  ASSERT_FALSE(region.timed_out()) << "no other runner claimed the last block";
+  // Item 0 failed last, on another runner than the tail's failures.
+  EXPECT_NE(region.runner(0), region.runner(n - 1));
+  std::vector<size_t> want;
+  for (size_t i = 0; i < n; ++i)
+    if (planted(i)) want.push_back(i);
+  EXPECT_EQ(batch.failed, want);
+  ASSERT_EQ(batch.errors.size(), want.size());
+  for (size_t k = 0; k < want.size(); ++k)
+    EXPECT_NE(std::string(batch.errors[k].what()).find("planted at " + std::to_string(want[k])),
+              std::string::npos);
+  EXPECT_EQ(batch.surviving(), n - want.size());
+  for (size_t i = 0; i < n; ++i) {
+    if (!planted(i)) {
+      EXPECT_EQ(batch.values[i], static_cast<int>(i));
+    }
+  }
+}
+
+TEST_F(ExecFixture, ParallelForRethrowsTheLowestFailureEvenWhenItFailsLast) {
+  const size_t n = 64;
+  SkewedRegion region(n, 33);
+  try {
+    exec::parallel_for(
+        n,
+        [&](size_t i) {
+          region.enter(i);
+          if (i == 0 || i == 33) fail("planted at " + std::to_string(i), ErrorCode::internal);
+        },
+        {.threads = 4});
+    FAIL() << "expected the item error to propagate";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("parallel item #0"), std::string::npos) << e.what();
+  }
+  ASSERT_FALSE(region.timed_out()) << "no other runner claimed item 33";
+  EXPECT_NE(region.runner(0), region.runner(33));
 }
 
 // ------------------------------------------------------------- metrics

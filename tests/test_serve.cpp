@@ -10,6 +10,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
@@ -344,6 +345,65 @@ TEST(Serve, ListenersCloseAfterStop) {
       << "listener should be closed after stop()";
   ::close(fd2);
   ::close(fd);
+}
+
+// Starts a server on `path` while a client spins until the socket file
+// appears, then connects at once and sends one request. Returns the
+// response line, or what went wrong.
+std::string connect_the_moment_the_path_exists(const std::string& path) {
+  std::filesystem::remove(path);
+  ServerOptions options;
+  options.socket_path = path;
+  options.workers = 1;
+  Server server(options);
+  std::atomic<bool> spinning{false};
+  std::future<std::string> client = std::async(std::launch::async, [&] {
+    spinning.store(true);
+    const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (::access(path.c_str(), F_OK) != 0)
+      if (std::chrono::steady_clock::now() > give_up) return std::string("no socket file");
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+      const std::string why = std::strerror(errno);
+      ::close(fd);
+      return "connect refused: " + why;
+    }
+    send_line(fd, "{\"op\":\"techfile\",\"id\":7,\"tech\":\"65nm\"}");
+    LineReader reader{fd, {}};
+    std::string response = reader.next();
+    ::close(fd);
+    return response;
+  });
+  while (!spinning.load()) std::this_thread::yield();
+  server.start();
+  std::string response = client.get();
+  server.stop();
+  return response;
+}
+
+// A client that connects the moment the socket file appears must get
+// through: the listener only takes its path after listen(), so there is
+// no window in which the path exists but connect() is refused. The gap
+// that window used to be is microseconds wide, so four loops race
+// thousands of starts side by side to get threads preempted inside it.
+TEST(Serve, ClientConnectingTheMomentThePathExistsGetsAResponse) {
+  std::vector<std::future<std::string>> loops;
+  for (int t = 0; t < 4; ++t)
+    loops.push_back(std::async(std::launch::async, [t] {
+      const std::string path = ::testing::TempDir() + "pim_serve_race_" +
+                               std::to_string(::getpid()) + "_" + std::to_string(t) +
+                               ".sock";
+      for (int round = 0; round < 500; ++round) {
+        const std::string response = connect_the_moment_the_path_exists(path);
+        if (response.find("\"id\":7") == std::string::npos)
+          return "round " + std::to_string(round) + ": " + response;
+      }
+      return std::string();
+    }));
+  for (std::future<std::string>& loop : loops) EXPECT_EQ(loop.get(), "");
 }
 
 // stop() right after start() must join every worker: a worker between

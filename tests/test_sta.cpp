@@ -7,16 +7,20 @@
 
 #include <cmath>
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "spice/transient.hpp"
 #include "spice/measure.hpp"
 #include "util/rng.hpp"
 
 #include "charlib/coeffs_io.hpp"
+#include "exec/engine.hpp"
 #include "models/baseline.hpp"
 #include "models/proposed.hpp"
 #include "sta/awe.hpp"
 #include "sta/calibrated.hpp"
+#include "sta/composition.hpp"
 #include "sta/elmore.hpp"
 #include "sta/nldm_timer.hpp"
 #include "sta/noise.hpp"
@@ -138,6 +142,104 @@ TEST_F(StaFixture, CompositionCalibrationIsSane) {
     EXPECT_LT(w->kappa_w, 1.6);
     // The calibration must reproduce its own training chains closely.
     EXPECT_LT(w->worst_rel_error, 0.25);
+  }
+}
+
+// Composition runs every golden simulation in one parallel region; the
+// fitted weights must not depend on how the engine splits it.
+TEST_F(StaFixture, CompositionIsBitIdenticalAtAnyThreadCount) {
+  std::vector<TechnologyFit> fits;
+  for (int t : {1, 2, 3, 4}) {
+    exec::set_threads(t);
+    fits.push_back(calibrate_composition(*tech_, *fit_, trimmed_composition()));
+  }
+  exec::set_threads(0);
+  const auto same = [](const CompositionWeights& a, const CompositionWeights& b) {
+    return a.kappa_c == b.kappa_c && a.kappa_c1 == b.kappa_c1 && a.kappa_w == b.kappa_w &&
+           a.worst_rel_error == b.worst_rel_error;
+  };
+  for (size_t k = 1; k < fits.size(); ++k) {
+    EXPECT_TRUE(same(fits[k].comp_coupled, fits[0].comp_coupled)) << "threads=" << k + 1;
+    EXPECT_TRUE(same(fits[k].comp_shielded, fits[0].comp_shielded)) << "threads=" << k + 1;
+  }
+}
+
+// What signoff_link reports, or the error it throws.
+struct SignoffOutcome {
+  SignoffResult result;
+  std::string error;
+};
+
+template <typename Run>
+SignoffOutcome capture(Run run) {
+  SignoffOutcome out;
+  try {
+    out.result = run();
+  } catch (const Error& e) {
+    out.error = std::string(error_code_name(e.code())) + ": " + e.what();
+  }
+  return out;
+}
+
+// The oracle for the two-lane signoff: two solo scalar reference runs,
+// one per launch polarity, on the rising and the falling netlist, with
+// the simulation window signoff.cpp uses (edge at 50 ps).
+SignoffResult reference_signoff(const Technology& tech, const LinkContext& ctx,
+                                const LinkDesign& d, const SignoffOptions& opt) {
+  TransientOptions sim;
+  sim.dt = opt.dt;
+  sim.t_stop = 50e-12 + ctx.input_slew + 3.0 * PamunuwaModel(tech).evaluate(ctx, d).delay +
+               opt.window_margin;
+  sim.t_settle = 2e-9;
+  sim.settle_steps = 250;
+  const bool inverted = d.kind == CellKind::Inverter && d.num_repeaters % 2 == 1;
+  SignoffResult worst;
+  for (const bool rising : {true, false}) {
+    const LinkNetlist net = build_link_netlist(tech, ctx, d, opt, rising);
+    const TransientResult res =
+        run_transient_reference(net.circuit, sim, {net.victim_in, net.victim_out});
+    const EdgeKind in_edge = rising ? EdgeKind::Rising : EdgeKind::Falling;
+    const EdgeKind out_edge = rising != inverted ? EdgeKind::Rising : EdgeKind::Falling;
+    const double delay = delay_50(res.time, res.trace(net.victim_in), in_edge,
+                                  res.trace(net.victim_out), out_edge, tech.vdd);
+    if (delay > worst.delay) {
+      worst.delay = delay;
+      worst.output_slew = measure_slew(res.time, res.trace(net.victim_out), out_edge, tech.vdd);
+      worst.node_count = net.circuit.node_count();
+    }
+  }
+  return worst;
+}
+
+TEST_F(StaFixture, TwoLaneSignoffMatchesTwoReferenceRunsBitForBit) {
+  for (const DesignStyle style : {DesignStyle::SingleSpacing, DesignStyle::Shielded}) {
+    for (const CellKind kind : {CellKind::Inverter, CellKind::Buffer}) {
+      for (const AggressorMode mode : {AggressorMode::Opposing, AggressorMode::SameDirection,
+                                       AggressorMode::Quiet, AggressorMode::VictimQuiet}) {
+        LinkContext ctx = short_link(style);
+        ctx.length = 0.6 * mm;
+        LinkDesign d;
+        d.kind = kind;
+        d.drive = 16;
+        d.num_repeaters = 1;
+        SignoffOptions opt;
+        opt.aggressors = mode;
+        const SignoffOutcome got = capture([&] { return signoff_link(*tech_, ctx, d, opt); });
+        const SignoffOutcome want =
+            capture([&] { return reference_signoff(*tech_, ctx, d, opt); });
+        const std::string where = std::string(design_style_name(style)) + " kind " +
+                                  std::to_string(static_cast<int>(kind)) + " mode " +
+                                  std::to_string(static_cast<int>(mode));
+        // A quiet victim never crosses 50 %: both sides must fail alike.
+        if (mode != AggressorMode::VictimQuiet) {
+          EXPECT_EQ(want.error, "") << where;
+        }
+        EXPECT_EQ(got.error, want.error) << where;
+        EXPECT_EQ(got.result.delay, want.result.delay) << where;
+        EXPECT_EQ(got.result.output_slew, want.result.output_slew) << where;
+        EXPECT_EQ(got.result.node_count, want.result.node_count) << where;
+      }
+    }
   }
 }
 

@@ -580,7 +580,7 @@ int main(int argc, char** argv) {
   // --log-level (applied later) says otherwise.
   if (!pim::log_level_env_override()) pim::set_log_level(pim::LogLevel::Info);
   // SIGINT/SIGTERM trip the cooperative cancel token: the run stops at
-  // the next chunk boundary and exits through the normal finish path
+  // the next item boundary and exits through the normal finish path
   // (reports + ledger flushed, exit 5). A second signal kills outright.
   pim::deadline::install_signal_handlers();
   // Exit codes: 2 = the caller passed bad arguments (usage), 3 = the run
