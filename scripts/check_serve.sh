@@ -7,7 +7,8 @@
 #     in-process (`pim serve --local`) against the same cache, at
 #     --threads 1 and --threads 4 — the codec-sharing contract,
 #   - the daemon's stats to report the exact expected cache-hit growth
-#     across the warm pass (the process-resident memos plus the store),
+#     across the warm pass, pinned per tier (the process-resident models
+#     and the store),
 #   - a graceful SIGTERM drain: exit 0 and the socket file unlinked.
 # It does all of this twice: with --workers 1, and with --workers 4
 # where the warm pass sends its three lines from three concurrent
@@ -38,15 +39,18 @@ cat > "$requests" <<'EOF'
 EOF
 
 # Every flow in the warm stream comes back from a cache tier, and every
-# batch item counts. Warm hits per request:
-#   techfile                          0
-#   evaluate  fit + model resident    2
-#   buffer    fit + model resident    2, stored search 1  = 3
-#   yield     fit + model resident    2, stored MC run 1  = 3
-# The stream is the batch (evaluate + buffer + yield = 8) plus the repeat
-# evaluate (2): 10. The exact growth is pinned — a silently colder (or
-# hotter) warm pass is a caching regression, not noise.
-expected_hit_growth=10
+# batch item counts. Warm hits per request, per tier:
+#                     resident model   store
+#   techfile                0            0
+#   evaluate                1            0
+#   buffer                  1            1  (stored search)
+#   yield                   1            1  (stored MC run)
+#   repeat evaluate         1            0
+#   warm pass               4            2
+# Each tier's exact growth is pinned — a silently colder (or hotter) warm
+# pass is a caching regression, not noise.
+expected_resident_growth=4
+expected_store_growth=2
 
 serve_pass() {
   local workers=$1
@@ -69,15 +73,16 @@ serve_pass() {
   done
   [[ -S "$sock" ]] || { echo "check_serve: pimd socket never appeared" >&2; exit 1; }
 
+  # Prints "<resident_hits> <store_hits>".
   hits() {
     echo '{"op":"stats"}' | "$pim" serve --socket "$sock" |
-      jq '.result.cache.store_hits + .result.cache.resident_hits'
+      jq -r '"\(.result.cache.resident_hits) \(.result.cache.store_hits)"'
   }
 
   echo "=== cold pass (characterizes 65nm, populates the cache) ==="
   "$pim" serve --socket "$sock" < "$requests" > "$out.cold"
-  local hits_cold
-  hits_cold=$(hits)
+  local resident_cold store_cold
+  read -r resident_cold store_cold < <(hits)
 
   echo "=== warm pass ==="
   if [[ "$workers" -eq 1 ]]; then
@@ -94,13 +99,17 @@ serve_pass() {
     for pid in "${pids[@]}"; do wait "$pid"; done
     for i in $(seq "$n"); do cat "$out.warm.$i"; done > "$out.warm"
   fi
-  local hits_warm hit_growth
-  hits_warm=$(hits)
-  hit_growth=$((hits_warm - hits_cold))
-  echo "cache hits: cold $hits_cold, warm $hits_warm (+$hit_growth)"
-  if [[ "$hit_growth" -ne "$expected_hit_growth" ]]; then
-    echo "check_serve: --workers $workers warm pass grew $hit_growth cache hits," \
-      "expected $expected_hit_growth" >&2
+  local resident_warm store_warm resident_growth store_growth
+  read -r resident_warm store_warm < <(hits)
+  resident_growth=$((resident_warm - resident_cold))
+  store_growth=$((store_warm - store_cold))
+  echo "resident hits: cold $resident_cold, warm $resident_warm (+$resident_growth)"
+  echo "store hits: cold $store_cold, warm $store_warm (+$store_growth)"
+  if [[ "$resident_growth" -ne "$expected_resident_growth" ||
+        "$store_growth" -ne "$expected_store_growth" ]]; then
+    echo "check_serve: --workers $workers warm pass grew $resident_growth resident and" \
+      "$store_growth store hits, expected $expected_resident_growth and" \
+      "$expected_store_growth" >&2
     exit 1
   fi
 

@@ -10,7 +10,8 @@
 # CompiledCircuit), and the charlib sweep (exec workers running 2-lane
 # batches off one shared plan at several thread counts), and the sta
 # suite (composition calibration runs its golden sign-off simulations on
-# exec workers at several thread counts). Any data race
+# exec workers at several thread counts; threads race cold misses on the
+# resident model tier). Any data race
 # fails the script. Uses its own build directory so the main build/
 # tree and the ASan tree stay untouched.
 set -euo pipefail

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <utility>
 
 #include "buffering/optimize.hpp"
@@ -30,7 +29,6 @@
 #include "sta/spef.hpp"
 #include "tech/techfile.hpp"
 #include "util/error.hpp"
-#include "util/faultinject.hpp"
 #include "util/units.hpp"
 #include "variation/variation.hpp"
 
@@ -134,64 +132,16 @@ LinkDesign design_of(const LinkSpec& link) {
   return design;
 }
 
-// All facade fits go through the resident tier (sta/calibrated.hpp): a
-// warm call skips the store read, the payload parse, and the coefficient
-// re-hash while preserving every counter/provenance side effect of the
-// store path. Call sites that need a value copy (run_fit, synthesis
-// model construction) use this; the serving hot paths below share the
-// resident model directly.
-TechnologyFit fit_of(const Technology& base, const Corner& corner,
-                     const std::string& coeffs_path) {
+// The facade's one way to calibrated coefficients: the resident model
+// (sta/calibrated.hpp), whose fit() is the calibrated fit. A warm call
+// skips the store read, the payload parse, the model build and its
+// coefficient hash while preserving every counter/provenance side effect
+// of the store path.
+std::shared_ptr<const ProposedModel> calibrated_model(const Technology& base,
+                                                      const Corner& corner,
+                                                      const std::string& coeffs_path) {
   obs::TraceSpan span("api.calibrate");
-  return *resident_corner_fit(base, corner, coeffs_path).fit;
-}
-
-// Resident model tier over the resident fits. Constructing a
-// ProposedModel re-hashes the coefficient tables for its cache
-// signature — two orders of magnitude more work than the sub-microsecond
-// evaluate a serving hot loop does per request — so warm requests share
-// one immutable instance. Keyed by the fit's content-cache key: two
-// requests share a model exactly when they would resolve the same fit
-// (tech content at corner + corner id + deck knobs). The memo follows
-// the resident fits' bypass rule (cache off / fault harness armed), and
-// the Technology reference the model binds is registry-stable for the
-// process lifetime (tech/technology.cpp), so a shared model never
-// dangles.
-std::mutex& model_mutex() {
-  static std::mutex m;
-  return m;
-}
-
-std::map<std::string, std::shared_ptr<const ProposedModel>>& model_memo() {
-  static std::map<std::string, std::shared_ptr<const ProposedModel>> m;
-  return m;
-}
-
-std::shared_ptr<const ProposedModel> resident_model_of(const Technology& base,
-                                                       const Corner& corner,
-                                                       const std::string& coeffs_path) {
-  obs::TraceSpan span("api.calibrate");
-  // Resolved first even on a memo hit: this publishes the fit key into
-  // the enclosing provenance scope, so downstream cached wrappers
-  // (buffering, Monte-Carlo) keep their upstream fit edge whichever tier
-  // served the model.
-  const ResidentFit rf = resident_corner_fit(base, corner, coeffs_path);
-  const bool memo_enabled = cache::mode() != cache::Mode::Off && !fault::armed();
-  if (memo_enabled) {
-    std::lock_guard<std::mutex> lock(model_mutex());
-    const auto it = model_memo().find(rf.key_hex);
-    if (it != model_memo().end()) {
-      PIM_COUNT("model.resident.hit");
-      return it->second;
-    }
-  }
-  auto model = std::make_shared<const ProposedModel>(corner_technology(base, corner),
-                                                     *rf.fit);
-  if (memo_enabled) {
-    std::lock_guard<std::mutex> lock(model_mutex());
-    model_memo()[rf.key_hex] = model;
-  }
-  return model;
+  return resident_model(base, corner, coeffs_path);
 }
 
 SocSpec spec_of(const std::string& which, const char* who) {
@@ -205,13 +155,12 @@ SocSpec spec_of(const std::string& which, const char* who) {
   return load_soc_spec(which);
 }
 
-std::unique_ptr<InterconnectModel> model_of(const std::string& name,
-                                            const Technology& tech,
-                                            const std::string& coeffs_path) {
-  if (name == "proposed")
-    return std::make_unique<ProposedModel>(tech, fit_of(tech, Corner{}, coeffs_path));
-  if (name == "bakoglu") return std::make_unique<BakogluModel>(tech);
-  if (name == "pamunuwa") return std::make_unique<PamunuwaModel>(tech);
+std::shared_ptr<const InterconnectModel> model_of(const std::string& name,
+                                                  const Technology& tech,
+                                                  const std::string& coeffs_path) {
+  if (name == "proposed") return calibrated_model(tech, Corner{}, coeffs_path);
+  if (name == "bakoglu") return std::make_shared<BakogluModel>(tech);
+  if (name == "pamunuwa") return std::make_shared<PamunuwaModel>(tech);
   fail("model must be proposed, bakoglu, or pamunuwa", ErrorCode::bad_input);
 }
 
@@ -252,8 +201,8 @@ Expected<FitResult> run_fit(const FitRequest& request) {
   return guarded(request, [&](const char* who) {
     const Technology& base = base_tech_of(request.tech, who);
     FitResult result;
-    result.fit_text =
-        write_fit(fit_of(base, corner_of(base, request.corner), request.coeffs_path));
+    result.fit_text = write_fit(
+        calibrated_model(base, corner_of(base, request.corner), request.coeffs_path)->fit());
     return result;
   });
 }
@@ -266,7 +215,7 @@ Expected<LinkEvalResult> run_evaluate(const LinkEvalRequest& request) {
     const LinkContext ctx = context_of(base, request.link, who);
     const LinkDesign design = design_of(request.link);
     const std::shared_ptr<const ProposedModel> model =
-        resident_model_of(base, corner, request.link.coeffs_path);
+        calibrated_model(base, corner, request.link.coeffs_path);
     const LinkEstimate est = model->evaluate(ctx, design);
     LinkEvalResult result;
     result.tech_name = tech.name;
@@ -298,7 +247,7 @@ Expected<BufferResult> run_buffer(const BufferRequest& request) {
     opt.weight = request.weight;
     if (request.budget_ps > 0.0) opt.max_delay = request.budget_ps * ps;
     const std::shared_ptr<const ProposedModel> model =
-        resident_model_of(base, corner, request.link.coeffs_path);
+        calibrated_model(base, corner, request.link.coeffs_path);
     const BufferingResult best = optimize_buffering_cached(*model, ctx, opt);
     BufferResult result;
     result.feasible = best.feasible;
@@ -325,7 +274,7 @@ Expected<YieldResult> run_yield(const YieldRequest& request) {
     const LinkContext ctx = context_of(base, request.link, who);
     const LinkDesign design = design_of(request.link);
     const std::shared_ptr<const ProposedModel> model =
-        resident_model_of(base, corner, request.link.coeffs_path);
+        calibrated_model(base, corner, request.link.coeffs_path);
     const MonteCarloResult mc = monte_carlo_link_at_corner(
         *model, corner, ctx, design, request.samples, request.seed);
     YieldResult result;
@@ -352,8 +301,9 @@ Expected<NoiseResult> run_noise(const NoiseRequest& request) {
     const LinkContext ctx = context_of(base, request.link, who);
     LinkDesign design = design_of(request.link);
     design.num_repeaters = 1;  // noise is per wire segment
-    const ResidentFit resident = resident_corner_fit(base, corner, request.link.coeffs_path);
-    const TechnologyFit& fit = *resident.fit;
+    const std::shared_ptr<const ProposedModel> calibrated =
+        calibrated_model(base, corner, request.link.coeffs_path);
+    const TechnologyFit& fit = calibrated->fit();
     const NoiseCalibration cal = calibrate_noise(tech, fit);
     const double golden = golden_noise_peak(tech, ctx, design);
     const double model = noise_peak_model(tech, fit, ctx, design, cal.kappa_n);
@@ -446,7 +396,8 @@ Expected<SynthesisResult> run_synthesis(const SynthesisRequest& request) {
   return guarded(request, [&](const char* who) {
     const Technology& base = base_tech_of(request.tech, who);
     const SocSpec spec = spec_of(request.spec, who);
-    const std::unique_ptr<InterconnectModel> model = [&]() -> std::unique_ptr<InterconnectModel> {
+    const std::shared_ptr<const InterconnectModel> model =
+        [&]() -> std::shared_ptr<const InterconnectModel> {
       if (request.corners.empty()) return model_of(request.model, base, request.coeffs_path);
       // Worst-corner synthesis: every link the optimizer sizes is
       // evaluated at the per-metric worst case over the corner set, so
@@ -458,7 +409,7 @@ Expected<SynthesisResult> run_synthesis(const SynthesisRequest& request) {
               ErrorCode::bad_input);
       const std::vector<Corner> corners =
           base.scenario_set().resolve(request.corners);
-      return std::make_unique<WorstCornerModel>(
+      return std::make_shared<WorstCornerModel>(
           CornerModelSet(base, corner_fits(base, corners, request.coeffs_path)));
     }();
     const NocSynthesisResult r = [&] {

@@ -141,8 +141,7 @@ struct Server::Impl {
   // Counters the stats fold in from each request's MetricShard.
   const obs::Counter& cache_hit = obs::registry().counter("cache.hit");
   const obs::Counter& cache_miss = obs::registry().counter("cache.miss");
-  const obs::Counter& fit_resident_hit = obs::registry().counter("fit.resident.hit");
-  const obs::Counter& model_resident_hit = obs::registry().counter("model.resident.hit");
+  const obs::Counter& resident_hit = obs::registry().counter("model.resident.hit");
 
   void bind_unix();
   void bind_tcp();
@@ -346,8 +345,7 @@ void Server::Impl::worker_loop() {
             .count());
     store_hits.fetch_add(shard.counted(cache_hit));
     store_misses.fetch_add(shard.counted(cache_miss));
-    resident_hits.fetch_add(shard.counted(fit_resident_hit) +
-                            shard.counted(model_resident_hit));
+    resident_hits.fetch_add(shard.counted(resident_hit));
     shard.flush();
     completed.fetch_add(1);
     if (failed(response)) errors.fetch_add(1);

@@ -4,7 +4,7 @@
 // newline-delimited JSON request lines (api/wire.hpp), executes each via
 // the pim::api facade on a small worker pool, and writes back one JSON
 // response line per request, in per-connection request order. Because
-// the process stays alive, technologies, calibrated fits, resident
+// the process stays alive, technologies, the resident calibrated
 // models, and the content-addressed cache stay warm in RAM across
 // millions of evaluations — the paper's "characterize once, evaluate
 // cheaply forever" serving shape (ROADMAP item 1).

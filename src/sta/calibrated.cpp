@@ -64,14 +64,23 @@ void count_corner(const Corner& corner, const char* event) {
   obs::registry().counter("corner." + corner.name + ".fit." + event).add(1);
 }
 
+// A resolved fit with the identities the resident tier keys on.
+struct ResolvedFit {
+  TechnologyFit fit;
+  cache::CacheKey key;
+  std::string coeff_hash;  ///< SHA-256 of write_fit(fit) — the signature token
+};
+
 // Advertises the resolved fit as the artifact behind its coefficient
 // hash — the token model cache signatures embed — so downstream cached
 // wrappers (buffering, Monte-Carlo, cosi) can record the fit key as an
 // upstream edge. Called on every return path, hit and compute alike, so
-// the graph is complete wherever the fit came from.
-TechnologyFit announce_fit(TechnologyFit fit, const cache::CacheKey& key) {
-  cache::register_artifact(cache::sha256_hex(write_fit(fit)), key);
-  return fit;
+// the graph is complete wherever the fit came from. The hash is returned
+// so the resident tier need not compute it again.
+ResolvedFit announce_fit(TechnologyFit fit, const cache::CacheKey& key) {
+  std::string coeff_hash = cache::sha256_hex(write_fit(fit));
+  cache::register_artifact(coeff_hash, key);
+  return {std::move(fit), key, std::move(coeff_hash)};
 }
 
 TechnologyFit compute_fit(const Technology& tech, const Corner& corner,
@@ -111,13 +120,16 @@ TechnologyFit compute_fit(const Technology& tech, const Corner& corner,
 
 // ---------------------------------------------------------------- residency
 
-// The process-wide resident tier: parsed fits keyed by their content-
-// cache key, shared immutably across threads. Bounded only by the number
-// of distinct (tech, corner, deck-knob) combinations a process touches —
-// a fit is ~2 KB, so even a server holding every built-in node at every
-// corner stays in the tens of kilobytes.
-struct ResidentEntry {
-  std::shared_ptr<const TechnologyFit> fit;
+// The process-wide resident tier: calibrated models keyed by their fit's
+// content-cache key, shared immutably across threads, with the
+// coefficient hash a hit re-registers. Bounded only by the number of
+// distinct (tech, corner, deck-knob) combinations a process touches — a
+// model holds one ~2 KB fit, so even a server holding every built-in node
+// at every corner stays in the tens of kilobytes. The Technology a model
+// binds is registry-stable for the process lifetime (corner_technology),
+// so a shared model never dangles.
+struct ResidentModel {
+  std::shared_ptr<const ProposedModel> model;
   std::string coeff_hash;
 };
 
@@ -126,17 +138,15 @@ std::mutex& resident_mutex() {
   return m;
 }
 
-std::map<std::string, ResidentEntry>& resident_memo() {
-  static std::map<std::string, ResidentEntry> m;
+std::map<std::string, ResidentModel>& resident_models() {
+  static std::map<std::string, ResidentModel> m;
   return m;
 }
 
-}  // namespace
-
-TechnologyFit calibrated_fit(const Technology& base, const Corner& corner,
-                             const std::string& cache_path,
-                             const CharacterizationOptions& characterization,
-                             const CompositionOptions& composition) {
+ResolvedFit resolve_fit(const Technology& base, const Corner& corner,
+                        const std::string& cache_path,
+                        const CharacterizationOptions& characterization,
+                        const CompositionOptions& composition) {
   const Technology& tech = corner_technology(base, corner);
   // Facets recorded by fit_cache_key (tech content, corner, deck params)
   // become the entry's manifest; `key` keeps the key for announce_fit.
@@ -177,52 +187,56 @@ TechnologyFit calibrated_fit(const Technology& base, const Corner& corner,
   return announce_fit(std::move(fit), key);
 }
 
-ResidentFit resident_corner_fit(const Technology& base, const Corner& corner,
-                                const std::string& cache_path,
-                                const CharacterizationOptions& characterization,
-                                const CompositionOptions& composition) {
+}  // namespace
+
+TechnologyFit calibrated_fit(const Technology& base, const Corner& corner,
+                             const std::string& cache_path,
+                             const CharacterizationOptions& characterization,
+                             const CompositionOptions& composition) {
+  return resolve_fit(base, corner, cache_path, characterization, composition).fit;
+}
+
+std::shared_ptr<const ProposedModel> resident_model(const Technology& base,
+                                                    const Corner& corner,
+                                                    const std::string& cache_path) {
   const Technology& tech = corner_technology(base, corner);
   // Mirror the store's bypass semantics: with the cache off or the fault
   // harness armed, injected faults and cache-off runs must exercise the
   // real compute path instead of yesterday's resident copy.
   const bool memo_enabled = cache::mode() != cache::Mode::Off && !fault::armed();
-  std::string key_hex;
-  {
+  if (memo_enabled) {
     // A local provenance scope absorbs the facets fit_cache_key records,
     // exactly like the store path's scope — the caller's manifest must
     // see the fit as one upstream key, never its raw facets.
     const cache::Tracked scope;
-    const cache::CacheKey key =
-        fit_cache_key(tech, corner, characterization, composition);
-    key_hex = key.hex;
-    if (memo_enabled) {
-      std::lock_guard<std::mutex> lock(resident_mutex());
-      const auto it = resident_memo().find(key.hex);
-      if (it != resident_memo().end()) {
-        // Same observable side effects as a store hit (minus the store
-        // I/O): the corner hit counter, the artifact registration, and
-        // the provenance edge into the enclosing scope.
-        count_corner(corner, "hit");
-        PIM_COUNT("fit.resident.hit");
-        cache::register_artifact(it->second.coeff_hash, key);
-        scope.publish(key);
-        return {it->second.fit, key.hex, it->second.coeff_hash};
-      }
+    const cache::CacheKey key = fit_cache_key(tech, corner, {}, {});
+    std::lock_guard<std::mutex> lock(resident_mutex());
+    const auto it = resident_models().find(key.hex);
+    if (it != resident_models().end()) {
+      // Same observable side effects as a store hit (minus the store
+      // I/O): the corner hit counter, the artifact registration, and
+      // the provenance edge into the enclosing scope.
+      count_corner(corner, "hit");
+      PIM_COUNT("model.resident.hit");
+      cache::register_artifact(it->second.coeff_hash, key);
+      scope.publish(key);
+      return it->second.model;
     }
   }
-  auto fit = std::make_shared<const TechnologyFit>(
-      calibrated_fit(base, corner, cache_path, characterization, composition));
-  const std::string coeff_hash = cache::sha256_hex(write_fit(*fit));
-  if (memo_enabled) {
-    std::lock_guard<std::mutex> lock(resident_mutex());
-    resident_memo()[key_hex] = {fit, coeff_hash};
-  }
-  return {std::move(fit), key_hex, coeff_hash};
+  ResolvedFit resolved = resolve_fit(base, corner, cache_path, {}, {});
+  auto model = std::make_shared<const ProposedModel>(tech, std::move(resolved.fit));
+  if (!memo_enabled) return model;
+  // First writer wins: after concurrent cold misses every caller shares
+  // the instance that was inserted first.
+  std::lock_guard<std::mutex> lock(resident_mutex());
+  return resident_models()
+      .emplace(resolved.key.hex, ResidentModel{std::move(model), resolved.coeff_hash})
+      .first->second.model;
 }
 
 void clear_resident_fits() {
   std::lock_guard<std::mutex> lock(resident_mutex());
-  resident_memo().clear();
+  resident_models().clear();
 }
 
 }  // namespace pim

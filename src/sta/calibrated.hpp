@@ -1,6 +1,7 @@
 // One-call model construction: characterize -> fit -> composition-
 // calibrate, with an optional coefficient-file cache so repeated tool
-// runs skip the (simulation-heavy) characterization.
+// runs skip the (simulation-heavy) characterization, and one resident
+// tier that keeps each calibrated model in RAM for the process lifetime.
 #pragma once
 
 #include <memory>
@@ -8,6 +9,7 @@
 
 #include "charlib/characterize.hpp"
 #include "charlib/fit.hpp"
+#include "models/proposed.hpp"
 #include "sta/composition.hpp"
 
 namespace pim {
@@ -29,34 +31,29 @@ TechnologyFit calibrated_fit(const Technology& base, const Corner& corner,
                              const CharacterizationOptions& characterization = {},
                              const CompositionOptions& composition = {});
 
-/// A calibrated fit held resident in process RAM, plus the identities a
-/// serving layer keys further memoization on (resident models, cached
-/// wrappers). The fit is shared and immutable — safe to read from any
-/// thread.
-struct ResidentFit {
-  std::shared_ptr<const TechnologyFit> fit;
-  std::string key_hex;     ///< hex id of the fit's content-cache key
-  std::string coeff_hash;  ///< SHA-256 of write_fit(*fit) — the signature token
-};
+/// The calibrated model for `base` at `corner`, held resident in process
+/// RAM: the ProposedModel bound to corner_technology(base, corner) over
+/// the calibrated_fit coefficients (its fit() is that fit). This is the
+/// only process-wide memo of calibrated coefficients, keyed by the fit's
+/// content-cache key, so two calls share an instance exactly when they
+/// would resolve the same fit; concurrent cold misses keep the first
+/// instance inserted. A warm call skips the store read, the payload
+/// parse, the model build and its coefficient hash, but keeps every
+/// observable contract of the store path — corner.<name>.fit.hit is
+/// counted, the coefficient hash is registered as the fit artifact, and
+/// the fit key is published to the enclosing provenance scope — so
+/// downstream manifests are identical whichever tier served the fit. A
+/// memo hit additionally counts model.resident.hit. The memo is bypassed
+/// entirely (reads and inserts) while cache mode is `off` or the fault
+/// harness is armed, mirroring the store's own bypass. A coefficient
+/// file is a load-or-save cache of the content key, not part of it. The
+/// model is immutable and safe to share across threads; it is the hot
+/// path a long-running server (pimd) evaluates millions of links through.
+std::shared_ptr<const ProposedModel> resident_model(const Technology& base,
+                                                    const Corner& corner,
+                                                    const std::string& cache_path = "");
 
-/// calibrated_fit with a process-wide residency memo in front of
-/// the content-addressed store: a warm call skips the store read, the
-/// payload parse, AND the coefficient re-hash, returning the same shared
-/// fit a previous call resolved. Every observable contract of the store
-/// path is preserved — corner.<name>.fit.hit is counted, the coefficient
-/// hash is registered as the fit artifact, and the fit key is published
-/// to the enclosing provenance scope — so downstream manifests are
-/// identical whichever tier served the fit. A memo hit additionally
-/// counts fit.resident.hit. The memo is bypassed entirely (reads and
-/// inserts) while cache mode is `off` or the fault harness is armed,
-/// mirroring the store's own bypass semantics. This is the hot path a
-/// long-running server (pimd) evaluates millions of links through.
-ResidentFit resident_corner_fit(const Technology& base, const Corner& corner,
-                                const std::string& cache_path = "",
-                                const CharacterizationOptions& characterization = {},
-                                const CompositionOptions& composition = {});
-
-/// Drops every resident fit (tests / explicit invalidation flows).
+/// Drops every resident model (tests / explicit invalidation flows).
 void clear_resident_fits();
 
 }  // namespace pim

@@ -20,14 +20,19 @@
 #include "cache/key.hpp"
 #include "cache/store.hpp"
 #include "charlib/coeffs_io.hpp"
+#include "cosi/synthesis.hpp"
+#include "cosi/testcases.hpp"
 #include "exec/engine.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
 #include "obs/ledger.hpp"
+#include "models/proposed.hpp"
+#include "sta/calibrated.hpp"
 #include "tech/technology.hpp"
 #include "util/error.hpp"
 #include "util/paths.hpp"
+#include "util/units.hpp"
 #include "util/version.hpp"
 
 namespace pim::cli {
@@ -883,6 +888,126 @@ TEST(ApiFacade, SuccessiveRunsUnderOwnShardsDoNotBleedMetrics) {
   cache::reset_mode();
   cache::set_dir("");
   std::filesystem::remove_all(dir);
+}
+
+// A hand-built 65nm fit: file-backed requests over it never characterize.
+TechnologyFit hand_built_fit(const Technology& tech) {
+  TechnologyFit fit;
+  fit.node = tech.node;
+  fit.vdd = tech.vdd;
+  RepeaterEdgeFit e;
+  e.a0 = 5e-12;
+  e.a1 = 0.05;
+  e.rho0 = 2e-3;
+  e.rho1 = 1e6;
+  e.b0 = 2e-12;
+  e.b1 = 0.3;
+  e.b2 = 5e-4;
+  fit.inv_rise = fit.inv_fall = fit.buf_rise = fit.buf_fall = e;
+  fit.gamma = 7e-10;
+  fit.leakage.n0 = fit.leakage.p0 = 1e-9;
+  fit.leakage.n1 = fit.leakage.p1 = 1e-2;
+  fit.area0 = 1e-12;
+  fit.area1 = 1e-6;
+  return fit;
+}
+
+// A scratch cache directory in read-write mode for one test.
+class ScratchCache {
+ public:
+  explicit ScratchCache(const std::string& name)
+      : dir_(::testing::TempDir() + name + "_" + std::to_string(::getpid())) {
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+    cache::set_dir(dir_ + "/cache");
+    cache::set_mode(cache::Mode::ReadWrite);
+  }
+  ~ScratchCache() {
+    clear_resident_fits();
+    cache::reset_mode();
+    cache::set_dir("");
+    std::filesystem::remove_all(dir_);
+  }
+  std::string path(const std::string& file) const { return dir_ + "/" + file; }
+
+ private:
+  std::string dir_;
+};
+
+TEST(ApiFacade, ClearResidentFitsDropsResidentModels) {
+  // A coefficient file rewritten after clear_resident_fits() must reach
+  // every facade op: fit and evaluate answer from the same coefficients.
+  const ScratchCache scratch("pim_api_clear_resident");
+  const Technology& tech = technology(TechNode::N65);
+  const std::string path = scratch.path("coeffs.pimfit");
+  const TechnologyFit a = hand_built_fit(tech);
+  save_fit(a, path);
+  api::LinkEvalRequest eval;
+  eval.link.tech = "65nm";
+  eval.link.length_mm = 5.0;
+  eval.link.coeffs_path = path;
+  const auto before = api::run_evaluate(eval);
+  ASSERT_TRUE(before.ok()) << before.error().what();
+
+  clear_resident_fits();
+  TechnologyFit b = a;
+  b.gamma = 1.8e-9;
+  save_fit(b, path);
+  api::FitRequest fit;
+  fit.tech = "65nm";
+  fit.coeffs_path = path;
+  const auto refit = api::run_fit(fit);
+  ASSERT_TRUE(refit.ok()) << refit.error().what();
+  EXPECT_EQ(refit.value().fit_text, write_fit(b));
+
+  const auto after = api::run_evaluate(eval);
+  ASSERT_TRUE(after.ok()) << after.error().what();
+  LinkContext ctx;
+  ctx.length = eval.link.length_mm * unit::mm;
+  ctx.input_slew = eval.link.input_slew_ps * unit::ps;
+  ctx.frequency = tech.clock_frequency;
+  LinkDesign design;
+  design.drive = eval.link.drive;
+  design.num_repeaters = 5;  // one per mm
+  const double fresh = ProposedModel(tech, b).evaluate(ctx, design).delay / unit::ps;
+  EXPECT_DOUBLE_EQ(after.value().delay_ps, fresh);
+  EXPECT_NE(after.value().delay_ps, before.value().delay_ps);
+}
+
+TEST(ApiFacade, ProposedSynthesisThroughResidentModelMatchesDirectModel) {
+  // run_synthesis evaluates through the resident model, bound to the
+  // nominal corner's technology; the NoC it sizes must be the one a
+  // model bound to the base technology sizes.
+  const ScratchCache scratch("pim_api_synthesis_resident");
+  const Technology& tech = technology(TechNode::N65);
+  const std::string path = scratch.path("coeffs.pimfit");
+  save_fit(hand_built_fit(tech), path);
+  api::SynthesisRequest req;
+  req.spec = "dvopd";
+  req.tech = "65nm";
+  req.model = "proposed";
+  req.coeffs_path = path;
+  const auto result = api::run_synthesis(req);
+  ASSERT_TRUE(result.ok()) << result.error().what();
+  const api::SynthesisResult& got = result.value();
+
+  // The reference recomputes every link: no cached result is shared.
+  cache::set_mode(cache::Mode::Off);
+  const NocSynthesisResult ref =
+      synthesize_noc(dvopd_spec(), ProposedModel(tech, load_fit(path)));
+  const NocMetrics& m = ref.metrics;
+  EXPECT_EQ(got.model_name, "proposed");
+  EXPECT_GT(got.num_links, 0);
+  EXPECT_DOUBLE_EQ(got.dynamic_power_mw, m.dynamic_power() / unit::mW);
+  EXPECT_DOUBLE_EQ(got.leakage_power_mw, m.leakage_power() / unit::mW);
+  EXPECT_DOUBLE_EQ(got.worst_link_delay_ps, m.worst_link_delay / unit::ps);
+  EXPECT_DOUBLE_EQ(got.delay_budget_ps, ref.delay_budget / unit::ps);
+  EXPECT_DOUBLE_EQ(got.area_mm2, m.total_area() / unit::mm2);
+  EXPECT_EQ(got.num_links, m.num_links);
+  EXPECT_EQ(got.num_routers, m.num_routers);
+  EXPECT_DOUBLE_EQ(got.avg_hops, m.avg_hops);
+  EXPECT_EQ(got.max_hops, m.max_hops);
+  EXPECT_EQ(got.merges_applied, ref.merges_applied);
 }
 
 }  // namespace

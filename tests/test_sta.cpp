@@ -5,19 +5,26 @@
 // the baselines do not.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
+#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "spice/transient.hpp"
 #include "spice/measure.hpp"
 #include "util/rng.hpp"
 
+#include "cache/store.hpp"
 #include "charlib/coeffs_io.hpp"
 #include "exec/engine.hpp"
 #include "models/baseline.hpp"
 #include "models/proposed.hpp"
+#include "obs/metrics.hpp"
 #include "sta/awe.hpp"
 #include "sta/calibrated.hpp"
 #include "sta/composition.hpp"
@@ -537,6 +544,93 @@ TEST_F(StaFixture, CalibratedFitCacheHitsAndValidates) {
   const TechnologyFit cached = calibrated_fit(*tech_, Corner{}, path);
   EXPECT_DOUBLE_EQ(cached.gamma, fit_->gamma);
   std::remove(path.c_str());
+}
+
+
+// The resident tier over a hand-built 65nm fit in a scratch coefficient
+// file, under a scratch read-write cache: nothing characterizes, and
+// every test starts with an empty tier and counting enabled.
+class ResidentModelTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = testing::TempDir() + "pim_resident_model_" + std::to_string(::getpid());
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+    cache::set_dir(dir_ + "/cache");
+    cache::set_mode(cache::Mode::ReadWrite);
+    clear_resident_fits();
+    obs::set_enabled(true);
+    TechnologyFit fit;
+    fit.node = tech_.node;
+    fit.vdd = tech_.vdd;
+    RepeaterEdgeFit e;
+    e.a0 = 5e-12;
+    e.a1 = 0.05;
+    e.rho0 = 2e-3;
+    e.rho1 = 1e6;
+    e.b0 = 2e-12;
+    e.b1 = 0.3;
+    e.b2 = 5e-4;
+    fit.inv_rise = fit.inv_fall = fit.buf_rise = fit.buf_fall = e;
+    fit.gamma = 7e-10;
+    fit.leakage.n0 = fit.leakage.p0 = 1e-9;
+    fit.leakage.n1 = fit.leakage.p1 = 1e-2;
+    fit.area0 = 1e-12;
+    fit.area1 = 1e-6;
+    path_ = dir_ + "/coeffs.pimfit";
+    save_fit(fit, path_);
+  }
+  void TearDown() override {
+    obs::set_enabled(false);
+    clear_resident_fits();
+    cache::reset_mode();
+    cache::set_dir("");
+    std::filesystem::remove_all(dir_);
+  }
+  std::shared_ptr<const ProposedModel> resolve() const {
+    return resident_model(tech_, Corner{}, path_);
+  }
+  static int64_t hits() { return obs::registry().counter("model.resident.hit").value(); }
+
+  const Technology& tech_ = technology(TechNode::N65);
+  std::string dir_;
+  std::string path_;
+};
+
+TEST_F(ResidentModelTest, ConcurrentColdMissesShareTheFirstInsert) {
+  constexpr int kThreads = 4;
+  const int64_t before = hits();
+  std::vector<std::shared_ptr<const ProposedModel>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i)
+    threads.emplace_back([&, i] { got[i] = resolve(); });
+  for (std::thread& t : threads) t.join();
+  // Racing misses each build a model, but only the first insert is kept
+  // and returned; the calls that found it count one hit each.
+  for (const auto& model : got) {
+    ASSERT_NE(model, nullptr);
+    EXPECT_EQ(model, got[0]);
+  }
+  const int64_t racing_hits = hits() - before;
+  EXPECT_GE(racing_hits, 0);
+  EXPECT_LT(racing_hits, kThreads);
+  EXPECT_EQ(write_fit(got[0]->fit()), write_fit(load_fit(path_)));
+
+  // Every call after the first insert is a hit on that same instance.
+  for (int i = 1; i <= 3; ++i) {
+    EXPECT_EQ(resolve(), got[0]);
+    EXPECT_EQ(hits() - before, racing_hits + i);
+  }
+}
+
+TEST_F(ResidentModelTest, CacheOffBypassesTheTier) {
+  cache::set_mode(cache::Mode::Off);
+  const int64_t before = hits();
+  const std::shared_ptr<const ProposedModel> first = resolve();
+  const std::shared_ptr<const ProposedModel> second = resolve();
+  EXPECT_NE(first, second);
+  EXPECT_EQ(write_fit(first->fit()), write_fit(second->fit()));
+  EXPECT_EQ(hits(), before);
 }
 
 }  // namespace

@@ -8,7 +8,7 @@
 // and the run-ledger record is written.
 //
 // The point of the daemon shape: the process stays alive, so
-// technologies, calibrated fits, resident models, and the on-disk
+// technologies, the resident calibrated models, and the on-disk
 // result cache stay warm across millions of requests — a warm model
 // evaluation costs microseconds instead of a fresh characterization.
 //
@@ -69,7 +69,7 @@ std::string pimd_usage() {
 }
 
 // Characterize + calibrate each named technology before the listeners
-// open, so the very first client request hits the resident memos.
+// open, so the very first client request hits the resident model tier.
 void warm_techs(const std::string& list) {
   for (const std::string& tech : split(list, ',')) {
     if (tech.empty()) continue;
