@@ -19,15 +19,11 @@
 // measured after it is the daemon's steady state.
 #pragma once
 
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -35,99 +31,20 @@
 #include "api/pim_api.hpp"
 #include "api/wire.hpp"
 #include "common.hpp"
+#include "serve/transport.hpp"
 #include "util/error.hpp"
 
 namespace pim::bench::serving {
 
-/// Connects to a daemon's Unix-domain socket.
-inline int connect_unix(const std::string& path) {
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0)
-    throw Error("serving bench: socket(): " + std::string(std::strerror(errno)));
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (path.size() >= sizeof addr.sun_path) {
-    ::close(fd);
-    throw Error("serving bench: socket path too long: " + path);
-  }
-  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0) {
-    ::close(fd);
-    throw Error("serving bench: cannot connect to " + path + ": " +
-                std::strerror(errno));
-  }
-  return fd;
+/// Counts responses until `want` arrive; returns how many it saw (short
+/// on EOF). Used for the pipelined burst, where the responses are
+/// identical and only their arrival matters.
+inline int drain(serve::LineReader& reader, int want) {
+  int seen = 0;
+  std::string line;
+  while (seen < want && reader.next(line) == serve::LineReader::Status::line) ++seen;
+  return seen;
 }
-
-/// Streams `bytes` fully; false on a send failure (the reader side
-/// surfaces the diagnosis, so this stays safe to call off-thread).
-inline bool send_all(int fd, const std::string& bytes) {
-  size_t off = 0;
-  while (off < bytes.size()) {
-    const ssize_t n =
-        ::send(fd, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
-    if (n <= 0) return false;
-    off += static_cast<size_t>(n);
-  }
-  return true;
-}
-
-/// Buffered reader over the newline-delimited response stream.
-class LineReader {
- public:
-  explicit LineReader(int fd) : fd_(fd) {}
-
-  /// Reads one response line (without the newline); false on EOF/error.
-  bool next(std::string& line) {
-    for (;;) {
-      const size_t nl = buffer_.find('\n', scanned_);
-      if (nl != std::string::npos) {
-        line.assign(buffer_, 0, nl);
-        buffer_.erase(0, nl + 1);
-        scanned_ = 0;
-        return true;
-      }
-      scanned_ = buffer_.size();
-      if (!fill()) return false;
-    }
-  }
-
-  /// Counts responses until `want` arrive; returns how many it saw
-  /// (short on EOF/error). Used for the pipelined burst, where the
-  /// responses are identical and only their arrival matters.
-  int drain(int want) {
-    int seen = 0;
-    size_t pos = 0;
-    for (;;) {
-      for (; pos < buffer_.size(); ++pos) {
-        if (buffer_[pos] != '\n') continue;
-        if (++seen == want) {
-          buffer_.erase(0, pos + 1);
-          scanned_ = 0;
-          return seen;
-        }
-      }
-      if (!fill()) {
-        buffer_.clear();
-        scanned_ = 0;
-        return seen;
-      }
-    }
-  }
-
- private:
-  bool fill() {
-    char chunk[65536];
-    const ssize_t n = ::recv(fd_, chunk, sizeof chunk, 0);
-    if (n <= 0) return false;
-    buffer_.append(chunk, static_cast<size_t>(n));
-    return true;
-  }
-
-  int fd_;
-  std::string buffer_;
-  size_t scanned_ = 0;
-};
 
 /// The "simple model eval" the ≥10k req/s acceptance bar counts: a 5 mm
 /// 65nm link evaluated from the bench's cached calibrated fit
@@ -179,13 +96,17 @@ inline LoadReport drive(const std::string& socket_path, int pipelined,
     return std::chrono::duration<double>(Clock::now() - start).count();
   };
 
-  const int fd = connect_unix(socket_path);
-  LineReader reader(fd);
+  const int fd = serve::connect_unix(socket_path);
+  serve::LineReader reader(fd);
+  const auto round_trip = [&](const std::string& request, std::string& response) {
+    return serve::send_all(fd, request) &&
+           reader.next(response) == serve::LineReader::Status::line;
+  };
   const std::string line = eval_request_line(1);
   LoadReport report;
 
   // Warm-up round trip: pays the fit load + resident-model build once.
-  if (!send_all(fd, line) || !reader.next(report.warm_response)) {
+  if (!round_trip(line, report.warm_response)) {
     ::close(fd);
     throw Error("serving bench: warm-up request failed");
   }
@@ -198,8 +119,8 @@ inline LoadReport drive(const std::string& socket_path, int pipelined,
   for (int i = 0; i < pipelined; ++i) burst += line;
   std::atomic<bool> sent{true};
   const auto burst_start = Clock::now();
-  std::thread writer([&] { sent = send_all(fd, burst); });
-  const int got = reader.drain(pipelined);
+  std::thread writer([&] { sent = serve::send_all(fd, burst); });
+  const int got = drain(reader, pipelined);
   report.pipelined_seconds = seconds_since(burst_start);
   writer.join();
   if (!sent || got != pipelined) {
@@ -216,7 +137,7 @@ inline LoadReport drive(const std::string& socket_path, int pipelined,
   std::string response;
   for (int i = 0; i < lockstep; ++i) {
     const auto t0 = Clock::now();
-    if (!send_all(fd, line) || !reader.next(response)) {
+    if (!round_trip(line, response)) {
       ::close(fd);
       throw Error("serving bench: lock-step request failed");
     }
@@ -233,7 +154,7 @@ inline LoadReport drive(const std::string& socket_path, int pipelined,
     const std::string batch_line =
         api::wire::write_request_line(2, batch) + "\n";
     const auto t0 = Clock::now();
-    if (!send_all(fd, batch_line) || !reader.next(response)) {
+    if (!round_trip(batch_line, response)) {
       ::close(fd);
       throw Error("serving bench: batch request failed");
     }

@@ -1,15 +1,12 @@
 #include "serve/server.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <condition_variable>
-#include <cstring>
 #include <deque>
 #include <mutex>
 #include <set>
@@ -20,6 +17,7 @@
 #include "deadline/deadline.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
+#include "serve/transport.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
 
@@ -39,7 +37,7 @@ constexpr size_t kMaxLineBytes = size_t{64} * 1024 * 1024;
 // request order no matter how the pool interleaves.
 struct Pending {
   bool done = false;  // guarded by Connection::mu
-  std::string text;
+  std::string framed;  // the response line, '\n' included
 };
 
 struct Connection {
@@ -66,21 +64,8 @@ struct Job {
 // slots are released (the responses just have nowhere to go).
 void flush_locked(Connection& conn) {
   while (!conn.outbox.empty() && conn.outbox.front()->done) {
-    const std::string& text = conn.outbox.front()->text;
-    if (!conn.write_failed) {
-      std::string framed = text;
-      framed += '\n';
-      size_t off = 0;
-      while (off < framed.size()) {
-        const ssize_t n = ::send(conn.fd, framed.data() + off, framed.size() - off,
-                                 MSG_NOSIGNAL);
-        if (n <= 0) {
-          conn.write_failed = true;
-          break;
-        }
-        off += static_cast<size_t>(n);
-      }
-    }
+    if (!conn.write_failed && !send_all(conn.fd, conn.outbox.front()->framed))
+      conn.write_failed = true;
     conn.outbox.pop_front();
   }
 }
@@ -143,8 +128,6 @@ struct Server::Impl {
   const obs::Counter& cache_miss = obs::registry().counter("cache.miss");
   const obs::Counter& resident_hit = obs::registry().counter("model.resident.hit");
 
-  void bind_unix();
-  void bind_tcp();
   void accept_loop(int listen_fd);
   void reader_loop(std::shared_ptr<Connection> conn);
   void worker_loop();
@@ -152,53 +135,6 @@ struct Server::Impl {
   void respond_inline(const std::shared_ptr<Connection>& conn, std::string text);
   std::string stats_json() const;
 };
-
-void Server::Impl::bind_unix() {
-  // The socket file appears at bind(), but connect() is refused until
-  // listen(). So the listener is bound under a temporary name in the same
-  // directory and renamed onto socket_path after listen(): a client that
-  // sees the path can connect at once.
-  const std::string bound_path = options.socket_path + ".tmp";
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  for (const std::string& path : {options.socket_path, bound_path})
-    require(path.size() < sizeof(addr.sun_path), "pimd: socket path too long: " + path,
-            ErrorCode::bad_input);
-  std::strncpy(addr.sun_path, bound_path.c_str(), sizeof(addr.sun_path) - 1);
-  unix_fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  require(unix_fd >= 0, "pimd: socket(AF_UNIX) failed", ErrorCode::io_parse);
-  ::unlink(bound_path.c_str());
-  require(::bind(unix_fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0,
-          "pimd: cannot bind " + bound_path + ": " + std::strerror(errno),
-          ErrorCode::io_parse);
-  if (::listen(unix_fd, 64) != 0 ||
-      ::rename(bound_path.c_str(), options.socket_path.c_str()) != 0) {
-    const std::string why = std::strerror(errno);
-    ::unlink(bound_path.c_str());
-    fail("pimd: cannot listen on " + options.socket_path + ": " + why, ErrorCode::io_parse);
-  }
-}
-
-void Server::Impl::bind_tcp() {
-  tcp_fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  require(tcp_fd >= 0, "pimd: socket(AF_INET) failed", ErrorCode::io_parse);
-  const int one = 1;
-  ::setsockopt(tcp_fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<uint16_t>(options.tcp_port));
-  require(::bind(tcp_fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0,
-          "pimd: cannot bind 127.0.0.1:" + std::to_string(options.tcp_port) + ": " +
-              std::strerror(errno),
-          ErrorCode::io_parse);
-  require(::listen(tcp_fd, 64) == 0, "pimd: listen failed", ErrorCode::io_parse);
-  sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  require(::getsockname(tcp_fd, reinterpret_cast<sockaddr*>(&bound), &len) == 0,
-          "pimd: getsockname failed", ErrorCode::io_parse);
-  bound_tcp_port = static_cast<int>(ntohs(bound.sin_port));
-}
 
 void Server::Impl::accept_loop(int listen_fd) {
   for (;;) {
@@ -221,36 +157,19 @@ void Server::Impl::accept_loop(int listen_fd) {
 }
 
 void Server::Impl::reader_loop(std::shared_ptr<Connection> conn) {
-  std::string buffer;
-  char chunk[65536];
-  for (;;) {
-    const ssize_t n = ::recv(conn->fd, chunk, sizeof(chunk), 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;
-    // Lines are cut at an advancing offset and the consumed prefix is
-    // erased once per recv, so pipelined input costs linear time. Bytes
-    // kept from the last recv hold no newline; the scan skips them.
-    size_t start = 0;
-    size_t pos = buffer.size();
-    buffer.append(chunk, static_cast<size_t>(n));
-    while ((pos = buffer.find('\n', pos)) != std::string::npos) {
-      std::string line = buffer.substr(start, pos - start);
-      start = ++pos;
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      if (line.empty()) continue;
-      handle_line(conn, line);
-    }
-    buffer.erase(0, start);
-    if (buffer.size() > kMaxLineBytes) {
-      respond_inline(conn,
-                     api::wire::write_error_line(
-                         false, 0, "",
-                         Error("pimd: request line exceeds " +
-                                   std::to_string(kMaxLineBytes) + " bytes",
-                               ErrorCode::bad_input)));
-      break;
-    }
+  LineReader reader(conn->fd, kMaxLineBytes);
+  std::string line;
+  LineReader::Status status;
+  while ((status = reader.next(line)) == LineReader::Status::line) {
+    if (!line.empty() && line.back() == '\r') line.pop_back();
+    if (!line.empty()) handle_line(conn, line);
   }
+  if (status == LineReader::Status::too_long)
+    respond_inline(conn, api::wire::write_error_line(
+                             false, 0, "",
+                             Error("pimd: request line exceeds " +
+                                       std::to_string(kMaxLineBytes) + " bytes",
+                                   ErrorCode::bad_input)));
   // Deregister. Queued jobs and outbox entries keep the Connection (and
   // its fd) alive until their responses flush; the last reference closes
   // it. The notify happens under the lock so a drain waiting in stop()
@@ -265,9 +184,10 @@ void Server::Impl::reader_loop(std::shared_ptr<Connection> conn) {
 
 void Server::Impl::respond_inline(const std::shared_ptr<Connection>& conn,
                                   std::string text) {
+  text += '\n';
   auto slot = std::make_shared<Pending>();
   slot->done = true;
-  slot->text = std::move(text);
+  slot->framed = std::move(text);
   std::lock_guard<std::mutex> lock(conn->mu);
   conn->outbox.push_back(std::move(slot));
   flush_locked(*conn);
@@ -349,9 +269,10 @@ void Server::Impl::worker_loop() {
     shard.flush();
     completed.fetch_add(1);
     if (failed(response)) errors.fetch_add(1);
+    response += '\n';
     {
       std::lock_guard<std::mutex> lock(job.conn->mu);
-      job.slot->text = response;
+      job.slot->framed = std::move(response);
       job.slot->done = true;
       flush_locked(*job.conn);
     }
@@ -419,8 +340,8 @@ void Server::start() {
   // Latency histograms and the per-request cache counters the stats
   // endpoint reads both ride the obs registry switch.
   obs::set_enabled(true);
-  if (!s.options.socket_path.empty()) s.bind_unix();
-  if (s.options.tcp_port >= 0) s.bind_tcp();
+  if (!s.options.socket_path.empty()) s.unix_fd = listen_unix(s.options.socket_path);
+  if (s.options.tcp_port >= 0) s.tcp_fd = listen_tcp(s.options.tcp_port, s.bound_tcp_port);
   s.started = Clock::now();
   for (int i = 0; i < s.options.workers; ++i)
     s.worker_threads.emplace_back([&s] { s.worker_loop(); });

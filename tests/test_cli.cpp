@@ -3,15 +3,19 @@
 // --profile flag emits valid metrics JSON.
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "../tools/cli_args.hpp"
@@ -28,6 +32,7 @@
 #include "obs/trace.hpp"
 #include "obs/ledger.hpp"
 #include "models/proposed.hpp"
+#include "serve/transport.hpp"
 #include "sta/calibrated.hpp"
 #include "tech/technology.hpp"
 #include "util/error.hpp"
@@ -316,6 +321,55 @@ TEST(CliServeExitCodes, ConnectFailureIsRuntimeError) {
   EXPECT_EQ(run_cli_stdin("{\"op\":\"techfile\",\"tech\":\"45nm\"}",
                           "serve --socket /tmp/pim-no-such-daemon.sock"),
             3);
+}
+
+// What `pim serve --socket` exits with when a fake daemon answers its one
+// request with `response`. The fake binds, listens and accepts on its
+// own; the line traffic goes through the shared transport.
+int serve_exit_against(const std::string& response) {
+  const std::string path =
+      ::testing::TempDir() + "pim_fake_daemon_" + std::to_string(::getpid()) + ".sock";
+  ::unlink(path.c_str());
+  const int listener = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+  EXPECT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  EXPECT_EQ(::listen(listener, 1), 0);
+  std::thread daemon([&] {
+    const int fd = ::accept(listener, nullptr, nullptr);
+    if (fd < 0) return;  // the client never came; shutdown below woke us
+    serve::LineReader reader(fd);
+    std::string request;
+    while (reader.next(request) == serve::LineReader::Status::line)
+      serve::send_all(fd, response + "\n");
+    ::close(fd);
+  });
+  const int code =
+      run_cli_stdin("{\"op\":\"techfile\",\"tech\":\"45nm\"}", "serve --socket " + path);
+  ::shutdown(listener, SHUT_RDWR);
+  daemon.join();
+  ::close(listener);
+  ::unlink(path.c_str());
+  return code;
+}
+
+std::string failed_response(const std::string& exit_code) {
+  return "{\"ok\":false,\"error\":{\"code\":\"internal\",\"message\":\"fake\","
+         "\"exit_code\":" + exit_code + "}}";
+}
+
+TEST(CliServeExitCodes, DaemonExitCodeComesThroughTheSocket) {
+  EXPECT_EQ(serve_exit_against(failed_response("3")), 3);
+  EXPECT_EQ(serve_exit_against("{\"ok\":true,\"result\":{}}"), 0);
+}
+
+// An exit_code outside the integers 1..255 is a malformed response, like
+// one that does not parse: internal (4), never a silent 0.
+TEST(CliServeExitCodes, MalformedDaemonExitCodeIsInternal) {
+  for (const char* bad : {"1e300", "-1", "2.5", "0", "256", "\"3\""})
+    EXPECT_EQ(serve_exit_against(failed_response(bad)), 4) << "exit_code " << bad;
+  EXPECT_EQ(serve_exit_against("not json"), 4);
 }
 
 TEST(CliServeExitCodes, DeadlineStopIsPartialExit) {

@@ -1,18 +1,18 @@
 // The daemon core (src/serve): socket round trips against a real
-// in-process Server, protocol error handling, admission control, stats,
-// and graceful drain. pimd itself is this Server plus flag parsing; the
-// end-to-end binary is exercised by scripts/check_serve.sh.
+// in-process Server, the line transport, protocol error handling,
+// admission control, stats, and graceful drain. pimd itself is this
+// Server plus flag parsing; the end-to-end binary is exercised by
+// scripts/check_serve.sh.
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
+#include <pthread.h>
+#include <signal.h>
 #include <sys/socket.h>
-#include <sys/un.h>
+#include <sys/syscall.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
-#include <cstring>
 #include <filesystem>
 #include <future>
 #include <memory>
@@ -25,6 +25,7 @@
 #include "charlib/coeffs_io.hpp"
 #include "obs/report.hpp"
 #include "serve/server.hpp"
+#include "serve/transport.hpp"
 #include "tech/technology.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
@@ -32,58 +33,8 @@
 namespace pim::serve {
 namespace {
 
-int connect_tcp(int port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  EXPECT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0)
-      << "connect to 127.0.0.1:" << port << ": " << std::strerror(errno);
-  return fd;
-}
-
-int connect_unix(const std::string& path) {
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  EXPECT_GE(fd, 0);
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0)
-      << "connect to " << path << ": " << std::strerror(errno);
-  return fd;
-}
-
-void send_line(int fd, std::string line) {
-  line += '\n';
-  size_t off = 0;
-  while (off < line.size()) {
-    const ssize_t n = ::send(fd, line.data() + off, line.size() - off, MSG_NOSIGNAL);
-    ASSERT_GT(n, 0) << "send failed: " << std::strerror(errno);
-    off += static_cast<size_t>(n);
-  }
-}
-
-// A buffered line reader over one fd; "" means EOF before a newline.
-struct LineReader {
-  int fd;
-  std::string buffer;
-
-  std::string next() {
-    size_t pos;
-    char chunk[65536];
-    while ((pos = buffer.find('\n')) == std::string::npos) {
-      const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-      if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) return "";
-      buffer.append(chunk, static_cast<size_t>(n));
-    }
-    std::string line = buffer.substr(0, pos);
-    buffer.erase(0, pos + 1);
-    return line;
-  }
-};
+constexpr LineReader::Status kLine = LineReader::Status::line;
+constexpr LineReader::Status kEof = LineReader::Status::eof;
 
 // Spin until the server's own stats report satisfies `done` (stats_json
 // is safe from any thread). The predicates below wait on accepted /
@@ -124,9 +75,10 @@ TEST(Serve, UnixSocketRoundTripMatchesInProcessExecution) {
 
   const std::string line = "{\"op\":\"techfile\",\"id\":5,\"tech\":\"65nm\"}";
   const int fd = connect_unix(path);
-  LineReader reader{fd, {}};
-  send_line(fd, line);
-  const std::string from_daemon = reader.next();
+  LineReader reader(fd);
+  ASSERT_TRUE(send_all(fd, line + "\n"));
+  std::string from_daemon;
+  ASSERT_EQ(reader.next(from_daemon), kLine);
   EXPECT_EQ(from_daemon, api::wire::execute_line(line))
       << "daemon response must be byte-identical to a direct in-process call";
   EXPECT_NE(from_daemon.find("\"id\":5"), std::string::npos);
@@ -144,9 +96,10 @@ TEST(Serve, TcpEphemeralPortServesAndReportsItself) {
   ASSERT_GT(server.tcp_port(), 0);
 
   const int fd = connect_tcp(server.tcp_port());
-  LineReader reader{fd, {}};
-  send_line(fd, "{\"op\":\"techfile\",\"id\":1,\"tech\":\"45nm\"}");
-  const std::string response = reader.next();
+  LineReader reader(fd);
+  ASSERT_TRUE(send_all(fd, "{\"op\":\"techfile\",\"id\":1,\"tech\":\"45nm\"}\n"));
+  std::string response;
+  ASSERT_EQ(reader.next(response), kLine);
   EXPECT_NE(response.find("\"ok\":true"), std::string::npos);
   ::close(fd);
   server.stop();
@@ -159,9 +112,10 @@ TEST(Serve, MalformedLineGetsTypedErrorWithoutKillingTheConnection) {
   server.start();
 
   const int fd = connect_tcp(server.tcp_port());
-  LineReader reader{fd, {}};
-  send_line(fd, "this is } not json");
-  const std::string error_response = reader.next();
+  LineReader reader(fd);
+  ASSERT_TRUE(send_all(fd, "this is } not json\n"));
+  std::string error_response;
+  ASSERT_EQ(reader.next(error_response), kLine);
   {
     const obs::JsonValue v = obs::parse_json(error_response);
     EXPECT_FALSE(v.find("ok")->boolean);
@@ -169,8 +123,9 @@ TEST(Serve, MalformedLineGetsTypedErrorWithoutKillingTheConnection) {
     EXPECT_EQ(v.find("error")->find("exit_code")->number, 2.0);
   }
   // The same connection keeps serving afterwards.
-  send_line(fd, "{\"op\":\"techfile\",\"id\":2,\"tech\":\"65nm\"}");
-  const std::string ok_response = reader.next();
+  ASSERT_TRUE(send_all(fd, "{\"op\":\"techfile\",\"id\":2,\"tech\":\"65nm\"}\n"));
+  std::string ok_response;
+  ASSERT_EQ(reader.next(ok_response), kLine);
   EXPECT_NE(ok_response.find("\"id\":2"), std::string::npos);
   EXPECT_NE(ok_response.find("\"ok\":true"), std::string::npos);
   ::close(fd);
@@ -184,17 +139,18 @@ TEST(Serve, DeeplyNestedLineIsBadInputAndTheDaemonKeepsServing) {
   server.start();
 
   const int fd = connect_tcp(server.tcp_port());
-  LineReader reader{fd, {}};
-  send_line(fd, std::string(200000, '['));
-  const std::string error_response = reader.next();
-  ASSERT_FALSE(error_response.empty()) << "daemon died on a deeply nested line";
+  LineReader reader(fd);
+  ASSERT_TRUE(send_all(fd, std::string(200000, '[') + "\n"));
+  std::string error_response;
+  ASSERT_EQ(reader.next(error_response), kLine) << "daemon died on a deeply nested line";
   {
     const obs::JsonValue v = obs::parse_json(error_response);
     EXPECT_FALSE(v.find("ok")->boolean);
     EXPECT_EQ(v.find("error")->find("code")->text, "bad_input");
   }
-  send_line(fd, "{\"op\":\"techfile\",\"id\":4,\"tech\":\"65nm\"}");
-  const std::string ok_response = reader.next();
+  ASSERT_TRUE(send_all(fd, "{\"op\":\"techfile\",\"id\":4,\"tech\":\"65nm\"}\n"));
+  std::string ok_response;
+  ASSERT_EQ(reader.next(ok_response), kLine);
   EXPECT_NE(ok_response.find("\"id\":4"), std::string::npos);
   EXPECT_NE(ok_response.find("\"ok\":true"), std::string::npos);
   ::close(fd);
@@ -207,14 +163,238 @@ TEST(Serve, UnknownTechStaysTypedAndTheConnectionSurvives) {
   Server server(options);
   server.start();
   const int fd = connect_tcp(server.tcp_port());
-  LineReader reader{fd, {}};
-  send_line(fd, "{\"op\":\"techfile\",\"id\":3,\"tech\":\"no-such-tech\"}");
-  const std::string response = reader.next();
+  LineReader reader(fd);
+  ASSERT_TRUE(send_all(fd, "{\"op\":\"techfile\",\"id\":3,\"tech\":\"no-such-tech\"}\n"));
+  std::string response;
+  ASSERT_EQ(reader.next(response), kLine);
   const obs::JsonValue v = obs::parse_json(response);
   EXPECT_EQ(v.find("id")->number, 3.0);
   EXPECT_FALSE(v.find("ok")->boolean);
   ::close(fd);
   server.stop();
+}
+
+// The framing the daemon accepts (docs/serving.md): a '\r' before the
+// newline is tolerated and blank lines are skipped, so a CRLF stream with
+// empty lines gets exactly the responses the LF-only stream gets, byte
+// for byte, and no more.
+TEST(Serve, CrlfAndBlankLinesGetTheLfOnlyResponses) {
+  ServerOptions options;
+  options.tcp_port = 0;
+  Server server(options);
+  server.start();
+  const std::string first = "{\"op\":\"techfile\",\"id\":11,\"tech\":\"65nm\"}";
+  const std::string second = "{\"op\":\"techfile\",\"id\":12,\"tech\":\"45nm\"}";
+
+  std::vector<std::string> responses[2];
+  const std::string streams[2] = {first + "\r\n\r\n\n" + second + "\n",
+                                  first + "\n" + second + "\n"};
+  for (int s = 0; s < 2; ++s) {
+    const int fd = connect_tcp(server.tcp_port());
+    ASSERT_TRUE(send_all(fd, streams[s]));
+    ::shutdown(fd, SHUT_WR);  // the daemon answers what it got, then closes
+    LineReader reader(fd);
+    std::string line;
+    while (reader.next(line) == kLine) responses[s].push_back(line);
+    ::close(fd);
+  }
+  ASSERT_EQ(responses[1].size(), 2u);
+  EXPECT_NE(responses[1][0].find("\"id\":11"), std::string::npos);
+  EXPECT_NE(responses[1][1].find("\"id\":12"), std::string::npos);
+  EXPECT_EQ(responses[0], responses[1]);
+  server.stop();
+}
+
+TEST(Serve, RequestSplitAcrossThreeSendsGetsOneResponse) {
+  ServerOptions options;
+  options.tcp_port = 0;
+  Server server(options);
+  server.start();
+  const std::string line = "{\"op\":\"techfile\",\"id\":13,\"tech\":\"65nm\"}\n";
+  const int fd = connect_tcp(server.tcp_port());
+  for (const std::string& piece : {line.substr(0, 10), line.substr(10, 20), line.substr(30)}) {
+    ASSERT_TRUE(send_all(fd, piece));
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  }
+  ::shutdown(fd, SHUT_WR);
+  LineReader reader(fd);
+  std::string response;
+  ASSERT_EQ(reader.next(response), kLine);
+  EXPECT_EQ(response, api::wire::execute_line(line.substr(0, line.size() - 1)));
+  EXPECT_EQ(reader.next(response), kEof) << "one request, one response";
+  ::close(fd);
+  server.stop();
+}
+
+// A line past the daemon's 64 MiB bound is a protocol violation: one
+// bad_input response naming the bound, then the connection closes. The
+// daemon itself keeps serving.
+TEST(Serve, OverlongLineGetsOneBadInputThenEof) {
+  constexpr size_t kBound = size_t{64} * 1024 * 1024;
+  const std::string path =
+      ::testing::TempDir() + "pim_serve_overlong_" + std::to_string(::getpid()) + ".sock";
+  ServerOptions options;
+  options.socket_path = path;
+  Server server(options);
+  server.start();
+
+  const int fd = connect_unix(path);
+  // The daemon stops reading mid-stream, so the send may fail; only the
+  // response matters.
+  std::thread writer([fd, bytes = std::string(kBound + 65536, 'x')] {
+    (void)send_all(fd, bytes);
+  });
+  LineReader reader(fd);
+  std::string response;
+  ASSERT_EQ(reader.next(response), kLine);
+  const obs::JsonValue v = obs::parse_json(response);
+  EXPECT_FALSE(v.find("ok")->boolean);
+  EXPECT_EQ(v.find("error")->find("code")->text, "bad_input");
+  EXPECT_NE(v.find("error")->find("message")->text.find(std::to_string(kBound)),
+            std::string::npos)
+      << response;
+  EXPECT_EQ(reader.next(response), kEof);
+  writer.join();
+  ::close(fd);
+
+  const int fd2 = connect_unix(path);
+  LineReader reader2(fd2);
+  ASSERT_TRUE(send_all(fd2, "{\"op\":\"techfile\",\"id\":14,\"tech\":\"65nm\"}\n"));
+  ASSERT_EQ(reader2.next(response), kLine);
+  EXPECT_NE(response.find("\"ok\":true"), std::string::npos);
+  ::close(fd2);
+  server.stop();
+}
+
+// A no-op SIGUSR1 handler installed without SA_RESTART, the way
+// deadline::install_signal_handlers installs SIGINT/SIGTERM: a blocked
+// send or recv that catches it fails with EINTR. The old handler comes
+// back when the scope ends.
+struct NoRestartSigusr1 {
+  struct sigaction old {};
+  NoRestartSigusr1() {
+    struct sigaction action = {};
+    action.sa_handler = [](int) {};
+    sigemptyset(&action.sa_mask);
+    action.sa_flags = 0;
+    sigaction(SIGUSR1, &action, &old);
+  }
+  ~NoRestartSigusr1() { sigaction(SIGUSR1, &old, nullptr); }
+};
+
+// A response the worker is still flushing into a full socket survives a
+// signal: EINTR from send is not a dead peer.
+TEST(Serve, SignalDuringFlushLosesNoResponse) {
+  const NoRestartSigusr1 handler;
+  const std::string path =
+      ::testing::TempDir() + "pim_serve_eintr_" + std::to_string(::getpid()) + ".sock";
+  ServerOptions options;
+  options.socket_path = path;
+  options.workers = 2;
+  Server server(options);
+  server.start();
+
+  const int fd = connect_unix(path);
+  // The batch response (a few hundred KB) overfills the socket buffers
+  // while nothing reads it, so the flush blocks in send.
+  ASSERT_TRUE(send_all(fd, big_techfile_batch(300) + "\n" +
+                               "{\"op\":\"techfile\",\"id\":15,\"tech\":\"65nm\"}\n"));
+  ::shutdown(fd, SHUT_WR);
+  wait_for_stats(server, [](const obs::JsonValue& v) { return stat(v, "completed") >= 1.0; });
+  const pid_t self = static_cast<pid_t>(::syscall(SYS_gettid));
+  for (int round = 0; round < 5; ++round) {
+    for (const auto& task : std::filesystem::directory_iterator("/proc/self/task")) {
+      const pid_t tid = static_cast<pid_t>(std::stol(task.path().filename().string()));
+      if (tid != self) ::syscall(SYS_tgkill, ::getpid(), tid, SIGUSR1);
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+
+  LineReader reader(fd);
+  std::string batch;
+  ASSERT_EQ(reader.next(batch), kLine) << "the batch response was dropped";
+  const obs::JsonValue v = obs::parse_json(batch);
+  EXPECT_EQ(v.find("id")->number, 100.0);
+  EXPECT_EQ(stat(*v.find("result"), "failed"), 0.0);
+  std::string single;
+  ASSERT_EQ(reader.next(single), kLine) << "the second response was dropped";
+  EXPECT_NE(single.find("\"id\":15"), std::string::npos);
+  ::close(fd);
+  server.stop();
+}
+
+TEST(Transport, SendAllSurvivesSignalsWhileBlocked) {
+  const NoRestartSigusr1 handler;
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  const std::string payload(4 * 1024 * 1024, 'p');
+  std::promise<pthread_t> started;
+  std::future<pthread_t> sender_id = started.get_future();
+  std::future<bool> sent = std::async(std::launch::async, [&] {
+    started.set_value(::pthread_self());
+    return send_all(fds[0], payload + "\n");
+  });
+  const pthread_t sender = sender_id.get();
+  // Nothing reads yet, so the sender fills the buffer and blocks.
+  for (int round = 0; round < 5; ++round) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    ::pthread_kill(sender, SIGUSR1);
+  }
+  LineReader reader(fds[1]);
+  std::string line;
+  ASSERT_EQ(reader.next(line), kLine);
+  EXPECT_EQ(line.size(), payload.size());
+  EXPECT_EQ(line, payload);
+  EXPECT_TRUE(sent.get());
+  ::close(fds[0]);
+  ::close(fds[1]);
+}
+
+TEST(Transport, LineReaderCutsLinesAndDropsAnUnterminatedTail) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  ASSERT_TRUE(send_all(fds[0], "one\n\ntwo\r\ntail"));
+  ::close(fds[0]);
+  LineReader reader(fds[1]);
+  std::string line;
+  ASSERT_EQ(reader.next(line), kLine);
+  EXPECT_EQ(line, "one");
+  ASSERT_EQ(reader.next(line), kLine);
+  EXPECT_EQ(line, "");
+  ASSERT_EQ(reader.next(line), kLine);
+  EXPECT_EQ(line, "two\r");
+  EXPECT_EQ(reader.next(line), kEof);
+  ::close(fds[1]);
+}
+
+TEST(Transport, LineReaderReportsALineOverItsBound) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  ASSERT_TRUE(send_all(fds[0], "short\n0123456789"));
+  LineReader reader(fds[1], 8);
+  std::string line;
+  ASSERT_EQ(reader.next(line), kLine);
+  EXPECT_EQ(line, "short");
+  EXPECT_EQ(reader.next(line), LineReader::Status::too_long);
+  ::close(fds[0]);
+  ::close(fds[1]);
+}
+
+TEST(Transport, ConnectFailuresNameTheTarget) {
+  const std::string missing = ::testing::TempDir() + "pim-no-such-daemon.sock";
+  try {
+    connect_unix(missing);
+    FAIL() << "connected to a missing socket";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::io_parse);
+    EXPECT_NE(std::string(e.what()).find(missing), std::string::npos) << e.what();
+  }
+  try {
+    connect_unix(std::string(200, 'p'));
+    FAIL() << "accepted a path longer than sun_path";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::bad_input);
+  }
 }
 
 TEST(Serve, FullQueueRejectsWithOverloaded) {
@@ -226,28 +406,29 @@ TEST(Serve, FullQueueRejectsWithOverloaded) {
   server.start();
 
   const int fd = connect_tcp(server.tcp_port());
-  LineReader reader{fd, {}};
+  LineReader reader(fd);
   // Occupy the single worker with a deterministic multi-second batch,
   // wait until it is picked up (queue drains), then fill the queue and
   // overflow it. The waits make the rejection deterministic, not timed.
-  send_line(fd, big_techfile_batch(5000));
+  ASSERT_TRUE(send_all(fd, big_techfile_batch(5000) + "\n"));
   wait_for_stats(server, [](const obs::JsonValue& v) {
     return stat(v, "accepted") == 1.0 && stat(v, "queue_depth") == 0.0;
   });
-  send_line(fd, "{\"op\":\"techfile\",\"id\":201,\"tech\":\"65nm\"}");
+  ASSERT_TRUE(send_all(fd, "{\"op\":\"techfile\",\"id\":201,\"tech\":\"65nm\"}\n"));
   wait_for_stats(server, [](const obs::JsonValue& v) {
     return stat(v, "accepted") == 2.0;
   });
-  send_line(fd, "{\"op\":\"techfile\",\"id\":202,\"tech\":\"65nm\"}");
+  ASSERT_TRUE(send_all(fd, "{\"op\":\"techfile\",\"id\":202,\"tech\":\"65nm\"}\n"));
 
   // Responses stay in request order: batch, queued single, rejection.
-  const std::string batch_response = reader.next();
+  std::string batch_response, queued_response, rejection;
+  ASSERT_EQ(reader.next(batch_response), kLine);
   EXPECT_NE(batch_response.find("\"ok\":true"), std::string::npos);
   EXPECT_NE(batch_response.find("\"failed\":0"), std::string::npos);
-  const std::string queued_response = reader.next();
+  ASSERT_EQ(reader.next(queued_response), kLine);
   EXPECT_NE(queued_response.find("\"id\":201"), std::string::npos);
   EXPECT_NE(queued_response.find("\"ok\":true"), std::string::npos);
-  const std::string rejection = reader.next();
+  ASSERT_EQ(reader.next(rejection), kLine);
   const obs::JsonValue v = obs::parse_json(rejection);
   EXPECT_EQ(v.find("id")->number, 202.0);
   EXPECT_FALSE(v.find("ok")->boolean);
@@ -267,8 +448,8 @@ TEST(Serve, StatsAnswersInlineEvenWhileTheWorkerIsBusy) {
   server.start();
 
   const int busy_fd = connect_tcp(server.tcp_port());
-  LineReader busy_reader{busy_fd, {}};
-  send_line(busy_fd, big_techfile_batch(5000));
+  LineReader busy_reader(busy_fd);
+  ASSERT_TRUE(send_all(busy_fd, big_techfile_batch(5000) + "\n"));
   wait_for_stats(server, [](const obs::JsonValue& v) {
     return stat(v, "accepted") == 1.0;
   });
@@ -276,9 +457,10 @@ TEST(Serve, StatsAnswersInlineEvenWhileTheWorkerIsBusy) {
   // A second connection gets stats immediately — the reader answers it
   // without going through the (occupied) worker queue.
   const int fd = connect_tcp(server.tcp_port());
-  LineReader reader{fd, {}};
-  send_line(fd, "{\"op\":\"stats\",\"id\":9}");
-  const std::string response = reader.next();
+  LineReader reader(fd);
+  ASSERT_TRUE(send_all(fd, "{\"op\":\"stats\",\"id\":9}\n"));
+  std::string response;
+  ASSERT_EQ(reader.next(response), kLine);
   const obs::JsonValue v = obs::parse_json(response);
   EXPECT_EQ(v.find("id")->number, 9.0);
   EXPECT_TRUE(v.find("ok")->boolean);
@@ -288,7 +470,8 @@ TEST(Serve, StatsAnswersInlineEvenWhileTheWorkerIsBusy) {
   EXPECT_GE(stat(*result, "accepted"), 1.0);
   ::close(fd);
 
-  EXPECT_NE(busy_reader.next().find("\"ok\":true"), std::string::npos);
+  ASSERT_EQ(busy_reader.next(response), kLine);
+  EXPECT_NE(response.find("\"ok\":true"), std::string::npos);
   ::close(busy_fd);
   server.stop();
 }
@@ -301,8 +484,8 @@ TEST(Serve, DrainFlushesInFlightResponsesBeforeClosing) {
   server.start();
 
   const int fd = connect_tcp(server.tcp_port());
-  LineReader reader{fd, {}};
-  send_line(fd, big_techfile_batch(5000));
+  LineReader reader(fd);
+  ASSERT_TRUE(send_all(fd, big_techfile_batch(5000) + "\n"));
   // Only stop once the request is provably accepted; drain must then
   // finish it and flush the response before the connection drops. Stop
   // runs on another thread while this one keeps reading — the multi-MB
@@ -314,10 +497,11 @@ TEST(Serve, DrainFlushesInFlightResponsesBeforeClosing) {
   });
   std::thread stopper([&server] { server.stop(); });
 
-  const std::string response = reader.next();
+  std::string response;
+  ASSERT_EQ(reader.next(response), kLine);
   EXPECT_NE(response.find("\"id\":100"), std::string::npos);
   EXPECT_NE(response.find("\"ok\":true"), std::string::npos);
-  EXPECT_EQ(reader.next(), "");  // then EOF: the daemon closed cleanly
+  EXPECT_EQ(reader.next(response), kEof);  // then EOF: the daemon closed cleanly
   stopper.join();
   ::close(fd);
 
@@ -336,14 +520,7 @@ TEST(Serve, ListenersCloseAfterStop) {
   // The pre-drain connection's read side is shut; anything buffered gets
   // answered, new connects fail. Either the send fails or the socket is
   // closed — the key invariant is the server came down cleanly.
-  const int fd2 = ::socket(AF_INET, SOCK_STREAM, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  EXPECT_NE(::connect(fd2, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0)
-      << "listener should be closed after stop()";
-  ::close(fd2);
+  EXPECT_THROW(connect_tcp(port), Error) << "listener should be closed after stop()";
   ::close(fd);
 }
 
@@ -362,18 +539,16 @@ std::string connect_the_moment_the_path_exists(const std::string& path) {
     const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
     while (::access(path.c_str(), F_OK) != 0)
       if (std::chrono::steady_clock::now() > give_up) return std::string("no socket file");
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-      const std::string why = std::strerror(errno);
-      ::close(fd);
-      return "connect refused: " + why;
+    int fd;
+    try {
+      fd = connect_unix(path);
+    } catch (const Error& e) {
+      return std::string("connect refused: ") + e.what();
     }
-    send_line(fd, "{\"op\":\"techfile\",\"id\":7,\"tech\":\"65nm\"}");
-    LineReader reader{fd, {}};
-    std::string response = reader.next();
+    std::string response = "no response";
+    LineReader reader(fd);
+    if (send_all(fd, "{\"op\":\"techfile\",\"id\":7,\"tech\":\"65nm\"}\n"))
+      reader.next(response);
     ::close(fd);
     return response;
   });
@@ -446,21 +621,24 @@ TEST(Serve, ErrorsCountFailedResponsesNotFailedBatchItems) {
   Server server(options);
   server.start();
   const int fd = connect_tcp(server.tcp_port());
-  LineReader reader{fd, {}};
+  LineReader reader(fd);
+  std::string response;
 
   // The envelope is ok; only the second item failed.
-  send_line(fd,
-            "{\"op\":\"batch\",\"id\":1,\"items\":[{\"op\":\"techfile\",\"tech\":\"65nm\"},"
-            "{\"op\":\"techfile\",\"tech\":\"no-such-tech\"}]}");
-  const obs::JsonValue batch = obs::parse_json(reader.next());
+  ASSERT_TRUE(send_all(
+      fd, "{\"op\":\"batch\",\"id\":1,\"items\":[{\"op\":\"techfile\",\"tech\":\"65nm\"},"
+          "{\"op\":\"techfile\",\"tech\":\"no-such-tech\"}]}\n"));
+  ASSERT_EQ(reader.next(response), kLine);
+  const obs::JsonValue batch = obs::parse_json(response);
   EXPECT_TRUE(batch.find("ok")->boolean);
   EXPECT_EQ(stat(*batch.find("result"), "failed"), 1.0);
   obs::JsonValue stats = obs::parse_json(server.stats_json());
   EXPECT_EQ(stat(stats, "completed"), 1.0);
   EXPECT_EQ(stat(stats, "errors"), 0.0);
 
-  send_line(fd, "this is } not json");
-  EXPECT_FALSE(obs::parse_json(reader.next()).find("ok")->boolean);
+  ASSERT_TRUE(send_all(fd, "this is } not json\n"));
+  ASSERT_EQ(reader.next(response), kLine);
+  EXPECT_FALSE(obs::parse_json(response).find("ok")->boolean);
   stats = obs::parse_json(server.stats_json());
   EXPECT_EQ(stat(stats, "completed"), 2.0);
   EXPECT_EQ(stat(stats, "errors"), 1.0);
@@ -484,21 +662,17 @@ TEST(Serve, PipelinedLinesInOneSendAllComeBackInOrder) {
             ",\"tech\":\"65nm\"}\n";
   // Written from another thread: the responses (a few MB) must be read
   // while the requests are still going out.
-  std::thread writer([&] {
-    size_t off = 0;
-    while (off < blob.size()) {
-      const ssize_t n = ::send(fd, blob.data() + off, blob.size() - off, MSG_NOSIGNAL);
-      ASSERT_GT(n, 0) << "send failed: " << std::strerror(errno);
-      off += static_cast<size_t>(n);
-    }
-  });
-  LineReader reader{fd, {}};
+  std::future<bool> sent =
+      std::async(std::launch::async, [&] { return send_all(fd, blob); });
+  LineReader reader(fd);
+  std::string response;
   for (int i = 0; i < kLines; ++i) {
-    const obs::JsonValue v = obs::parse_json(reader.next());
+    ASSERT_EQ(reader.next(response), kLine) << "line " << i;
+    const obs::JsonValue v = obs::parse_json(response);
     ASSERT_EQ(v.find("id")->number, static_cast<double>(i));
     ASSERT_TRUE(v.find("ok")->boolean) << "line " << i;
   }
-  writer.join();
+  EXPECT_TRUE(sent.get());
   EXPECT_EQ(stat(obs::parse_json(server.stats_json()), "completed"),
             static_cast<double>(kLines));
   ::close(fd);
@@ -557,20 +731,25 @@ TEST(Serve, BatchStatsCountEveryItemExactlyAtFourWorkers) {
   Server server(options);
   server.start();
   const int fd = connect_tcp(server.tcp_port());
-  LineReader reader{fd, {}};
-  send_line(fd, evaluate);  // cold: loads the file, makes fit and model resident
-  ASSERT_NE(reader.next().find("\"ok\":true"), std::string::npos);
+  LineReader reader(fd);
+  std::string response;
+  // Cold: loads the file, makes fit and model resident.
+  ASSERT_TRUE(send_all(fd, evaluate + "\n"));
+  ASSERT_EQ(reader.next(response), kLine);
+  ASSERT_NE(response.find("\"ok\":true"), std::string::npos);
 
   const HitCounts before = hit_counts(server);
-  send_line(fd, evaluate);
-  ASSERT_NE(reader.next().find("\"ok\":true"), std::string::npos);
+  ASSERT_TRUE(send_all(fd, evaluate + "\n"));
+  ASSERT_EQ(reader.next(response), kLine);
+  ASSERT_NE(response.find("\"ok\":true"), std::string::npos);
   const HitCounts one = hit_counts(server);
   const double per_evaluate = one.resident - before.resident;
   const double store_per_evaluate = one.store - before.store;
   ASSERT_GT(per_evaluate, 0.0);
 
-  send_line(fd, batch);
-  ASSERT_NE(reader.next().find("\"failed\":0"), std::string::npos);
+  ASSERT_TRUE(send_all(fd, batch + "\n"));
+  ASSERT_EQ(reader.next(response), kLine);
+  ASSERT_NE(response.find("\"failed\":0"), std::string::npos);
   const HitCounts three = hit_counts(server);
   EXPECT_EQ(three.resident - one.resident, 3 * per_evaluate);
   EXPECT_EQ(three.store - one.store, 3 * store_per_evaluate);
@@ -583,10 +762,13 @@ TEST(Serve, BatchStatsCountEveryItemExactlyAtFourWorkers) {
   for (int c = 0; c < kConnections; ++c) {
     clients.emplace_back([&] {
       const int cfd = connect_tcp(server.tcp_port());
-      LineReader creader{cfd, {}};
-      for (int b = 0; b < kBatchesEach; ++b) send_line(cfd, batch);
-      for (int b = 0; b < kBatchesEach; ++b)
-        EXPECT_NE(creader.next().find("\"failed\":0"), std::string::npos);
+      LineReader creader(cfd);
+      for (int b = 0; b < kBatchesEach; ++b) EXPECT_TRUE(send_all(cfd, batch + "\n"));
+      std::string cresponse;
+      for (int b = 0; b < kBatchesEach; ++b) {
+        EXPECT_EQ(creader.next(cresponse), kLine);
+        EXPECT_NE(cresponse.find("\"failed\":0"), std::string::npos);
+      }
       ::close(cfd);
     });
   }

@@ -11,15 +11,11 @@
 // convergence, I/O), 4 internal error, 5 deadline exceeded / cancelled
 // (reports, traces, and the ledger record are still flushed; commands
 // with a sound partial semantics print the truncated result first).
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <iostream>
 #include <string>
 
@@ -28,6 +24,7 @@
 #include "obs/report.hpp"
 #include "deadline/deadline.hpp"
 #include "obs/trace.hpp"
+#include "serve/transport.hpp"
 #include "util/paths.hpp"
 #include "util/error.hpp"
 #include "util/faultinject.hpp"
@@ -371,41 +368,10 @@ int cmd_cache(const Args& args) {
   return 0;
 }
 
-int connect_unix(const std::string& path) {
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  require(path.size() < sizeof(addr.sun_path), "serve: socket path too long: " + path,
-          ErrorCode::bad_input);
-  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  require(fd >= 0, "serve: socket(AF_UNIX) failed", ErrorCode::io_parse);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    fail("serve: cannot connect to " + path + ": " + std::strerror(errno),
-         ErrorCode::io_parse);
-  }
-  return fd;
-}
-
-int connect_tcp(int port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  require(fd >= 0, "serve: socket(AF_INET) failed", ErrorCode::io_parse);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    fail("serve: cannot connect to 127.0.0.1:" + std::to_string(port) + ": " +
-             std::strerror(errno),
-         ErrorCode::io_parse);
-  }
-  return fd;
-}
-
 // The worst exit code any response in the session carried (the daemon
 // embeds exit_code in every error envelope — one contract across both
-// surfaces, docs/api.md). Unparseable responses count as internal.
+// surfaces, docs/api.md). Unparseable responses, and an exit_code that is
+// not an integer in [1, 255], count as internal.
 void fold_response_exit(const std::string& response, int& exit_code) {
   try {
     const obs::JsonValue v = obs::parse_json(response);
@@ -414,9 +380,11 @@ void fold_response_exit(const std::string& response, int& exit_code) {
       return;
     if (const obs::JsonValue* error = v.find("error");
         error != nullptr && error->kind == obs::JsonValue::Kind::Object) {
-      if (const obs::JsonValue* ec = error->find("exit_code");
-          ec != nullptr && ec->kind == obs::JsonValue::Kind::Number) {
-        exit_code = std::max(exit_code, static_cast<int>(ec->number));
+      if (const obs::JsonValue* ec = error->find("exit_code"); ec != nullptr) {
+        const double n = ec->number;
+        const bool valid = ec->kind == obs::JsonValue::Kind::Number && n >= 1 &&
+                           n <= 255 && n == std::floor(n);
+        exit_code = std::max(exit_code, valid ? static_cast<int>(n) : 4);
         return;
       }
     }
@@ -454,37 +422,24 @@ int cmd_serve(const Args& args) {
     }
     return exit_code;
   }
-  const int fd = socket_path.empty() ? connect_tcp(tcp_port) : connect_unix(socket_path);
-  std::string buffer;
-  char chunk[65536];
+  const int fd = socket_path.empty() ? serve::connect_tcp(tcp_port)
+                                      : serve::connect_unix(socket_path);
+  serve::LineReader reader(fd);
+  std::string response;
   while (std::getline(std::cin, line)) {
     if (!line.empty() && line.back() == '\r') line.pop_back();
     if (line.empty()) continue;
     line += '\n';
-    size_t off = 0;
-    while (off < line.size()) {
-      const ssize_t n = ::send(fd, line.data() + off, line.size() - off, MSG_NOSIGNAL);
-      if (n <= 0) {
-        ::close(fd);
-        fail("serve: connection lost while sending", ErrorCode::io_parse);
-      }
-      off += static_cast<size_t>(n);
+    if (!serve::send_all(fd, line)) {
+      ::close(fd);
+      fail("serve: connection lost while sending", ErrorCode::io_parse);
     }
     // Lock-step: one response line per request line, so a large session
     // cannot deadlock on full socket buffers in both directions.
-    size_t pos;
-    while ((pos = buffer.find('\n')) == std::string::npos) {
-      const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-      if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) {
-        ::close(fd);
-        fail("serve: connection closed before a response arrived",
-             ErrorCode::io_parse);
-      }
-      buffer.append(chunk, static_cast<size_t>(n));
+    if (reader.next(response) != serve::LineReader::Status::line) {
+      ::close(fd);
+      fail("serve: connection closed before a response arrived", ErrorCode::io_parse);
     }
-    const std::string response = buffer.substr(0, pos);
-    buffer.erase(0, pos + 1);
     std::fputs(response.c_str(), stdout);
     std::fputc('\n', stdout);
     fold_response_exit(response, exit_code);
