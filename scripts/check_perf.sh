@@ -33,8 +33,10 @@ echo "=== bench_compare against $baseline ==="
 # of two metrics measured in the same process, so unlike the absolute
 # medians above they are stable across machines: the batched transient
 # engine must keep charlib sweeps >= 2x over the scalar reference
-# engine, and the Monte-Carlo fast path >= 3x over per-sample model
-# construction.
+# engine, the Monte-Carlo fast path >= 3x over per-sample model
+# construction, and the to_chars / from_chars number codec >= 3x over
+# snprintf for a yield payload's encode and >= 1.5x over strtod for its
+# decode.
 echo "=== speedup floors ==="
 python3 - "$workdir/fresh.json" <<'EOF'
 import json, sys
@@ -45,6 +47,10 @@ floors = [
      "transient_kernel.ms_per_sweep_batched", 2.0, "charlib sweep"),
     ("mc_batch.us_per_sample_modelpath",
      "mc_batch.us_per_sample_fastpath", 3.0, "MC sample evaluation"),
+    ("payload_codec.encode_us_reference",
+     "payload_codec.encode_us", 3.0, "payload encode"),
+    ("payload_codec.decode_us_reference",
+     "payload_codec.decode_us", 1.5, "payload decode"),
 ]
 failed = False
 for slow, fast, floor, label in floors:

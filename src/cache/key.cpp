@@ -56,7 +56,7 @@ KeyBuilder& KeyBuilder::field(std::string_view name, const std::vector<double>& 
   std::string joined;
   for (double v : values) {
     if (!joined.empty()) joined.push_back(',');
-    joined += format_sig(v, 17);
+    append_sig(joined, v, 17);
   }
   return field(name, std::string_view(joined));
 }

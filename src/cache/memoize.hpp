@@ -5,7 +5,9 @@
 // A digest-valid payload that fails either way counts `cache.corrupt`
 // once, is erased, and is recomputed. Partial results (a true `partial`
 // member) are never stored or published; every other result is published
-// to the enclosing scope. Payload<T> defaults to T's field binding
+// to the enclosing scope. The key build, the encode and the decode are
+// timed once per call as the `cache.key`, `cache.encode` and
+// `cache.decode` spans. Payload<T> defaults to T's field binding
 // `bind(B&, T&)` as block text (util/blocktext.hpp) at depth 0, doubles at
 // 17 significant digits so hits are bit-identical.
 #pragma once
@@ -16,6 +18,7 @@
 #include "cache/manifest.hpp"
 #include "cache/store.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "util/blocktext.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
@@ -44,11 +47,17 @@ template <typename T, typename KeyFn, typename ComputeFn,
           typename HitFn = decltype([](T&) {})>
 T memoize(KeyFn&& make_key, ComputeFn&& compute, HitFn&& on_hit = {}) {
   const Tracked scope;
-  const CacheKey key = make_key();
+  const CacheKey key = [&] {
+    PIM_OBS_SPAN("cache.key");
+    return make_key();
+  }();
   Store& store = Store::global();
   if (std::optional<std::string> payload = store.get(key)) {
     try {
-      T hit = Payload<T>::decode(*payload);
+      T hit = [&] {
+        PIM_OBS_SPAN("cache.decode");
+        return Payload<T>::decode(*payload);
+      }();
       on_hit(hit);
       scope.publish(key);
       return hit;
@@ -63,7 +72,11 @@ T memoize(KeyFn&& make_key, ComputeFn&& compute, HitFn&& on_hit = {}) {
   T value = compute();
   if constexpr (requires { value.partial; })
     if (value.partial) return value;
-  store.put(key, Payload<T>::encode(value));
+  const std::string text = [&] {
+    PIM_OBS_SPAN("cache.encode");
+    return Payload<T>::encode(value);
+  }();
+  store.put(key, text);
   scope.publish(key);
   return value;
 }

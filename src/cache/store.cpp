@@ -198,15 +198,12 @@ std::string Store::manifest_path(const CacheKey& key) const {
 }
 
 std::string Store::encode_entry(const CacheKey& key, std::string_view payload) {
-  std::ostringstream os;
-  os << "pim-cache v" << kFormatVersion << "\n";
-  os << "kind " << key.kind << "\n";
-  os << "key " << key.hex << "\n";
-  os << "sha256 " << sha256_hex(payload) << "\n";
-  os << "bytes " << payload.size() << "\n";
-  os << "----\n";
-  os << payload;
-  return os.str();
+  std::string entry = "pim-cache v" + std::to_string(kFormatVersion) + "\nkind " +
+                      key.kind + "\nkey " + key.hex + "\nsha256 " + sha256_hex(payload) +
+                      "\nbytes " + std::to_string(payload.size()) + "\n----\n";
+  entry.reserve(entry.size() + payload.size());
+  entry.append(payload);
+  return entry;
 }
 
 Expected<std::string> Store::decode_entry(const CacheKey& key, std::string_view file) {

@@ -1,6 +1,8 @@
 #include "obs/report.hpp"
 
 #include <cctype>
+#include <cfloat>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <sstream>
@@ -47,17 +49,17 @@ std::string json_escape(const std::string& s) {
 
 }  // namespace
 
-// Shortest-ish double formatting that stays valid JSON (no inf/nan).
+// Shortest-ish double formatting that stays valid JSON (no inf/nan): the
+// bytes of %g when they reparse exactly, else of %.17g.
 std::string json_number(double v) {
   if (!std::isfinite(v)) return "0";
   char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  // Round-trippable but ugly; prefer %g when it reparses exactly.
-  char shorter[32];
-  std::snprintf(shorter, sizeof shorter, "%g", v);
+  char* end = std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 6).ptr;
   double back = 0.0;
-  std::sscanf(shorter, "%lf", &back);
-  return back == v ? shorter : buf;
+  std::from_chars(buf, end, back);
+  if (back != v)
+    end = std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 17).ptr;
+  return std::string(buf, end);
 }
 
 std::string json_quote(const std::string& s) { return '"' + json_escape(s) + '"'; }
@@ -283,6 +285,11 @@ class JsonParser {
     require(pos_ > start, "json: expected a value at offset " + std::to_string(start));
     JsonValue v;
     v.kind = JsonValue::Kind::Number;
+    const std::errc ec =
+        std::from_chars(text_.data() + start, text_.data() + pos_, v.number).ec;
+    // std::stod decides the rest: it also takes a leading '+', and it
+    // rejects the subnormals from_chars takes (ERANGE).
+    if (ec == std::errc{} && (v.number == 0.0 || std::abs(v.number) > DBL_MIN)) return v;
     try {
       v.number = std::stod(text_.substr(start, pos_ - start));
     } catch (const std::exception&) {

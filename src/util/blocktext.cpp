@@ -15,7 +15,10 @@ void Writer::field(std::string_view key, double v) { line(key, format_sig(v, dig
 
 void Writer::field(std::string_view key, const std::vector<double>& v) {
   out_.append(2 * depth_, ' ').append(key);
-  for (double d : v) out_.append(1, ' ').append(format_sig(d, digits_));
+  for (double d : v) {
+    out_ += ' ';
+    append_sig(out_, d, digits_);
+  }
   out_ += '\n';
 }
 

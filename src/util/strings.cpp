@@ -1,7 +1,10 @@
 #include "util/strings.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <charconv>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -50,10 +53,17 @@ bool starts_with(std::string_view text, std::string_view prefix) {
 }
 
 double parse_double(std::string_view text) {
-  const std::string buffer{trim(text)};
-  require(!buffer.empty(), "parse_double: empty input", ErrorCode::bad_input);
+  const std::string_view token = trim(text);
+  require(!token.empty(), "parse_double: empty input", ErrorCode::bad_input);
+  double value = 0.0;
+  const char* last = token.data() + token.size();
+  const auto [stop, ec] = std::from_chars(token.data(), last, value);
+  if (ec == std::errc{} && stop == last && std::isfinite(value)) return value;
+  // strtod also takes a leading '+', hex, out-of-range values and NaN
+  // payloads; it decides every token from_chars does not take whole.
+  const std::string buffer{token};
   char* end = nullptr;
-  const double value = std::strtod(buffer.c_str(), &end);
+  value = std::strtod(buffer.c_str(), &end);
   require(end == buffer.c_str() + buffer.size(),
           "parse_double: trailing characters in '" + buffer + "'",
           ErrorCode::bad_input);
@@ -87,8 +97,21 @@ std::string format(const char* fmt, ...) {
   return out;
 }
 
+void append_sig(std::string& out, double value, int digits) {
+  // %.*g never needs more than a sign, max(digits, 6) digits, a point, up
+  // to four leading zeros or a five-character exponent.
+  const size_t at = out.size();
+  out.resize(at + static_cast<size_t>(std::max(digits, 6)) + 8);
+  char* const first = out.data() + at;
+  const char* end = std::to_chars(first, out.data() + out.size(), value,
+                                  std::chars_format::general, digits)
+                        .ptr;
+  out.resize(at + static_cast<size_t>(end - first));
+}
+
 std::string format_sig(double value, int digits) {
-  std::string out = format("%.*g", digits, value);
+  std::string out;
+  append_sig(out, value, digits);
   return out;
 }
 

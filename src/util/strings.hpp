@@ -20,7 +20,9 @@ std::vector<std::string> split_whitespace(std::string_view text);
 /// True if `text` begins with `prefix`.
 bool starts_with(std::string_view text, std::string_view prefix);
 
-/// Parses a floating-point number; throws pim::Error on any trailing junk.
+/// Parses a floating-point number exactly as strtod does in the C locale
+/// (same accepted set, same bits); throws pim::Error on any trailing junk.
+/// Plain decimals take the from_chars fast path.
 double parse_double(std::string_view text);
 
 /// Parses a decimal integer; throws pim::Error (bad_input) on trailing
@@ -30,7 +32,11 @@ long parse_long(std::string_view text);
 /// printf-style formatting into std::string.
 std::string format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 
-/// Formats `value` with `digits` significant digits, trimming zeros.
+/// Formats `value` with `digits` significant digits, trimming zeros: the
+/// bytes of printf("%.*g", digits, value), written by std::to_chars.
 std::string format_sig(double value, int digits);
+
+/// Appends format_sig(value, digits) to `out` without a temporary string.
+void append_sig(std::string& out, double value, int digits);
 
 }  // namespace pim

@@ -4,7 +4,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
+#include <cmath>
+#include <cstdint>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -17,6 +21,7 @@
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
+#include "util/error.hpp"
 
 namespace pim::obs {
 namespace {
@@ -182,6 +187,56 @@ TEST_F(ObsTest, JsonReportRoundTrips) {
   EXPECT_DOUBLE_EQ(t->find("total_ns")->number, 2500.0);
   ASSERT_NE(t->find("p50_ns"), nullptr);
   ASSERT_NE(t->find("p99_ns"), nullptr);
+}
+
+TEST(JsonNumber, MatchesPercentGOrPercent17g) {
+  // The rule json_number keeps: %g when sscanf reads it back exactly, else
+  // %.17g; non-finite values render as 0. Random bit patterns cover every
+  // exponent, subnormals and both zeros.
+  const auto reference = [](double v) -> std::string {
+    if (!std::isfinite(v)) return "0";
+    char full[32], shorter[32];
+    std::snprintf(full, sizeof full, "%.17g", v);
+    std::snprintf(shorter, sizeof shorter, "%g", v);
+    double back = 0.0;
+    std::sscanf(shorter, "%lf", &back);
+    return back == v ? shorter : full;
+  };
+  std::mt19937_64 bits(20261017);
+  for (int i = 0; i < 120000; ++i) {
+    const double v = std::bit_cast<double>(bits());
+    ASSERT_EQ(json_number(v), reference(v)) << std::hex << std::bit_cast<uint64_t>(v);
+  }
+  for (double v : {0.0, -0.0, 1.5, 0.1, 1e300, 4.9e-324, 2.2250738585072014e-308,
+                   1.7976931348623157e308, 1.0 / 0.0, std::nan("")})
+    EXPECT_EQ(json_number(v), reference(v)) << v;
+}
+
+TEST(JsonReader, NumbersKeepTheAcceptSetOfStod) {
+  // Out of range for stod (ERANGE) even where from_chars would take the
+  // value, as it does the two subnormals.
+  for (const char* bad : {"1e999", "1e-400", "1e-310", "4.9e-324", "-1e999", "-", "+", "."}) {
+    try {
+      parse_json(bad);
+      ADD_FAILURE() << bad << " parsed";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.message(), std::string("json: bad number '") + bad + "'");
+    }
+  }
+  const struct {
+    const char* text;
+    double value;
+  } good[] = {{"+1", 1.0},
+              {"-0", -0.0},
+              {"0e999", 0.0},
+              {"2.5E-3", 2.5e-3},
+              {"1e308", 1e308},
+              {"2.2250738585072014e-308", 2.2250738585072014e-308}};
+  for (const auto& [text, value] : good) {
+    const JsonValue v = parse_json(text);
+    ASSERT_EQ(v.kind, JsonValue::Kind::Number) << text;
+    EXPECT_EQ(std::bit_cast<uint64_t>(v.number), std::bit_cast<uint64_t>(value)) << text;
+  }
 }
 
 TEST_F(ObsTest, JsonEscapesAwkwardNames) {

@@ -2,6 +2,11 @@
 // CSV, RNG.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -170,6 +175,43 @@ TEST(Strings, ParseDouble) {
   EXPECT_THROW(parse_double(""), Error);
 }
 
+uint64_t bits_of(double v) { return std::bit_cast<uint64_t>(v); }
+
+uint64_t strtod_bits(const char* text) { return bits_of(std::strtod(text, nullptr)); }
+
+TEST(Strings, ParseDoubleGivesTheBitsOfStrtod) {
+  // Tokens from_chars takes whole, and tokens only strtod takes: a leading
+  // '+', hex, out-of-range magnitudes, inf and NaN (with a payload too).
+  for (const char* token :
+       {"0", "-0", "4.9e-324", "-4.9e-324", "1e-310", "2.2250738585072014e-308",
+        "2.2250738585072011e-308", "1e308", "-1e308", "1e-308", "1.7976931348623157e308",
+        "+1", "+0.5e-3", "0x1p3", "-0X1.8p-2", "inf", "-inf", "INF", "Infinity", "nan",
+        "-nan", "NAN", "nan(123)", "1e999", "-1e999", "1e-400", "-1e-400", ".5", "5.",
+        "0.1", "123456789012345678901234567890", "9007199254740993"}) {
+    EXPECT_EQ(bits_of(parse_double(token)), strtod_bits(token)) << token;
+    EXPECT_EQ(bits_of(parse_double(std::string(" \t") + token + "\n ")), strtod_bits(token))
+        << token;
+  }
+  for (const char* token : {"+", "-", ".", "e5", "1e5x", "0x", "1 2", "--1", "+-1", "in"})
+    EXPECT_THROW(parse_double(token), Error) << token;
+}
+
+TEST(Strings, NumberCodecMatchesPrintfAndStrtod) {
+  // Random bit patterns cover every exponent, subnormals, NaN payloads and
+  // both zeros; the references are the C library calls the codec replaced.
+  std::mt19937_64 bits(20261017);
+  char ref[64];
+  for (int i = 0; i < 120000; ++i) {
+    const double v = std::bit_cast<double>(bits());
+    for (int digits : {12, 17}) {
+      std::snprintf(ref, sizeof ref, "%.*g", digits, v);
+      const std::string text = format_sig(v, digits);
+      ASSERT_EQ(text, ref) << std::hex << bits_of(v);
+      ASSERT_EQ(bits_of(parse_double(text)), strtod_bits(ref)) << ref;
+    }
+  }
+}
+
 TEST(Strings, ParseLong) {
   EXPECT_EQ(parse_long("42"), 42);
   EXPECT_EQ(parse_long(" -7 "), -7);
@@ -184,6 +226,16 @@ TEST(Strings, ParseLong) {
 TEST(Strings, Format) {
   EXPECT_EQ(format("%d-%s", 3, "x"), "3-x");
   EXPECT_EQ(format_sig(0.00123456, 3), "0.00123");
+  // Any precision printf takes, including none, zero and more than 17.
+  char ref[128];
+  for (double v : {1.0 / 3.0, -0.0, 1e-5, 123456.0, -1.7976931348623157e308, 4.9e-324})
+    for (int digits : {-1, 0, 1, 3, 6, 9, 16, 40, 100}) {
+      std::snprintf(ref, sizeof ref, "%.*g", digits, v);
+      EXPECT_EQ(format_sig(v, digits), ref) << digits;
+    }
+  std::string out = "x";
+  append_sig(out, 0.1, 17);
+  EXPECT_EQ(out, "x0.10000000000000001");
 }
 
 // ------------------------------------------------------------- block text

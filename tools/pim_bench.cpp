@@ -17,8 +17,10 @@
 #include <sys/utsname.h>
 
 #include <algorithm>
+#include <cctype>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <ctime>
 #include <filesystem>
@@ -31,6 +33,7 @@
 
 #include "buffering/optimize.hpp"
 #include "cache/invalidate.hpp"
+#include "cache/memoize.hpp"
 #include "cache/store.hpp"
 #include "charlib/characterize.hpp"
 #include "common.hpp"
@@ -241,6 +244,92 @@ std::vector<BenchMetric> bench_mc_batch() {
           {"us_per_lane_reference", solo_us, "us", 0.6},
           {"us_per_sample_modelpath", model_us, "us", 0.6},
           {"us_per_sample_fastpath", fast_us, "us", 0.8}};
+}
+
+// The number codec under every cache payload (util/strings.hpp): encode
+// and decode a 20,000-delay MonteCarloResult, the payload of a yield run,
+// through cache::Payload, against an in-bench snprintf("%.17g") / strtod
+// reference of the same text. The reference must produce the same bytes
+// and bits before any time is reported. check_perf.sh gates the reference
+// / codec ratio at >= 3x for the encode, the cost that dominated a
+// first-pass yield run, and at >= 1.5x for the decode.
+std::vector<BenchMetric> bench_payload_codec() {
+  constexpr int kDelays = 20000;
+  constexpr int kRounds = 3;
+  Rng rng(2026);
+  MonteCarloResult mc;
+  for (int i = 0; i < kDelays; ++i) mc.delays.push_back(6e-10 * rng.normal(1.0, 0.05));
+  std::sort(mc.delays.begin(), mc.delays.end());
+  mc.nominal_delay = 6e-10;
+  mc.mean_delay = mc.delays[kDelays / 2];
+  mc.sigma_delay = 3e-11 * rng.normal(1.0, 0.05);
+  mc.mean_power = 1e-3 * rng.normal(1.0, 0.05);
+  using Codec = cache::Payload<MonteCarloResult>;
+
+  const auto reference_encode = [&] {
+    std::string out;
+    char buf[32];
+    const auto line = [&](const char* key, double v) {
+      std::snprintf(buf, sizeof buf, "%.17g", v);
+      out.append(key).append(1, ' ').append(buf).append(1, '\n');
+    };
+    line("nominal_delay", mc.nominal_delay);
+    line("mean_delay", mc.mean_delay);
+    line("sigma_delay", mc.sigma_delay);
+    line("mean_power", mc.mean_power);
+    out.append("failed_samples ").append(std::to_string(mc.failed_samples)).append("\n");
+    out.append("delays");
+    for (double d : mc.delays) {
+      std::snprintf(buf, sizeof buf, "%.17g", d);
+      out.append(1, ' ').append(buf);
+    }
+    out += '\n';
+    return out;
+  };
+  // Every number of the payload, in order, each read by strtod.
+  const auto reference_decode = [](const std::string& text) {
+    std::vector<double> values;
+    for (const char* p = text.c_str(); *p != '\0';) {
+      // Skip keys and separators: no key holds a digit, '-' or '.'.
+      while (*p != '\0' && !std::isdigit(static_cast<unsigned char>(*p)) && *p != '-' &&
+             *p != '.')
+        ++p;
+      if (*p == '\0') break;
+      char* end = nullptr;
+      values.push_back(std::strtod(p, &end));
+      p = end;
+    }
+    return values;
+  };
+
+  std::string text, reference;
+  MonteCarloResult back;
+  std::vector<double> reference_values;
+  auto start = Clock::now();
+  for (int r = 0; r < kRounds; ++r) text = Codec::encode(mc);
+  const double encode_us = seconds_since(start) * 1e6 / kRounds;
+  start = Clock::now();
+  for (int r = 0; r < kRounds; ++r) back = Codec::decode(text);
+  const double decode_us = seconds_since(start) * 1e6 / kRounds;
+  start = Clock::now();
+  for (int r = 0; r < kRounds; ++r) reference = reference_encode();
+  const double ref_encode_us = seconds_since(start) * 1e6 / kRounds;
+  start = Clock::now();
+  for (int r = 0; r < kRounds; ++r) reference_values = reference_decode(reference);
+  const double ref_decode_us = seconds_since(start) * 1e6 / kRounds;
+
+  require(text == reference, "payload_codec: encode differs from the %.17g reference");
+  std::vector<double> values = {back.nominal_delay, back.mean_delay, back.sigma_delay,
+                                back.mean_power, static_cast<double>(back.failed_samples)};
+  values.insert(values.end(), back.delays.begin(), back.delays.end());
+  require(values.size() == reference_values.size() &&
+              std::memcmp(values.data(), reference_values.data(),
+                          values.size() * sizeof(double)) == 0,
+          "payload_codec: decode differs from the strtod reference");
+  return {{"encode_us", encode_us, "us", 0.6},
+          {"decode_us", decode_us, "us", 0.6},
+          {"encode_us_reference", ref_encode_us, "us", 0.6},
+          {"decode_us_reference", ref_decode_us, "us", 0.6}};
 }
 
 // Cache tiers in isolation, on a scratch store: memory-hit and disk-hit
@@ -460,6 +549,7 @@ const BenchRegistrar kCases[] = {
     BenchRegistrar{{"mc_batch", /*smoke=*/false, bench_mc_batch}},
     BenchRegistrar{{"serving_throughput", /*smoke=*/false,
                     bench_serving_throughput}},
+    BenchRegistrar{{"payload_codec", /*smoke=*/true, bench_payload_codec}},
     BenchRegistrar{{"cache_roundtrip", /*smoke=*/true, bench_cache_roundtrip}},
     BenchRegistrar{{"incremental_recompute", /*smoke=*/true,
                     bench_incremental_recompute}},
