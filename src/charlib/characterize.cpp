@@ -128,7 +128,7 @@ CellFixture compile_cell(const Technology& tech, CellKind kind,
   fx.in = cut.in;
   fx.out = cut.out;
   fx.load_cap = cut.circuit.capacitors().size() - 1;
-  fx.plan = CompiledCircuit::compile(cut.circuit, TransientOptions{}.band_threshold);
+  fx.plan = CompiledCircuit::compile(cut.circuit);
   return fx;
 }
 

@@ -127,15 +127,4 @@ double mean(const Vector& v) {
   return acc / static_cast<double>(v.size());
 }
 
-double max_relative_error(const Vector& predicted, const Vector& observed,
-                          double floor) {
-  require(predicted.size() == observed.size(), "max_relative_error: size mismatch");
-  double worst = 0.0;
-  for (size_t i = 0; i < observed.size(); ++i) {
-    if (std::fabs(observed[i]) <= floor) continue;
-    worst = std::max(worst, std::fabs(predicted[i] - observed[i]) / std::fabs(observed[i]));
-  }
-  return worst;
-}
-
 }  // namespace pim

@@ -54,9 +54,4 @@ double r_squared(const Vector& predicted, const Vector& observed);
 /// Mean of a sample; throws on empty input.
 double mean(const Vector& v);
 
-/// Largest |predicted - observed| / |observed| over samples where
-/// |observed| > floor; returns 0 for empty input.
-double max_relative_error(const Vector& predicted, const Vector& observed,
-                          double floor = 1e-30);
-
 }  // namespace pim

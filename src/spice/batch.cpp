@@ -8,8 +8,6 @@
 #include <utility>
 
 #include "numeric/banded.hpp"
-#include "numeric/lu.hpp"
-#include "numeric/matrix.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "spice/kernels.hpp"
@@ -36,10 +34,8 @@ struct Lane {
 
   // Linear system: per-step base images + reusable factorization.
   std::vector<double> base_mat;
-  Vector base_rhs, rhs, v_new;
+  Vector base_rhs, rhs;
   std::unique_ptr<BandedLu> band_lu;
-  std::unique_ptr<Matrix> work_dense;
-  LuDecomposition dense_lu;
 
   // Depth-0 halving snapshots (solo recursion keeps its own locals).
   Vector v_save;
@@ -182,18 +178,12 @@ class BatchEngine {
     const size_t un = static_cast<size_t>(plan_.unknown_count);
     lane.base_rhs.assign(un, 0.0);
     lane.rhs.assign(un, 0.0);
-    if (plan_.unknown_count > 0) {
-      if (plan_.use_banded) {
-        // Assembly lands directly in the factor's storage (same
-        // column-compressed layout as base_mat), so each Newton
-        // iteration copies the band exactly once.
-        lane.band_lu = std::make_unique<BandedLu>(plan_.matrix_rows,
-                                                  plan_.bandwidth, plan_.bandwidth);
-      } else {
-        lane.work_dense = std::make_unique<Matrix>(plan_.matrix_rows,
-                                                   plan_.matrix_rows);
-      }
-    }
+    // Assembly lands directly in the factor's storage (same
+    // column-compressed layout as base_mat), so each Newton iteration
+    // copies the band exactly once.
+    if (plan_.unknown_count > 0)
+      lane.band_lu = std::make_unique<BandedLu>(plan_.matrix_rows, plan_.bandwidth,
+                                                plan_.bandwidth);
     for (const Waveform& w : lane.waves)
       lane.inputs_const_after = std::max(lane.inputs_const_after, w.last_time());
     lane.result.sources.resize(plan_.vsource_node.size());
@@ -453,19 +443,13 @@ class BatchEngine {
 
       for (size_t pi = 0; pi < iterating_.size(); ++pi) {
         Lane& lane = *iterating_[pi];
-        const Vector* solution = nullptr;
         if (un > 0) {
           // Assemble: copy the step base, scatter this lane's device
           // stamps through the plan's precomputed slots, factor, solve.
-          std::vector<double>& mat = plan_.use_banded
-                                         ? lane.band_lu->values()
-                                         : lane.work_dense->storage();
-          mat = lane.base_mat;
+          lane.band_lu->values() = lane.base_mat;
           lane.rhs = lane.base_rhs;
           scatter_devices(lane, pi * dev_count);
-          Expected<void> factored =
-              plan_.use_banded ? lane.band_lu->refactor()
-                               : lane.dense_lu.refactor(*lane.work_dense);
+          Expected<void> factored = lane.band_lu->refactor();
           if (!factored.ok()) {
             if (factored.error().code() != ErrorCode::singular_matrix) {
               lane.fail_lane(factored.error());
@@ -478,20 +462,14 @@ class BatchEngine {
             lane.newton_active = false;
             continue;
           }
-          if (plan_.use_banded) {
-            lane.band_lu->solve_in_place(lane.rhs);
-            solution = &lane.rhs;
-          } else {
-            lane.dense_lu.solve_into(lane.rhs, lane.v_new);
-            solution = &lane.v_new;
-          }
+          lane.band_lu->solve_in_place(lane.rhs);
         }
 
         double worst = 0.0;
         for (size_t node = 1; node < lane.v_node.size(); ++node) {
           const int ui = plan_.unknown_of_node[node];
           if (ui < 0) continue;
-          double delta = (*solution)[static_cast<size_t>(ui)] - lane.v_node[node];
+          double delta = lane.rhs[static_cast<size_t>(ui)] - lane.v_node[node];
           delta = std::clamp(delta, -solver::kVStepLimit, solver::kVStepLimit);
           lane.v_node[node] += delta;
           worst = std::max(worst, std::fabs(delta));
@@ -575,8 +553,7 @@ class BatchEngine {
   // Scatters one lane's device linearizations into its matrix and RHS,
   // preserving the scalar engine's per-device emission order.
   void scatter_devices(Lane& lane, size_t off) {
-    std::vector<double>& mat = plan_.use_banded ? lane.band_lu->values()
-                                                : lane.work_dense->storage();
+    std::vector<double>& mat = lane.band_lu->values();
     const size_t dn = plan_.devices.count;
     for (size_t i = 0; i < dn; ++i) {
       const double dg = out_dg_[off + i];
@@ -676,7 +653,7 @@ std::vector<Expected<TransientResult>> run_transient_batch(
 
 TransientResult run_transient(const Circuit& circuit, const TransientOptions& options,
                               const std::vector<NodeId>& probes) {
-  const CompiledCircuit plan = CompiledCircuit::compile(circuit, options.band_threshold);
+  const CompiledCircuit plan = CompiledCircuit::compile(circuit);
   return run_transient_batch(plan, options, probes, {LaneSpec{}})[0].take();
 }
 

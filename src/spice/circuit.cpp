@@ -72,9 +72,4 @@ void Circuit::add_inverter(const InverterDevices& devices, double wn, double wp,
   add_capacitor(out, ground(), wn * devices.nmos.c_drain + wp * devices.pmos.c_drain);
 }
 
-bool Circuit::is_source_node(NodeId node) const {
-  check_node(node, "is_source_node");
-  return has_source_[static_cast<size_t>(node)] != 0;
-}
-
 }  // namespace pim

@@ -93,9 +93,6 @@ class Circuit {
   const std::vector<VoltageSource>& vsources() const { return vsources_; }
   const std::vector<Mosfet>& mosfets() const { return mosfets_; }
 
-  /// True when `node` is fixed by a voltage source.
-  bool is_source_node(NodeId node) const;
-
  private:
   void check_node(NodeId n, const char* what) const;
 

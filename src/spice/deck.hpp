@@ -1,9 +1,9 @@
-// SPICE-deck text format for pim netlists.
+// SPICE-deck text writer for pim netlists.
 //
 // A classic deck subset: comment lines (*), `.model` cards for the
 // alpha-power MOSFET parameters, element cards (R/C/V/M), and `.end`.
-// Write + parse round-trips every circuit the library builds, so golden
-// netlists can be inspected, archived, or replayed:
+// `pim export --deck` writes the golden sign-off netlist this way so it
+// can be inspected, archived, or replayed in another simulator:
 //
 //   * pim spice deck
 //   .model nm0 alpha_power type=nmos vth=0.3 k_sat=1050 ...
@@ -15,7 +15,9 @@
 //   .end
 //
 // Voltage sources are grounded (the only kind the engine supports); PWL
-// breakpoints reproduce the waveform exactly.
+// breakpoints reproduce the waveform exactly, and values carry 17
+// significant digits. pim itself reads no decks: the tests keep a reader
+// for this subset as the round-trip oracle (tests/deck_parser.hpp).
 #pragma once
 
 #include <string>
@@ -27,12 +29,8 @@ namespace pim {
 /// Serializes the circuit as a SPICE-like deck.
 std::string write_deck(const Circuit& circuit);
 
-/// Parses a deck produced by write_deck (or hand-written in the same
-/// subset); throws pim::Error with a line number on malformed input.
-Circuit parse_deck(const std::string& text);
-
-/// File convenience wrappers.
+/// Writes write_deck(circuit) to `path`; throws pim::Error(io_parse)
+/// when the file cannot be written.
 void save_deck(const Circuit& circuit, const std::string& path);
-Circuit load_deck(const std::string& path);
 
 }  // namespace pim

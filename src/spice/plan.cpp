@@ -2,13 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
+#include "spice/transient.hpp"
 #include "util/error.hpp"
 #include "util/units.hpp"
 
 namespace pim {
 
-CompiledCircuit CompiledCircuit::compile(const Circuit& circuit, size_t band_threshold) {
+CompiledCircuit CompiledCircuit::compile(const Circuit& circuit) {
   CompiledCircuit p;
   p.node_count = circuit.node_count();
 
@@ -43,11 +45,15 @@ CompiledCircuit CompiledCircuit::compile(const Circuit& circuit, size_t band_thr
     pair_band(m.gate, m.source);
     pair_band(m.drain, m.source);
   }
+  require(band <= solver::kMaxHalfBandwidth,
+          "compile: circuit half-bandwidth " + std::to_string(band) +
+              " exceeds the banded engine's limit of " +
+              std::to_string(solver::kMaxHalfBandwidth) +
+              " (number nodes along the line)",
+          ErrorCode::bad_input);
   p.bandwidth = band;
-  p.use_banded = band <= band_threshold;
   p.matrix_rows = std::max<size_t>(static_cast<size_t>(p.unknown_count), 1);
-  p.matrix_slots = p.use_banded ? (2 * band + 1) * p.matrix_rows
-                                : p.matrix_rows * p.matrix_rows;
+  p.matrix_slots = (2 * band + 1) * p.matrix_rows;
 
   // Classifies one stamp (row, col): matrix slot, RHS route through a
   // known column, or dropped (known row) — the three arms of the scalar

@@ -40,9 +40,10 @@ struct DeviceArrays {
 /// Everything the engine needs to stamp and solve one topology.
 struct CompiledCircuit {
   /// Compiles `circuit`. The circuit is copied from — no reference is
-  /// retained. `band_threshold` picks banded vs dense storage exactly
-  /// like TransientOptions::band_threshold does for the scalar engine.
-  static CompiledCircuit compile(const Circuit& circuit, size_t band_threshold);
+  /// retained. Throws pim::Error(bad_input) naming both numbers when the
+  /// half-bandwidth under the creation-order numbering exceeds
+  /// solver::kMaxHalfBandwidth.
+  static CompiledCircuit compile(const Circuit& circuit);
 
   // --- indexing (identical to the scalar engine's index_nodes()) ---
   size_t node_count = 0;
@@ -55,9 +56,8 @@ struct CompiledCircuit {
 
   // --- matrix geometry ---
   size_t bandwidth = 0;
-  bool use_banded = true;
   size_t matrix_rows = 0;   ///< max(unknown_count, 1) like the scalar engine
-  size_t matrix_slots = 0;  ///< band storage size, or rows*rows when dense
+  size_t matrix_slots = 0;  ///< band storage size, (2 * bandwidth + 1) * rows
 
   // --- resistors: static matrix image + per-step RHS routes ---
   /// Resistor conductances accumulated once, in stamp order; each step's
@@ -118,13 +118,11 @@ struct CompiledCircuit {
   };
   std::vector<SourceTouches> source_touches;
 
-  /// Storage slot of matrix entry (r, c): band-compressed when banded,
-  /// row-major otherwise. Both r and c must be unknowns inside the band.
+  /// Storage slot of matrix entry (r, c) in BandedLu's column-compressed
+  /// layout. Both r and c must be unknowns inside the band.
   int slot_of(int r, int c) const {
-    if (use_banded)
-      return static_cast<int>(
-          (static_cast<long>(bandwidth) + r - c) * static_cast<long>(matrix_rows) + c);
-    return static_cast<int>(static_cast<long>(r) * static_cast<long>(matrix_rows) + c);
+    return static_cast<int>(
+        (static_cast<long>(bandwidth) + r - c) * static_cast<long>(matrix_rows) + c);
   }
 };
 

@@ -61,12 +61,13 @@ BranchEval eval_branch(const Mosfet& m, double vg, double vd, double vs) {
 }
 
 // Linear system that is either banded or dense, chosen once from the
-// netlist's bandwidth under the creation-order node numbering.
+// netlist's bandwidth under the creation-order node numbering: dense
+// only above solver::kMaxHalfBandwidth, where the batched engine
+// refuses the circuit.
 class LinearSystem {
  public:
-  LinearSystem(size_t n, size_t bandwidth, size_t band_threshold)
-      : n_(n), rhs_(n, 0.0) {
-    if (bandwidth <= band_threshold) {
+  LinearSystem(size_t n, size_t bandwidth) : n_(n), rhs_(n, 0.0) {
+    if (bandwidth <= solver::kMaxHalfBandwidth) {
       banded_ = std::make_unique<BandedMatrix>(std::max<size_t>(n, 1), bandwidth, bandwidth);
     } else {
       dense_ = std::make_unique<Matrix>(n, n);
@@ -110,8 +111,8 @@ class TransientSolver {
     require(opt_.dt > 0.0 && opt_.t_stop > 0.0, "run_transient: dt and t_stop must be positive",
             ErrorCode::bad_input);
     index_nodes();
-    system_ = std::make_unique<LinearSystem>(
-        static_cast<size_t>(unknown_count_), bandwidth(), opt_.band_threshold);
+    system_ = std::make_unique<LinearSystem>(static_cast<size_t>(unknown_count_),
+                                             bandwidth());
     v_node_.assign(ckt_.node_count(), 0.0);
     cap_current_.assign(ckt_.capacitors().size(), 0.0);
   }

@@ -3,10 +3,11 @@
 // Modified nodal analysis where voltage-source nodes are eliminated
 // (their voltages are known at every time point), capacitors become
 // trapezoidal companion models, and MOSFETs are Newton-linearized each
-// iteration. The linear system is solved with a banded LU when the
-// netlist's node numbering yields a narrow band — which
-// buffered-interconnect netlists built along the wire always do — and a
-// dense LU otherwise.
+// iteration. The linear system is solved with a banded LU: the
+// buffered-interconnect netlists this library builds number their nodes
+// along the wire, so the band stays narrow (solver::kMaxHalfBandwidth).
+// The batched engine rejects a wider circuit; only the scalar reference
+// engine falls back to a dense LU, as the oracle for such circuits.
 //
 // A backward-Euler settling phase (inputs frozen at t = 0) runs before
 // the main window so the circuit starts from its DC operating point; this
@@ -28,7 +29,6 @@ struct TransientOptions {
   double dt = 1e-12;          ///< fixed timestep [s]
   double t_settle = 2e-9;     ///< pre-roll to reach DC, inputs frozen at t=0 [s]
   int settle_steps = 400;     ///< steps across the settling pre-roll
-  size_t band_threshold = 48; ///< use dense LU above this half-bandwidth
 };
 
 /// Fixed Newton-solver settings, shared by both engines so the batched
@@ -44,6 +44,10 @@ inline constexpr double kVStepLimit = 0.3;    ///< per-iteration voltage damping
 /// recursively, up to this many halvings (dt / 16) before the run
 /// surfaces no_convergence.
 inline constexpr int kMaxStepHalvings = 4;
+/// Widest half-bandwidth the batched engine accepts. A 5-line coupled
+/// bundle has 5 and a single line 1; run_transient_reference solves a
+/// wider circuit with a dense LU.
+inline constexpr size_t kMaxHalfBandwidth = 48;
 }  // namespace solver
 
 /// Per-source integrated quantities over the main window (not the
@@ -77,7 +81,8 @@ struct TransientResult {
 
 /// Runs a transient analysis of `circuit`, recording the `probes` nodes.
 /// Throws pim::Error(no_convergence) when a timestep still fails after
-/// the halving retries.
+/// the halving retries, and pim::Error(bad_input) when the circuit's
+/// half-bandwidth exceeds solver::kMaxHalfBandwidth.
 TransientResult run_transient(const Circuit& circuit,
                               const TransientOptions& options,
                               const std::vector<NodeId>& probes);
@@ -87,6 +92,8 @@ TransientResult run_transient(const Circuit& circuit,
 /// original element-by-element solver, whose output the batched engine is
 /// required to reproduce bit-for-bit (tests/test_spice.cpp pins this, and
 /// `pim_bench transient_kernel` re-asserts it on every benchmark run).
+/// Unlike run_transient it accepts any bandwidth: above
+/// solver::kMaxHalfBandwidth it solves with a dense LU.
 TransientResult run_transient_reference(const Circuit& circuit,
                                         const TransientOptions& options,
                                         const std::vector<NodeId>& probes);

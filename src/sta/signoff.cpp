@@ -198,7 +198,7 @@ SignoffResult signoff_link(const Technology& tech, const LinkContext& ctx,
   for (size_t l = 0; l < falling.size(); ++l)
     lanes[1].vsource_wave.emplace_back(kFirstLineSource + l, falling[l]);
   std::vector<Expected<TransientResult>> runs =
-      run_transient_batch(CompiledCircuit::compile(built.circuit, sim.band_threshold), sim,
+      run_transient_batch(CompiledCircuit::compile(built.circuit), sim,
                           {built.victim_in, built.victim_out}, lanes);
 
   const bool inverted = design.kind == CellKind::Inverter && (design.num_repeaters % 2 == 1);

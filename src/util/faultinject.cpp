@@ -75,7 +75,7 @@ void refresh_armed_flag_locked() {
 
 const std::vector<std::string>& known_sites() {
   static const std::vector<std::string> names = {
-      kLuSingular,      kNewtonDiverge,  kDeckParse, kIoOpen,
+      kLuSingular,      kNewtonDiverge,  kIoOpen,
       kVariationSample, kDeadlineExpire, kCancelMidchunk};
   return names;
 }

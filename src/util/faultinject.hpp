@@ -14,7 +14,7 @@
 //   - tests: pim::fault::configure(SPEC) / pim::fault::clear()
 //
 // SPEC is a comma-separated list of site[:probability[:seed]], e.g.
-// "lu.singular:0.05:7,deck.parse:0.5". Probability defaults to 1.0,
+// "lu.singular:0.05:7,newton.diverge:0.5". Probability defaults to 1.0,
 // seed to 1. Unknown site names are rejected (bad_input) so typos fail
 // loudly instead of silently injecting nothing.
 //
@@ -45,8 +45,7 @@ namespace pim::fault {
 // docs/robustness.md.
 inline constexpr const char* kLuSingular = "lu.singular";          // dense LU pivot
 inline constexpr const char* kNewtonDiverge = "newton.diverge";    // spice Newton loop
-inline constexpr const char* kDeckParse = "deck.parse";            // spice deck parser
-inline constexpr const char* kIoOpen = "io.open";                  // deck/coeffs file I/O
+inline constexpr const char* kIoOpen = "io.open";                  // deck save, CLI output files
 inline constexpr const char* kVariationSample = "variation.sample";// per-MC-sample solve
 inline constexpr const char* kDeadlineExpire = "deadline-expire";  // deadline::check() poll
 inline constexpr const char* kCancelMidchunk = "cancel-midchunk";  // deadline::check() poll

@@ -6,14 +6,17 @@
 
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "spice/batch.hpp"
 #include "spice/circuit.hpp"
 #include "spice/measure.hpp"
 #include "spice/mosfet.hpp"
+#include "spice/plan.hpp"
 #include "spice/transient.hpp"
 
 #include "obs/metrics.hpp"
@@ -143,8 +146,6 @@ TEST(Circuit, ValidatesElements) {
   EXPECT_THROW(c.add_vsource(c.ground(), Waveform::dc(1.0)), Error);
   c.add_vsource(a, Waveform::dc(1.0));
   EXPECT_THROW(c.add_vsource(a, Waveform::dc(2.0)), Error);
-  EXPECT_TRUE(c.is_source_node(a));
-  EXPECT_FALSE(c.is_source_node(c.ground()));
 }
 
 TEST(Circuit, ZeroCapacitorIsDropped) {
@@ -229,34 +230,63 @@ TEST(Transient, RcLadderDelayGrowsQuadratically) {
   EXPECT_NEAR(d10 / d5, 110.0 / 30.0, 0.5);
 }
 
-TEST(Transient, BandedAndDensePathsAgree) {
-  auto build = [] {
-    Circuit c;
-    const NodeId in = c.add_node();
-    c.add_vsource(in, Waveform::ramp(0.0, 1.0, 0.0, 50.0 * ps));
-    NodeId prev = in;
-    for (int i = 0; i < 12; ++i) {
-      const NodeId next = c.add_node();
-      c.add_resistor(prev, next, 250.0);
-      c.add_capacitor(next, c.ground(), 20.0 * fF);
-      prev = next;
-    }
-    return std::pair{std::move(c), prev};
-  };
-  auto [c1, out1] = build();
-  TransientOptions banded;
-  banded.t_stop = 1.0 * ns;
-  banded.dt = 1.0 * ps;
-  const TransientResult r_band = run_transient(c1, banded, {out1});
+// An RC ladder of `segments` sections driven by a ramp; `at[p]` is the
+// node at ladder position p (0 is the driven input). The narrow order
+// creates the nodes along the line (half-bandwidth 1). The wide order
+// creates every odd position first, then every even one, so neighbors
+// sit about segments / 2 apart in the unknown numbering.
+struct OrderedLadder {
+  Circuit c;
+  std::vector<NodeId> at;
+};
 
-  auto [c2, out2] = build();
-  TransientOptions dense = banded;
-  dense.band_threshold = 0;  // force dense
-  const TransientResult r_dense = run_transient(c2, dense, {out2});
+OrderedLadder ordered_ladder(int segments, bool wide) {
+  OrderedLadder l;
+  l.at.resize(static_cast<size_t>(segments) + 1);
+  l.at[0] = l.c.add_node();
+  l.c.add_vsource(l.at[0], Waveform::ramp(0.0, 1.0, 0.0, 50.0 * ps));
+  const int stride = wide ? 2 : 1;
+  for (int first = 1; first <= stride; ++first)
+    for (int p = first; p <= segments; p += stride)
+      l.at[static_cast<size_t>(p)] = l.c.add_node();
+  for (size_t p = 1; p < l.at.size(); ++p) {
+    l.c.add_resistor(l.at[p - 1], l.at[p], 25.0);
+    l.c.add_capacitor(l.at[p], l.c.ground(), 2.0 * fF);
+  }
+  return l;
+}
+
+// 98 wide sections have half-bandwidth 49, one above the batched
+// engine's limit; 96 have exactly the limit.
+constexpr int kOverBandSegments = 98;
+constexpr int kAtBandSegments = 96;
+
+TEST(Transient, BandedAndDensePathsAgree) {
+  // The same ladder in two node orders: the narrow one runs banded in
+  // the batched engine, the wide one exceeds solver::kMaxHalfBandwidth
+  // and so takes the reference engine's dense path.
+  const OrderedLadder narrow = ordered_ladder(kOverBandSegments, false);
+  const OrderedLadder wide = ordered_ladder(kOverBandSegments, true);
+  TransientOptions opt;
+  opt.t_stop = 0.5 * ns;
+  opt.dt = 1.0 * ps;
+  opt.t_settle = 0.1 * ns;
+  opt.settle_steps = 20;
+  const std::vector<size_t> probes = {1, 24, 49, 98};
+  std::vector<NodeId> narrow_probes, wide_probes;
+  for (size_t p : probes) {
+    narrow_probes.push_back(narrow.at[p]);
+    wide_probes.push_back(wide.at[p]);
+  }
+  const TransientResult r_band = run_transient(narrow.c, opt, narrow_probes);
+  const TransientResult r_dense = run_transient_reference(wide.c, opt, wide_probes);
 
   ASSERT_EQ(r_band.time.size(), r_dense.time.size());
-  for (size_t i = 0; i < r_band.time.size(); ++i)
-    EXPECT_NEAR(r_band.trace(out1)[i], r_dense.trace(out2)[i], 1e-7);
+  for (size_t k = 0; k < probes.size(); ++k)
+    for (size_t i = 0; i < r_band.time.size(); ++i)
+      EXPECT_NEAR(r_band.trace(narrow_probes[k])[i], r_dense.trace(wide_probes[k])[i],
+                  1e-7)
+          << "position " << probes[k] << " sample " << i;
 }
 
 // ------------------------------------------------------------- inverter
@@ -515,20 +545,39 @@ TEST(TransientBatch, SingleLaneMatchesReferenceBitExact) {
   auto [ladder, tail] = build_ladder();
   expect_bit_identical(run_transient(ladder, batch_test_options(), {tail}),
                        run_transient_reference(ladder, batch_test_options(), {tail}));
-  // Inverter, banded and forced-dense paths.
+  // Inverter.
   ManualInverter inv = manual_inverter(1.0, 2.0, 10.0, 30.0);
-  for (size_t threshold : {size_t{48}, size_t{0}}) {
-    TransientOptions opt = batch_test_options();
-    opt.band_threshold = threshold;
-    expect_bit_identical(run_transient(inv.c, opt, {inv.in, inv.out}),
-                         run_transient_reference(inv.c, opt, {inv.in, inv.out}));
-  }
+  expect_bit_identical(run_transient(inv.c, batch_test_options(), {inv.in, inv.out}),
+                       run_transient_reference(inv.c, batch_test_options(),
+                                               {inv.in, inv.out}));
+}
+
+TEST(TransientBatch, OverBandCircuitIsTypedAndNamesTheBandwidth) {
+  // Exactly at the limit still compiles.
+  EXPECT_EQ(CompiledCircuit::compile(ordered_ladder(kAtBandSegments, true).c).bandwidth,
+            solver::kMaxHalfBandwidth);
+
+  const OrderedLadder wide = ordered_ladder(kOverBandSegments, true);
+  const auto expect_over_band = [](const std::function<void()>& run) {
+    try {
+      run();
+      FAIL() << "expected bad_input";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::bad_input);
+      const std::string what = e.what();
+      EXPECT_NE(what.find("half-bandwidth 49"), std::string::npos) << what;
+      EXPECT_NE(what.find(std::to_string(solver::kMaxHalfBandwidth)), std::string::npos)
+          << what;
+    }
+  };
+  expect_over_band([&] { CompiledCircuit::compile(wide.c); });
+  expect_over_band([&] { run_transient(wide.c, batch_test_options(), {wide.at.back()}); });
 }
 
 TEST(TransientBatch, PerturbedLanesMatchSoloScalarRunsBitExact) {
   const TransientOptions opt = batch_test_options();
   ManualInverter base = manual_inverter(1.0, 2.0, 10.0, 30.0);
-  const CompiledCircuit plan = CompiledCircuit::compile(base.c, opt.band_threshold);
+  const CompiledCircuit plan = CompiledCircuit::compile(base.c);
   const Waveform slow_in = Waveform::ramp(0.0, kVdd, 20.0 * ps, 60.0 * ps);
 
   // Three rounds of four perturbations: 12 lanes span two lockstep
@@ -570,7 +619,7 @@ TEST(TransientBatch, SteadyStateReplayIsBitExactAndActuallySkipsSolves) {
   opt.t_settle = 0.5 * ns;
   opt.settle_steps = 120;
   ManualInverter inv = manual_inverter(1.0, 2.0, 10.0, 30.0);
-  const CompiledCircuit plan = CompiledCircuit::compile(inv.c, opt.band_threshold);
+  const CompiledCircuit plan = CompiledCircuit::compile(inv.c);
   std::vector<LaneSpec> lanes(2);
   lanes[1].cap_farads.push_back({0, 15.0 * fF});
   ManualInverter heavy = manual_inverter(1.0, 2.0, 15.0, 30.0);
@@ -599,7 +648,7 @@ TEST(TransientBatch, SteadyStateReplayIsBitExactAndActuallySkipsSolves) {
 TEST(TransientBatch, BadLaneIsIsolatedFromSiblings) {
   const TransientOptions opt = batch_test_options();
   ManualInverter base = manual_inverter(1.0, 2.0, 10.0, 30.0);
-  const CompiledCircuit plan = CompiledCircuit::compile(base.c, opt.band_threshold);
+  const CompiledCircuit plan = CompiledCircuit::compile(base.c);
 
   std::vector<LaneSpec> lanes(4);
   lanes[1].cap_farads.push_back({0, std::numeric_limits<double>::quiet_NaN()});

@@ -15,11 +15,13 @@
 #include <thread>
 #include <vector>
 
+#include "spice/plan.hpp"
 #include "spice/transient.hpp"
 #include "spice/measure.hpp"
 #include "util/rng.hpp"
 
 #include "cache/store.hpp"
+#include "charlib/characterize.hpp"
 #include "charlib/coeffs_io.hpp"
 #include "exec/engine.hpp"
 #include "models/baseline.hpp"
@@ -65,6 +67,50 @@ TEST(Elmore, BufferedLineGrowsWithLength) {
   b.length = 6 * mm;
   EXPECT_GT(elmore_buffered_line(t, b, d), elmore_buffered_line(t, a, d));
   EXPECT_GT(elmore_buffered_line(t, a, d), 0.0);
+}
+
+// The batched engine is banded-only: CompiledCircuit::compile rejects a
+// half-bandwidth above solver::kMaxHalfBandwidth. Every plan a
+// production path compiles must fit under it: the sign-off line of every
+// node, style, cell kind, launch polarity and aggressor mode (the
+// VictimQuiet one is the noise netlist), and each characterization cell
+// fixture.
+TEST(ProductionPlans, EveryNetlistFitsTheBandedEngine) {
+  for (TechNode node : all_tech_nodes()) {
+    const Technology& tech = technology(node);
+    for (DesignStyle style :
+         {DesignStyle::SingleSpacing, DesignStyle::DoubleSpacing, DesignStyle::Shielded}) {
+      LinkContext ctx;
+      ctx.style = style;
+      ctx.length = 2 * mm;
+      for (CellKind kind : {CellKind::Inverter, CellKind::Buffer}) {
+        LinkDesign design;
+        design.kind = kind;
+        for (int repeaters : {1, 4}) {
+          design.num_repeaters = repeaters;
+          for (AggressorMode mode : {AggressorMode::Opposing, AggressorMode::SameDirection,
+                                     AggressorMode::Quiet, AggressorMode::VictimQuiet}) {
+            SignoffOptions opt;
+            opt.aggressors = mode;
+            for (bool rising : {true, false}) {
+              const LinkNetlist net = build_link_netlist(tech, ctx, design, opt, rising);
+              EXPECT_LE(CompiledCircuit::compile(net.circuit).bandwidth,
+                        solver::kMaxHalfBandwidth)
+                  << tech_node_name(node) << " style " << static_cast<int>(style);
+            }
+          }
+        }
+      }
+    }
+    // The cell fixtures are private to charlib, which compiles one per
+    // sweep and runs the input-cap deck through run_transient; both throw
+    // bad_input over the limit, so a completed 2 x 2 sweep is the check.
+    CharacterizationOptions copt;
+    copt.slew_axis = {50 * ps, 120 * ps};
+    copt.fanout_axis = {1.0, 4.0};
+    for (CellKind kind : {CellKind::Inverter, CellKind::Buffer})
+      EXPECT_NO_THROW(characterize_cell(tech, kind, 2, copt)) << tech_node_name(node);
+  }
 }
 
 // Shared calibrated fit at 65 nm.

@@ -197,8 +197,7 @@ std::vector<BenchMetric> bench_mc_batch() {
 
   const auto base = build_deck(sz.wn_out, sz.wp_out, load0);
   auto start = Clock::now();
-  const CompiledCircuit plan =
-      CompiledCircuit::compile(base.c, topt.band_threshold);
+  const CompiledCircuit plan = CompiledCircuit::compile(base.c);
   const std::vector<Expected<TransientResult>> batch =
       run_transient_batch(plan, topt, {base.in, base.out}, lanes);
   const double batch_us = seconds_since(start) * 1e6 / kLanes;
