@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "cache/manifest.hpp"
 #include "cache/store.hpp"
 #include "exec/engine.hpp"
 #include "models/proposed.hpp"
@@ -43,11 +44,15 @@ struct BenchModel {
   ProposedModel model;
 };
 
-/// Loads technology(node) + cached_fit(node) and binds the model.
+/// Loads technology(node) + cached_fit(node) and binds the model, with
+/// the fit's cache key (captured from the key calibrated_fit publishes)
+/// as its provenance, so cached results keyed on the model record the
+/// fit as their upstream artifact.
 inline BenchModel cached_model(TechNode node) {
   const Technology& tech = technology(node);
+  const cache::Tracked scope;
   TechnologyFit fit = cached_fit(node);
-  ProposedModel model(tech, fit);
+  ProposedModel model(tech, fit, scope.upstream_keys());
   return {tech, std::move(fit), std::move(model)};
 }
 

@@ -40,9 +40,9 @@ int main() {
 
   for (const SocSpec& spec : {vproc_spec(), dvopd_spec()}) {
     for (TechNode node : nodes) {
-      const Technology& tech = technology(node);
-      const TechnologyFit fit = pim::bench::cached_fit(node);
-      const ProposedModel proposed(tech, fit);
+      const pim::bench::BenchModel bm = pim::bench::cached_model(node);
+      const Technology& tech = bm.tech;
+      const ProposedModel& proposed = bm.model;
       const BakogluModel original(tech);
 
       for (const InterconnectModel* model :

@@ -125,18 +125,22 @@ LinkContext context_of(const Technology& base, const LinkSpec& link, const char*
   return ctx;
 }
 
-LinkDesign design_of(const LinkSpec& link) {
+LinkDesign design_of(const LinkSpec& link, const char* who) {
+  require(link.drive >= 1, std::string(who) + ": link.drive must be >= 1",
+          ErrorCode::bad_input);
   LinkDesign design;
   design.drive = link.drive;
   design.num_repeaters = resolved_repeaters(link);
   return design;
 }
 
-// The facade's one way to calibrated coefficients: the resident model
-// (sta/calibrated.hpp), whose fit() is the calibrated fit. A warm call
-// skips the store read, the payload parse, the model build and its
+// The single-corner ops' way to calibrated coefficients: the resident
+// model (sta/calibrated.hpp), whose fit() is the calibrated fit. A warm
+// call skips the store read, the payload parse, the model build and its
 // coefficient hash while preserving every counter/provenance side effect
-// of the store path.
+// of the store path. The multi-corner ops (run_corners, run_synthesis
+// with corners) build their models through corner_models instead, which
+// resolves every corner's fit through the store on each call.
 std::shared_ptr<const ProposedModel> calibrated_model(const Technology& base,
                                                       const Corner& corner,
                                                       const std::string& coeffs_path) {
@@ -185,6 +189,9 @@ Expected<CharlibResult> run_charlib(const CharlibRequest& request) {
   return guarded(request, [&](const char* who) {
     const Technology& base = base_tech_of(request.tech, who);
     const Technology& tech = corner_technology(base, corner_of(base, request.corner));
+    for (int drive : request.drives)
+      require(drive >= 1, std::string(who) + ": every drive must be >= 1",
+              ErrorCode::bad_input);
     CharacterizationOptions opt;
     if (!request.drives.empty()) opt.drives = request.drives;
     const CellLibrary lib = characterize_library(tech, opt);
@@ -213,7 +220,7 @@ Expected<LinkEvalResult> run_evaluate(const LinkEvalRequest& request) {
     const Corner corner = corner_of(base, request.link.corner);
     const Technology& tech = corner_technology(base, corner);
     const LinkContext ctx = context_of(base, request.link, who);
-    const LinkDesign design = design_of(request.link);
+    const LinkDesign design = design_of(request.link, who);
     const std::shared_ptr<const ProposedModel> model =
         calibrated_model(base, corner, request.link.coeffs_path);
     const LinkEstimate est = model->evaluate(ctx, design);
@@ -243,6 +250,8 @@ Expected<BufferResult> run_buffer(const BufferRequest& request) {
     const Technology& base = base_tech_of(request.link.tech, who);
     const Corner corner = corner_of(base, request.link.corner);
     const LinkContext ctx = context_of(base, request.link, who);
+    require(request.weight >= 0.0 && request.weight <= 1.0,
+            std::string(who) + ": weight must be in [0, 1]", ErrorCode::bad_input);
     BufferingOptions opt;
     opt.weight = request.weight;
     if (request.budget_ps > 0.0) opt.max_delay = request.budget_ps * ps;
@@ -272,7 +281,7 @@ Expected<YieldResult> run_yield(const YieldRequest& request) {
     const Technology& base = base_tech_of(request.link.tech, who);
     const Corner corner = corner_of(base, request.link.corner);
     const LinkContext ctx = context_of(base, request.link, who);
-    const LinkDesign design = design_of(request.link);
+    const LinkDesign design = design_of(request.link, who);
     const std::shared_ptr<const ProposedModel> model =
         calibrated_model(base, corner, request.link.coeffs_path);
     const MonteCarloResult mc = monte_carlo_link_at_corner(
@@ -299,7 +308,7 @@ Expected<NoiseResult> run_noise(const NoiseRequest& request) {
     const Corner corner = corner_of(base, request.link.corner);
     const Technology& tech = corner_technology(base, corner);
     const LinkContext ctx = context_of(base, request.link, who);
-    LinkDesign design = design_of(request.link);
+    LinkDesign design = design_of(request.link, who);
     design.num_repeaters = 1;  // noise is per wire segment
     const std::shared_ptr<const ProposedModel> calibrated =
         calibrated_model(base, corner, request.link.coeffs_path);
@@ -323,7 +332,7 @@ Expected<TimerResult> run_timer(const TimerRequest& request) {
     const Technology& base = base_tech_of(request.link.tech, who);
     const Technology& tech = corner_technology(base, corner_of(base, request.link.corner));
     const LinkContext ctx = context_of(base, request.link, who);
-    const LinkDesign design = design_of(request.link);
+    const LinkDesign design = design_of(request.link, who);
     CharacterizationOptions copt;
     copt.drives = {design.drive};
     copt.buffers = design.kind == CellKind::Buffer;
@@ -348,9 +357,9 @@ Expected<CornersResult> run_corners(const CornersRequest& request) {
   return guarded(request, [&](const char* who) {
     const Technology& tech = base_tech_of(request.link.tech, who);
     const LinkContext ctx = context_of(tech, request.link, who);
-    const LinkDesign design = design_of(request.link);
+    const LinkDesign design = design_of(request.link, who);
     const std::vector<Corner> corners = tech.scenario_set().resolve(request.corners);
-    const CornerModelSet set(tech, corner_fits(tech, corners, request.link.coeffs_path));
+    const CornerModelSet set(corner_models(tech, corners, request.link.coeffs_path));
     CornerSignoffOptions opt;
     opt.target_period = request.target_period_ps * ps;
     const CornerSignoffResult signoff = signoff_corners(set, ctx, design, opt);
@@ -379,7 +388,7 @@ Expected<ExportResult> run_export(const ExportRequest& request) {
     const Technology& base = base_tech_of(request.link.tech, who);
     const Technology& tech = corner_technology(base, corner_of(base, request.link.corner));
     const LinkContext ctx = context_of(base, request.link, who);
-    const LinkDesign design = design_of(request.link);
+    const LinkDesign design = design_of(request.link, who);
     ExportResult result;
     if (request.want_deck) {
       const LinkNetlist net = build_link_netlist(tech, ctx, design);
@@ -410,7 +419,7 @@ Expected<SynthesisResult> run_synthesis(const SynthesisRequest& request) {
       const std::vector<Corner> corners =
           base.scenario_set().resolve(request.corners);
       return std::make_shared<WorstCornerModel>(
-          CornerModelSet(base, corner_fits(base, corners, request.coeffs_path)));
+          CornerModelSet(corner_models(base, corners, request.coeffs_path)));
     }();
     const NocSynthesisResult r = [&] {
       if (request.mesh) {

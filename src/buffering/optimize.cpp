@@ -82,7 +82,7 @@ BufferingResult optimize_buffering(const InterconnectModel& model,
 
 namespace {
 
-cache::CacheKey buffering_cache_key(const std::string& signature,
+cache::CacheKey buffering_cache_key(const InterconnectModel& model,
                                     const LinkContext& ctx,
                                     const BufferingOptions& opt) {
   std::vector<int> kinds;
@@ -90,7 +90,7 @@ cache::CacheKey buffering_cache_key(const std::string& signature,
   std::vector<int> layers;
   for (WireLayer l : opt.layers) layers.push_back(static_cast<int>(l));
   cache::KeyBuilder kb("buffering");
-  kb.model(signature);
+  kb.model(model.cache_signature(), model.provenance());
   key_link_context(kb, ctx);
   kb.field("opt.weight", opt.weight);
   kb.field("opt.kinds", kinds);
@@ -109,10 +109,9 @@ cache::CacheKey buffering_cache_key(const std::string& signature,
 BufferingResult optimize_buffering_cached(const InterconnectModel& model,
                                           const LinkContext& ctx,
                                           const BufferingOptions& options) {
-  const std::string signature = model.cache_signature();
-  if (signature.empty()) return optimize_buffering(model, ctx, options);
+  if (model.cache_signature().empty()) return optimize_buffering(model, ctx, options);
   return cache::memoize<BufferingResult>(
-      [&] { return buffering_cache_key(signature, ctx, options); },
+      [&] { return buffering_cache_key(model, ctx, options); },
       [&] { return optimize_buffering(model, ctx, options); });
 }
 

@@ -94,9 +94,10 @@ KeyBuilder& KeyBuilder::facet(std::string_view type, std::string_view name,
   return *this;
 }
 
-KeyBuilder& KeyBuilder::model(std::string_view signature) {
+KeyBuilder& KeyBuilder::model(std::string_view signature,
+                              const std::vector<CacheKey>& provenance) {
   if (Tracked* scope = Tracked::current())
-    for (const CacheKey& fit : resolve_artifacts(signature)) scope->upstream(fit);
+    for (const CacheKey& key : provenance) scope->upstream(key);
   return field("model", signature);
 }
 

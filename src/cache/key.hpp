@@ -75,8 +75,10 @@ class KeyBuilder {
   /// tech content hashes, corner ids, fit hashes, sampling plans.
   KeyBuilder& facet(std::string_view type, std::string_view name, std::string_view id);
 
-  /// field("model", signature), plus its embedded artifacts as upstream edges.
-  KeyBuilder& model(std::string_view signature);
+  /// field("model", signature), plus each of `provenance` (the keys of
+  /// the cached artifacts the model was built from) as an upstream edge
+  /// of the active Tracked scope.
+  KeyBuilder& model(std::string_view signature, const std::vector<CacheKey>& provenance);
 
   /// Finalizes the digest, recording the rolled-up "params" facet and the
   /// format-version facet into the active Tracked scope. The builder is

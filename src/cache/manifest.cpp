@@ -1,8 +1,6 @@
 #include "cache/manifest.hpp"
 
 #include <algorithm>
-#include <map>
-#include <mutex>
 #include <sstream>
 
 #include "obs/metrics.hpp"
@@ -19,18 +17,6 @@ namespace {
 constexpr char kUnitSep = '\x1f';
 
 thread_local Tracked* g_scope = nullptr;
-
-std::mutex& artifact_mutex() {
-  static std::mutex mu;
-  return mu;
-}
-
-// token (content hash) -> the cached artifact that produced it. A map
-// keeps resolve_artifacts() deterministic.
-std::map<std::string, CacheKey>& artifact_registry() {
-  static std::map<std::string, CacheKey> registry;
-  return registry;
-}
 
 }  // namespace
 
@@ -134,25 +120,6 @@ Manifest Tracked::manifest(const CacheKey& key) const {
   m.upstream = upstream_;
   m.cost_ns = obs::now_ns() - start_ns_;
   return m;
-}
-
-void register_artifact(const std::string& token, const CacheKey& key) {
-  if (token.empty()) return;
-  std::lock_guard<std::mutex> lock(artifact_mutex());
-  artifact_registry()[token] = key;
-}
-
-std::vector<CacheKey> resolve_artifacts(std::string_view signature) {
-  std::vector<CacheKey> out;
-  std::lock_guard<std::mutex> lock(artifact_mutex());
-  for (const auto& [token, key] : artifact_registry())
-    if (signature.find(token) != std::string_view::npos) out.push_back(key);
-  return out;
-}
-
-void clear_artifact_registry() {
-  std::lock_guard<std::mutex> lock(artifact_mutex());
-  artifact_registry().clear();
 }
 
 }  // namespace pim::cache

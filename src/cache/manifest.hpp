@@ -15,9 +15,11 @@
 // value into the key AND records it into the scope, so the provenance a
 // manifest claims can never drift from the inputs the key actually
 // covers. Plain field()/blob() calls roll up into one "params" facet at
-// finish() for the same reason. Nested wrappers (cosi -> buffering ->
-// fit) record their resolved artifact keys into the parent scope via
-// publish(), which is how the upstream edges of the graph appear.
+// finish() for the same reason. Nested wrappers (cosi -> buffering)
+// record their resolved artifact keys into the parent scope via
+// publish(); a model carries the keys of the fits it was built from, and
+// KeyBuilder::model() adds those. That is how the upstream edges of the
+// graph appear.
 //
 // The dirty rule (invalidate.hpp): a facet is *changed* when a manifest
 // holds the same (type, name) with a different id. Same type+name+id is
@@ -72,8 +74,8 @@ Expected<Manifest> decode_manifest(std::string_view file);
 /// (thread-local stack): KeyBuilder::facet() records into the innermost
 /// scope, and publish() additionally reports the finished artifact to the
 /// PARENT scope as an upstream edge — which is how a cosi link search
-/// learns it consumed a specific buffering entry, and a buffering entry
-/// that it consumed a fit.
+/// learns it consumed a specific buffering entry, and a model builder
+/// learns which fit key its coefficients resolved to.
 class Tracked {
  public:
   Tracked();
@@ -111,20 +113,5 @@ class Tracked {
   int64_t start_ns_ = 0;
   Tracked* parent_ = nullptr;
 };
-
-/// Registers a content token (e.g. a fit's coefficient hash) as produced
-/// by the artifact under `key`. Model cache signatures embed such tokens,
-/// so downstream wrappers can resolve which cached artifacts a composite
-/// signature was built from. Process-lifetime, thread-safe, bounded by
-/// the number of distinct artifacts a process computes.
-void register_artifact(const std::string& token, const CacheKey& key);
-
-/// All registered artifact keys whose token occurs in `signature`
-/// (substring match — tokens are 64-hex-char digests, so collisions with
-/// unrelated text are not a practical concern). Deterministic order.
-std::vector<CacheKey> resolve_artifacts(std::string_view signature);
-
-/// Clears the artifact registry (tests).
-void clear_artifact_registry();
 
 }  // namespace pim::cache

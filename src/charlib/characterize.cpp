@@ -362,8 +362,10 @@ RepeaterCell characterize_cell(const Technology& tech, CellKind kind, int drive,
                                const CharacterizationOptions& options) {
   PIM_OBS_SPAN("charlib.cell.characterize");
   PIM_COUNT("charlib.cell.count");
-  require(options.slew_axis.size() >= 2, "characterize_cell: need >= 2 slew samples");
-  require(options.fanout_axis.size() >= 2, "characterize_cell: need >= 2 load samples");
+  require(options.slew_axis.size() >= 2, "characterize_cell: need >= 2 slew samples",
+          ErrorCode::bad_input);
+  require(options.fanout_axis.size() >= 2, "characterize_cell: need >= 2 load samples",
+          ErrorCode::bad_input);
 
   const RepeaterSizing sz = repeater_sizing(tech, kind, drive);
 

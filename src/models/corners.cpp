@@ -6,13 +6,10 @@
 
 namespace pim {
 
-CornerModelSet::CornerModelSet(
-    const Technology& base, const std::vector<std::pair<Corner, TechnologyFit>>& fits) {
-  require(!fits.empty(), "CornerModelSet: needs at least one corner",
+CornerModelSet::CornerModelSet(std::vector<CornerModel> models)
+    : models_(std::move(models)) {
+  require(!models_.empty(), "CornerModelSet: needs at least one corner",
           ErrorCode::bad_input);
-  models_.reserve(fits.size());
-  for (const auto& [corner, fit] : fits)
-    models_.push_back({corner, ProposedModel(corner_technology(base, corner), fit)});
 }
 
 const CornerModel& CornerModelSet::at(const std::string& name) const {
@@ -28,6 +25,13 @@ WorstCornerModel::WorstCornerModel(CornerModelSet set) : set_(std::move(set)) {
     signature_ += m.corner.name + "=" + m.model.cache_signature();
   }
   signature_ += ')';
+}
+
+std::vector<cache::CacheKey> WorstCornerModel::provenance() const {
+  std::vector<cache::CacheKey> keys;
+  for (const CornerModel& m : set_.models())
+    for (cache::CacheKey& key : m.model.provenance()) keys.push_back(std::move(key));
+  return keys;
 }
 
 LinkEstimate WorstCornerModel::evaluate(const LinkContext& context,

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "charlib/fit.hpp"
@@ -24,14 +23,13 @@ struct CornerModel {
   ProposedModel model;
 };
 
-/// A corner-indexed coefficient set: each (corner, fit) pair becomes a
-/// ProposedModel bound to corner_technology(base, corner). Order follows
-/// the input pairs; by convention the first entry is the reference
-/// (nominal) corner.
+/// A corner-indexed model set, each model bound to
+/// corner_technology(base, corner) (sta/corners.hpp's corner_models
+/// builds one). Order follows the input; by convention the first entry
+/// is the reference (nominal) corner.
 class CornerModelSet {
  public:
-  CornerModelSet(const Technology& base,
-                 const std::vector<std::pair<Corner, TechnologyFit>>& fits);
+  explicit CornerModelSet(std::vector<CornerModel> models);
 
   const std::vector<CornerModel>& models() const { return models_; }
   size_t size() const { return models_.size(); }
@@ -67,6 +65,9 @@ class WorstCornerModel final : public InterconnectModel {
   /// "worst(<corner>=<sig>,...)" over the member signatures, so two sets
   /// share cached results exactly when every per-corner model does.
   std::string cache_signature() const override { return signature_; }
+
+  /// Every corner model's fit keys, in set order.
+  std::vector<cache::CacheKey> provenance() const override;
 
  private:
   CornerModelSet set_;

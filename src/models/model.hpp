@@ -7,7 +7,9 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
+#include "cache/key.hpp"
 #include "models/link.hpp"
 #include "tech/technology.hpp"
 
@@ -33,6 +35,12 @@ class InterconnectModel {
   /// coefficients — for the pim::cache result store. Models returning ""
   /// (the default) opt out of result caching.
   virtual std::string cache_signature() const { return {}; }
+
+  /// Keys of the cached fit artifacts this instance was built from. The
+  /// cached wrappers record them as upstream edges of every entry keyed
+  /// by cache_signature(), so a stale fit drags its downstream results
+  /// along. Empty (the default) for models built from no cached fit.
+  virtual std::vector<cache::CacheKey> provenance() const { return {}; }
 };
 
 }  // namespace pim

@@ -11,8 +11,9 @@
 
 namespace pim {
 
-ProposedModel::ProposedModel(const Technology& tech, TechnologyFit fit)
-    : tech_(&tech), fit_(std::move(fit)) {
+ProposedModel::ProposedModel(const Technology& tech, TechnologyFit fit,
+                             std::vector<cache::CacheKey> provenance)
+    : tech_(&tech), fit_(std::move(fit)), provenance_(std::move(provenance)) {
   require(fit_.node == tech.node, "ProposedModel: fit/technology node mismatch");
   signature_ = "proposed/" + tech.name + "/" + cache::sha256_hex(write_fit(fit_));
 }

@@ -32,8 +32,11 @@ LinkEstimate evaluate_link(const Technology& tech, const TechnologyFit& fit,
 class ProposedModel final : public InterconnectModel {
  public:
   /// Binds the model to a technology and its fitted coefficients (the
-  /// fit must have been produced for the same node).
-  ProposedModel(const Technology& tech, TechnologyFit fit);
+  /// fit must have been produced for the same node). `provenance` holds
+  /// the keys of the cached fit artifacts the coefficients came from
+  /// (empty for a hand-built or file-loaded fit with no cache identity).
+  ProposedModel(const Technology& tech, TechnologyFit fit,
+                std::vector<cache::CacheKey> provenance = {});
 
   const std::string& name() const override { return name_; }
   const Technology& tech() const override { return *tech_; }
@@ -47,9 +50,12 @@ class ProposedModel final : public InterconnectModel {
   /// bit-identical.
   std::string cache_signature() const override { return signature_; }
 
+  std::vector<cache::CacheKey> provenance() const override { return provenance_; }
+
  private:
   const Technology* tech_;
   TechnologyFit fit_;
+  std::vector<cache::CacheKey> provenance_;
   std::string name_ = "proposed";
   std::string signature_;
 };

@@ -12,7 +12,6 @@ namespace pim {
 
 Expected<void> LuDecomposition::factor() {
   PIM_COUNT("numeric.lu.factorizations");
-  factored_ = false;
   const size_t n = lu_.rows();
   perm_.resize(n);
   for (size_t i = 0; i < n; ++i) perm_[i] = i;
@@ -55,37 +54,6 @@ Expected<void> LuDecomposition::factor() {
       for (size_t c = k + 1; c < n; ++c) lu_(r, c) -= factor * lu_(k, c);
     }
   }
-  factored_ = true;
-  return {};
-}
-
-Expected<void> LuDecomposition::refactor(const Matrix& a) {
-  require(a.rows() == a.cols(), "LuDecomposition: matrix must be square",
-          ErrorCode::bad_input);
-  const size_t n = a.rows();
-  lu_ = a;
-  col_scale_.clear();
-  equilibrated_ = false;
-  Expected<void> first = factor();
-  if (first.ok()) return {};
-
-  // Same guardrail as create(): retry on a column-equilibrated copy,
-  // scaling directly into the reused factor storage.
-  PIM_COUNT("numeric.lu.error");
-  PIM_COUNT("numeric.lu.equilibrate.retries");
-  col_scale_.assign(n, 1.0);
-  for (size_t c = 0; c < n; ++c) {
-    double mag = 0.0;
-    for (size_t r = 0; r < n; ++r) mag = std::max(mag, std::fabs(a(r, c)));
-    if (mag > 0.0) col_scale_[c] = 1.0 / mag;
-    for (size_t r = 0; r < n; ++r) lu_(r, c) = a(r, c) * col_scale_[c];
-  }
-  equilibrated_ = true;
-  Expected<void> second = factor();
-  if (!second.ok())
-    return std::move(second).with_context(
-        "retrying the factorization with column equilibration");
-  PIM_COUNT("numeric.lu.recovered");
   return {};
 }
 
@@ -126,18 +94,10 @@ Expected<LuDecomposition> LuDecomposition::create(Matrix a) {
 LuDecomposition::LuDecomposition(Matrix a) : LuDecomposition(create(std::move(a)).take()) {}
 
 Vector LuDecomposition::solve(const Vector& b) const {
-  Vector x;
-  solve_into(b, x);
-  return x;
-}
-
-void LuDecomposition::solve_into(const Vector& b, Vector& x) const {
   const size_t n = lu_.rows();
   require(b.size() == n, "LuDecomposition::solve: dimension mismatch",
           ErrorCode::bad_input);
-  require(factored_, "LuDecomposition::solve: factorization missing (call refactor)",
-          ErrorCode::internal);
-  x.resize(n);
+  Vector x(n);
   // Forward substitution with the permuted right-hand side.
   for (size_t r = 0; r < n; ++r) {
     double acc = b[perm_[r]];
@@ -154,6 +114,7 @@ void LuDecomposition::solve_into(const Vector& b, Vector& x) const {
   // solution is s .* y.
   if (!col_scale_.empty())
     for (size_t i = 0; i < n; ++i) x[i] *= col_scale_[i];
+  return x;
 }
 
 Expected<Vector> try_solve_dense(Matrix a, const Vector& b) {

@@ -21,11 +21,6 @@ namespace pim {
 /// Factor once, solve many right-hand sides.
 class LuDecomposition {
  public:
-  /// Empty, unfactored slot. Pair with refactor(): declare the slot once
-  /// per topology, refactor per Newton iteration / timestep. Solving an
-  /// unfactored slot throws.
-  LuDecomposition() = default;
-
   /// Factors `a`; throws pim::Error(singular_matrix) if the matrix is
   /// singular to working precision even after the equilibrated retry.
   explicit LuDecomposition(Matrix a);
@@ -35,22 +30,8 @@ class LuDecomposition {
   /// without throwing.
   static Expected<LuDecomposition> create(Matrix a);
 
-  /// Numeric refactor reusing this object's storage (pivoting is
-  /// value-dependent, so unlike the banded path only the workspace — not
-  /// the pivot order — is reused). Runs the same attempt sequence as
-  /// create(), including the column-equilibrated retry, with identical
-  /// arithmetic and metric/fault behavior; no allocation after the first
-  /// call at a given size.
-  Expected<void> refactor(const Matrix& a);
-
   /// Solves A x = b for the factored A.
   Vector solve(const Vector& b) const;
-
-  /// Solves A x = b into a caller-provided vector (resized to fit).
-  /// Same arithmetic as solve(), without the per-call allocation.
-  void solve_into(const Vector& b, Vector& x) const;
-
-  bool factored() const { return factored_; }
 
   size_t size() const { return lu_.rows(); }
 
@@ -59,6 +40,8 @@ class LuDecomposition {
   bool equilibrated() const { return equilibrated_; }
 
  private:
+  LuDecomposition() = default;
+
   /// One in-place factorization attempt over lu_/perm_.
   Expected<void> factor();
 
@@ -66,7 +49,6 @@ class LuDecomposition {
   std::vector<size_t> perm_;
   Vector col_scale_;  ///< empty unless equilibrated: x = scale .* y
   bool equilibrated_ = false;
-  bool factored_ = false;
 };
 
 /// Recoverable one-shot solve.

@@ -5,7 +5,6 @@
 #include <mutex>
 
 #include "cache/memoize.hpp"
-#include "cache/sha256.hpp"
 #include "charlib/coeffs_io.hpp"
 #include "deadline/deadline.hpp"
 #include "obs/metrics.hpp"
@@ -64,24 +63,12 @@ void count_corner(const Corner& corner, const char* event) {
   obs::registry().counter("corner." + corner.name + ".fit." + event).add(1);
 }
 
-// A resolved fit with the identities the resident tier keys on.
+// A resolved fit and the content-cache key it resolved under — the key
+// the resident tier is keyed on and the provenance its model carries.
 struct ResolvedFit {
   TechnologyFit fit;
   cache::CacheKey key;
-  std::string coeff_hash;  ///< SHA-256 of write_fit(fit) — the signature token
 };
-
-// Advertises the resolved fit as the artifact behind its coefficient
-// hash — the token model cache signatures embed — so downstream cached
-// wrappers (buffering, Monte-Carlo, cosi) can record the fit key as an
-// upstream edge. Called on every return path, hit and compute alike, so
-// the graph is complete wherever the fit came from. The hash is returned
-// so the resident tier need not compute it again.
-ResolvedFit announce_fit(TechnologyFit fit, const cache::CacheKey& key) {
-  std::string coeff_hash = cache::sha256_hex(write_fit(fit));
-  cache::register_artifact(coeff_hash, key);
-  return {std::move(fit), key, std::move(coeff_hash)};
-}
 
 TechnologyFit compute_fit(const Technology& tech, const Corner& corner,
                           const CharacterizationOptions& characterization,
@@ -121,25 +108,20 @@ TechnologyFit compute_fit(const Technology& tech, const Corner& corner,
 // ---------------------------------------------------------------- residency
 
 // The process-wide resident tier: calibrated models keyed by their fit's
-// content-cache key, shared immutably across threads, with the
-// coefficient hash a hit re-registers. Bounded only by the number of
-// distinct (tech, corner, deck-knob) combinations a process touches — a
-// model holds one ~2 KB fit, so even a server holding every built-in node
-// at every corner stays in the tens of kilobytes. The Technology a model
-// binds is registry-stable for the process lifetime (corner_technology),
-// so a shared model never dangles.
-struct ResidentModel {
-  std::shared_ptr<const ProposedModel> model;
-  std::string coeff_hash;
-};
-
+// content-cache key, shared immutably across threads, each carrying that
+// key as its provenance. Bounded only by the number of distinct (tech,
+// corner, deck-knob) combinations a process touches — a model holds one
+// ~2 KB fit, so even a server holding every built-in node at every
+// corner stays in the tens of kilobytes. The Technology a model binds is
+// registry-stable for the process lifetime (corner_technology), so a
+// shared model never dangles.
 std::mutex& resident_mutex() {
   static std::mutex m;
   return m;
 }
 
-std::map<std::string, ResidentModel>& resident_models() {
-  static std::map<std::string, ResidentModel> m;
+std::map<std::string, std::shared_ptr<const ProposedModel>>& resident_models() {
+  static std::map<std::string, std::shared_ptr<const ProposedModel>> m;
   return m;
 }
 
@@ -149,7 +131,7 @@ ResolvedFit resolve_fit(const Technology& base, const Corner& corner,
                         const CompositionOptions& composition) {
   const Technology& tech = corner_technology(base, corner);
   // Facets recorded by fit_cache_key (tech content, corner, deck params)
-  // become the entry's manifest; `key` keeps the key for announce_fit.
+  // become the entry's manifest; `key` keeps the key for the caller.
   cache::CacheKey key;
   const auto make_key = [&] {
     return key = fit_cache_key(tech, corner, characterization, composition);
@@ -165,7 +147,7 @@ ResolvedFit resolve_fit(const Technology& base, const Corner& corner,
         if (cached.node == tech.node) {
           const cache::Tracked scope;
           scope.publish(make_key());
-          return announce_fit(std::move(cached), key);
+          return {std::move(cached), key};
         }
         log_warn("calibrated_fit: cache '", cache_path, "' holds a different node; refitting");
       } catch (const Error& e) {
@@ -184,7 +166,7 @@ ResolvedFit resolve_fit(const Technology& base, const Corner& corner,
         count_corner(corner, "hit");
       });
   if (file_tier) save_fit(fit, cache_path);
-  return announce_fit(std::move(fit), key);
+  return {std::move(fit), key};
 }
 
 }  // namespace
@@ -214,24 +196,22 @@ std::shared_ptr<const ProposedModel> resident_model(const Technology& base,
     const auto it = resident_models().find(key.hex);
     if (it != resident_models().end()) {
       // Same observable side effects as a store hit (minus the store
-      // I/O): the corner hit counter, the artifact registration, and
-      // the provenance edge into the enclosing scope.
+      // I/O): the corner hit counter and the provenance edge into the
+      // enclosing scope.
       count_corner(corner, "hit");
       PIM_COUNT("model.resident.hit");
-      cache::register_artifact(it->second.coeff_hash, key);
       scope.publish(key);
-      return it->second.model;
+      return it->second;
     }
   }
   ResolvedFit resolved = resolve_fit(base, corner, cache_path, {}, {});
-  auto model = std::make_shared<const ProposedModel>(tech, std::move(resolved.fit));
+  auto model = std::make_shared<const ProposedModel>(
+      tech, std::move(resolved.fit), std::vector<cache::CacheKey>{resolved.key});
   if (!memo_enabled) return model;
   // First writer wins: after concurrent cold misses every caller shares
   // the instance that was inserted first.
   std::lock_guard<std::mutex> lock(resident_mutex());
-  return resident_models()
-      .emplace(resolved.key.hex, ResidentModel{std::move(model), resolved.coeff_hash})
-      .first->second.model;
+  return resident_models().emplace(resolved.key.hex, std::move(model)).first->second;
 }
 
 void clear_resident_fits() {

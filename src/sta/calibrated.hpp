@@ -33,22 +33,23 @@ TechnologyFit calibrated_fit(const Technology& base, const Corner& corner,
 
 /// The calibrated model for `base` at `corner`, held resident in process
 /// RAM: the ProposedModel bound to corner_technology(base, corner) over
-/// the calibrated_fit coefficients (its fit() is that fit). This is the
-/// only process-wide memo of calibrated coefficients, keyed by the fit's
+/// the calibrated_fit coefficients (its fit() is that fit, its
+/// provenance() that fit's content-cache key). This is the only
+/// process-wide memo of calibrated coefficients, keyed by the fit's
 /// content-cache key, so two calls share an instance exactly when they
 /// would resolve the same fit; concurrent cold misses keep the first
 /// instance inserted. A warm call skips the store read, the payload
 /// parse, the model build and its coefficient hash, but keeps every
 /// observable contract of the store path — corner.<name>.fit.hit is
-/// counted, the coefficient hash is registered as the fit artifact, and
-/// the fit key is published to the enclosing provenance scope — so
-/// downstream manifests are identical whichever tier served the fit. A
-/// memo hit additionally counts model.resident.hit. The memo is bypassed
-/// entirely (reads and inserts) while cache mode is `off` or the fault
-/// harness is armed, mirroring the store's own bypass. A coefficient
-/// file is a load-or-save cache of the content key, not part of it. The
-/// model is immutable and safe to share across threads; it is the hot
-/// path a long-running server (pimd) evaluates millions of links through.
+/// counted and the fit key is published to the enclosing provenance
+/// scope — so downstream manifests are identical whichever tier served
+/// the fit. A memo hit additionally counts model.resident.hit. The memo
+/// is bypassed entirely (reads and inserts) while cache mode is `off` or
+/// the fault harness is armed, mirroring the store's own bypass. A
+/// coefficient file is a load-or-save cache of the content key, not part
+/// of it. The model is immutable and safe to share across threads; it is
+/// the hot path a long-running server (pimd) evaluates millions of links
+/// through.
 std::shared_ptr<const ProposedModel> resident_model(const Technology& base,
                                                     const Corner& corner,
                                                     const std::string& cache_path = "");

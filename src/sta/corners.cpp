@@ -1,5 +1,8 @@
 #include "sta/corners.hpp"
 
+#include <utility>
+
+#include "cache/manifest.hpp"
 #include "exec/engine.hpp"
 #include "obs/metrics.hpp"
 #include "sta/noise.hpp"
@@ -7,24 +10,31 @@
 
 namespace pim {
 
-std::vector<std::pair<Corner, TechnologyFit>> corner_fits(
+std::vector<CornerModel> corner_models(
     const Technology& base, const std::vector<Corner>& corners,
     const std::string& cache_path, const CharacterizationOptions& characterization,
     const CompositionOptions& composition) {
-  require(!corners.empty(), "corner_fits: needs at least one corner",
+  require(!corners.empty(), "corner_models: needs at least one corner",
           ErrorCode::bad_input);
   // Corner-level fan-out; the per-corner deck sweeps inside
   // characterize_library detect the nested region and run inline, so the
   // pool is never re-entered. Fail-fast: a corner that cannot be fitted
-  // is a real error, not a degradable sample.
-  std::vector<TechnologyFit> fits = exec::parallel_map<TechnologyFit>(
-      corners.size(), [&](size_t i) {
-        return calibrated_fit(base, corners[i], cache_path, characterization, composition);
-      });
-  std::vector<std::pair<Corner, TechnologyFit>> out;
+  // is a real error, not a degradable sample. Each item's own provenance
+  // scope captures the fit key calibrated_fit publishes, whichever
+  // worker runs it.
+  using KeyedFit = std::pair<TechnologyFit, std::vector<cache::CacheKey>>;
+  std::vector<KeyedFit> fits = exec::parallel_map<KeyedFit>(corners.size(), [&](size_t i) {
+    const cache::Tracked scope;
+    TechnologyFit fit =
+        calibrated_fit(base, corners[i], cache_path, characterization, composition);
+    return KeyedFit{std::move(fit), scope.upstream_keys()};
+  });
+  std::vector<CornerModel> out;
   out.reserve(corners.size());
   for (size_t i = 0; i < corners.size(); ++i)
-    out.emplace_back(corners[i], std::move(fits[i]));
+    out.push_back({corners[i], ProposedModel(corner_technology(base, corners[i]),
+                                             std::move(fits[i].first),
+                                             std::move(fits[i].second))});
   return out;
 }
 

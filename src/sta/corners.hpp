@@ -1,15 +1,15 @@
 // Multi-corner calibration and signoff — the scenario layer's face inside
 // pim::sta.
 //
-// corner_fits() runs calibrated_fit() once per corner (fanned out over
+// corner_models() runs calibrated_fit() once per corner (fanned out over
 // pim::exec; each corner's own deck sweeps then run inline on that
-// worker); `CornerModelSet(base, corner_fits(base, corners))` packages
-// the results, and signoff_corners() answers the signoff question:
+// worker) and binds each fit, with its cache key, into a corner model;
+// `CornerModelSet(corner_models(base, corners))` packages the results,
+// and signoff_corners() answers the signoff question:
 // per-corner delay/slack/noise for one link, plus which corner dominates.
 #pragma once
 
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "models/corners.hpp"
@@ -17,11 +17,13 @@
 
 namespace pim {
 
-/// Calibrated fit of `base` per corner, in `corners` order. Corners are
-/// fanned out over pim::exec (deterministic ordered results at any
-/// --threads); each corner caches independently via calibrated_fit.
-/// `cache_path` follows the calibrated_fit contract (nominal corner only).
-std::vector<std::pair<Corner, TechnologyFit>> corner_fits(
+/// Calibrated model of `base` per corner, in `corners` order: each
+/// corner's calibrated_fit bound to corner_technology(base, corner), with
+/// the fit's cache key as the model's provenance. Corners are fanned out
+/// over pim::exec (deterministic ordered results at any --threads); each
+/// corner caches independently via calibrated_fit. `cache_path` follows
+/// the calibrated_fit contract (nominal corner only).
+std::vector<CornerModel> corner_models(
     const Technology& base, const std::vector<Corner>& corners,
     const std::string& cache_path = "",
     const CharacterizationOptions& characterization = {},

@@ -245,12 +245,12 @@ namespace {
 // so a retune stales exactly its cone, the samples/seed plan so a deck
 // that raises the sample budget shows up as a changed input rather than
 // an unrelated key. Everything else folds into the "params" facet.
-cache::CacheKey yield_cache_key(const std::string& signature, const Corner& corner,
+cache::CacheKey yield_cache_key(const ProposedModel& model, const Corner& corner,
                                 const LinkContext& ctx, const LinkDesign& design,
                                 int samples, uint64_t seed,
                                 const VariationSigmas& sigmas) {
   cache::KeyBuilder kb("yield");
-  kb.model(signature);
+  kb.model(model.cache_signature(), model.provenance());
   kb.facet("corner", corner.name, corner.cache_id());
   key_link_context(kb, ctx);
   kb.field("design.kind", static_cast<int>(design.kind));
@@ -284,13 +284,11 @@ MonteCarloResult monte_carlo_link_at_corner(const ProposedModel& model,
   obs::registry()
       .counter("corner." + corner.name + ".mc.samples")
       .add(static_cast<int64_t>(samples));
-  const std::string signature = model.cache_signature();
-  if (signature.empty())
+  if (model.cache_signature().empty())
     return monte_carlo_link(model, context, design, samples, seed, sigmas);
   return cache::memoize<MonteCarloResult>(
       [&] {
-        return yield_cache_key(signature, corner, context, design, samples, seed,
-                               sigmas);
+        return yield_cache_key(model, corner, context, design, samples, seed, sigmas);
       },
       [&] { return monte_carlo_link(model, context, design, samples, seed, sigmas); },
       [&](MonteCarloResult& hit) {

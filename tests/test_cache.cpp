@@ -389,7 +389,6 @@ TEST(ManifestCodec, RoundTripPreservesEverything) {
 }
 
 TEST(TrackedScope, FacetCaptureAndNestedPublish) {
-  clear_artifact_registry();
   Tracked outer;
   CacheKey inner_key;
   {
@@ -419,21 +418,6 @@ TEST(TrackedScope, FacetCaptureAndNestedPublish) {
   }
   ASSERT_EQ(outer.upstream_keys().size(), 1u);
   EXPECT_EQ(outer.upstream_keys()[0].hex, inner_key.hex);
-}
-
-TEST(ArtifactRegistry, ResolvesTokensEmbeddedInSignatures) {
-  clear_artifact_registry();
-  const std::string token(64, 'd');
-  const CacheKey key = fill_key("fit", 'e');
-  register_artifact(token, key);
-  // Composite signatures (e.g. WorstCornerModel's) embed the token in
-  // surrounding text; substring resolution still finds it.
-  const auto hits = resolve_artifacts("worst(nominal=proposed/65nm/" + token + ")");
-  ASSERT_EQ(hits.size(), 1u);
-  EXPECT_EQ(hits[0].hex, key.hex);
-  EXPECT_TRUE(resolve_artifacts("no tokens here").empty());
-  clear_artifact_registry();
-  EXPECT_TRUE(resolve_artifacts(token).empty());
 }
 
 TEST_F(CacheDirFixture, PutWritesManifestSidecarWithTheEntry) {
@@ -860,10 +844,20 @@ TEST_F(CachedFlowsFixture, FitBufferingAndYieldHitsAreBitIdentical) {
   EXPECT_NE(other_seed.delays, mc_cold.delays);
 }
 
+// The key a cached call resolves, read back from an enclosing scope
+// (every resolved cached call publishes its key there).
+template <typename Fn>
+CacheKey published_key(Fn&& call) {
+  Tracked outer;
+  call();
+  EXPECT_EQ(outer.upstream_keys().size(), 1u);
+  return outer.upstream_keys().at(0);
+}
+
 TEST_F(CachedFlowsFixture, WrappersRecordProvenanceAndConesPropagate) {
-  clear_artifact_registry();
-  const TechnologyFit fit = fit_65nm();
-  const ProposedModel model(technology(TechNode::N65), fit);
+  TechnologyFit fit;
+  const CacheKey fit_key = published_key([&] { fit = fit_65nm(); });
+  const ProposedModel model(technology(TechNode::N65), fit, {fit_key});
   BufferingOptions opt;
   opt.weight = 0.5;
   const BufferingResult buf = optimize_buffering_cached(model, ctx(), opt);
@@ -925,16 +919,6 @@ TEST_F(CachedFlowsFixture, WrappersRecordProvenanceAndConesPropagate) {
   // Retuning a corner this flow never touched dirties nothing.
   cone = dirty_cone(manifests, {{"corner", "ss", "retuned-id"}});
   EXPECT_TRUE(cone.dirty.empty());
-}
-
-// The key a cached call resolves, read back from an enclosing scope
-// (every resolved cached call publishes its key there).
-template <typename Fn>
-CacheKey published_key(Fn&& call) {
-  Tracked outer;
-  call();
-  EXPECT_EQ(outer.upstream_keys().size(), 1u);
-  return outer.upstream_keys().at(0);
 }
 
 // Payload-level fail-open: an entry whose digest verifies but whose

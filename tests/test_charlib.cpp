@@ -287,6 +287,26 @@ TEST(BatchedSweep, TablesBitIdenticalToReferenceEngineAtAnyThreadCount) {
   exec::set_threads(0);
 }
 
+// A one-point table axis is the caller's input error, not an internal one.
+TEST(CharacterizeValidation, OnePointAxisIsBadInput) {
+  const Technology& t = technology(TechNode::N65);
+  const auto code_of = [&](const CharacterizationOptions& opt) {
+    try {
+      characterize_cell(t, CellKind::Inverter, 4, opt);
+    } catch (const Error& e) {
+      return e.code();
+    }
+    ADD_FAILURE() << "characterize_cell accepted a one-point axis";
+    return ErrorCode::internal;
+  };
+  CharacterizationOptions one_slew = fast_options();
+  one_slew.slew_axis = {100 * ps};
+  EXPECT_EQ(code_of(one_slew), ErrorCode::bad_input);
+  CharacterizationOptions one_load = fast_options();
+  one_load.fanout_axis = {8.0};
+  EXPECT_EQ(code_of(one_load), ErrorCode::bad_input);
+}
+
 TEST(FitValidation, RequiresEnoughCells) {
   const Technology& t = technology(TechNode::N90);
   CellLibrary lib("x", t.node, t.vdd);

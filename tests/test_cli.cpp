@@ -234,6 +234,22 @@ TEST(CliExitCodes, IntegerFlagOutsideIntIsUsageError) {
   EXPECT_EQ(run_cli("characterize 65nm --drives 2,4294967308"), 2);
 }
 
+// Out-of-range link inputs are usage errors caught at the api boundary,
+// before any calibration runs, never an internal failure deeper down.
+TEST(CliExitCodes, ZeroDriveIsUsageError) {
+  EXPECT_EQ(run_cli("evaluate 65nm --length 3 --drive 0"), 2);
+}
+
+TEST(CliExitCodes, ZeroCharacterizationDriveIsUsageError) {
+  EXPECT_EQ(run_cli("characterize 65nm --drives 0"), 2);
+  EXPECT_EQ(run_cli("characterize 65nm --drives 4,-2"), 2);
+}
+
+TEST(CliExitCodes, BufferWeightOutsideUnitIntervalIsUsageError) {
+  EXPECT_EQ(run_cli("buffer 65nm --length 3 --weight 7"), 2);
+  EXPECT_EQ(run_cli("buffer 65nm --length 3 --weight -0.5"), 2);
+}
+
 TEST(CliExitCodes, MissingInputFileIsRuntimeError) {
   EXPECT_EQ(run_cli("noc /nonexistent/pim_missing.soc 65nm"), 3);
 }

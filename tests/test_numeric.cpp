@@ -464,37 +464,5 @@ TEST(BandedLu, RefactorRejectsShapeMismatchAndBatchedSolveMatches) {
   }
 }
 
-TEST(Lu, RefactorMatchesCreateBitwiseAndRecoversAfterSingular) {
-  const size_t n = 12;
-  Matrix a(n, n);
-  Rng rng(31);
-  for (size_t r = 0; r < n; ++r)
-    for (size_t c = 0; c < n; ++c) a(r, c) = (r == c ? 6.0 : 0.0) + rng.uniform(-1, 1);
-
-  LuDecomposition reused;
-  EXPECT_FALSE(reused.factored());
-  ASSERT_TRUE(reused.refactor(a).ok());
-  const LuDecomposition fresh(a);
-  Vector b(n);
-  for (double& v : b) v = rng.uniform(-1, 1);
-  const Vector x_fresh = fresh.solve(b);
-  Vector x_reused;
-  reused.solve_into(b, x_reused);
-  for (size_t i = 0; i < n; ++i)
-    EXPECT_EQ(std::memcmp(&x_fresh[i], &x_reused[i], sizeof(double)), 0) << i;
-
-  // A singular refactor reports typed failure without poisoning the
-  // object: the next refactor on a good matrix works again.
-  Matrix singular(n, n);  // all zeros
-  const Expected<void> bad = reused.refactor(singular);
-  ASSERT_FALSE(bad.ok());
-  EXPECT_EQ(bad.error().code(), ErrorCode::singular_matrix);
-  EXPECT_FALSE(reused.factored());
-  ASSERT_TRUE(reused.refactor(a).ok());
-  Vector again;
-  reused.solve_into(b, again);
-  for (size_t i = 0; i < n; ++i) EXPECT_EQ(again[i], x_fresh[i]);
-}
-
 }  // namespace
 }  // namespace pim

@@ -10,6 +10,8 @@
 #include <string>
 #include <vector>
 
+#include "buffering/optimize.hpp"
+#include "cache/invalidate.hpp"
 #include "cache/store.hpp"
 #include "charlib/characterize.hpp"
 #include "liberty/libertyfile.hpp"
@@ -262,14 +264,14 @@ class CornerFlowFixture : public ::testing::Test {
     const ScenarioSet& set = ScenarioSet::builtin();
     corners_ = new std::vector<Corner>{set.corner("nominal"), set.corner("ss"),
                                        set.corner("ff")};
-    fits_ = new std::vector<std::pair<Corner, TechnologyFit>>(
-        corner_fits(technology(TechNode::N65), *corners_, "",
-                    trimmed_inverter_characterization(), trimmed_composition()));
-    set_ = new CornerModelSet(technology(TechNode::N65), *fits_);
+    models_ = new std::vector<CornerModel>(
+        corner_models(technology(TechNode::N65), *corners_, "",
+                      trimmed_inverter_characterization(), trimmed_composition()));
+    set_ = new CornerModelSet(*models_);
   }
   static void TearDownTestSuite() {
     delete set_;
-    delete fits_;
+    delete models_;
     delete corners_;
     cache::Store::global().clear_memory();
     cache::reset_mode();
@@ -280,13 +282,13 @@ class CornerFlowFixture : public ::testing::Test {
 
   static std::string* dir_;
   static std::vector<Corner>* corners_;
-  static std::vector<std::pair<Corner, TechnologyFit>>* fits_;
+  static std::vector<CornerModel>* models_;
   static CornerModelSet* set_;
 };
 
 std::string* CornerFlowFixture::dir_ = nullptr;
 std::vector<Corner>* CornerFlowFixture::corners_ = nullptr;
-std::vector<std::pair<Corner, TechnologyFit>>* CornerFlowFixture::fits_ = nullptr;
+std::vector<CornerModel>* CornerFlowFixture::models_ = nullptr;
 CornerModelSet* CornerFlowFixture::set_ = nullptr;
 
 TEST_F(CornerFlowFixture, SlowAndFastCornersBracketNominal) {
@@ -363,7 +365,7 @@ TEST_F(CornerFlowFixture, CornerModelSetLookup) {
 }
 
 TEST_F(CornerFlowFixture, WorstCornerModelTakesPerMetricMax) {
-  const WorstCornerModel worst(CornerModelSet(technology(TechNode::N65), *fits_));
+  const WorstCornerModel worst{CornerModelSet(*models_)};
   EXPECT_EQ(worst.name(), "proposed@worst");
   EXPECT_NE(worst.cache_signature().find("worst("), std::string::npos);
 
@@ -381,6 +383,40 @@ TEST_F(CornerFlowFixture, WorstCornerModelTakesPerMetricMax) {
   EXPECT_DOUBLE_EQ(w.repeater_area,
                    set_->models().front().model.evaluate(link_ctx(), link_design()).repeater_area);
   EXPECT_EQ(worst.dominating(link_ctx(), link_design()).corner.name, "ss");
+}
+
+// A composite model's cached results record every corner's fit as an
+// upstream edge, in set order: each corner model carries the key its fit
+// resolved under, and the worst-corner model hands all of them on.
+TEST_F(CornerFlowFixture, WorstCornerBufferingRecordsEveryCornerFitKey) {
+  std::vector<cache::CacheKey> fit_keys;
+  for (const Corner& corner : *corners_) {
+    const cache::Tracked scope;
+    (void)calibrated_fit(technology(TechNode::N65), corner, "",
+                         trimmed_inverter_characterization(), trimmed_composition());
+    ASSERT_EQ(scope.upstream_keys().size(), 1u);
+    fit_keys.push_back(scope.upstream_keys()[0]);
+  }
+  const WorstCornerModel worst{CornerModelSet(*models_)};
+  BufferingOptions opt;
+  opt.weight = 0.5;
+  cache::CacheKey buffering_key;
+  {
+    const cache::Tracked scope;
+    (void)optimize_buffering_cached(worst, link_ctx(), opt);
+    ASSERT_EQ(scope.upstream_keys().size(), 1u);
+    buffering_key = scope.upstream_keys()[0];
+  }
+  const cache::Manifest* manifest = nullptr;
+  const std::vector<cache::Manifest> manifests = cache::scan_manifests(*dir_);
+  for (const cache::Manifest& m : manifests)
+    if (m.key.hex == buffering_key.hex) manifest = &m;
+  ASSERT_NE(manifest, nullptr);
+  ASSERT_EQ(manifest->upstream.size(), 3u);
+  for (size_t i = 0; i < fit_keys.size(); ++i) {
+    EXPECT_EQ(manifest->upstream[i].kind, "fit") << i;
+    EXPECT_EQ(manifest->upstream[i].hex, fit_keys[i].hex) << (*corners_)[i].name;
+  }
 }
 
 TEST_F(CornerFlowFixture, SignoffReportsWorstCornerAndBracketsNominal) {

@@ -20,6 +20,8 @@
 #include "spice/measure.hpp"
 #include "util/rng.hpp"
 
+#include "buffering/optimize.hpp"
+#include "cache/invalidate.hpp"
 #include "cache/store.hpp"
 #include "charlib/characterize.hpp"
 #include "charlib/coeffs_io.hpp"
@@ -34,6 +36,7 @@
 #include "sta/nldm_timer.hpp"
 #include "sta/noise.hpp"
 #include "sta/signoff.hpp"
+#include "tech/techfile.hpp"
 #include "util/error.hpp"
 #include "util/units.hpp"
 
@@ -667,6 +670,46 @@ TEST_F(ResidentModelTest, ConcurrentColdMissesShareTheFirstInsert) {
     EXPECT_EQ(resolve(), got[0]);
     EXPECT_EQ(hits() - before, racing_hits + i);
   }
+}
+
+// Two descriptors that resolve one coefficient file share coefficients
+// but not fit keys. Each model carries the key it was built from, so a
+// cached search on the first records the first's fit as its upstream
+// edge, whichever model was resolved last.
+TEST_F(ResidentModelTest, CachedSearchRecordsItsOwnModelsFitKey) {
+  Technology edited = tech_;
+  edited.clock_frequency *= 0.5;
+  const std::string tech_path = dir_ + "/edited.tech";
+  save_techfile(edited, tech_path);
+  const auto resolve_keyed = [&](const Technology& base) {
+    const cache::Tracked scope;
+    std::shared_ptr<const ProposedModel> model = resident_model(base, Corner{}, path_);
+    EXPECT_EQ(scope.upstream_keys().size(), 1u);
+    return std::make_pair(model, scope.upstream_keys().at(0));
+  };
+  const auto [first, first_key] = resolve_keyed(tech_);
+  const auto [second, second_key] = resolve_keyed(technology_from_spec(tech_path));
+  ASSERT_NE(first_key.hex, second_key.hex);
+  EXPECT_EQ(write_fit(first->fit()), write_fit(second->fit()));
+
+  LinkContext ctx;
+  ctx.length = 3 * mm;
+  ctx.input_slew = 100 * ps;
+  ctx.frequency = tech_.clock_frequency;
+  cache::CacheKey buffering_key;
+  {
+    const cache::Tracked scope;
+    (void)optimize_buffering_cached(*first, ctx, BufferingOptions{});
+    ASSERT_EQ(scope.upstream_keys().size(), 1u);
+    buffering_key = scope.upstream_keys()[0];
+  }
+  const std::vector<cache::Manifest> manifests = cache::scan_manifests(dir_ + "/cache");
+  const cache::Manifest* manifest = nullptr;
+  for (const cache::Manifest& m : manifests)
+    if (m.key.hex == buffering_key.hex) manifest = &m;
+  ASSERT_NE(manifest, nullptr);
+  ASSERT_EQ(manifest->upstream.size(), 1u);
+  EXPECT_EQ(manifest->upstream[0].hex, first_key.hex);
 }
 
 TEST_F(ResidentModelTest, CacheOffBypassesTheTier) {

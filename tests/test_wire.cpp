@@ -515,6 +515,37 @@ TEST(WireExecute, OutOfRangeLinkDriveIsBadInput) {
             std::string::npos);
 }
 
+// In-range integers that no link can have: rejected at the api boundary
+// as bad_input naming the field, not as an internal error from the model.
+TEST(WireExecute, ZeroLinkDriveIsBadInput) {
+  const obs::JsonValue v = error_of(
+      "{\"op\":\"evaluate\",\"link\":{\"tech\":\"65nm\",\"length_mm\":3,"
+      "\"drive\":0}}");
+  EXPECT_EQ(v.find("error")->find("code")->text, "bad_input");
+  EXPECT_EQ(v.find("error")->find("exit_code")->number, 2.0);
+  EXPECT_NE(v.find("error")->find("message")->text.find("link.drive must be >= 1"),
+            std::string::npos);
+}
+
+TEST(WireExecute, ZeroCharlibDriveIsBadInput) {
+  const obs::JsonValue v =
+      error_of("{\"op\":\"charlib\",\"tech\":\"65nm\",\"drives\":[4,0]}");
+  EXPECT_EQ(v.find("error")->find("code")->text, "bad_input");
+  EXPECT_EQ(v.find("error")->find("exit_code")->number, 2.0);
+  EXPECT_NE(v.find("error")->find("message")->text.find("every drive must be >= 1"),
+            std::string::npos);
+}
+
+TEST(WireExecute, BufferWeightOutsideUnitIntervalIsBadInput) {
+  const obs::JsonValue v = error_of(
+      "{\"op\":\"buffer\",\"link\":{\"tech\":\"65nm\",\"length_mm\":3},"
+      "\"weight\":7}");
+  EXPECT_EQ(v.find("error")->find("code")->text, "bad_input");
+  EXPECT_EQ(v.find("error")->find("exit_code")->number, 2.0);
+  EXPECT_NE(v.find("error")->find("message")->text.find("weight must be in [0, 1]"),
+            std::string::npos);
+}
+
 TEST(WireExecute, OutOfRangeSamplesIsBadInput) {
   const obs::JsonValue v = error_of(
       "{\"op\":\"yield\",\"id\":3,\"link\":{\"tech\":\"65nm\",\"length_mm\":5},"
