@@ -34,9 +34,12 @@ echo "=== bench_compare against $baseline ==="
 # medians above they are stable across machines: the batched transient
 # engine must keep charlib sweeps >= 2x over the scalar reference
 # engine, the Monte-Carlo fast path >= 3x over per-sample model
-# construction, and the to_chars / from_chars number codec >= 3x over
+# construction, the to_chars / from_chars number codec >= 3x over
 # snprintf for a yield payload's encode and >= 1.5x over strtod for its
-# decode.
+# decode, and the lane-interleaved banded kernel >= 1.3x over two scalar
+# BandedLu factor-and-solves for a 140-row, half-bandwidth-5 lane pair.
+# That last reference leg also pays a matrix copy and a solution-vector
+# allocation per BandedLu call, so its floor is not a pure kernel ratio.
 echo "=== speedup floors ==="
 python3 - "$workdir/fresh.json" <<'EOF'
 import json, sys
@@ -51,6 +54,8 @@ floors = [
      "payload_codec.encode_us", 3.0, "payload encode"),
     ("payload_codec.decode_us_reference",
      "payload_codec.decode_us", 1.5, "payload decode"),
+    ("transient_kernel.us_per_pair_reference",
+     "transient_kernel.us_per_pair_cohort", 1.3, "banded lane pair"),
 ]
 failed = False
 for slow, fast, floor, label in floors:

@@ -241,12 +241,13 @@ int64_t run_claims_instr(Cursor& cursor, bool fail_fast, const deadline::State& 
   return dur;
 }
 
-}  // namespace
-
+// std::thread::hardware_concurrency, with a floor of 1.
 int hardware_threads() {
   const unsigned n = std::thread::hardware_concurrency();
   return n == 0 ? 1 : static_cast<int>(n);
 }
+
+}  // namespace
 
 void set_threads(int n) { pinned_threads().store(n < 0 ? 0 : n, std::memory_order_relaxed); }
 

@@ -75,11 +75,9 @@
 
 namespace pim::exec {
 
-/// std::thread::hardware_concurrency, with a floor of 1.
-int hardware_threads();
-
 /// Pins the process-wide default thread count; 0 restores the automatic
-/// resolution (PIM_THREADS env, else hardware_threads()).
+/// resolution (PIM_THREADS env, else std::thread::hardware_concurrency
+/// with a floor of 1).
 void set_threads(int n);
 
 /// The resolved default thread count for parallel regions.

@@ -91,6 +91,9 @@ Expected<Vector> least_squares_regularized(const Matrix& a, const Vector& b,
   return try_solve_dense(std::move(ata), atb);
 }
 
+namespace {
+
+// least_squares() without the throw: the solution or the error.
 Expected<Vector> try_least_squares(const Matrix& a, const Vector& b) {
   PIM_COUNT("numeric.leastsq.solves");
   const size_t m = a.rows();
@@ -117,6 +120,8 @@ Expected<Vector> try_least_squares(const Matrix& a, const Vector& b) {
                     "regularization (lambda = " +
                     std::to_string(lambda) + "): " + direct.error().message());
 }
+
+}  // namespace
 
 Vector least_squares(const Matrix& a, const Vector& b) {
   return try_least_squares(a, b).take();

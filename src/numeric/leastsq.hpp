@@ -22,10 +22,6 @@ namespace pim {
 /// pim::Error only when even the regularized system cannot be solved.
 Vector least_squares(const Matrix& a, const Vector& b);
 
-/// Recoverable variant of least_squares(): returns the solution or the
-/// error without throwing.
-Expected<Vector> try_least_squares(const Matrix& a, const Vector& b);
-
 /// Ridge solve (A^T A + lambda^2 I) x = A^T b — the fallback
 /// least_squares() uses, exposed for callers that want explicit damping.
 Expected<Vector> least_squares_regularized(const Matrix& a, const Vector& b,

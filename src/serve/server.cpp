@@ -70,6 +70,15 @@ void flush_locked(Connection& conn) {
   }
 }
 
+// Fills an outbox slot with its response line and flushes what is ready.
+void finish(Connection& conn, Pending& slot, std::string response) {
+  response += '\n';
+  std::lock_guard<std::mutex> lock(conn.mu);
+  slot.framed = std::move(response);
+  slot.done = true;
+  flush_locked(conn);
+}
+
 // Whether a response line reports failure. The envelope's own "ok" is
 // the first one in every response (only "id" and "op" precede it, and a
 // quote inside a string value is escaped, so no value can spell it); a
@@ -208,7 +217,14 @@ void Server::Impl::handle_line(const std::shared_ptr<Connection>& conn,
       return;
     }
   }
+  // The slot takes its place in the outbox before queue_mu is taken: a
+  // worker holds conn->mu while it flushes, which blocks for as long as
+  // the client does not read, and queue_mu must never wait behind that.
   auto slot = std::make_shared<Pending>();
+  {
+    std::lock_guard<std::mutex> conn_lock(conn->mu);
+    conn->outbox.push_back(slot);
+  }
   {
     std::unique_lock<std::mutex> lock(queue_mu);
     const bool draining = stopping.load();
@@ -223,15 +239,11 @@ void Server::Impl::handle_line(const std::shared_ptr<Connection>& conn,
                                std::to_string(options.queue_limit) +
                                " pending); retry later",
                            ErrorCode::overloaded);
-      respond_inline(conn, api::wire::write_error_line(identity.has_id, identity.id,
+      finish(*conn, *slot, api::wire::write_error_line(identity.has_id, identity.id,
                                                        identity.op, error));
       return;
     }
     accepted.fetch_add(1);
-    {
-      std::lock_guard<std::mutex> conn_lock(conn->mu);
-      conn->outbox.push_back(slot);
-    }
     queue.push_back(Job{conn, slot, line});
   }
   queue_cv.notify_one();
@@ -269,13 +281,7 @@ void Server::Impl::worker_loop() {
     shard.flush();
     completed.fetch_add(1);
     if (failed(response)) errors.fetch_add(1);
-    response += '\n';
-    {
-      std::lock_guard<std::mutex> lock(job.conn->mu);
-      job.slot->framed = std::move(response);
-      job.slot->done = true;
-      flush_locked(*job.conn);
-    }
+    finish(*job.conn, *job.slot, std::move(response));
   }
 }
 

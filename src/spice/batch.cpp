@@ -1,9 +1,10 @@
 #include "spice/batch.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
-#include <memory>
 #include <optional>
 #include <utility>
 
@@ -20,9 +21,11 @@ namespace {
 
 using solver::Integrator;
 
-// All mutable state of one lane. Lanes never read each other's state:
-// the lockstep structure batches the device evaluations, not the math.
+// All mutable state of one lane except its linear system, which lives in
+// the engine's lane-interleaved cohort store. Lanes never read each
+// other's state.
 struct Lane {
+  size_t id = 0;  // the lane's index in the batch
   // Resolved per-lane parameters (base plan values + LaneSpec overrides).
   std::vector<double> cap_farads;
   std::vector<double> ksw;
@@ -31,11 +34,6 @@ struct Lane {
   // Dynamic state, mirroring the scalar solver exactly.
   Vector v_node;
   std::vector<double> cap_current, cap_geq, cap_ieq;
-
-  // Linear system: per-step base images + reusable factorization.
-  std::vector<double> base_mat;
-  Vector base_rhs, rhs;
-  std::unique_ptr<BandedLu> band_lu;
 
   // Depth-0 halving snapshots (solo recursion keeps its own locals).
   Vector v_save;
@@ -64,7 +62,10 @@ struct Lane {
     std::vector<double> src_current;
     bool src_valid = false;
   };
-  std::vector<StepState> ring;   // last few converged states, oldest first
+  // The last `ring_size` converged states live in `ring`, oldest at
+  // `ring_head`; the slots are kept allocated and copy-assigned into.
+  std::vector<StepState> ring;
+  size_t ring_head = 0, ring_size = 0;
   std::vector<StepState> cycle;  // locked replay sequence, in step order
   int cycle_phase = 0;           // next cycle entry to replay
   double inputs_const_after = 0.0;  // every wave is exactly constant beyond
@@ -72,7 +73,7 @@ struct Lane {
   bool replaying() const { return !cycle.empty(); }
 
   void reset_ring() {
-    ring.clear();
+    ring_head = ring_size = 0;
     cycle.clear();
     cycle_phase = 0;
   }
@@ -95,7 +96,9 @@ class BatchEngine {
  public:
   BatchEngine(const CompiledCircuit& plan, const TransientOptions& opt,
               const std::vector<NodeId>& probes)
-      : plan_(plan), opt_(opt), probes_(probes) {
+      : plan_(plan), opt_(opt), probes_(probes),
+        base_(plan.matrix_rows, plan.bandwidth, plan.bandwidth),
+        store_(base_) {
     require(opt_.dt > 0.0 && opt_.t_stop > 0.0,
             "run_transient: dt and t_stop must be positive", ErrorCode::bad_input);
     for (NodeId p : probes_)
@@ -108,11 +111,14 @@ class BatchEngine {
     std::vector<Expected<TransientResult>> out;
     const size_t n = specs.size();
     out.reserve(n);
+    timing_ = obs::enabled();
     for (size_t wave_start = 0; wave_start < n; wave_start += kWaveWidth) {
       const size_t wave_end = std::min(n, wave_start + kWaveWidth);
       std::vector<Lane> wave(wave_end - wave_start);
-      for (size_t i = wave_start; i < wave_end; ++i)
+      for (size_t i = wave_start; i < wave_end; ++i) {
+        wave[i - wave_start].id = i;
         init_lane(wave[i - wave_start], specs[i]);
+      }
       run_wave(wave);
       for (Lane& lane : wave) {
         if (lane.failed)
@@ -121,6 +127,7 @@ class BatchEngine {
           out.push_back(std::move(lane.result));
       }
     }
+    if (timing_) flush_phases();
     return out;
   }
 
@@ -174,16 +181,7 @@ class BatchEngine {
     lane.cap_current.assign(lane.cap_farads.size(), 0.0);
     lane.cap_geq.resize(lane.cap_farads.size());
     lane.cap_ieq.resize(lane.cap_farads.size());
-    lane.base_mat.assign(plan_.matrix_slots, 0.0);
-    const size_t un = static_cast<size_t>(plan_.unknown_count);
-    lane.base_rhs.assign(un, 0.0);
-    lane.rhs.assign(un, 0.0);
-    // Assembly lands directly in the factor's storage (same
-    // column-compressed layout as base_mat), so each Newton iteration
-    // copies the band exactly once.
-    if (plan_.unknown_count > 0)
-      lane.band_lu = std::make_unique<BandedLu>(plan_.matrix_rows, plan_.bandwidth,
-                                                plan_.bandwidth);
+    lane.ring.resize(kMaxCyclePeriod);
     for (const Waveform& w : lane.waves)
       lane.inputs_const_after = std::max(lane.inputs_const_after, w.last_time());
     lane.result.sources.resize(plan_.vsource_node.size());
@@ -253,12 +251,16 @@ class BatchEngine {
                         Integrator integrator, bool record_sources,
                         bool inputs_const) {
     cohort_.clear();
+    mark();
+    bool replayed = false;
     for (Lane& lane : wave) {
-      if (lane.failed) continue;
-      if (lane.replaying()) {
-        replay_step(lane, dt, record_sources);
-        continue;
-      }
+      if (lane.failed || !lane.replaying()) continue;
+      replay_step(lane, dt, record_sources);
+      replayed = true;
+    }
+    if (replayed) lap(kReplay);
+    for (Lane& lane : wave) {
+      if (lane.failed || lane.replaying()) continue;
       lane.v_save = lane.v_node;
       lane.cap_save = lane.cap_current;
       cohort_.push_back(&lane);
@@ -291,8 +293,11 @@ class BatchEngine {
   // reproduces the recorded cycle, and the engine replays it instead of
   // re-solving (docs/kernels.md).
   void note_steady_state(Lane& lane) {
-    for (size_t p = 1; p <= lane.ring.size(); ++p) {
-      Lane::StepState& past = lane.ring[lane.ring.size() - p];
+    auto at = [&](size_t j) -> Lane::StepState& {
+      return lane.ring[(lane.ring_head + j) % kMaxCyclePeriod];
+    };
+    for (size_t p = 1; p <= lane.ring_size; ++p) {
+      Lane::StepState& past = at(lane.ring_size - p);
       if (!bits_equal(past.v_node, lane.v_node) ||
           !bits_equal(past.cap_current, lane.cap_current))
         continue;
@@ -301,19 +306,23 @@ class BatchEngine {
       // chronological order, ending with `past` itself (== the current
       // state).
       lane.cycle.reserve(p);
-      for (size_t j = lane.ring.size() - p + 1; j < lane.ring.size(); ++j)
-        lane.cycle.push_back(std::move(lane.ring[j]));
+      for (size_t j = lane.ring_size - p + 1; j < lane.ring_size; ++j)
+        lane.cycle.push_back(std::move(at(j)));
       lane.cycle.push_back(std::move(past));
       lane.cycle_phase = 0;
-      lane.ring.clear();
+      lane.ring_head = lane.ring_size = 0;
       return;
     }
-    Lane::StepState state;
-    state.v_node = lane.v_node;
-    state.cap_current = lane.cap_current;
-    lane.ring.push_back(std::move(state));
-    if (lane.ring.size() > kMaxCyclePeriod)
-      lane.ring.erase(lane.ring.begin());
+    // Record the state in the slot after the newest; a full ring
+    // overwrites its oldest.
+    Lane::StepState& slot = at(lane.ring_size);
+    slot.v_node = lane.v_node;
+    slot.cap_current = lane.cap_current;
+    slot.src_valid = false;
+    if (lane.ring_size < kMaxCyclePeriod)
+      ++lane.ring_size;
+    else
+      lane.ring_head = (lane.ring_head + 1) % kMaxCyclePeriod;
   }
 
   // One replayed step: restores the cycle state the full solve would
@@ -328,6 +337,7 @@ class BatchEngine {
     lane.v_node = s.v_node;
     lane.cap_current = s.cap_current;
     ++lane.n_timesteps;
+    ++replayed_steps_;
     if (!record_sources) return;
     if (!s.src_valid) {
       s.src_current.resize(plan_.source_touches.size());
@@ -377,49 +387,61 @@ class BatchEngine {
   }
 
   // One timestep attempt for every lane in `cohort`, lockstep: shared
-  // time grid, per-iteration device evaluation in one contiguous SoA
-  // pass across all still-iterating lanes. Sets lane.converged.
+  // time grid, per-iteration device evaluation of all still-iterating
+  // lanes, and one interleaved factor and solve over the cohort store.
+  // Sets lane.converged.
   void step_cohort(std::vector<Lane*>& cohort, double t, double dt,
                    Integrator integrator, bool record_sources) {
+    mark();
     const size_t un = static_cast<size_t>(plan_.unknown_count);
-    for (Lane* lp : cohort) {
-      Lane& lane = *lp;
+    const size_t lanes = cohort.size();
+    const size_t slots = plan_.matrix_slots;
+    const size_t rows = plan_.matrix_rows;
+    const bool trapezoidal = integrator == Integrator::Trapezoidal;
+    // The matrix base image depends only on the lanes' companion
+    // conductances, which depend only on the lane, dt and the integrator:
+    // it is rebuilt, with them, when any of those differs from the last
+    // build. This is the only place that writes cap_geq, so a lane's
+    // cap_geq always belongs to the last build it was part of.
+    const bool rebuild_mat = !same_base_key(cohort, dt, integrator);
+    if (rebuild_mat) {
+      base_.set_lanes(lanes);
+      base_ids_.clear();
+      for (const Lane* lane : cohort) base_ids_.push_back(lane->id);
+      base_dt_ = dt;
+      base_integrator_ = integrator;
+      for (Lane* lp : cohort)
+        for (size_t i = 0; i < lp->cap_farads.size(); ++i)
+          lp->cap_geq[i] = trapezoidal ? 2.0 * lp->cap_farads[i] / dt
+                                       : lp->cap_farads[i] / dt;
+    }
+    for (size_t l = 0; l < lanes; ++l) {
+      Lane& lane = *cohort[l];
       ++lane.n_timesteps;
       // Companion constants from the previous converged state.
       for (size_t i = 0; i < lane.cap_farads.size(); ++i) {
         const double v_ab = lane.v_node[static_cast<size_t>(plan_.cap_a[i])] -
                             lane.v_node[static_cast<size_t>(plan_.cap_b[i])];
-        if (integrator == Integrator::Trapezoidal) {
-          lane.cap_geq[i] = 2.0 * lane.cap_farads[i] / dt;
-          lane.cap_ieq[i] = lane.cap_geq[i] * v_ab + lane.cap_current[i];
-        } else {
-          lane.cap_geq[i] = lane.cap_farads[i] / dt;
-          lane.cap_ieq[i] = lane.cap_geq[i] * v_ab;
-        }
+        lane.cap_ieq[i] = trapezoidal ? lane.cap_geq[i] * v_ab + lane.cap_current[i]
+                                      : lane.cap_geq[i] * v_ab;
       }
       // Known voltages for this step.
       lane.v_node[0] = 0.0;
       for (size_t si = 0; si < plan_.vsource_node.size(); ++si)
         lane.v_node[static_cast<size_t>(plan_.vsource_node[si])] =
             lane.waves[si].value(t);
-      // Per-step base images: resistor image + capacitor companions, and
-      // the RHS contributions that are constant across Newton iterations.
-      // Entry-wise this accumulates in the scalar engine's exact order
-      // (resistors, then capacitors); device stamps land per iteration.
-      lane.base_mat = plan_.res_matrix;
-      for (const auto& op : plan_.cap_mat_ops)
-        lane.base_mat[static_cast<size_t>(op.slot)] += op.sign * lane.cap_geq[op.cap];
-      std::fill(lane.base_rhs.begin(), lane.base_rhs.end(), 0.0);
+      // The RHS contributions that are constant across Newton iterations,
+      // straight into this lane's column of the base image.
+      for (size_t r = 0; r < rows; ++r) base_.rhs(r, l) = 0.0;
       for (const auto& op : plan_.res_rhs_ops)
-        lane.base_rhs[static_cast<size_t>(op.rhs)] -=
+        base_.rhs(static_cast<size_t>(op.rhs), l) -=
             op.g * lane.v_node[static_cast<size_t>(op.node)];
       for (const auto& op : plan_.cap_rhs_ops) {
+        double& rhs = base_.rhs(static_cast<size_t>(op.rhs), l);
         if (op.route)
-          lane.base_rhs[static_cast<size_t>(op.rhs)] -=
-              (op.sign * lane.cap_geq[op.cap]) *
-              lane.v_node[static_cast<size_t>(op.node)];
+          rhs -= (op.sign * lane.cap_geq[op.cap]) * lane.v_node[static_cast<size_t>(op.node)];
         else
-          lane.base_rhs[static_cast<size_t>(op.rhs)] += op.sign * lane.cap_ieq[op.cap];
+          rhs += op.sign * lane.cap_ieq[op.cap];
       }
       // Fault site: simulate a diverging Newton loop for this attempt
       // only, exercising the halving retry deterministically.
@@ -427,12 +449,30 @@ class BatchEngine {
       lane.newton_active = !inject;
       lane.converged = false;
     }
+    if (rebuild_mat) {
+      // Resistor image + capacitor companions per lane column. Entry-wise
+      // this accumulates in the scalar engine's exact order (resistors,
+      // then capacitors); device stamps land per iteration.
+      for (size_t l = 0; l < lanes; ++l) {
+        const Lane& lane = *cohort[l];
+        for (size_t s = 0; s < slots; ++s) base_.value(s, l) = plan_.res_matrix[s];
+        for (const auto& op : plan_.cap_mat_ops)
+          base_.value(static_cast<size_t>(op.slot), l) += op.sign * lane.cap_geq[op.cap];
+      }
+    }
+    active_.resize(lanes);
+    lap(kBaseImage);
 
     const size_t dev_count = plan_.devices.count;
     for (int iter = 0; iter < solver::kMaxNewton; ++iter) {
       iterating_.clear();
-      for (Lane* lp : cohort)
-        if (lp->newton_active) iterating_.push_back(lp);
+      iterating_lane_.clear();
+      for (size_t l = 0; l < lanes; ++l) {
+        active_[l] = cohort[l]->newton_active;
+        if (!active_[l]) continue;
+        iterating_.push_back(cohort[l]);
+        iterating_lane_.push_back(l);
+      }
       if (iterating_.empty()) break;
       for (Lane* lp : iterating_) {
         ++lp->n_newton;
@@ -440,36 +480,37 @@ class BatchEngine {
       }
 
       eval_devices(iterating_);
+      lap(kDeviceEval);
+
+      if (un > 0) {
+        // Assemble: copy the step base, scatter each iterating lane's
+        // device stamps through the plan's precomputed slots; then
+        // factor and solve every iterating lane in one pass.
+        store_ = base_;
+        for (size_t pi = 0; pi < iterating_.size(); ++pi)
+          scatter_devices(*iterating_[pi], iterating_lane_[pi], pi * dev_count);
+        lap(kScatter);
+        store_.factor(active_);
+        lap(kFactor);
+        store_.solve(active_);
+        lap(kSolve);
+      }
 
       for (size_t pi = 0; pi < iterating_.size(); ++pi) {
         Lane& lane = *iterating_[pi];
-        if (un > 0) {
-          // Assemble: copy the step base, scatter this lane's device
-          // stamps through the plan's precomputed slots, factor, solve.
-          lane.band_lu->values() = lane.base_mat;
-          lane.rhs = lane.base_rhs;
-          scatter_devices(lane, pi * dev_count);
-          Expected<void> factored = lane.band_lu->refactor();
-          if (!factored.ok()) {
-            if (factored.error().code() != ErrorCode::singular_matrix) {
-              lane.fail_lane(factored.error());
-              lane.newton_active = false;
-              continue;
-            }
-            // Retryable: the halved timestep rebuilds the companion
-            // conductances, which re-conditions the system.
-            PIM_COUNT("spice.solver.singular");
-            lane.newton_active = false;
-            continue;
-          }
-          lane.band_lu->solve_in_place(lane.rhs);
+        const size_t l = iterating_lane_[pi];
+        if (!active_[l]) {
+          // Singular: the halved timestep rebuilds the companion
+          // conductances, which re-conditions the system.
+          PIM_COUNT("spice.solver.singular");
+          lane.newton_active = false;
+          continue;
         }
-
         double worst = 0.0;
         for (size_t node = 1; node < lane.v_node.size(); ++node) {
           const int ui = plan_.unknown_of_node[node];
           if (ui < 0) continue;
-          double delta = lane.rhs[static_cast<size_t>(ui)] - lane.v_node[node];
+          double delta = store_.rhs(static_cast<size_t>(ui), l) - lane.v_node[node];
           delta = std::clamp(delta, -solver::kVStepLimit, solver::kVStepLimit);
           lane.v_node[node] += delta;
           worst = std::max(worst, std::fabs(delta));
@@ -479,6 +520,7 @@ class BatchEngine {
           lane.newton_active = false;
         }
       }
+      lap(kNewtonUpdate);
     }
 
     for (Lane* lp : cohort) {
@@ -493,10 +535,9 @@ class BatchEngine {
     }
   }
 
-  // One contiguous SoA pass over all devices of all still-iterating
-  // lanes. A single-lane cohort points the kernel straight at the plan's
-  // parameter arrays (no tiling) — the common case for large sign-off
-  // decks; multi-lane cohorts tile parameters per lane.
+  // Evaluates every device of every still-iterating lane: per lane one
+  // SoA sweep over the plan's parameter arrays and the lane's own widths,
+  // into that lane's slice of the engine's device buffers.
   void eval_devices(std::vector<Lane*>& lanes) {
     const DeviceArrays& d = plan_.devices;
     const size_t dn = d.count;
@@ -508,6 +549,7 @@ class BatchEngine {
     out_dg_.resize(total);
     out_dd_.resize(total);
     out_ds_.resize(total);
+    if (dn == 0) return;
     for (size_t pi = 0; pi < lanes.size(); ++pi) {
       const Vector& v = lanes[pi]->v_node;
       const size_t off = pi * dn;
@@ -516,44 +558,18 @@ class BatchEngine {
         vd_[off + i] = v[static_cast<size_t>(d.drain[i])];
         vs_[off + i] = v[static_cast<size_t>(d.source[i])];
       }
-    }
-    if (total == 0) return;
-    if (lanes.size() == 1) {
       kernels::eval_alpha_power_batch(
-          dn, d.sign.data(), lanes[0]->ksw.data(), d.vth.data(), d.alpha.data(),
-          d.k_vdsat.data(), d.lambda.data(), d.nvt.data(), vg_.data(), vd_.data(),
-          vs_.data(), out_id_.data(), out_dg_.data(), out_dd_.data(),
-          out_ds_.data());
-      return;
+          dn, d.sign.data(), lanes[pi]->ksw.data(), d.vth.data(), d.alpha.data(),
+          d.k_vdsat.data(), d.lambda.data(), d.nvt.data(), vg_.data() + off,
+          vd_.data() + off, vs_.data() + off, out_id_.data() + off, out_dg_.data() + off,
+          out_dd_.data() + off, out_ds_.data() + off);
     }
-    tile_sign_.resize(total);
-    tile_ksw_.resize(total);
-    tile_vth_.resize(total);
-    tile_alpha_.resize(total);
-    tile_kvdsat_.resize(total);
-    tile_lambda_.resize(total);
-    tile_nvt_.resize(total);
-    for (size_t pi = 0; pi < lanes.size(); ++pi) {
-      const size_t off = pi * dn;
-      std::copy(d.sign.begin(), d.sign.end(), tile_sign_.begin() + off);
-      std::copy(lanes[pi]->ksw.begin(), lanes[pi]->ksw.end(), tile_ksw_.begin() + off);
-      std::copy(d.vth.begin(), d.vth.end(), tile_vth_.begin() + off);
-      std::copy(d.alpha.begin(), d.alpha.end(), tile_alpha_.begin() + off);
-      std::copy(d.k_vdsat.begin(), d.k_vdsat.end(), tile_kvdsat_.begin() + off);
-      std::copy(d.lambda.begin(), d.lambda.end(), tile_lambda_.begin() + off);
-      std::copy(d.nvt.begin(), d.nvt.end(), tile_nvt_.begin() + off);
-    }
-    kernels::eval_alpha_power_batch(
-        total, tile_sign_.data(), tile_ksw_.data(), tile_vth_.data(),
-        tile_alpha_.data(), tile_kvdsat_.data(), tile_lambda_.data(),
-        tile_nvt_.data(), vg_.data(), vd_.data(), vs_.data(), out_id_.data(),
-        out_dg_.data(), out_dd_.data(), out_ds_.data());
   }
 
-  // Scatters one lane's device linearizations into its matrix and RHS,
-  // preserving the scalar engine's per-device emission order.
-  void scatter_devices(Lane& lane, size_t off) {
-    std::vector<double>& mat = lane.band_lu->values();
+  // Scatters one lane's device linearizations into its column `l` of
+  // the cohort store, preserving the scalar engine's per-device emission
+  // order.
+  void scatter_devices(const Lane& lane, size_t l, size_t off) {
     const size_t dn = plan_.devices.count;
     for (size_t i = 0; i < dn; ++i) {
       const double dg = out_dg_[off + i];
@@ -564,9 +580,9 @@ class BatchEngine {
       for (int j = 0; j < 6; ++j) {
         const auto& st = stamps[static_cast<size_t>(j)];
         if (st.slot >= 0)
-          mat[static_cast<size_t>(st.slot)] += vals[j];
+          store_.value(static_cast<size_t>(st.slot), l) += vals[j];
         else if (st.rhs >= 0)
-          lane.rhs[static_cast<size_t>(st.rhs)] -=
+          store_.rhs(static_cast<size_t>(st.rhs), l) -=
               vals[j] * lane.v_node[static_cast<size_t>(st.node)];
       }
       const double vg = vg_[off + i];
@@ -575,9 +591,9 @@ class BatchEngine {
       const double i_eq =
           out_id_[off + i] - dg * vg - dd * vd - ds * vs;
       if (plan_.dev_rhs_drain[i] >= 0)
-        lane.rhs[static_cast<size_t>(plan_.dev_rhs_drain[i])] += -i_eq;
+        store_.rhs(static_cast<size_t>(plan_.dev_rhs_drain[i]), l) += -i_eq;
       if (plan_.dev_rhs_source[i] >= 0)
-        lane.rhs[static_cast<size_t>(plan_.dev_rhs_source[i])] += i_eq;
+        store_.rhs(static_cast<size_t>(plan_.dev_rhs_source[i]), l) += i_eq;
     }
   }
 
@@ -606,6 +622,18 @@ class BatchEngine {
     return current;
   }
 
+  // Whether the base image was last built for exactly these lanes, in this
+  // order, at this dt and integrator.
+  bool same_base_key(const std::vector<Lane*>& cohort, double dt,
+                     Integrator integrator) const {
+    if (base_dt_ != dt || base_integrator_ != integrator ||
+        base_ids_.size() != cohort.size())
+      return false;
+    for (size_t l = 0; l < cohort.size(); ++l)
+      if (base_ids_[l] != cohort[l]->id) return false;
+    return true;
+  }
+
   // Per-source delivered current integrated into charge and energy.
   void accumulate_sources(Lane& lane, double dt) {
     for (size_t si = 0; si < plan_.source_touches.size(); ++si) {
@@ -614,6 +642,44 @@ class BatchEngine {
       lane.result.sources[si].energy +=
           current * lane.v_node[static_cast<size_t>(plan_.vsource_node[si])] * dt;
     }
+  }
+
+  // Engine phase totals (docs/observability.md): wall nanoseconds per
+  // phase, summed over the batch and recorded once at its end, and only
+  // while observability is on, so a disabled run reads no clock.
+  enum Phase {
+    kBaseImage,
+    kDeviceEval,
+    kScatter,
+    kFactor,
+    kSolve,
+    kNewtonUpdate,
+    kReplay,
+    kPhaseCount
+  };
+
+  // Starts timing at the current instant.
+  void mark() {
+    if (timing_) mark_ns_ = obs::now_ns();
+  }
+
+  // Charges the time since the last mark (or lap) to `phase`.
+  void lap(Phase phase) {
+    if (!timing_) return;
+    const int64_t now = obs::now_ns();
+    phase_ns_[phase] += now - mark_ns_;
+    mark_ns_ = now;
+  }
+
+  void flush_phases() {
+    PIM_COUNT_N("spice.phase.base_image_ns", phase_ns_[kBaseImage]);
+    PIM_COUNT_N("spice.phase.device_eval_ns", phase_ns_[kDeviceEval]);
+    PIM_COUNT_N("spice.phase.scatter_ns", phase_ns_[kScatter]);
+    PIM_COUNT_N("spice.phase.factor_ns", phase_ns_[kFactor]);
+    PIM_COUNT_N("spice.phase.solve_ns", phase_ns_[kSolve]);
+    PIM_COUNT_N("spice.phase.newton_update_ns", phase_ns_[kNewtonUpdate]);
+    PIM_COUNT_N("spice.phase.replay_ns", phase_ns_[kReplay]);
+    PIM_COUNT_N("spice.phase.replayed_steps", replayed_steps_);
   }
 
   void record(Lane& lane, double t) {
@@ -636,11 +702,27 @@ class BatchEngine {
   const std::vector<NodeId>& probes_;
   bool skip_ok_ = false;
 
+  // Phase totals (flush_phases).
+  bool timing_ = false;
+  int64_t mark_ns_ = 0;
+  std::array<int64_t, kPhaseCount> phase_ns_{};
+  int64_t replayed_steps_ = 0;
+
+  // The cohort's linear systems: the per-step base image, built for the
+  // lanes base_ids_ at (base_dt_, base_integrator_) (same_base_key), and
+  // the store each Newton iteration copies it into, then assembles,
+  // factors and solves in place.
+  BandedCohort base_;
+  std::vector<size_t> base_ids_;
+  double base_dt_ = 0.0;  // 0: no image built yet
+  Integrator base_integrator_ = Integrator::Trapezoidal;
+  BandedCohort store_;
+  std::vector<unsigned char> active_;
+
   // Engine scratch (reused across steps/iterations; no per-solve allocs).
   std::vector<Lane*> cohort_, solo_, iterating_;
+  std::vector<size_t> iterating_lane_;  // cohort position of iterating_[pi]
   std::vector<double> vg_, vd_, vs_, out_id_, out_dg_, out_dd_, out_ds_;
-  std::vector<double> tile_sign_, tile_ksw_, tile_vth_, tile_alpha_,
-      tile_kvdsat_, tile_lambda_, tile_nvt_;
 };
 
 }  // namespace

@@ -2,14 +2,14 @@
 //
 // run_transient_batch() runs N parameter-perturbed lanes (variants) of
 // the same compiled deck in lockstep: all lanes share one read-only
-// CompiledCircuit, advance through the same time grid together, and the
-// per-iteration device evaluations of every in-flight lane are gathered
-// into one contiguous structure-of-arrays pass over
-// kernels::eval_alpha_power_batch. Each lane keeps its own voltages,
-// companion state, matrix, and reusable LU factorization, so lanes are
-// numerically independent: a lane that fails (Newton divergence, NaN
-// poisoning, singular system) carries a typed error while its siblings
-// run to completion.
+// CompiledCircuit, advance through the same time grid together, evaluate
+// their devices through kernels::eval_alpha_power_batch each Newton
+// iteration, and assemble, factor and solve their linear systems in one
+// lane-interleaved BandedCohort store (numeric/banded.hpp). Each lane
+// keeps its own voltages, companion state and column of that store, so
+// lanes are numerically independent: a lane that fails (Newton
+// divergence, NaN poisoning, singular system) carries a typed error while
+// its siblings run to completion.
 //
 // Determinism contract (docs/kernels.md): a single nominal lane is
 // bit-identical to the original scalar solver (run_transient_reference),

@@ -23,9 +23,9 @@ double crossing_time(const std::vector<double>& time, const std::vector<double>&
   for (size_t i = 1; i < values.size(); ++i) {
     const double a = values[i - 1];
     const double b = values[i];
-    require(std::isfinite(b),
-            "crossing_time: non-finite sample at index " + std::to_string(i),
-            ErrorCode::bad_input);
+    if (!std::isfinite(b))
+      fail("crossing_time: non-finite sample at index " + std::to_string(i),
+           ErrorCode::bad_input);
     const bool crosses = (edge == EdgeKind::Rising) ? (a < level && b >= level)
                                                     : (a > level && b <= level);
     if (!crosses) continue;

@@ -21,6 +21,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "numeric/banded.hpp"
 #include "spice/circuit.hpp"
 
 namespace pim {
@@ -118,11 +119,12 @@ struct CompiledCircuit {
   };
   std::vector<SourceTouches> source_touches;
 
-  /// Storage slot of matrix entry (r, c) in BandedLu's column-compressed
-  /// layout. Both r and c must be unknowns inside the band.
+  /// Band slot of matrix entry (r, c) in the row-major band layout of
+  /// numeric/banded.hpp (band_slot). Both r and c must be unknowns inside
+  /// the band.
   int slot_of(int r, int c) const {
-    return static_cast<int>(
-        (static_cast<long>(bandwidth) + r - c) * static_cast<long>(matrix_rows) + c);
+    return static_cast<int>(band_slot(static_cast<size_t>(r), static_cast<size_t>(c),
+                                      bandwidth, bandwidth));
   }
 };
 

@@ -52,7 +52,8 @@ class ExecFixture : public ::testing::Test {
 // ---------------------------------------------------------- resolution
 
 TEST_F(ExecFixture, ThreadResolutionPrecedence) {
-  EXPECT_GE(exec::hardware_threads(), 1);
+  const unsigned hw = std::thread::hardware_concurrency();
+  const int hardware_threads = hw == 0 ? 1 : static_cast<int>(hw);
   EXPECT_GE(exec::threads(), 1);
 
   setenv("PIM_THREADS", "5", 1);
@@ -62,9 +63,9 @@ TEST_F(ExecFixture, ThreadResolutionPrecedence) {
   exec::set_threads(0);
   EXPECT_EQ(exec::threads(), 5);
   setenv("PIM_THREADS", "junk", 1);  // malformed -> hardware fallback
-  EXPECT_EQ(exec::threads(), exec::hardware_threads());
+  EXPECT_EQ(exec::threads(), hardware_threads);
   unsetenv("PIM_THREADS");
-  EXPECT_EQ(exec::threads(), exec::hardware_threads());
+  EXPECT_EQ(exec::threads(), hardware_threads);
 }
 
 // ---------------------------------------------------------- primitives

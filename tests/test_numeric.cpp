@@ -2,9 +2,12 @@
 // least squares, regression, optimization, interpolation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
+#include <vector>
 
 #include "numeric/banded.hpp"
 #include "numeric/interp.hpp"
@@ -13,6 +16,7 @@
 #include "numeric/matrix.hpp"
 #include "numeric/regression.hpp"
 #include "util/error.hpp"
+#include "util/faultinject.hpp"
 #include "util/rng.hpp"
 
 namespace pim {
@@ -139,25 +143,6 @@ TEST(Banded, RejectsOutOfBandEntry) {
   EXPECT_DOUBLE_EQ(bm.at(0, 3), 0.0);
 }
 
-TEST(Banded, MultiplyMatchesDense) {
-  BandedMatrix bm(4, 1, 1);
-  Matrix dense(4, 4);  // the same add() entries, densely stored
-  const auto add = [&](size_t r, size_t c, double v) {
-    bm.add(r, c, v);
-    dense(r, c) += v;
-  };
-  add(0, 0, 2.0);
-  add(0, 1, -1.0);
-  add(1, 0, -1.0);
-  add(1, 1, 2.0);
-  add(2, 2, 1.5);
-  add(3, 3, 1.0);
-  const Vector x = {1.0, 2.0, 3.0, 4.0};
-  const Vector y_band = bm.multiply(x);
-  const Vector y_dense = dense.multiply(x);
-  for (size_t i = 0; i < 4; ++i) EXPECT_DOUBLE_EQ(y_band[i], y_dense[i]);
-}
-
 TEST(LeastSquares, ExactSystemSolvedExactly) {
   Matrix a(2, 2);
   a(0, 0) = 2.0;
@@ -211,9 +196,6 @@ TEST(LeastSquares, RankDeficientRecoveredByRegularization) {
   for (size_t r = 0; r < 4; ++r) a1(r, 0) = col[r];
   const Vector x1 = least_squares(a1, b);
   EXPECT_NEAR(residual_norm(a, x, b), residual_norm(a1, x1, b), 1e-6);
-
-  const Expected<Vector> rx = try_least_squares(a, b);
-  ASSERT_TRUE(rx.ok());
 }
 
 TEST(LeastSquares, ExplicitRidgeDampsTowardZero) {
@@ -408,60 +390,210 @@ TEST(Interp, BadAxisRejected) {
   EXPECT_THROW(interp_linear({1.0}, {0.0}, 0.5), Error);
 }
 
-// ------------------------------------------- symbolic/numeric LU reuse
+// ------------------------------------------- lane-interleaved cohort kernel
 
-// The batched transient engine leans on refactor() being *exactly* the
-// fresh factorization (same elimination, same metric/fault draws), so
-// these pin bitwise identity, not closeness.
+// The batched transient engine factors and solves its lanes through
+// BandedCohort, so every lane must reproduce a solo BandedLu bit for bit:
+// these compare bytes, not closeness.
 
-BandedMatrix random_banded(size_t n, size_t band, uint64_t seed) {
-  BandedMatrix a(n, band, band);
-  Rng rng(seed);
+BandedMatrix random_banded(size_t n, size_t kl, size_t ku, Rng& rng) {
+  BandedMatrix a(n, kl, ku);
   for (size_t r = 0; r < n; ++r)
-    for (size_t c = 0; c < n; ++c)
-      if (a.in_band(r, c)) a.add(r, c, r == c ? 8.0 + rng.uniform(0, 1) : rng.uniform(-1, 1));
+    for (size_t c = r > kl ? r - kl : 0; c <= std::min(n - 1, r + ku); ++c)
+      a.add(r, c, r == c ? 2.0 * (kl + ku) + 1.0 + rng.uniform(0, 1) : rng.uniform(-1, 1));
   return a;
 }
 
-TEST(BandedLu, RefactorIsBitwiseIdenticalToFreshFactorization) {
-  const size_t n = 24, band = 3;
-  BandedLu reused(n, band, band);
-  EXPECT_FALSE(reused.factored());
-  // Two different value sets through the same symbolic shape: each
-  // refactor must match a from-scratch BandedLu on the same matrix.
-  for (uint64_t seed : {11u, 12u}) {
-    const BandedMatrix a = random_banded(n, band, seed);
-    ASSERT_TRUE(reused.refactor(a).ok());
-    EXPECT_TRUE(reused.factored());
-    const BandedLu fresh(a);
-    Rng rng(99 + seed);
-    Vector b(n);
-    for (double& v : b) v = rng.uniform(-1, 1);
-    const Vector x_fresh = fresh.solve(b);
-    Vector x_reused = b;
-    reused.solve_in_place(x_reused);
-    for (size_t i = 0; i < n; ++i)
-      EXPECT_EQ(std::memcmp(&x_fresh[i], &x_reused[i], sizeof(double)), 0) << i;
+// A cohort loaded with one system per lane, interleaved.
+BandedCohort make_cohort(const std::vector<BandedMatrix>& a, const std::vector<Vector>& b) {
+  const size_t n = a[0].size(), kl = a[0].lower(), ku = a[0].upper(), lanes = a.size();
+  BandedCohort cohort(n, kl, ku);
+  cohort.set_lanes(lanes);
+  for (size_t l = 0; l < lanes; ++l) {
+    for (size_t s = 0; s < n * (kl + ku + 1); ++s) cohort.value(s, l) = 0.0;
+    for (size_t r = 0; r < n; ++r) {
+      for (size_t c = r > kl ? r - kl : 0; c <= std::min(n - 1, r + ku); ++c)
+        cohort.value(band_slot(r, c, kl, ku), l) = a[l].at(r, c);
+      cohort.rhs(r, l) = b[l][r];
+    }
+  }
+  return cohort;
+}
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+// Factors and solves every lane of `cohort`; expects each lane to hold
+// the bytes of BandedLu(a[l]).solve(b[l]).
+void expect_lanes_match_solo(BandedCohort& cohort, const std::vector<BandedMatrix>& a,
+                             const std::vector<Vector>& b) {
+  const size_t lanes = a.size();
+  std::vector<unsigned char> active(lanes, 1);
+  cohort.factor(active);
+  cohort.solve(active);
+  for (size_t l = 0; l < lanes; ++l) {
+    ASSERT_TRUE(active[l]) << "lane " << l;
+    const Vector solo = BandedLu(a[l]).solve(b[l]);
+    for (size_t r = 0; r < solo.size(); ++r)
+      ASSERT_TRUE(same_bits(cohort.rhs(r, l), solo[r]))
+          << "lane " << l << " of " << lanes << ", row " << r << ": " << cohort.rhs(r, l)
+          << " vs " << solo[r];
   }
 }
 
-TEST(BandedLu, RefactorRejectsShapeMismatchAndBatchedSolveMatches) {
-  BandedLu lu(8, 2, 2);
-  EXPECT_THROW(lu.refactor(random_banded(8, 1, 5)), Error);
-  EXPECT_THROW(lu.refactor(random_banded(9, 2, 5)), Error);
-
-  // Several right-hand sides through one factorization: each in-place
-  // solve matches the allocating solve bit-for-bit.
-  const BandedMatrix a = random_banded(8, 2, 21);
-  ASSERT_TRUE(lu.refactor(a).ok());
-  Rng rng(7);
-  for (int k = 0; k < 3; ++k) {
-    Vector b(8);
-    for (double& v : b) v = rng.uniform(-1, 1);
-    const Vector solo = lu.solve(b);
-    lu.solve_in_place(b);
-    for (size_t i = 0; i < 8; ++i) EXPECT_EQ(b[i], solo[i]);
+TEST(BandedCohort, RandomShapesMatchBandedLuBitForBit) {
+  struct Shape {
+    size_t n, kl, ku;
+  };
+  // The composition shapes first: the coupled bundle (35 and 140 rows at
+  // half-bandwidth 5) and the shielded line (7 and 28 rows at 1).
+  std::vector<Shape> shapes = {{35, 5, 5}, {140, 5, 5}, {7, 1, 1}, {28, 1, 1}, {1, 0, 0}};
+  Rng pick(2026);
+  for (int i = 0; i < 40; ++i)
+    shapes.push_back({1 + pick.next_below(140), pick.next_below(7), pick.next_below(7)});
+  for (const Shape& shape : shapes) {
+    for (size_t lanes = 1; lanes <= 5; ++lanes) {
+      SCOPED_TRACE(testing::Message() << "n " << shape.n << " kl " << shape.kl << " ku "
+                                      << shape.ku << " lanes " << lanes);
+      Rng rng(shape.n * 131 + shape.kl * 17 + shape.ku * 3 + lanes);
+      std::vector<BandedMatrix> a;
+      std::vector<Vector> b;
+      for (size_t l = 0; l < lanes; ++l) {
+        a.push_back(random_banded(shape.n, shape.kl, shape.ku, rng));
+        b.emplace_back(shape.n);
+        for (double& v : b.back()) v = rng.uniform(-1, 1);
+      }
+      BandedCohort cohort = make_cohort(a, b);
+      expect_lanes_match_solo(cohort, a, b);
+    }
   }
+}
+
+// Lane 0 of a pair skips updates that lane 1 performs. With an inf in
+// lane 0's upper rows, an unconditional `old - 0 * inf` would turn an
+// entry into a NaN (and a NaN pivot makes the lane singular).
+TEST(BandedCohort, ZeroFactorInOneLaneOnlyKeepsThatLanesBits) {
+  for (size_t band : {size_t{1}, size_t{2}, size_t{5}}) {
+    const size_t n = 3 * band + 4;
+    SCOPED_TRACE(testing::Message() << "half-bandwidth " << band);
+    Rng rng(5 + band);
+    BandedMatrix quiet(n, band, band);
+    for (size_t r = 0; r < n; ++r) quiet.add(r, r, 4.0);
+    quiet.add(0, 1, std::numeric_limits<double>::infinity());
+    quiet.add(band + 1, band + 2, -std::numeric_limits<double>::infinity());
+    std::vector<BandedMatrix> a = {quiet, random_banded(n, band, band, rng)};
+    std::vector<Vector> b(2, Vector(n));
+    for (auto& lane : b)
+      for (double& v : lane) v = rng.uniform(-1, 1);
+    BandedCohort cohort = make_cohort(a, b);
+    expect_lanes_match_solo(cohort, a, b);
+  }
+}
+
+// Lane 0's right-hand side is zero where lane 1's is not. Its forward
+// substitution must skip those columns: with L(2, 0) < 0, an
+// unconditional `-0.0 - L(2, 0) * 0.0` would turn its -0.0 into +0.0.
+TEST(BandedCohort, ZeroRhsEntryInOneLaneOnlyKeepsSignedZeros) {
+  const size_t n = 6, band = 2;
+  Rng rng(9);
+  BandedMatrix lower(n, band, band);
+  for (size_t r = 0; r < n; ++r) lower.add(r, r, 3.0);
+  lower.add(2, 0, -1.0);
+  lower.add(1, 0, 0.5);
+  std::vector<BandedMatrix> a = {lower, random_banded(n, band, band, rng)};
+  std::vector<Vector> b = {{0.0, 0.0, -0.0, 0.0, 0.0, 0.0}, Vector(n)};
+  for (double& v : b[1]) v = rng.uniform(-1, 1);
+  const double inf = std::numeric_limits<double>::infinity();
+  BandedCohort cohort = make_cohort(a, b);
+  expect_lanes_match_solo(cohort, a, b);
+  EXPECT_TRUE(std::signbit(BandedLu(a[0]).solve(b[0])[2]));
+
+  // An inf in one lane's right-hand side stays in that lane.
+  b[1][3] = inf;
+  cohort = make_cohort(a, b);
+  expect_lanes_match_solo(cohort, a, b);
+  b[0][1] = inf;
+  b[1][3] = 0.25;
+  cohort = make_cohort(a, b);
+  expect_lanes_match_solo(cohort, a, b);
+}
+
+// A zero pivot fails only its own lane, whichever position of the pair
+// or the one-lane tail it sits in; every other lane matches its solo run.
+TEST(BandedCohort, ZeroPivotFailsOnlyItsLane) {
+  const size_t n = 12, band = 3;
+  for (size_t bad = 0; bad < 3; ++bad) {
+    SCOPED_TRACE(testing::Message() << "singular lane " << bad);
+    Rng rng(77 + bad);
+    std::vector<BandedMatrix> a;
+    std::vector<Vector> b;
+    for (size_t l = 0; l < 3; ++l) {
+      a.push_back(random_banded(n, band, band, rng));
+      b.emplace_back(n);
+      for (double& v : b.back()) v = rng.uniform(-1, 1);
+    }
+    BandedMatrix singular(n, band, band);
+    for (size_t r = 0; r < n; ++r)
+      if (r != 6) singular.add(r, r, 2.0);
+    a[bad] = singular;
+    try {
+      BandedLu solo(singular);
+      FAIL() << "BandedLu accepted a zero pivot";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::singular_matrix);
+    }
+    BandedCohort cohort = make_cohort(a, b);
+    std::vector<unsigned char> active(3, 1);
+    cohort.factor(active);
+    cohort.solve(active);
+    for (size_t l = 0; l < 3; ++l) {
+      EXPECT_EQ(active[l] != 0, l != bad) << "lane " << l;
+      if (l == bad) continue;
+      const Vector solo = BandedLu(a[l]).solve(b[l]);
+      for (size_t r = 0; r < n; ++r)
+        EXPECT_TRUE(same_bits(cohort.rhs(r, l), solo[r])) << "lane " << l << " row " << r;
+    }
+  }
+}
+
+// An inactive lane is neither factored nor counted, and the lu.singular
+// fault draws once per active lane in lane order: the same draws a
+// BandedLu per active lane makes under the same seed.
+TEST(BandedCohort, FaultDrawsAreOnePerActiveLaneInLaneOrder) {
+  const size_t n = 10, band = 2, lanes = 5;
+  Rng rng(3);
+  std::vector<BandedMatrix> a;
+  std::vector<Vector> b;
+  for (size_t l = 0; l < lanes; ++l) {
+    a.push_back(random_banded(n, band, band, rng));
+    b.emplace_back(n, 1.0);
+  }
+  const std::vector<unsigned char> armed = {1, 0, 1, 1, 1};
+
+  fault::configure("lu.singular:0.5:11");
+  std::vector<bool> solo_ok;
+  for (size_t l = 0; l < lanes; ++l) {
+    if (!armed[l]) {
+      solo_ok.push_back(false);
+      continue;
+    }
+    try {
+      BandedLu lu(a[l]);
+      solo_ok.push_back(true);
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::singular_matrix);
+      solo_ok.push_back(false);
+    }
+  }
+  const int64_t solo_fired = fault::fired_count(fault::kLuSingular);
+
+  fault::configure("lu.singular:0.5:11");
+  BandedCohort cohort = make_cohort(a, b);
+  std::vector<unsigned char> active = armed;
+  cohort.factor(active);
+  fault::clear();
+  EXPECT_GT(solo_fired, 0);
+  EXPECT_LT(solo_fired, 4);
+  for (size_t l = 0; l < lanes; ++l) EXPECT_EQ(active[l] != 0, solo_ok[l]) << "lane " << l;
 }
 
 }  // namespace

@@ -461,6 +461,25 @@ TEST(Measure, CrossingAndSlewOfIdealRamp) {
   EXPECT_THROW(crossing_time(t, v, 2.0, EdgeKind::Rising), Error);
 }
 
+TEST(Measure, NonFiniteSampleIsBadInputNamingItsIndex) {
+  std::vector<double> t, v;
+  for (int i = 0; i <= 20; ++i) {
+    t.push_back(i * 1.0 * ps);
+    v.push_back(i / 20.0);
+  }
+  for (size_t bad : {size_t{0}, size_t{7}}) {
+    std::vector<double> w = v;
+    w[bad] = std::nan("");
+    try {
+      crossing_time(t, w, 0.5, EdgeKind::Rising);
+      FAIL() << "no error for a NaN at index " << bad;
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::bad_input);
+      EXPECT_EQ(e.message(), "crossing_time: non-finite sample at index " + std::to_string(bad));
+    }
+  }
+}
+
 TEST(Measure, FallingEdge) {
   std::vector<double> t, v;
   for (int i = 0; i <= 100; ++i) {

@@ -42,6 +42,7 @@
 #include "spice/transient.hpp"
 #include "deadline/deadline.hpp"
 #include "models/baseline.hpp"
+#include "numeric/banded.hpp"
 #include "obs/ledger.hpp"
 #include "obs/report.hpp"
 #include "serve/server.hpp"
@@ -119,12 +120,65 @@ std::vector<BenchMetric> bench_mc_yield() {
           {"mean_delay_ps", mc.mean_delay * 1e12, "ps", 0.0}};
 }
 
+// One Newton iteration's linear algebra for a lane pair of the 140-row,
+// half-bandwidth-5 coupled bundle: copy the assembled images, factor and
+// solve, through the interleaved BandedCohort kernel against two scalar
+// BandedLu(a).solve(b). The cohort leg reuses its storage; each reference
+// call also allocates (a BandedMatrix copy to factor and the solution
+// Vector), so the ratio includes that allocation, not only the kernel.
+// Returns microseconds per pair for {cohort, reference}, after checking
+// that both give the same bits.
+std::pair<double, double> time_banded_pair() {
+  constexpr size_t kRows = 140, kBand = 5, kLanes = 2;
+  constexpr int kPairs = 2000;
+  Rng rng(2026);
+  std::vector<BandedMatrix> a(kLanes, BandedMatrix(kRows, kBand, kBand));
+  std::vector<Vector> b(kLanes, Vector(kRows));
+  BandedCohort image(kRows, kBand, kBand);
+  image.set_lanes(kLanes);
+  for (size_t l = 0; l < kLanes; ++l)
+    for (size_t r = 0; r < kRows; ++r) {
+      for (size_t c = r > kBand ? r - kBand : 0; c <= std::min(kRows - 1, r + kBand); ++c) {
+        const double v = r == c ? 4.0 * kBand + rng.uniform(0.0, 1.0) : rng.uniform(-1.0, 1.0);
+        a[l].add(r, c, v);
+        image.value(band_slot(r, c, kBand, kBand), l) = v;
+      }
+      b[l][r] = rng.uniform(-1.0, 1.0);
+      image.rhs(r, l) = b[l][r];
+    }
+
+  BandedCohort cohort = image;
+  std::vector<unsigned char> active(kLanes);
+  auto start = Clock::now();
+  for (int i = 0; i < kPairs; ++i) {
+    cohort = image;
+    active.assign(kLanes, 1);
+    cohort.factor(active);
+    cohort.solve(active);
+  }
+  const double cohort_us = seconds_since(start) * 1e6 / kPairs;
+
+  std::vector<Vector> x(kLanes);
+  start = Clock::now();
+  for (int i = 0; i < kPairs; ++i)
+    for (size_t l = 0; l < kLanes; ++l) x[l] = BandedLu(a[l]).solve(b[l]);
+  const double reference_us = seconds_since(start) * 1e6 / kPairs;
+
+  bool same = active[0] && active[1];
+  for (size_t l = 0; l < kLanes; ++l)
+    for (size_t r = 0; r < kRows; ++r)
+      same = same && std::memcmp(&x[l][r], &cohort.rhs(r, l), sizeof(double)) == 0;
+  require(same, "transient_kernel: cohort pair diverged from two BandedLu solves");
+  return {cohort_us, reference_us};
+}
+
 // Charlib sweep A/B over the same cell: the scalar reference engine (one
 // netlist build + solve per table point) against the batched
 // compiled-plan path the sweeps now run on (docs/kernels.md). The tables
 // must match bit for bit — the ratio is only meaningful for identical
 // results — and check_perf.sh gates ms_per_sweep_reference /
-// ms_per_sweep_batched at >= 2x.
+// ms_per_sweep_batched at >= 2x, and us_per_pair_reference /
+// us_per_pair_cohort (time_banded_pair) at >= 1.3x.
 std::vector<BenchMetric> bench_transient_kernel() {
   const Technology& tech = technology(TechNode::N65);
   CharacterizationOptions opt;
@@ -148,8 +202,11 @@ std::vector<BenchMetric> bench_transient_kernel() {
         require(a[e]->delay(i, j) == b[e]->delay(i, j) &&
                     a[e]->out_slew(i, j) == b[e]->out_slew(i, j),
                 "transient_kernel: batched sweep diverged from the reference engine");
+  const auto [cohort_us, reference_us] = time_banded_pair();
   return {{"ms_per_sweep_reference", ref_ms, "ms", 0.6},
-          {"ms_per_sweep_batched", fast_ms, "ms", 0.6}};
+          {"ms_per_sweep_batched", fast_ms, "ms", 0.6},
+          {"us_per_pair_cohort", cohort_us, "us", 0.6},
+          {"us_per_pair_reference", reference_us, "us", 0.6}};
 }
 
 // Monte-Carlo cost centers A/B, both legs asserted bit-identical
