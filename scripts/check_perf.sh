@@ -26,8 +26,12 @@ echo "=== pim_bench (fresh run) ==="
 mkdir -p build/bench_out  # shared coefficient cache location
 (cd build && ./tools/pim_bench --reps 5 --out "$workdir/fresh.json")
 
+# Both gates always run, so a bench_compare failure (e.g. a baseline
+# from a machine with another fingerprint) never hides the same-run
+# floors below; the script fails if either gate fails.
 echo "=== bench_compare against $baseline ==="
-./build/tools/bench_compare "$baseline" "$workdir/fresh.json"
+compare_status=0
+./build/tools/bench_compare "$baseline" "$workdir/fresh.json" || compare_status=$?
 
 # Speedup floors from the fresh run (docs/kernels.md). These are ratios
 # of two metrics measured in the same process, so unlike the absolute
@@ -41,7 +45,8 @@ echo "=== bench_compare against $baseline ==="
 # That last reference leg also pays a matrix copy and a solution-vector
 # allocation per BandedLu call, so its floor is not a pure kernel ratio.
 echo "=== speedup floors ==="
-python3 - "$workdir/fresh.json" <<'EOF'
+floor_status=0
+python3 - "$workdir/fresh.json" <<'EOF' || floor_status=$?
 import json, sys
 
 metrics = json.load(open(sys.argv[1]))["metrics"]
@@ -68,4 +73,9 @@ if failed:
     sys.exit("check_perf: speedup below floor")
 EOF
 
+if ((compare_status != 0 || floor_status != 0)); then
+  echo "check_perf: FAILED (bench_compare exit $compare_status," \
+       "speedup floors exit $floor_status)" >&2
+  exit 1
+fi
 echo "check_perf: OK"

@@ -1,5 +1,7 @@
 #include "cache/key.hpp"
 
+#include <charconv>
+
 #include "cache/manifest.hpp"
 #include "util/strings.hpp"
 
@@ -8,6 +10,15 @@ namespace {
 
 constexpr char kUnitSep = '\x1f';    // between field name and value
 constexpr char kRecordSep = '\x1e';  // after each field
+
+// std::to_chars(args...) into `buf`, as a view: a numeric field's text
+// without a std::string per field. 32 chars hold any double at 17
+// digits and any 64-bit integer.
+template <typename... Args>
+std::string_view render(char (&buf)[32], Args... args) {
+  const char* end = std::to_chars(buf, buf + sizeof buf, args...).ptr;
+  return std::string_view(buf, static_cast<size_t>(end - buf));
+}
 
 }  // namespace
 
@@ -40,16 +51,20 @@ KeyBuilder& KeyBuilder::field(std::string_view name, std::string_view value) {
 }
 
 KeyBuilder& KeyBuilder::field(std::string_view name, double value) {
-  // 17 significant digits: the canonical exactly-round-tripping render.
-  return field(name, std::string_view(format_sig(value, 17)));
+  // 17 significant digits: the canonical exactly-round-tripping render,
+  // the same characters as format_sig(value, 17).
+  char buf[32];
+  return field(name, render(buf, value, std::chars_format::general, 17));
 }
 
 KeyBuilder& KeyBuilder::field(std::string_view name, int64_t value) {
-  return field(name, std::string_view(std::to_string(value)));
+  char buf[32];
+  return field(name, render(buf, value));
 }
 
 KeyBuilder& KeyBuilder::field(std::string_view name, uint64_t value) {
-  return field(name, std::string_view(std::to_string(value)));
+  char buf[32];
+  return field(name, render(buf, value));
 }
 
 KeyBuilder& KeyBuilder::field(std::string_view name, const std::vector<double>& values) {

@@ -314,6 +314,7 @@ std::optional<std::string> Store::get(const CacheKey& key) {
       return it->second->payload;
     }
   }
+  PIM_OBS_SPAN("cache.store.read");
   const int64_t disk_start = timing ? obs::now_ns() : 0;
   const std::string path = entry_path(key);
   std::string image;
@@ -424,6 +425,7 @@ void Store::put(const CacheKey& key, std::string_view payload) {
   insert_memory(key.kind + "/" + key.hex, std::string(payload), manifest_image,
                 manifest.cost_ns);
   if (mode() != Mode::ReadWrite) return;
+  PIM_OBS_SPAN("cache.store.write");
   // Disk failures only cost future warm starts, so they retry with
   // backoff and finally demote to a warning instead of failing the
   // computation that produced `payload`. Order matters: the manifest

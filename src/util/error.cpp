@@ -56,6 +56,10 @@ void fail(const std::string& message) { throw Error(message); }
 
 void fail(const std::string& message, ErrorCode code) { throw Error(message, code); }
 
+void fail(const char* message) { throw Error(message); }
+
+void fail(const char* message, ErrorCode code) { throw Error(message, code); }
+
 void fail_at(const char* file, int line, const std::string& message, ErrorCode code) {
   // Strip the directory: call sites only need the basename to be findable.
   const std::string path(file);

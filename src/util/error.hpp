@@ -60,14 +60,28 @@ class Error : public std::runtime_error {
   std::vector<std::string> context_;
 };
 
+/// Unconditionally throws pim::Error; use for unreachable branches.
+[[noreturn]] void fail(const std::string& message);
+[[noreturn]] void fail(const std::string& message, ErrorCode code);
+[[noreturn]] void fail(const char* message);
+[[noreturn]] void fail(const char* message, ErrorCode code);
+
 /// Throws pim::Error with `message` when `condition` is false.
 /// Used to establish preconditions at public API boundaries.
 void require(bool condition, const std::string& message);
 void require(bool condition, const std::string& message, ErrorCode code);
 
-/// Unconditionally throws pim::Error; use for unreachable branches.
-[[noreturn]] void fail(const std::string& message);
-[[noreturn]] void fail(const std::string& message, ErrorCode code);
+/// require() for a literal message, the common case: the condition is
+/// tested inline and the message becomes a std::string only on failure,
+/// inside the out-of-line fail(). A passing check therefore never
+/// allocates, which matters on per-sample paths such as the Monte-Carlo
+/// loop. The thrown Error is the same as the std::string overload's.
+inline void require(bool condition, const char* message) {
+  if (!condition) [[unlikely]] fail(message);
+}
+inline void require(bool condition, const char* message, ErrorCode code) {
+  if (!condition) [[unlikely]] fail(message, code);
+}
 
 /// Implementation hook for PIM_REQUIRE: throws with " (file:line)" appended.
 [[noreturn]] void fail_at(const char* file, int line, const std::string& message,

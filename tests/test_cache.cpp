@@ -6,9 +6,12 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -27,6 +30,7 @@
 #include "tech/techfile.hpp"
 #include "util/error.hpp"
 #include "util/faultinject.hpp"
+#include "util/strings.hpp"
 #include "util/units.hpp"
 #include "variation/variation.hpp"
 
@@ -88,6 +92,44 @@ TEST(Sha256, StreamingMatchesOneShot) {
   EXPECT_EQ(h2.hex_digest(), sha256_hex(big));
 }
 
+TEST(Sha256, MillionAs) {
+  // FIPS 180-4 long-message vector: one million repetitions of 'a'.
+  EXPECT_EQ(sha256_hex(std::string(1000000, 'a')),
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+TEST(Sha256, HardwareAndPortableCompressionAgree) {
+  EXPECT_EQ(detail::sha256_hex_portable("abc"), sha256_hex("abc"));
+  // Random lengths streamed through Sha256 (the dispatched compression)
+  // in random pieces, against the portable oracle.
+  std::mt19937_64 rng(2026);
+  for (int trial = 0; trial < 300; ++trial) {
+    std::string message(rng() % 4097, '\0');
+    for (char& c : message) c = static_cast<char>(rng());
+    Sha256 hasher;
+    for (size_t at = 0; at < message.size();) {
+      const size_t take = std::min<size_t>(message.size() - at, rng() % 300);
+      hasher.update(message.data() + at, take);
+      at += take;
+    }
+    ASSERT_EQ(hasher.hex_digest(), detail::sha256_hex_portable(message))
+        << "length " << message.size();
+  }
+  if (!detail::sha_extensions()) GTEST_SKIP() << "CPU lacks the SHA extensions";
+  // The SHA-NI body straight against the portable loop, from random
+  // chaining states and over runs of 1..16 blocks.
+  for (int trial = 0; trial < 200; ++trial) {
+    const size_t blocks = 1 + rng() % 16;
+    std::vector<uint8_t> data(64 * blocks);
+    for (uint8_t& b : data) b = static_cast<uint8_t>(rng());
+    uint32_t hardware[8], portable[8];
+    for (int i = 0; i < 8; ++i) hardware[i] = portable[i] = static_cast<uint32_t>(rng());
+    detail::compress(hardware, data.data(), blocks);
+    detail::compress_portable(portable, data.data(), blocks);
+    ASSERT_TRUE(std::equal(hardware, hardware + 8, portable)) << "trial " << trial;
+  }
+}
+
 TEST(KeyBuilder, StableAcrossRebuilds) {
   const auto build = [] {
     KeyBuilder kb("fit");
@@ -136,6 +178,32 @@ TEST(KeyBuilder, BlobsAreLengthPrefixed) {
   KeyBuilder k2("k");
   k2.blob("ab", "c");
   EXPECT_NE(k1.finish().hex, k2.finish().hex);
+}
+
+// Numeric fields render into a stack buffer; the key must be the one the
+// canonical text renders give (17-digit format_sig, std::to_string).
+TEST(KeyBuilder, NumericFieldsHashTheirCanonicalText) {
+  const double doubles[] = {0.0, -0.0, 5e-3, -1.0 / 3.0, 6.02214076e23, 4.9e-324,
+                            1.7976931348623157e308, std::numeric_limits<double>::infinity(),
+                            std::numeric_limits<double>::quiet_NaN()};
+  const int64_t signeds[] = {0, -1, 17, std::numeric_limits<int64_t>::min(),
+                             std::numeric_limits<int64_t>::max()};
+  const uint64_t unsigneds[] = {0, 42, std::numeric_limits<uint64_t>::max()};
+  KeyBuilder fast("k");
+  KeyBuilder text("k");
+  for (double v : doubles) {
+    fast.field("d", v);
+    text.field("d", format_sig(v, 17));
+  }
+  for (int64_t v : signeds) {
+    fast.field("i", v);
+    text.field("i", std::to_string(v));
+  }
+  for (uint64_t v : unsigneds) {
+    fast.field("u", v);
+    text.field("u", std::to_string(v));
+  }
+  EXPECT_EQ(fast.finish().hex, text.finish().hex);
 }
 
 TEST(CacheMode, NameParsing) {

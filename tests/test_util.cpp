@@ -51,6 +51,36 @@ TEST(Error, RequireThrowsOnlyWhenFalse) {
   }
 }
 
+// require() with a literal message takes the inline overload that builds
+// the string only on failure; the Error it throws must be the one the
+// std::string overload throws, text and code alike.
+TEST(Error, LiteralRequireKeepsMessageAndCode) {
+  const auto thrown = [](const auto& check) {
+    try {
+      check();
+    } catch (const Error& e) {
+      return e;
+    }
+    ADD_FAILURE() << "should have thrown";
+    return Error("no throw");
+  };
+  EXPECT_NO_THROW(require(true, "ok", ErrorCode::bad_input));
+  const char* const text = "delay_quantile: q must be in [0, 1]";
+  const Error literal = thrown([&] { require(false, text); });
+  const Error owned = thrown([&] { require(false, std::string(text)); });
+  EXPECT_EQ(literal.message(), text);
+  EXPECT_EQ(literal.code(), ErrorCode::internal);
+  EXPECT_STREQ(literal.what(), owned.what());
+  const Error coded = thrown([] { require(false, "bad drive", ErrorCode::bad_input); });
+  const Error coded_owned =
+      thrown([] { require(false, std::string("bad drive"), ErrorCode::bad_input); });
+  EXPECT_EQ(coded.message(), "bad drive");
+  EXPECT_EQ(coded.code(), ErrorCode::bad_input);
+  EXPECT_STREQ(coded.what(), "bad drive [bad_input]");
+  EXPECT_STREQ(coded.what(), coded_owned.what());
+  EXPECT_EQ(thrown([] { fail("gone", ErrorCode::io_parse); }).code(), ErrorCode::io_parse);
+}
+
 TEST(Error, CarriesTaxonomyCode) {
   try {
     fail("cannot invert", ErrorCode::singular_matrix);

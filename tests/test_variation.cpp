@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
 
 #include "charlib/characterize.hpp"
 #include "sta/calibrated.hpp"
@@ -11,6 +14,21 @@
 #include "variation/variation.hpp"
 
 #include "fit_options.hpp"
+
+// Every global allocation made by this test binary bumps the calling
+// thread's counter, so a test can assert that a code path allocates
+// nothing. The array and nothrow forms forward here by default.
+namespace {
+thread_local int64_t t_allocations = 0;
+}  // namespace
+
+void* operator new(std::size_t size) {
+  ++t_allocations;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace pim {
 namespace {
@@ -109,6 +127,24 @@ TEST_F(VariationFixture, PerturbationsMoveTheRightWay) {
   const LinkEstimate e = evaluate_with_variation(*model_, ctx(), design(), fat_wire);
   EXPECT_GT(e.delay, nominal);
   EXPECT_GT(e.switched_cap, model_->evaluate(ctx(), design()).switched_cap);
+}
+
+// The Monte-Carlo inner loop runs once per sample, 20,000 times per yield
+// run: drawing a corner and evaluating the perturbed link must not touch
+// the heap (contract checks with literal messages included).
+TEST_F(VariationFixture, SampleEvaluationDoesNotAllocate) {
+  const LinkContext c = ctx();
+  const LinkDesign d = design();
+  const VariationSigmas sigmas;
+  Rng rng(5);
+  double sink = evaluate_with_variation(*model_, c, d, sample_variation(rng, sigmas)).delay;
+  constexpr int kSamples = 100;
+  const int64_t before = t_allocations;
+  for (int i = 0; i < kSamples; ++i)
+    sink += evaluate_with_variation(*model_, c, d, sample_variation(rng, sigmas)).delay;
+  const int64_t allocations = t_allocations - before;
+  EXPECT_EQ(allocations, 0) << allocations / kSamples << " per sample";
+  EXPECT_GT(sink, 0.0);
 }
 
 TEST_F(VariationFixture, MonteCarloStatisticsAreSane) {
