@@ -8,10 +8,10 @@
 #include <chrono>
 #include <cstdlib>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
-#include "cache/manifest.hpp"
 #include "cache/store.hpp"
 #include "exec/engine.hpp"
 #include "models/proposed.hpp"
@@ -27,14 +27,6 @@ namespace pim::bench {
 
 inline std::string out_dir() { return ensure_out_dir(); }
 
-/// Calibrated fit for `node`, cached under bench_out/.
-inline TechnologyFit cached_fit(TechNode node) {
-  CharacterizationOptions copt;
-  copt.drives = {2, 4, 8, 16, 32, 64};
-  const std::string path = out_dir() + "/coeffs_" + tech_node_name(node) + ".pimfit";
-  return calibrated_fit(technology(node), Corner{}, path, copt);
-}
-
 /// The trio nearly every bench binary opens with: the built-in
 /// technology, its cached calibrated fit, and the proposed model bound to
 /// both. The model copies the fit, so the struct is freely movable.
@@ -44,17 +36,21 @@ struct BenchModel {
   ProposedModel model;
 };
 
-/// Loads technology(node) + cached_fit(node) and binds the model, with
-/// the fit's cache key (captured from the key calibrated_fit publishes)
-/// as its provenance, so cached results keyed on the model record the
-/// fit as their upstream artifact.
+/// technology(node) and its resident model over the calibrated fit
+/// cached under bench_out/. The model's provenance is the fit's cache
+/// key, so cached results keyed on it record the fit as their upstream
+/// artifact.
 inline BenchModel cached_model(TechNode node) {
+  CharacterizationOptions copt;
+  copt.drives = {2, 4, 8, 16, 32, 64};
+  const std::string path = out_dir() + "/coeffs_" + tech_node_name(node) + ".pimfit";
   const Technology& tech = technology(node);
-  const cache::Tracked scope;
-  TechnologyFit fit = cached_fit(node);
-  ProposedModel model(tech, fit, scope.upstream_keys());
-  return {tech, std::move(fit), std::move(model)};
+  const std::shared_ptr<const ProposedModel> model = resident_model(tech, Corner{}, path, copt);
+  return {tech, model->fit(), *model};
 }
+
+/// Calibrated fit for `node`, cached under bench_out/.
+inline TechnologyFit cached_fit(TechNode node) { return cached_model(node).fit; }
 
 /// The standard bench link context: length in mm, 100 ps input slew, and
 /// the technology's default clock.

@@ -134,18 +134,23 @@ LinkDesign design_of(const LinkSpec& link, const char* who) {
   return design;
 }
 
-// The single-corner ops' way to calibrated coefficients: the resident
-// model (sta/calibrated.hpp), whose fit() is the calibrated fit. A warm
-// call skips the store read, the payload parse, the model build and its
+// Every op's way to calibrated coefficients, under one api.calibrate
+// span: the resident model (sta/calibrated.hpp), whose fit() is the
+// calibrated fit, or one per corner for the multi-corner ops. A warm call
+// skips the store read, the payload parse, the model build and its
 // coefficient hash while preserving every counter/provenance side effect
-// of the store path. The multi-corner ops (run_corners, run_synthesis
-// with corners) build their models through corner_models instead, which
-// resolves every corner's fit through the store on each call.
+// of the store path.
 std::shared_ptr<const ProposedModel> calibrated_model(const Technology& base,
                                                       const Corner& corner,
                                                       const std::string& coeffs_path) {
   obs::TraceSpan span("api.calibrate");
   return resident_model(base, corner, coeffs_path);
+}
+
+CornerModelSet calibrated_corners(const Technology& base, const std::vector<Corner>& corners,
+                                  const std::string& coeffs_path) {
+  obs::TraceSpan span("api.calibrate");
+  return CornerModelSet(corner_models(base, corners, coeffs_path));
 }
 
 SocSpec spec_of(const std::string& which, const char* who) {
@@ -359,7 +364,7 @@ Expected<CornersResult> run_corners(const CornersRequest& request) {
     const LinkContext ctx = context_of(tech, request.link, who);
     const LinkDesign design = design_of(request.link, who);
     const std::vector<Corner> corners = tech.scenario_set().resolve(request.corners);
-    const CornerModelSet set(corner_models(tech, corners, request.link.coeffs_path));
+    const CornerModelSet set = calibrated_corners(tech, corners, request.link.coeffs_path);
     CornerSignoffOptions opt;
     opt.target_period = request.target_period_ps * ps;
     const CornerSignoffResult signoff = signoff_corners(set, ctx, design, opt);
@@ -419,7 +424,7 @@ Expected<SynthesisResult> run_synthesis(const SynthesisRequest& request) {
       const std::vector<Corner> corners =
           base.scenario_set().resolve(request.corners);
       return std::make_shared<WorstCornerModel>(
-          CornerModelSet(corner_models(base, corners, request.coeffs_path)));
+          calibrated_corners(base, corners, request.coeffs_path));
     }();
     const NocSynthesisResult r = [&] {
       if (request.mesh) {

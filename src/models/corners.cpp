@@ -22,7 +22,7 @@ WorstCornerModel::WorstCornerModel(CornerModelSet set) : set_(std::move(set)) {
   signature_ = "worst(";
   for (const CornerModel& m : set_.models()) {
     if (signature_.back() != '(') signature_ += ',';
-    signature_ += m.corner.name + "=" + m.model.cache_signature();
+    signature_ += m.corner.name + "=" + m.model->cache_signature();
   }
   signature_ += ')';
 }
@@ -30,7 +30,7 @@ WorstCornerModel::WorstCornerModel(CornerModelSet set) : set_(std::move(set)) {
 std::vector<cache::CacheKey> WorstCornerModel::provenance() const {
   std::vector<cache::CacheKey> keys;
   for (const CornerModel& m : set_.models())
-    for (cache::CacheKey& key : m.model.provenance()) keys.push_back(std::move(key));
+    for (cache::CacheKey& key : m.model->provenance()) keys.push_back(std::move(key));
   return keys;
 }
 
@@ -39,7 +39,7 @@ LinkEstimate WorstCornerModel::evaluate(const LinkContext& context,
   LinkEstimate worst;
   bool first = true;
   for (const CornerModel& m : set_.models()) {
-    const LinkEstimate e = m.model.evaluate(context, design);
+    const LinkEstimate e = m.model->evaluate(context, design);
     if (first) {
       worst = e;
       first = false;
@@ -58,9 +58,9 @@ LinkEstimate WorstCornerModel::evaluate(const LinkContext& context,
 const CornerModel& WorstCornerModel::dominating(const LinkContext& context,
                                                 const LinkDesign& design) const {
   const CornerModel* argmax = &set_.models().front();
-  double max_delay = argmax->model.evaluate(context, design).delay;
+  double max_delay = argmax->model->evaluate(context, design).delay;
   for (const CornerModel& m : set_.models()) {
-    const double d = m.model.evaluate(context, design).delay;
+    const double d = m.model->evaluate(context, design).delay;
     if (d > max_delay) {
       max_delay = d;
       argmax = &m;

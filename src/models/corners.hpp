@@ -9,6 +9,7 @@
 // WorstCornerModel closes at every corner of the set.
 #pragma once
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -17,10 +18,11 @@
 
 namespace pim {
 
-/// One corner's calibrated model.
+/// One corner's calibrated model, shared with the resident tier
+/// (sta/calibrated.hpp's resident_model).
 struct CornerModel {
   Corner corner;
-  ProposedModel model;
+  std::shared_ptr<const ProposedModel> model;
 };
 
 /// A corner-indexed model set, each model bound to
@@ -52,7 +54,7 @@ class WorstCornerModel final : public InterconnectModel {
   explicit WorstCornerModel(CornerModelSet set);
 
   const std::string& name() const override { return name_; }
-  const Technology& tech() const override { return set_.models().front().model.tech(); }
+  const Technology& tech() const override { return set_.models().front().model->tech(); }
   const CornerModelSet& corners() const { return set_; }
 
   LinkEstimate evaluate(const LinkContext& context,

@@ -1,5 +1,8 @@
 #include "sta/calibrated.hpp"
 
+#include <sys/stat.h>
+
+#include <cstdint>
 #include <fstream>
 #include <map>
 #include <mutex>
@@ -107,10 +110,34 @@ TechnologyFit compute_fit(const Technology& tech, const Corner& corner,
 
 // ---------------------------------------------------------------- residency
 
+// A coefficient file as the resident tier last saw it: its size and
+// modification time in ns, or absent.
+struct FileStamp {
+  bool present = false;
+  int64_t size = 0;
+  int64_t mtime_ns = 0;
+  bool operator==(const FileStamp&) const = default;
+};
+
+FileStamp stamp_of(const std::string& path) {
+  struct stat st {};
+  if (::stat(path.c_str(), &st) != 0) return {};
+  return {true, static_cast<int64_t>(st.st_size),
+          static_cast<int64_t>(st.st_mtim.tv_sec) * 1000000000 + st.st_mtim.tv_nsec};
+}
+
+// A resident model and the stamp of the coefficient file it was resolved
+// from (absent when no file tier applied).
+struct ResidentEntry {
+  std::shared_ptr<const ProposedModel> model;
+  FileStamp stamp;
+};
+
 // The process-wide resident tier: calibrated models keyed by their fit's
-// content-cache key, shared immutably across threads, each carrying that
-// key as its provenance. Bounded only by the number of distinct (tech,
-// corner, deck-knob) combinations a process touches — a model holds one
+// content-cache key (plus the coefficient file, where one applies),
+// shared immutably across threads, each carrying that key as its
+// provenance. Bounded only by the number of distinct (tech, corner,
+// deck-knob, file) combinations a process touches — a model holds one
 // ~2 KB fit, so even a server holding every built-in node at every
 // corner stays in the tens of kilobytes. The Technology a model binds is
 // registry-stable for the process lifetime (corner_technology), so a
@@ -120,8 +147,8 @@ std::mutex& resident_mutex() {
   return m;
 }
 
-std::map<std::string, std::shared_ptr<const ProposedModel>>& resident_models() {
-  static std::map<std::string, std::shared_ptr<const ProposedModel>> m;
+std::map<std::string, ResidentEntry>& resident_models() {
+  static std::map<std::string, ResidentEntry> m;
   return m;
 }
 
@@ -180,38 +207,59 @@ TechnologyFit calibrated_fit(const Technology& base, const Corner& corner,
 
 std::shared_ptr<const ProposedModel> resident_model(const Technology& base,
                                                     const Corner& corner,
-                                                    const std::string& cache_path) {
+                                                    const std::string& cache_path,
+                                                    const CharacterizationOptions& characterization,
+                                                    const CompositionOptions& composition) {
   const Technology& tech = corner_technology(base, corner);
   // Mirror the store's bypass semantics: with the cache off or the fault
   // harness armed, injected faults and cache-off runs must exercise the
   // real compute path instead of yesterday's resident copy.
   const bool memo_enabled = cache::mode() != cache::Mode::Off && !fault::armed();
+  // Where resolve_fit's file tier applies, the file is part of the slot
+  // and its stamp must still match for a hit.
+  const bool file_tier = memo_enabled && !cache_path.empty() && corner.is_nominal();
+  FileStamp stamp = file_tier ? stamp_of(cache_path) : FileStamp{};
+  std::string slot;
   if (memo_enabled) {
     // A local provenance scope absorbs the facets fit_cache_key records,
     // exactly like the store path's scope — the caller's manifest must
     // see the fit as one upstream key, never its raw facets.
     const cache::Tracked scope;
-    const cache::CacheKey key = fit_cache_key(tech, corner, {}, {});
+    const cache::CacheKey key = fit_cache_key(tech, corner, characterization, composition);
+    slot = file_tier ? key.hex + '\n' + cache_path : key.hex;
     std::lock_guard<std::mutex> lock(resident_mutex());
-    const auto it = resident_models().find(key.hex);
-    if (it != resident_models().end()) {
+    // A call that names no file is also served by an entry a file resolved
+    // for the same fit key (the first in key order) when it has none of its
+    // own, so a server warmed by loading a file answers requests that name
+    // none without a refit.
+    const auto it = file_tier ? resident_models().find(slot)
+                              : resident_models().lower_bound(slot);
+    if (it != resident_models().end() && it->first.starts_with(slot) &&
+        (!file_tier || it->second.stamp == stamp)) {
       // Same observable side effects as a store hit (minus the store
       // I/O): the corner hit counter and the provenance edge into the
       // enclosing scope.
       count_corner(corner, "hit");
       PIM_COUNT("model.resident.hit");
       scope.publish(key);
-      return it->second;
+      return it->second.model;
     }
   }
-  ResolvedFit resolved = resolve_fit(base, corner, cache_path, {}, {});
+  ResolvedFit resolved = resolve_fit(base, corner, cache_path, characterization, composition);
+  // resolve_fit saves the fit to a path that held no file: stamp the file
+  // it wrote, so the next call is a hit.
+  if (file_tier && !stamp.present) stamp = stamp_of(cache_path);
   auto model = std::make_shared<const ProposedModel>(
       tech, std::move(resolved.fit), std::vector<cache::CacheKey>{resolved.key});
   if (!memo_enabled) return model;
-  // First writer wins: after concurrent cold misses every caller shares
-  // the instance that was inserted first.
+  // An entry with this stamp wins — the first writer after concurrent
+  // cold misses, or the thread that already replaced a stale entry — so
+  // racing callers share one instance; an entry with another stamp is
+  // replaced.
   std::lock_guard<std::mutex> lock(resident_mutex());
-  return resident_models().emplace(resolved.key.hex, std::move(model)).first->second;
+  ResidentEntry& entry = resident_models()[slot];
+  if (entry.model == nullptr || entry.stamp != stamp) entry = {std::move(model), stamp};
+  return entry.model;
 }
 
 void clear_resident_fits() {

@@ -35,24 +35,32 @@ TechnologyFit calibrated_fit(const Technology& base, const Corner& corner,
 /// RAM: the ProposedModel bound to corner_technology(base, corner) over
 /// the calibrated_fit coefficients (its fit() is that fit, its
 /// provenance() that fit's content-cache key). This is the only
-/// process-wide memo of calibrated coefficients, keyed by the fit's
+/// process-wide memo of calibrated coefficients and the only code that
+/// builds a ProposedModel from a resolved fit. It is keyed by the fit's
 /// content-cache key, so two calls share an instance exactly when they
 /// would resolve the same fit; concurrent cold misses keep the first
-/// instance inserted. A warm call skips the store read, the payload
-/// parse, the model build and its coefficient hash, but keeps every
-/// observable contract of the store path — corner.<name>.fit.hit is
-/// counted and the fit key is published to the enclosing provenance
-/// scope — so downstream manifests are identical whichever tier served
-/// the fit. A memo hit additionally counts model.resident.hit. The memo
-/// is bypassed entirely (reads and inserts) while cache mode is `off` or
-/// the fault harness is armed, mirroring the store's own bypass. A
-/// coefficient file is a load-or-save cache of the content key, not part
-/// of it. The model is immutable and safe to share across threads; it is
-/// the hot path a long-running server (pimd) evaluates millions of links
-/// through.
-std::shared_ptr<const ProposedModel> resident_model(const Technology& base,
-                                                    const Corner& corner,
-                                                    const std::string& cache_path = "");
+/// instance inserted. Where calibrated_fit's coefficient-file tier
+/// applies (nominal corner, non-empty `cache_path`), the path joins the
+/// key and the entry remembers the file's stamp (size and mtime in ns, or
+/// absent): every hit stats the file again, and a changed stamp is a
+/// miss that resolves the fit anew and replaces the entry, so a rewritten
+/// file takes effect on the next call. A call that names no file is
+/// served by a file-resolved entry of the same fit key when there is no
+/// entry of its own, so a server warmed by loading a coefficient file
+/// answers requests that name none without a refit. A warm call skips the store read,
+/// the payload parse, the model build and its coefficient hash, but keeps
+/// every observable contract of the store path — corner.<name>.fit.hit is
+/// counted and the fit key is published to the enclosing provenance scope
+/// — so downstream manifests are identical whichever tier served the fit.
+/// A memo hit additionally counts model.resident.hit. The memo is
+/// bypassed entirely (reads and inserts) while cache mode is `off` or the
+/// fault harness is armed, mirroring the store's own bypass. The model is
+/// immutable and safe to share across threads; it is the hot path a
+/// long-running server (pimd) evaluates millions of links through.
+std::shared_ptr<const ProposedModel> resident_model(
+    const Technology& base, const Corner& corner, const std::string& cache_path = "",
+    const CharacterizationOptions& characterization = {},
+    const CompositionOptions& composition = {});
 
 /// Drops every resident model (tests / explicit invalidation flows).
 void clear_resident_fits();

@@ -1,7 +1,5 @@
 #include "sta/corners.hpp"
 
-#include <utility>
-
 #include "cache/manifest.hpp"
 #include "exec/engine.hpp"
 #include "obs/metrics.hpp"
@@ -20,22 +18,13 @@ std::vector<CornerModel> corner_models(
   // characterize_library detect the nested region and run inline, so the
   // pool is never re-entered. Fail-fast: a corner that cannot be fitted
   // is a real error, not a degradable sample. Each item's own provenance
-  // scope captures the fit key calibrated_fit publishes, whichever
-  // worker runs it.
-  using KeyedFit = std::pair<TechnologyFit, std::vector<cache::CacheKey>>;
-  std::vector<KeyedFit> fits = exec::parallel_map<KeyedFit>(corners.size(), [&](size_t i) {
+  // scope absorbs the fit key resident_model publishes, so an item run on
+  // the caller's thread adds no edge to the caller's scope.
+  return exec::parallel_map<CornerModel>(corners.size(), [&](size_t i) {
     const cache::Tracked scope;
-    TechnologyFit fit =
-        calibrated_fit(base, corners[i], cache_path, characterization, composition);
-    return KeyedFit{std::move(fit), scope.upstream_keys()};
+    return CornerModel{corners[i], resident_model(base, corners[i], cache_path,
+                                                  characterization, composition)};
   });
-  std::vector<CornerModel> out;
-  out.reserve(corners.size());
-  for (size_t i = 0; i < corners.size(); ++i)
-    out.push_back({corners[i], ProposedModel(corner_technology(base, corners[i]),
-                                             std::move(fits[i].first),
-                                             std::move(fits[i].second))});
-  return out;
 }
 
 CornerSignoffResult signoff_corners(const CornerModelSet& set,
@@ -48,14 +37,14 @@ CornerSignoffResult signoff_corners(const CornerModelSet& set,
   result.corners.reserve(set.size());
   for (const CornerModel& m : set.models()) {
     obs::registry().counter("corner." + m.corner.name + ".signoff").add(1);
-    const LinkEstimate e = m.model.evaluate(context, design);
+    const LinkEstimate e = m.model->evaluate(context, design);
     CornerTiming row;
     row.corner = m.corner;
     row.delay = e.delay;
     row.output_slew = e.output_slew;
     row.slack = result.target_period - e.delay;
     row.noise_peak =
-        noise_peak_model(m.model.tech(), m.model.fit(), context, design, options.kappa_n);
+        noise_peak_model(m.model->tech(), m.model->fit(), context, design, options.kappa_n);
     if (result.corners.empty() || row.slack < result.worst().slack)
       result.worst_index = result.corners.size();
     result.corners.push_back(row);

@@ -1,12 +1,12 @@
 // Multi-corner calibration and signoff — the scenario layer's face inside
 // pim::sta.
 //
-// corner_models() runs calibrated_fit() once per corner (fanned out over
-// pim::exec; each corner's own deck sweeps then run inline on that
-// worker) and binds each fit, with its cache key, into a corner model;
-// `CornerModelSet(corner_models(base, corners))` packages the results,
-// and signoff_corners() answers the signoff question:
-// per-corner delay/slack/noise for one link, plus which corner dominates.
+// corner_models() takes each corner's resident model (resident_model,
+// fanned out over pim::exec; each corner's own deck sweeps then run
+// inline on that worker); `CornerModelSet(corner_models(base, corners))`
+// packages the results, and signoff_corners() answers the signoff
+// question: per-corner delay/slack/noise for one link, plus which corner
+// dominates.
 #pragma once
 
 #include <string>
@@ -18,11 +18,11 @@
 namespace pim {
 
 /// Calibrated model of `base` per corner, in `corners` order: each
-/// corner's calibrated_fit bound to corner_technology(base, corner), with
-/// the fit's cache key as the model's provenance. Corners are fanned out
-/// over pim::exec (deterministic ordered results at any --threads); each
-/// corner caches independently via calibrated_fit. `cache_path` follows
-/// the calibrated_fit contract (nominal corner only).
+/// corner's resident_model, shared with the resident tier, so a warm
+/// call decodes nothing and returns the instances an earlier call did.
+/// Corners are fanned out over pim::exec (deterministic ordered results
+/// at any --threads); each corner caches independently. `cache_path`
+/// follows the calibrated_fit contract (nominal corner only).
 std::vector<CornerModel> corner_models(
     const Technology& base, const std::vector<Corner>& corners,
     const std::string& cache_path = "",

@@ -273,6 +273,7 @@ class CornerFlowFixture : public ::testing::Test {
     delete set_;
     delete models_;
     delete corners_;
+    clear_resident_fits();
     cache::Store::global().clear_memory();
     cache::reset_mode();
     cache::set_dir("");
@@ -292,9 +293,9 @@ std::vector<CornerModel>* CornerFlowFixture::models_ = nullptr;
 CornerModelSet* CornerFlowFixture::set_ = nullptr;
 
 TEST_F(CornerFlowFixture, SlowAndFastCornersBracketNominal) {
-  const double nominal = set_->at("nominal").model.evaluate(link_ctx(), link_design()).delay;
-  const double ss = set_->at("ss").model.evaluate(link_ctx(), link_design()).delay;
-  const double ff = set_->at("ff").model.evaluate(link_ctx(), link_design()).delay;
+  const double nominal = set_->at("nominal").model->evaluate(link_ctx(), link_design()).delay;
+  const double ss = set_->at("ss").model->evaluate(link_ctx(), link_design()).delay;
+  const double ff = set_->at("ff").model->evaluate(link_ctx(), link_design()).delay;
   EXPECT_GT(ss, nominal);
   EXPECT_LT(ff, nominal);
 }
@@ -305,7 +306,7 @@ TEST_F(CornerFlowFixture, NominalCornerFitMatchesCalibratedFit) {
   const TechnologyFit plain =
       calibrated_fit(technology(TechNode::N65), Corner{}, "",
                      trimmed_inverter_characterization(), trimmed_composition());
-  const TechnologyFit& nominal = set_->at("nominal").model.fit();
+  const TechnologyFit& nominal = set_->at("nominal").model->fit();
   EXPECT_DOUBLE_EQ(plain.vdd, nominal.vdd);
   EXPECT_DOUBLE_EQ(plain.gamma, nominal.gamma);
   EXPECT_DOUBLE_EQ(plain.inv_rise.a0, nominal.inv_rise.a0);
@@ -317,9 +318,9 @@ TEST_F(CornerFlowFixture, NominalCornerFitMatchesCalibratedFit) {
 }
 
 TEST_F(CornerFlowFixture, LeakageDerateScalesTheFittedCoefficients) {
-  const TechnologyFit& nominal = set_->at("nominal").model.fit();
+  const TechnologyFit& nominal = set_->at("nominal").model->fit();
   const Corner& ff = ScenarioSet::builtin().corner("ff");
-  const TechnologyFit& fast = set_->at("ff").model.fit();
+  const TechnologyFit& fast = set_->at("ff").model->fit();
   // FF leakage blows up both through the derated devices and the final
   // corner.leakage scale; it must land well above nominal.
   EXPECT_GT(fast.leakage.eval_avg(1e-6, 2e-6),
@@ -339,7 +340,7 @@ TEST_F(CornerFlowFixture, WarmPerCornerCacheIsBitIdenticalToCold) {
       calibrated_fit(technology(TechNode::N65), ss, "",
                      trimmed_inverter_characterization(), trimmed_composition());
   EXPECT_EQ(hits.value(), hits_before + 1);
-  const TechnologyFit& cold = set_->at("ss").model.fit();
+  const TechnologyFit& cold = set_->at("ss").model->fit();
   EXPECT_DOUBLE_EQ(warm.vdd, cold.vdd);
   EXPECT_DOUBLE_EQ(warm.gamma, cold.gamma);
   EXPECT_DOUBLE_EQ(warm.inv_rise.a0, cold.inv_rise.a0);
@@ -354,7 +355,7 @@ TEST_F(CornerFlowFixture, WarmPerCornerCacheIsBitIdenticalToCold) {
   // Same model behavior, not just same stored numbers.
   const ProposedModel m(corner_technology(technology(TechNode::N65), ss), warm);
   EXPECT_DOUBLE_EQ(m.evaluate(link_ctx(), link_design()).delay,
-                   set_->at("ss").model.evaluate(link_ctx(), link_design()).delay);
+                   set_->at("ss").model->evaluate(link_ctx(), link_design()).delay);
 }
 
 TEST_F(CornerFlowFixture, CornerModelSetLookup) {
@@ -373,7 +374,7 @@ TEST_F(CornerFlowFixture, WorstCornerModelTakesPerMetricMax) {
   double max_delay = 0.0;
   double max_leak = 0.0;
   for (const CornerModel& m : set_->models()) {
-    const LinkEstimate e = m.model.evaluate(link_ctx(), link_design());
+    const LinkEstimate e = m.model->evaluate(link_ctx(), link_design());
     max_delay = std::max(max_delay, e.delay);
     max_leak = std::max(max_leak, e.leakage_power);
   }
@@ -381,7 +382,7 @@ TEST_F(CornerFlowFixture, WorstCornerModelTakesPerMetricMax) {
   EXPECT_DOUBLE_EQ(w.leakage_power, max_leak);
   // Area is layout, not process: it reports the reference corner's value.
   EXPECT_DOUBLE_EQ(w.repeater_area,
-                   set_->models().front().model.evaluate(link_ctx(), link_design()).repeater_area);
+                   set_->models().front().model->evaluate(link_ctx(), link_design()).repeater_area);
   EXPECT_EQ(worst.dominating(link_ctx(), link_design()).corner.name, "ss");
 }
 
@@ -419,6 +420,27 @@ TEST_F(CornerFlowFixture, WorstCornerBufferingRecordsEveryCornerFitKey) {
   }
 }
 
+// A second corner_models over the same corners is served by the resident
+// tier: the fixture's own instances, one resident hit per corner, and no
+// store payload decoded.
+TEST_F(CornerFlowFixture, WarmCornerModelsAreTheResidentInstances) {
+  const MetricsOn metrics;
+  obs::Counter& hits = obs::registry().counter("model.resident.hit");
+  obs::Timer& decodes = obs::registry().timer("cache.decode");
+  const int64_t hits_before = hits.value();
+  const int64_t decodes_before = decodes.count();
+  const std::vector<CornerModel> warm =
+      corner_models(technology(TechNode::N65), *corners_, "",
+                    trimmed_inverter_characterization(), trimmed_composition());
+  ASSERT_EQ(warm.size(), models_->size());
+  for (size_t i = 0; i < warm.size(); ++i) {
+    EXPECT_EQ(warm[i].corner.name, (*corners_)[i].name);
+    EXPECT_EQ(warm[i].model, (*models_)[i].model) << (*corners_)[i].name;
+  }
+  EXPECT_EQ(hits.value() - hits_before, 3);
+  EXPECT_EQ(decodes.count() - decodes_before, 0);
+}
+
 TEST_F(CornerFlowFixture, SignoffReportsWorstCornerAndBracketsNominal) {
   const CornerSignoffResult r = signoff_corners(*set_, link_ctx(), link_design());
   ASSERT_EQ(r.corners.size(), 3u);
@@ -447,7 +469,7 @@ TEST_F(CornerFlowFixture, SignoffReportsWorstCornerAndBracketsNominal) {
 }
 
 TEST_F(CornerFlowFixture, MonteCarloAtNominalCornerMatchesCachedFlow) {
-  const ProposedModel& model = set_->at("nominal").model;
+  const ProposedModel& model = *set_->at("nominal").model;
   const MonteCarloResult direct =
       monte_carlo_link_cached(model, link_ctx(), link_design(), 200, 7);
   const MonteCarloResult at_nominal = monte_carlo_link_at_corner(
@@ -467,10 +489,10 @@ TEST_F(CornerFlowFixture, MonteCarloAtSlowCornerShiftsTheDistribution) {
   auto& samples = obs::registry().counter("corner.ss.mc.samples");
   const int64_t before = samples.value();
   const MonteCarloResult slow = monte_carlo_link_at_corner(
-      set_->at("ss").model, ss, link_ctx(), link_design(), 200, 7);
+      *set_->at("ss").model, ss, link_ctx(), link_design(), 200, 7);
   EXPECT_EQ(samples.value(), before + 200);
   const MonteCarloResult nominal = monte_carlo_link_at_corner(
-      set_->at("nominal").model, Corner{}, link_ctx(), link_design(), 200, 7);
+      *set_->at("nominal").model, Corner{}, link_ctx(), link_design(), 200, 7);
   EXPECT_GT(slow.mean_delay, nominal.mean_delay);
   EXPECT_GT(slow.nominal_delay, nominal.nominal_delay);
 }

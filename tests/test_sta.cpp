@@ -7,6 +7,7 @@
 
 #include <unistd.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -640,6 +641,18 @@ class ResidentModelTest : public ::testing::Test {
     return resident_model(tech_, Corner{}, path_);
   }
   static int64_t hits() { return obs::registry().counter("model.resident.hit").value(); }
+  // Writes the fixture's fit with kappa_c_coupled set to `kappa_c` to
+  // `path`, replacing any file there.
+  void write_edited(const std::string& path, double kappa_c) const {
+    TechnologyFit fit = load_fit(path_);
+    fit.comp_coupled.kappa_c = kappa_c;
+    save_fit(fit, path);
+  }
+  // The fit a fresh tier resolves from `path`, as .pimfit bytes.
+  std::string fresh_fit(const std::string& path) const {
+    clear_resident_fits();
+    return write_fit(resident_model(tech_, Corner{}, path)->fit());
+  }
 
   const Technology& tech_ = technology(TechNode::N65);
   std::string dir_;
@@ -710,6 +723,77 @@ TEST_F(ResidentModelTest, CachedSearchRecordsItsOwnModelsFitKey) {
   ASSERT_NE(manifest, nullptr);
   ASSERT_EQ(manifest->upstream.size(), 1u);
   EXPECT_EQ(manifest->upstream[0].hex, first_key.hex);
+}
+
+// A coefficient file that differs from the one an entry was resolved
+// from is never answered by that entry: a second path, an in-place
+// rewrite that changes the size, and a same-size rewrite whose mtime
+// moved each resolve what a fresh tier resolves.
+TEST_F(ResidentModelTest, SecondCoefficientFileIsNotServedTheFirstFit) {
+  const std::shared_ptr<const ProposedModel> first = resolve();
+  const std::string edited = dir_ + "/edited.pimfit";
+  write_edited(edited, 2.5);
+  const std::string got = write_fit(resident_model(tech_, Corner{}, edited)->fit());
+  EXPECT_NE(got, write_fit(first->fit()));
+  EXPECT_EQ(got, fresh_fit(edited));
+}
+
+TEST_F(ResidentModelTest, RewriteThatChangesTheSizeIsAMiss) {
+  const std::shared_ptr<const ProposedModel> before = resolve();
+  const auto size = std::filesystem::file_size(path_);
+  write_edited(path_, 2.5);
+  ASSERT_NE(std::filesystem::file_size(path_), size);
+  const std::string got = write_fit(resolve()->fit());
+  EXPECT_NE(got, write_fit(before->fit()));
+  EXPECT_EQ(got, fresh_fit(path_));
+}
+
+TEST_F(ResidentModelTest, SameSizeRewriteWithANewerMtimeIsAMiss) {
+  write_edited(path_, 2.5);
+  const std::shared_ptr<const ProposedModel> before = resolve();
+  const auto size = std::filesystem::file_size(path_);
+  const auto mtime = std::filesystem::last_write_time(path_);
+  write_edited(path_, 3.5);
+  ASSERT_EQ(std::filesystem::file_size(path_), size);
+  std::filesystem::last_write_time(path_, mtime + std::chrono::seconds(1));
+  const std::string got = write_fit(resolve()->fit());
+  EXPECT_NE(got, write_fit(before->fit()));
+  EXPECT_EQ(got, fresh_fit(path_));
+}
+
+// Racing calls that all see a rewritten file each resolve it anew, but
+// the tier keeps one replacement: every caller gets that instance, and
+// the next call is a hit on it.
+TEST_F(ResidentModelTest, ConcurrentCallsAfterARewriteShareOneReplacement) {
+  constexpr int kThreads = 4;
+  const std::shared_ptr<const ProposedModel> stale = resolve();
+  const auto size = std::filesystem::file_size(path_);
+  write_edited(path_, 2.5);
+  ASSERT_NE(std::filesystem::file_size(path_), size);
+  const std::string expected = write_fit(load_fit(path_));
+  std::vector<std::shared_ptr<const ProposedModel>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i)
+    threads.emplace_back([&, i] { got[i] = resolve(); });
+  for (std::thread& t : threads) t.join();
+  for (const auto& model : got) {
+    ASSERT_NE(model, nullptr);
+    EXPECT_EQ(write_fit(model->fit()), expected);
+    EXPECT_EQ(model, got[0]);
+  }
+  EXPECT_NE(got[0], stale);
+  const int64_t before = hits();
+  EXPECT_EQ(resolve(), got[0]);
+  EXPECT_EQ(hits(), before + 1);
+}
+
+// A server warmed by loading a coefficient file answers requests that
+// name no file from that entry instead of refitting.
+TEST_F(ResidentModelTest, CallNamingNoFileIsServedTheFileResolvedEntry) {
+  const std::shared_ptr<const ProposedModel> from_file = resolve();
+  const int64_t before = hits();
+  EXPECT_EQ(resident_model(tech_, Corner{}), from_file);
+  EXPECT_EQ(hits(), before + 1);
 }
 
 TEST_F(ResidentModelTest, CacheOffBypassesTheTier) {
