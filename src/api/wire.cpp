@@ -4,11 +4,13 @@
 #include <concepts>
 #include <iterator>
 #include <limits>
+#include <optional>
 #include <type_traits>
 #include <vector>
 
 #include "obs/report.hpp"
 #include "util/error.hpp"
+#include "util/faultinject.hpp"
 
 namespace pim::api::wire {
 namespace {
@@ -774,6 +776,12 @@ int exit_code_for(ErrorCode code) {
 }
 
 std::string execute_line(const std::string& line) {
+  // Armed fault sites draw from a stream seeded by the line's own bytes,
+  // so which requests fault never depends on arrival order, on the
+  // requests before it or on the worker count. A disarmed run installs
+  // nothing.
+  std::optional<fault::ScopedStream> fault_stream;
+  if (fault::armed()) fault_stream.emplace(fault::content_stream(line));
   Identity identity;
   try {
     const JsonValue envelope = parse_wire_json(line);

@@ -35,6 +35,11 @@ struct Lane {
   Vector v_node;
   std::vector<double> cap_current, cap_geq, cap_ieq;
 
+  // Device bypass (docs/kernels.md): each device's overdrive terms at the
+  // last vgt it was evaluated at, keyed on that vgt's exact bits. Newton
+  // sweeps, halving retries and source currents all read through it.
+  std::vector<kernels::OverdriveMemo> overdrive;
+
   // Depth-0 halving snapshots (solo recursion keeps its own locals).
   Vector v_save;
   std::vector<double> cap_save;
@@ -181,6 +186,7 @@ class BatchEngine {
     lane.cap_current.assign(lane.cap_farads.size(), 0.0);
     lane.cap_geq.resize(lane.cap_farads.size());
     lane.cap_ieq.resize(lane.cap_farads.size());
+    lane.overdrive.assign(plan_.devices.count, kernels::OverdriveMemo{});
     lane.ring.resize(kMaxCyclePeriod);
     for (const Waveform& w : lane.waves)
       lane.inputs_const_after = std::max(lane.inputs_const_after, w.last_time());
@@ -533,11 +539,12 @@ class BatchEngine {
       }
       if (record_sources) accumulate_sources(lane, dt);
     }
+    lap(kSources);
   }
 
   // Evaluates every device of every still-iterating lane: per lane one
-  // SoA sweep over the plan's parameter arrays and the lane's own widths,
-  // into that lane's slice of the engine's device buffers.
+  // SoA sweep over the plan's parameter arrays, the lane's own widths and
+  // its bypass memo, into that lane's slice of the engine's device buffers.
   void eval_devices(std::vector<Lane*>& lanes) {
     const DeviceArrays& d = plan_.devices;
     const size_t dn = d.count;
@@ -558,12 +565,13 @@ class BatchEngine {
         vd_[off + i] = v[static_cast<size_t>(d.drain[i])];
         vs_[off + i] = v[static_cast<size_t>(d.source[i])];
       }
-      kernels::eval_alpha_power_batch(
-          dn, d.sign.data(), lanes[pi]->ksw.data(), d.vth.data(), d.alpha.data(),
-          d.k_vdsat.data(), d.lambda.data(), d.nvt.data(), vg_.data() + off,
-          vd_.data() + off, vs_.data() + off, out_id_.data() + off, out_dg_.data() + off,
-          out_dd_.data() + off, out_ds_.data() + off);
+      device_bypass_ += static_cast<int64_t>(kernels::eval_alpha_power_batch(
+          dn, lanes[pi]->overdrive.data(), d.sign.data(), lanes[pi]->ksw.data(),
+          d.vth.data(), d.alpha.data(), d.k_vdsat.data(), d.lambda.data(), d.nvt.data(),
+          vg_.data() + off, vd_.data() + off, vs_.data() + off, out_id_.data() + off,
+          out_dg_.data() + off, out_dd_.data() + off, out_ds_.data() + off));
     }
+    device_evals_ += static_cast<int64_t>(total);
   }
 
   // Scatters one lane's device linearizations into its column `l` of
@@ -599,8 +607,9 @@ class BatchEngine {
 
   // One source's delivered current from the lane's current state, via
   // the plan's precomputed touch lists (same element scan order and
-  // arithmetic as the scalar accumulate_sources()).
-  double source_current(const Lane& lane, size_t si) const {
+  // arithmetic as the scalar accumulate_sources()). Device currents read
+  // through the lane's bypass memo.
+  double source_current(Lane& lane, size_t si) {
     const DeviceArrays& d = plan_.devices;
     const auto& touches = plan_.source_touches[si];
     double current = 0.0;
@@ -612,9 +621,10 @@ class BatchEngine {
     for (const auto& dv : touches.dev) {
       const size_t i = static_cast<size_t>(dv.dev);
       double i_d, dg, dd, ds;
-      kernels::eval_branch_folded(
-          d.sign[i], lane.ksw[i], d.vth[i], d.alpha[i], d.k_vdsat[i],
-          d.lambda[i], d.nvt[i], lane.v_node[static_cast<size_t>(d.gate[i])],
+      kernels::eval_branch_memo(
+          lane.overdrive[i], d.sign[i], lane.ksw[i], d.vth[i], d.alpha[i],
+          d.k_vdsat[i], d.lambda[i], d.nvt[i],
+          lane.v_node[static_cast<size_t>(d.gate[i])],
           lane.v_node[static_cast<size_t>(d.drain[i])],
           lane.v_node[static_cast<size_t>(d.source[i])], i_d, dg, dd, ds);
       current += dv.sign * i_d;
@@ -654,6 +664,7 @@ class BatchEngine {
     kFactor,
     kSolve,
     kNewtonUpdate,
+    kSources,
     kReplay,
     kPhaseCount
   };
@@ -678,8 +689,11 @@ class BatchEngine {
     PIM_COUNT_N("spice.phase.factor_ns", phase_ns_[kFactor]);
     PIM_COUNT_N("spice.phase.solve_ns", phase_ns_[kSolve]);
     PIM_COUNT_N("spice.phase.newton_update_ns", phase_ns_[kNewtonUpdate]);
+    PIM_COUNT_N("spice.phase.sources_ns", phase_ns_[kSources]);
     PIM_COUNT_N("spice.phase.replay_ns", phase_ns_[kReplay]);
     PIM_COUNT_N("spice.phase.replayed_steps", replayed_steps_);
+    PIM_COUNT_N("spice.device.evaluations", device_evals_);
+    PIM_COUNT_N("spice.device.bypass", device_bypass_);
   }
 
   void record(Lane& lane, double t) {
@@ -707,6 +721,8 @@ class BatchEngine {
   int64_t mark_ns_ = 0;
   std::array<int64_t, kPhaseCount> phase_ns_{};
   int64_t replayed_steps_ = 0;
+  // Newton-sweep device evaluations and how many of them were bypasses.
+  int64_t device_evals_ = 0, device_bypass_ = 0;
 
   // The cohort's linear systems: the per-step base image, built for the
   // lanes base_ids_ at (base_dt_, base_integrator_) (same_base_key), and

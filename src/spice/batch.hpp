@@ -4,8 +4,10 @@
 // the same compiled deck in lockstep: all lanes share one read-only
 // CompiledCircuit, advance through the same time grid together, evaluate
 // their devices through kernels::eval_alpha_power_batch each Newton
-// iteration, and assemble, factor and solve their linear systems in one
-// lane-interleaved BandedCohort store (numeric/banded.hpp). Each lane
+// iteration (skipping a device's transcendental chain while the bits of
+// its vgt repeat: the device bypass of docs/kernels.md), and assemble,
+// factor and solve their linear systems in one lane-interleaved
+// BandedCohort store (numeric/banded.hpp). Each lane
 // keeps its own voltages, companion state and column of that store, so
 // lanes are numerically independent: a lane that fails (Newton
 // divergence, NaN poisoning, singular system) carries a typed error while

@@ -59,12 +59,6 @@ StreamContext& stream_context() {
   return ctx;
 }
 
-uint64_t site_name_hash(const std::string& name) {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (char c : name) h = (h ^ static_cast<uint64_t>(c)) * 0x100000001b3ULL;
-  return h;
-}
-
 void refresh_armed_flag_locked() {
   bool any = false;
   for (const auto& [name, state] : sites()) any = any || state.armed;
@@ -72,6 +66,13 @@ void refresh_armed_flag_locked() {
 }
 
 }  // namespace
+
+uint64_t content_stream(std::string_view bytes) {
+  // FNV-1a, 64-bit.
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (char c : bytes) h = (h ^ static_cast<uint64_t>(c)) * 0x100000001b3ULL;
+  return h;
+}
 
 const std::vector<std::string>& known_sites() {
   static const std::vector<std::string> names = {
@@ -123,7 +124,7 @@ void configure(const std::string& spec) {
     state.probability = p.probability;
     // Mix the site name into the seed so sites armed with the same seed
     // still draw independent streams.
-    state.seed = p.seed ^ site_name_hash(p.name);
+    state.seed = p.seed ^ content_stream(p.name);
     state.serial_rng = Rng(state.seed);
     state.fired.store(0, std::memory_order_relaxed);
     if (state.counter == nullptr)

@@ -37,6 +37,7 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace pim::fault {
@@ -80,6 +81,11 @@ bool should_fire(const char* site);
 
 /// Number of times `site` has fired since it was configured.
 int64_t fired_count(const char* site);
+
+/// A stream index that is a pure function of `bytes` (FNV-1a): pimd runs
+/// each request line under ScopedStream(content_stream(line)), so its
+/// draws depend on the request alone, never on arrival order.
+uint64_t content_stream(std::string_view bytes);
 
 /// Installs a deterministic per-item fault stream on the current thread
 /// for the scope: every should_fire() draw comes from a stream that is a

@@ -28,6 +28,7 @@
 #include "serve/transport.hpp"
 #include "tech/technology.hpp"
 #include "util/error.hpp"
+#include "util/faultinject.hpp"
 #include "util/log.hpp"
 
 namespace pim::serve {
@@ -783,6 +784,49 @@ TEST(Serve, BatchStatsCountEveryItemExactlyAtFourWorkers) {
   cache::reset_mode();
   cache::set_dir("");
   std::filesystem::remove_all(dir);
+}
+
+// With fault sites armed, each request draws from a stream seeded by its
+// own bytes: the batch's between-item stop polls (deadline-expire) cut
+// each batch at the same item whichever request ran first.
+TEST(Serve, ArmedFaultResponsesDoNotDependOnRequestOrder) {
+  const auto techfile_batch = [](int id, int items) {
+    std::string line = "{\"op\":\"batch\",\"id\":" + std::to_string(id) + ",\"items\":[";
+    for (int i = 0; i < items; ++i)
+      line += std::string(i > 0 ? "," : "") + "{\"op\":\"techfile\",\"tech\":\"65nm\"}";
+    return line + "]}";
+  };
+  const std::string first = techfile_batch(1, 12);
+  const std::string second = techfile_batch(2, 9);
+  const auto serve_in_order = [](const std::vector<std::string>& lines) {
+    fault::configure("deadline-expire:0.2:5");
+    ServerOptions options;
+    options.tcp_port = 0;
+    options.workers = 1;
+    Server server(options);
+    server.start();
+    const int fd = connect_tcp(server.tcp_port());
+    LineReader reader(fd);
+    std::vector<std::string> responses;
+    for (const std::string& line : lines) {
+      std::string response;
+      EXPECT_TRUE(send_all(fd, line + "\n"));
+      EXPECT_EQ(reader.next(response), kLine);
+      responses.push_back(response);
+    }
+    ::close(fd);
+    server.stop();
+    fault::clear();
+    return responses;
+  };
+  const std::vector<std::string> forward = serve_in_order({first, second});
+  const std::vector<std::string> reverse = serve_in_order({second, first});
+  ASSERT_EQ(forward.size(), 2u);
+  ASSERT_EQ(reverse.size(), 2u);
+  EXPECT_EQ(forward[0], reverse[1]);
+  EXPECT_EQ(forward[1], reverse[0]);
+  // The fault must actually fire, or the comparison proves nothing.
+  EXPECT_NE(forward[0].find("\"partial\":true"), std::string::npos) << forward[0];
 }
 
 TEST(Serve, StartValidatesItsOptions) {

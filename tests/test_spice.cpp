@@ -14,6 +14,7 @@
 
 #include "spice/batch.hpp"
 #include "spice/circuit.hpp"
+#include "spice/kernels.hpp"
 #include "spice/measure.hpp"
 #include "spice/mosfet.hpp"
 #include "spice/plan.hpp"
@@ -22,6 +23,7 @@
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
 #include "util/faultinject.hpp"
+#include "util/rng.hpp"
 #include "util/units.hpp"
 
 namespace pim {
@@ -689,6 +691,147 @@ TEST(TransientBatch, BadLaneIsIsolatedFromSiblings) {
   }
 }
 
+// ------------------------------------------------------- device bypass
+
+// A memoized evaluation must return the memo-free kernel's bits for any
+// call sequence through one (lane, device) memo.
+struct BypassProbe {
+  MosfetParams p = test_nmos();
+  double ksw = p.k_sat * (1.0 * um);
+  double nvt = p.n_sub * constant::v_thermal_300k;
+  kernels::OverdriveMemo memo;
+  int bypasses = 0;
+
+  // Evaluates (vgs, vds) both ways, asserts bit identity, and returns
+  // whether the memoized call was a bypass.
+  bool check(double vgs, double vds) {
+    bool bypassed = false;
+    const MosEval m = kernels::eval_alpha_power_memo(memo, bypassed, ksw, p.vth, p.alpha,
+                                                     p.k_vdsat, p.lambda, nvt, vgs, vds);
+    const MosEval f = kernels::eval_alpha_power_folded(ksw, p.vth, p.alpha, p.k_vdsat,
+                                                       p.lambda, nvt, vgs, vds);
+    EXPECT_TRUE(bits_equal(m.ids, f.ids) && bits_equal(m.g_m, f.g_m) &&
+                bits_equal(m.g_ds, f.g_ds))
+        << "vgs " << vgs << " vds " << vds;
+    bypasses += bypassed;
+    return bypassed;
+  }
+
+  // The operating point a forward evaluation of (vgs, vds) lands in.
+  double vgt(double vgs, double vds) const {
+    return (vds >= 0.0 ? vgs : vgs - vds) - p.vth;
+  }
+  bool triode(double vgs, double vds) const {
+    const double vdsat =
+        kernels::overdrive_terms(ksw, p.alpha, p.k_vdsat, nvt, vgt(vgs, vds)).vdsat;
+    return !(vdsat < 1e-12 || std::fabs(vds) >= vdsat);
+  }
+};
+
+TEST(DeviceBypass, MemoizedEvaluationIsBitIdenticalToMemoFree) {
+  // Random walk over a small vgs pool, so vgt bits repeat, with fresh vds
+  // draws: hits land in every region, on both conduction directions and
+  // on both sides of the smooth_overdrive cut-offs (|z| > 40 is
+  // |vgt| > 40 * nvt, about 1.4 V).
+  BypassProbe probe;
+  Rng rng(2027);
+  const double vgs_pool[] = {-2.5, -1.6, 0.0, 0.25, 0.3, 0.6, 1.0, 2.2};
+  const double vds_negative[] = {-0.05, -0.2, -0.6};
+  int hit_negative = 0, hit_triode = 0, hit_saturation = 0, hit_z_high = 0,
+      hit_z_low = 0;
+  const double z_cut = 40.0 * probe.nvt;
+  for (int k = 0; k < 20000; ++k) {
+    const double vgs = vgs_pool[rng.next_below(8)];
+    // Negative vds keys on the swapped vgt = vgs - vds - vth, so it
+    // comes from a pool too.
+    const double vds = rng.next_below(4) == 0 ? vds_negative[rng.next_below(3)]
+                                              : rng.uniform(0.0, 2.0);
+    if (!probe.check(vgs, vds)) continue;
+    hit_negative += vds < 0.0;
+    (probe.triode(vgs, vds) ? hit_triode : hit_saturation) += 1;
+    hit_z_high += probe.vgt(vgs, vds) > z_cut;
+    hit_z_low += probe.vgt(vgs, vds) < -z_cut;
+  }
+  EXPECT_GT(probe.bypasses, 1000);
+  EXPECT_GT(hit_negative, 0);
+  EXPECT_GT(hit_triode, 0);
+  EXPECT_GT(hit_saturation, 0);
+  EXPECT_GT(hit_z_high, 0);
+  EXPECT_GT(hit_z_low, 0);
+}
+
+TEST(DeviceBypass, KeyIsTheExactBitsOfVgt) {
+  // vth = 0: vgs = +0.0 gives vgt = +0.0 and vgs = -0.0 gives -0.0, which
+  // compare equal but are different keys.
+  BypassProbe probe;
+  probe.p.vth = 0.0;
+  EXPECT_FALSE(probe.check(0.0, 0.5));
+  EXPECT_TRUE(probe.check(0.0, 0.7));
+  EXPECT_FALSE(probe.check(-0.0, 0.5));
+  EXPECT_TRUE(probe.check(-0.0, 0.02));
+  EXPECT_FALSE(probe.check(0.0, 0.5));
+  // The next representable vgt is a miss too.
+  EXPECT_FALSE(probe.check(std::nextafter(0.0, 1.0), 0.5));
+}
+
+TEST(DeviceBypass, OneVgtServesManyVds) {
+  // One vgt, vds swept from deep saturation into triode and back: one
+  // miss, then every evaluation is a bypass, including the first triode
+  // hit, which fills the memo's triode pow lazily.
+  BypassProbe probe;
+  const double vgs = 0.9;
+  EXPECT_FALSE(probe.check(vgs, 1.2));
+  ASSERT_FALSE(probe.triode(vgs, 1.2));
+  int triode = 0;
+  for (int k = 0; k <= 240; ++k) {
+    const double vds = 1.2 - 0.005 * k;
+    EXPECT_TRUE(probe.check(vgs, vds)) << vds;
+    triode += probe.triode(vgs, vds);
+  }
+  for (int k = 0; k <= 240; ++k) EXPECT_TRUE(probe.check(vgs, 0.005 * k));
+  EXPECT_GT(triode, 10);
+  EXPECT_EQ(probe.bypasses, 482);
+}
+
+TEST(TransientBatch, DeviceBypassEngagesAndLanesStayBitExact) {
+  // Width, load and input-slew perturbations across two cohorts: the
+  // bypass must engage and no lane may move by a bit against the scalar
+  // reference engine, which never bypasses.
+  TransientOptions opt = batch_test_options();
+  opt.t_settle = 0.2 * ns;
+  opt.settle_steps = 40;
+  ManualInverter base = manual_inverter(1.0, 2.0, 10.0, 30.0);
+  const CompiledCircuit plan = CompiledCircuit::compile(base.c);
+  std::vector<LaneSpec> lanes(10);
+  std::vector<ManualInverter> refs;
+  for (size_t i = 0; i < lanes.size(); ++i) {
+    const double wn = 1.0 + 0.1 * static_cast<double>(i);
+    const double load = 10.0 + static_cast<double>(i % 3);
+    const double slew = 30.0 + 5.0 * static_cast<double>(i % 2);
+    lanes[i].mosfet_width.push_back({0, wn * um});
+    lanes[i].cap_farads.push_back({0, load * fF});
+    lanes[i].vsource_wave.push_back({1, Waveform::ramp(0.0, kVdd, 20.0 * ps, slew * ps)});
+    refs.push_back(manual_inverter(wn, 2.0, load, slew));
+  }
+
+  obs::registry().reset();
+  obs::set_enabled(true);
+  const std::vector<Expected<TransientResult>> batch =
+      run_transient_batch(plan, opt, {base.in, base.out}, lanes);
+  const int64_t evaluations = obs::registry().counter("spice.device.evaluations").value();
+  const int64_t bypass = obs::registry().counter("spice.device.bypass").value();
+  obs::set_enabled(false);
+  obs::registry().reset();
+
+  EXPECT_GT(bypass, 0);
+  EXPECT_LT(bypass, evaluations);
+  for (size_t i = 0; i < lanes.size(); ++i) {
+    ASSERT_TRUE(batch[i].ok()) << "lane " << i;
+    expect_bit_identical(batch[i].value(),
+                         run_transient_reference(refs[i].c, opt, {refs[i].in, refs[i].out}));
+  }
+}
+
 TEST(TransientResultTrace, MissingProbeIsTypedAndNamesTheNode) {
   auto [ladder, tail] = build_ladder();
   const TransientResult res = run_transient(ladder, batch_test_options(), {tail});
@@ -726,6 +869,14 @@ TEST_F(BatchFaultFixture, HalvingRetriesStayBitIdenticalToReference) {
   fault::configure("newton.diverge:0.02:3");  // identical replay
   const TransientResult faulty_ref = run_transient_reference(ladder, opt, {tail});
   expect_bit_identical(faulty_batch, faulty_ref);
+
+  // Devices: the solo halving retries read through the same bypass memo.
+  ManualInverter inv = manual_inverter(1.0, 2.0, 10.0, 30.0);
+  fault::configure("newton.diverge:0.05:3");
+  const TransientResult inv_batch = run_transient(inv.c, opt, {inv.out});
+  EXPECT_GT(fault::fired_count(fault::kNewtonDiverge), 0);
+  fault::configure("newton.diverge:0.05:3");
+  expect_bit_identical(inv_batch, run_transient_reference(inv.c, opt, {inv.out}));
 
   fault::configure("lu.singular:0.05:7");
   const TransientResult singular_batch = run_transient(ladder, opt, {tail});

@@ -45,6 +45,7 @@
 #include "models/baseline.hpp"
 #include "numeric/banded.hpp"
 #include "obs/ledger.hpp"
+#include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "serve/server.hpp"
 #include "serving_load.hpp"
@@ -180,6 +181,10 @@ std::pair<double, double> time_banded_pair() {
 // results — and check_perf.sh gates ms_per_sweep_reference /
 // ms_per_sweep_batched at >= 2x, and us_per_pair_reference /
 // us_per_pair_cohort (time_banded_pair) at >= 1.3x.
+// device_bypass_frac is the share of the batched sweep's device
+// evaluations that the bypass memo served (docs/kernels.md, "Device
+// bypass"), counted in an untimed rerun so the engine's phase clocks stay
+// out of ms_per_sweep_batched.
 std::vector<BenchMetric> bench_transient_kernel() {
   const Technology& tech = technology(TechNode::N65);
   CharacterizationOptions opt;
@@ -204,8 +209,23 @@ std::vector<BenchMetric> bench_transient_kernel() {
                     a[e]->out_slew(i, j) == b[e]->out_slew(i, j),
                 "transient_kernel: batched sweep diverged from the reference engine");
   const auto [cohort_us, reference_us] = time_banded_pair();
+
+  obs::MetricShard counted;
+  {
+    const bool was_enabled = obs::enabled();
+    obs::ShardScope scope(counted);
+    obs::set_enabled(true);
+    characterize_cell(tech, CellKind::Buffer, 8, opt);
+    obs::set_enabled(was_enabled);
+  }
+  const double evaluations = static_cast<double>(
+      counted.counted(obs::registry().counter("spice.device.evaluations")));
+  const double bypass =
+      static_cast<double>(counted.counted(obs::registry().counter("spice.device.bypass")));
+  require(evaluations > 0.0, "transient_kernel: the batched sweep evaluated no device");
   return {{"ms_per_sweep_reference", ref_ms, "ms", 0.6},
           {"ms_per_sweep_batched", fast_ms, "ms", 0.6},
+          {"device_bypass_frac", bypass / evaluations, "frac", 0.0},
           {"us_per_pair_cohort", cohort_us, "us", 0.6},
           {"us_per_pair_reference", reference_us, "us", 0.6}};
 }
