@@ -14,6 +14,7 @@
 #include "sta/signoff.hpp"
 #include "util/csv.hpp"
 #include "util/strings.hpp"
+#include "util/textfile.hpp"
 #include "util/units.hpp"
 
 using namespace pim;
@@ -39,7 +40,7 @@ int main(int argc, char** argv) {
          net.circuit.mosfets().size(), net.circuit.capacitors().size());
 
   // Also archive the deck so the exact circuit can be inspected/replayed.
-  save_deck(net.circuit, "link_netlist.sp");
+  write_text_file("link_netlist.sp", write_deck(net.circuit), "waveform_dump");
   printf("wrote link_netlist.sp\n");
 
   TransientOptions opt;

@@ -76,6 +76,14 @@ Waveform input_ramp(const Technology& tech, bool input_rises, double slew) {
   return Waveform::ramp(v0, tech.vdd - v0, kEdgeStart, slew);
 }
 
+// The crossings extract_timing reads: each run ends once they have all
+// happened (docs/kernels.md, "Early exit").
+std::vector<Crossing> point_crossings(NodeId in, NodeId out, EdgeKind out_edge,
+                                      bool input_rises, double vdd) {
+  return timing_crossings(in, input_rises ? EdgeKind::Rising : EdgeKind::Falling, out,
+                          out_edge, vdd);
+}
+
 TimingPoint extract_timing(const TransientResult& res, NodeId in, NodeId out,
                            EdgeKind out_edge, bool input_rises, double vdd) {
   const EdgeKind in_edge = input_rises ? EdgeKind::Rising : EdgeKind::Falling;
@@ -98,7 +106,8 @@ TimingPoint measure_timing(const Technology& tech, CellKind kind,
   CellUnderTest cut = build_cell(tech, kind, sz, input_ramp(tech, input_rises, slew));
   cut.circuit.add_capacitor(cut.out, cut.circuit.ground(), load);
   const TransientResult res = run_transient_reference(
-      cut.circuit, sim_options(slew, dt_max), {cut.in, cut.out});
+      cut.circuit, sim_options(slew, dt_max), {cut.in, cut.out},
+      point_crossings(cut.in, cut.out, out_edge, input_rises, tech.vdd));
   return extract_timing(res, cut.in, cut.out, out_edge, input_rises, tech.vdd);
 }
 
@@ -174,6 +183,8 @@ PointOutcome measure_point(const Technology& tech, CellKind kind,
     lanes[e].vsource_wave.emplace_back(fx->input_vsource,
                                        input_ramp(tech, in_rises[e], slew));
     lanes[e].cap_farads.emplace_back(fx->load_cap, load);
+    lanes[e].stop_after =
+        point_crossings(fx->in, fx->out, kTableEdges[e], in_rises[e], tech.vdd);
   }
   std::vector<Expected<TransientResult>> batch = run_transient_batch(
       fx->plan, sim_options(slew, dt_max), {fx->in, fx->out}, lanes);

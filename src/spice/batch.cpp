@@ -48,6 +48,13 @@ struct Lane {
   std::optional<Error> error;
   bool failed = false;
 
+  // Early exit (docs/kernels.md): the lane's stop_after crossings, and
+  // whether they have all happened, which ends the lane's window. A lane
+  // with a stop list integrates no source totals.
+  CrossingWatch watch;
+  bool done = false;
+  bool keep_sources = true;
+
   // Per-step-attempt flags.
   bool newton_active = false;
   bool converged = false;
@@ -76,6 +83,7 @@ struct Lane {
   double inputs_const_after = 0.0;  // every wave is exactly constant beyond
 
   bool replaying() const { return !cycle.empty(); }
+  bool live() const { return !failed && !done; }
 
   void reset_ring() {
     ring_head = ring_size = 0;
@@ -117,6 +125,10 @@ class BatchEngine {
     const size_t n = specs.size();
     out.reserve(n);
     timing_ = obs::enabled();
+    // Steady-state replay and early exit stay off while fault injection
+    // is armed: a skipped step performs no per-step fault draw, so
+    // skipping would shift every later draw in the lane's stream.
+    skip_ok_ = !fault::armed();
     for (size_t wave_start = 0; wave_start < n; wave_start += kWaveWidth) {
       const size_t wave_end = std::min(n, wave_start + kWaveWidth);
       std::vector<Lane> wave(wave_end - wave_start);
@@ -181,6 +193,14 @@ class BatchEngine {
       }
       lane.waves[si] = wave;
     }
+    if (!stop_after_is_valid(spec.stop_after, plan_.node_count)) {
+      lane.fail_lane(Error("transient batch: a stop_after crossing names no node of the "
+                           "circuit or a non-finite level",
+                           ErrorCode::bad_input));
+      return;
+    }
+    lane.keep_sources = spec.stop_after.empty();
+    if (skip_ok_) lane.watch = CrossingWatch(spec.stop_after);
 
     lane.v_node.assign(plan_.node_count, 0.0);
     lane.cap_current.assign(lane.cap_farads.size(), 0.0);
@@ -190,7 +210,7 @@ class BatchEngine {
     lane.ring.resize(kMaxCyclePeriod);
     for (const Waveform& w : lane.waves)
       lane.inputs_const_after = std::max(lane.inputs_const_after, w.last_time());
-    lane.result.sources.resize(plan_.vsource_node.size());
+    if (lane.keep_sources) lane.result.sources.resize(plan_.vsource_node.size());
     for (NodeId p : probes_) lane.result.traces.push_back({p, {}});
   }
 
@@ -207,11 +227,6 @@ class BatchEngine {
   }
 
   void run_wave_inner(std::vector<Lane>& wave) {
-    // Steady-state replay stays off while fault injection is armed: a
-    // replayed step performs no per-step fault draw, so skipping would
-    // shift every later draw in the lane's stream.
-    skip_ok_ = !fault::armed();
-
     // Settling pre-roll: backward Euler, inputs frozen at t = 0.
     if (opt_.t_settle > 0.0 && opt_.settle_steps > 0) {
       const double dts = opt_.t_settle / opt_.settle_steps;
@@ -224,20 +239,33 @@ class BatchEngine {
     // all change at this boundary.
     for (Lane& lane : wave) lane.reset_ring();
 
-    // Main window.
-    for (Lane& lane : wave)
-      if (!lane.failed) record(lane, 0.0);
+    // Main window. A lane whose stop_after crossings have all happened
+    // leaves the cohort after recording that sample; the loop ends when
+    // no live lane remains.
     const long steps = static_cast<long>(std::ceil(opt_.t_stop / opt_.dt - 1e-9));
+    const auto record_live = [&](long k, double t) {
+      for (Lane& lane : wave) {
+        if (!lane.live()) continue;
+        record(lane, t);
+        if (!lane.watch.observe(lane.v_node)) continue;
+        lane.done = true;
+        ++stopped_lanes_;
+        cut_steps_ += steps - k;
+      }
+    };
+    record_live(0, 0.0);
     for (long k = 1; k <= steps; ++k) {
+      if (std::none_of(wave.begin(), wave.end(), [](const Lane& l) { return l.live(); }))
+        break;
       const double t = std::min(opt_.t_stop, static_cast<double>(k) * opt_.dt);
       lockstep_advance(wave, t, opt_.dt, Integrator::Trapezoidal, true,
                        /*inputs_const=*/false);
-      for (Lane& lane : wave)
-        if (!lane.failed) record(lane, t);
+      record_live(k, t);
     }
 
     // Tally flush mirrors the scalar solver: only lanes that completed
-    // count a run (a failed scalar run throws before its flush).
+    // (ran their window or stopped at their crossings) count a run (a
+    // failed scalar run throws before its flush).
     for (Lane& lane : wave) {
       if (lane.failed) continue;
       PIM_COUNT("spice.transient.runs");
@@ -260,13 +288,13 @@ class BatchEngine {
     mark();
     bool replayed = false;
     for (Lane& lane : wave) {
-      if (lane.failed || !lane.replaying()) continue;
+      if (!lane.live() || !lane.replaying()) continue;
       replay_step(lane, dt, record_sources);
       replayed = true;
     }
     if (replayed) lap(kReplay);
     for (Lane& lane : wave) {
-      if (lane.failed || lane.replaying()) continue;
+      if (!lane.live() || lane.replaying()) continue;
       lane.v_save = lane.v_node;
       lane.cap_save = lane.cap_current;
       cohort_.push_back(&lane);
@@ -344,7 +372,7 @@ class BatchEngine {
     lane.cap_current = s.cap_current;
     ++lane.n_timesteps;
     ++replayed_steps_;
-    if (!record_sources) return;
+    if (!record_sources || !lane.keep_sources) return;
     if (!s.src_valid) {
       s.src_current.resize(plan_.source_touches.size());
       for (size_t si = 0; si < plan_.source_touches.size(); ++si)
@@ -537,7 +565,7 @@ class BatchEngine {
                             lane.v_node[static_cast<size_t>(plan_.cap_b[i])];
         lane.cap_current[i] = lane.cap_geq[i] * v_ab - lane.cap_ieq[i];
       }
-      if (record_sources) accumulate_sources(lane, dt);
+      if (record_sources && lane.keep_sources) accumulate_sources(lane, dt);
     }
     lap(kSources);
   }
@@ -694,6 +722,8 @@ class BatchEngine {
     PIM_COUNT_N("spice.phase.replayed_steps", replayed_steps_);
     PIM_COUNT_N("spice.device.evaluations", device_evals_);
     PIM_COUNT_N("spice.device.bypass", device_bypass_);
+    PIM_COUNT_N("spice.transient.stopped", stopped_lanes_);
+    PIM_COUNT_N("spice.timestep.cut", cut_steps_);
   }
 
   void record(Lane& lane, double t) {
@@ -714,7 +744,7 @@ class BatchEngine {
   const CompiledCircuit& plan_;
   TransientOptions opt_;
   const std::vector<NodeId>& probes_;
-  bool skip_ok_ = false;
+  bool skip_ok_ = false;  // no fault armed: replay and early exit allowed
 
   // Phase totals (flush_phases).
   bool timing_ = false;
@@ -723,6 +753,9 @@ class BatchEngine {
   int64_t replayed_steps_ = 0;
   // Newton-sweep device evaluations and how many of them were bypasses.
   int64_t device_evals_ = 0, device_bypass_ = 0;
+  // Lanes ended by their stop_after crossings, and the main-window steps
+  // of theirs that were therefore not simulated.
+  int64_t stopped_lanes_ = 0, cut_steps_ = 0;
 
   // The cohort's linear systems: the per-step base image, built for the
   // lanes base_ids_ at (base_dt_, base_integrator_) (same_base_key), and

@@ -13,12 +13,20 @@
 // divergence, NaN poisoning, singular system) carries a typed error while
 // its siblings run to completion.
 //
+// A lane may name the crossings its caller will measure
+// (LaneSpec::stop_after); it then ends at the first sample where all of
+// them have happened and leaves the cohort (the early exit of
+// docs/kernels.md). The cohort's step loop ends when no live lane
+// remains.
+//
 // Determinism contract (docs/kernels.md): a single nominal lane is
 // bit-identical to the original scalar solver (run_transient_reference),
 // and every lane is bit-identical to a scalar run of the same perturbed
-// circuit — lane results never depend on batch composition or thread
-// count. The engine does not poll deadlines itself: production batches
-// run inside pim::exec items, which poll once per item.
+// circuit with the same stop list — lane results never depend on batch
+// composition or thread count. A stopped lane's time and traces are a
+// bit-identical prefix of its full-window run. The engine does not poll
+// deadlines itself: production batches run inside pim::exec items, which
+// poll once per item.
 #pragma once
 
 #include <vector>
@@ -37,6 +45,13 @@ struct LaneSpec {
   std::vector<std::pair<size_t, double>> cap_farads;     ///< capacitor index -> F
   std::vector<std::pair<size_t, double>> mosfet_width;   ///< mosfet index -> m
   std::vector<std::pair<size_t, Waveform>> vsource_wave; ///< vsource index -> wave
+  /// Crossings the caller will measure on this lane. Non-empty: the lane
+  /// ends at the first sample where all of them have happened (unless
+  /// fault injection is armed) and integrates no source totals, so its
+  /// `sources` is empty; it still counts as a completed run. A crossing
+  /// on a node outside the plan, or at a non-finite level, fails the lane
+  /// typed (bad_input).
+  std::vector<Crossing> stop_after;
 };
 
 /// Runs every lane of `lanes` over the shared `plan`. Element i of the

@@ -5,10 +5,7 @@
 #include <string>
 #include <tuple>
 
-#include "util/error.hpp"
-#include "util/faultinject.hpp"
 #include "util/strings.hpp"
-#include "util/textfile.hpp"
 
 namespace pim {
 namespace {
@@ -87,14 +84,6 @@ std::string write_deck(const Circuit& circuit) {
 
   os << ".end\n";
   return os.str();
-}
-
-void save_deck(const Circuit& circuit, const std::string& path) {
-  // The injected failure must precede the open: a real open failure
-  // leaves the target untouched, so the fault may not truncate it either.
-  require(!fault::should_fire(fault::kIoOpen),
-          "save_deck: cannot open '" + path + "'", ErrorCode::io_parse);
-  write_text_file(path, write_deck(circuit), "save_deck");
 }
 
 }  // namespace pim

@@ -29,8 +29,4 @@ namespace pim {
 /// Serializes the circuit as a SPICE-like deck.
 std::string write_deck(const Circuit& circuit);
 
-/// Writes write_deck(circuit) to `path`; throws pim::Error(io_parse)
-/// when the file cannot be written.
-void save_deck(const Circuit& circuit, const std::string& path);
-
 }  // namespace pim

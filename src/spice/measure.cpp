@@ -1,10 +1,40 @@
 #include "spice/measure.hpp"
 
 #include <cmath>
+#include <utility>
 
 #include "util/error.hpp"
 
 namespace pim {
+
+std::vector<Crossing> timing_crossings(NodeId in, EdgeKind in_edge, NodeId out,
+                                       EdgeKind out_edge, double swing) {
+  // The level expressions of delay_50 and measure_slew, so each level is
+  // the same double the measurement scans for.
+  return {{in, 0.5 * swing, in_edge},
+          {out, 0.5 * swing, out_edge},
+          {out, 0.2 * swing, out_edge},
+          {out, 0.8 * swing, out_edge}};
+}
+
+CrossingWatch::CrossingWatch(std::vector<Crossing> crossings)
+    : pending_(std::move(crossings)), prev_(pending_.size()) {}
+
+bool CrossingWatch::observe(const std::vector<double>& v_node) {
+  if (pending_.empty()) return false;
+  size_t kept = 0;
+  for (size_t k = 0; k < pending_.size(); ++k) {
+    const double b = v_node[static_cast<size_t>(pending_[k].node)];
+    if (primed_ && crosses(prev_[k], b, pending_[k].level, pending_[k].edge)) continue;
+    pending_[kept] = pending_[k];
+    prev_[kept] = b;
+    ++kept;
+  }
+  primed_ = true;
+  pending_.resize(kept);
+  prev_.resize(kept);
+  return kept == 0;
+}
 
 double crossing_time(const std::vector<double>& time, const std::vector<double>& values,
                      double level, EdgeKind edge) {
@@ -26,9 +56,7 @@ double crossing_time(const std::vector<double>& time, const std::vector<double>&
     if (!std::isfinite(b))
       fail("crossing_time: non-finite sample at index " + std::to_string(i),
            ErrorCode::bad_input);
-    const bool crosses = (edge == EdgeKind::Rising) ? (a < level && b >= level)
-                                                    : (a > level && b <= level);
-    if (!crosses) continue;
+    if (!crosses(a, b, level, edge)) continue;
     const double f = (level - a) / (b - a);
     return time[i - 1] + f * (time[i] - time[i - 1]);
   }

@@ -106,10 +106,17 @@ class LinearSystem {
 class TransientSolver {
  public:
   TransientSolver(const Circuit& circuit, const TransientOptions& options,
-                  const std::vector<NodeId>& probes)
-      : ckt_(circuit), opt_(options), probes_(probes) {
+                  const std::vector<NodeId>& probes, const std::vector<Crossing>& stop_after)
+      : ckt_(circuit), opt_(options), probes_(probes), keep_sources_(stop_after.empty()) {
     require(opt_.dt > 0.0 && opt_.t_stop > 0.0, "run_transient: dt and t_stop must be positive",
             ErrorCode::bad_input);
+    require(stop_after_is_valid(stop_after, ckt_.node_count()),
+            "run_transient: a stop_after crossing names no node of the circuit or a "
+            "non-finite level",
+            ErrorCode::bad_input);
+    // Early exit stays off while fault injection is armed, as in the
+    // batched engine: a skipped step would shift later fault draws.
+    if (!fault::armed()) watch_ = CrossingWatch(stop_after);
     index_nodes();
     system_ = std::make_unique<LinearSystem>(static_cast<size_t>(unknown_count_),
                                              bandwidth());
@@ -120,8 +127,9 @@ class TransientSolver {
   TransientResult run() {
     PIM_OBS_SPAN("spice.transient.run");
     TransientResult result;
-    result.sources.resize(ckt_.vsources().size());
+    if (keep_sources_) result.sources.resize(ckt_.vsources().size());
     for (NodeId p : probes_) result.traces.push_back({p, {}});
+    TransientResult* sources = keep_sources_ ? &result : nullptr;
 
     // Settling pre-roll: backward Euler, inputs frozen at t = 0, so the
     // main window starts from the DC operating point.
@@ -131,13 +139,16 @@ class TransientSolver {
         advance(0.0, dts, Integrator::BackwardEuler, nullptr, 0);
     }
 
-    // Main window.
+    // Main window, ended early at the first sample where every stop_after
+    // crossing has happened.
     record(0.0, result);
+    watch_.observe(v_node_);
     const long steps = static_cast<long>(std::ceil(opt_.t_stop / opt_.dt - 1e-9));
     for (long k = 1; k <= steps; ++k) {
       const double t = std::min(opt_.t_stop, static_cast<double>(k) * opt_.dt);
-      advance(t, opt_.dt, Integrator::Trapezoidal, &result, 0);
+      advance(t, opt_.dt, Integrator::Trapezoidal, sources, 0);
       record(t, result);
+      if (watch_.observe(v_node_)) break;
     }
     // Tallies are accumulated in plain locals and flushed once per run so
     // the stepping loop carries no atomics.
@@ -238,7 +249,8 @@ class TransientSolver {
   // One timestep ending at absolute time t; returns whether Newton
   // converged (leaving state mutated either way — advance() rolls back on
   // failure). When `result` is non-null, per-source charge/energy are
-  // accumulated (main window only).
+  // accumulated (main window only, and only for a run without a stop
+  // list).
   bool step(double t, double dt, Integrator integrator, TransientResult* result) {
     ++n_timesteps_;
     const auto& caps = ckt_.capacitors();
@@ -388,6 +400,8 @@ class TransientSolver {
   const Circuit& ckt_;
   TransientOptions opt_;
   std::vector<NodeId> probes_;
+  bool keep_sources_;   // no stop_after list: integrate source totals
+  CrossingWatch watch_; // the early exit; empty while faults are armed
   std::vector<int> unknown_of_node_;
   std::vector<int> source_value_index_;
   int unknown_count_ = 0;
@@ -404,10 +418,18 @@ class TransientSolver {
 
 }  // namespace
 
+bool stop_after_is_valid(const std::vector<Crossing>& stop_after, size_t node_count) {
+  for (const Crossing& c : stop_after)
+    if (c.node < 0 || static_cast<size_t>(c.node) >= node_count || !std::isfinite(c.level))
+      return false;
+  return true;
+}
+
 TransientResult run_transient_reference(const Circuit& circuit,
                                         const TransientOptions& options,
-                                        const std::vector<NodeId>& probes) {
-  return TransientSolver(circuit, options, probes).run();
+                                        const std::vector<NodeId>& probes,
+                                        const std::vector<Crossing>& stop_after) {
+  return TransientSolver(circuit, options, probes, stop_after).run();
 }
 
 }  // namespace pim

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "spice/circuit.hpp"
+#include "spice/measure.hpp"
 
 namespace pim {
 
@@ -65,9 +66,9 @@ struct Trace {
 
 /// Everything a transient run produces.
 struct TransientResult {
-  std::vector<double> time;         ///< sample times, t = 0 .. t_stop
+  std::vector<double> time;         ///< sample times, t = 0 .. t_stop (or the stop sample)
   std::vector<Trace> traces;        ///< one per requested probe
-  std::vector<SourceTotals> sources;///< per voltage source
+  std::vector<SourceTotals> sources;///< per voltage source; empty for a run with a stop list
 
   /// The trace for `node`; throws pim::Error(bad_input) naming the node
   /// when it was not probed. Builds a sorted index on first use (and
@@ -94,8 +95,21 @@ TransientResult run_transient(const Circuit& circuit,
 /// `pim_bench transient_kernel` re-asserts it on every benchmark run).
 /// Unlike run_transient it accepts any bandwidth: above
 /// solver::kMaxHalfBandwidth it solves with a dense LU.
+///
+/// Early exit (docs/kernels.md): with a non-empty `stop_after`, the run
+/// ends at the first recorded sample where every listed crossing has
+/// happened, so `time` and `traces` are a bit-identical prefix of the
+/// full-window run, and it integrates no source totals (`sources` is
+/// empty). A list that never completes runs the full window. While fault
+/// injection is armed the run always goes the full window. A crossing on
+/// a node outside the circuit, or at a non-finite level, is bad_input.
 TransientResult run_transient_reference(const Circuit& circuit,
                                         const TransientOptions& options,
-                                        const std::vector<NodeId>& probes);
+                                        const std::vector<NodeId>& probes,
+                                        const std::vector<Crossing>& stop_after = {});
+
+/// Whether every crossing of `stop_after` names a node below `node_count`
+/// at a finite level: the check both engines apply to a stop list.
+bool stop_after_is_valid(const std::vector<Crossing>& stop_after, size_t node_count);
 
 }  // namespace pim

@@ -192,21 +192,33 @@ SignoffResult signoff_link(const Technology& tech, const LinkContext& ctx,
   // launch runs as a second lane of the same batch that overrides every
   // line input with its falling wave. Each lane is bit-identical to a
   // solo run of its own netlist (docs/kernels.md).
+  // Each lane ends once the four victim crossings its delay and slew
+  // read have happened (docs/kernels.md, "Early exit").
   const LinkNetlist built = build_line(tech, ctx, design, opt, /*launch_rising=*/true);
   const std::vector<Waveform> falling = launch_waves(tech, ctx, opt, /*launch_rising=*/false);
+  const bool inverted = design.kind == CellKind::Inverter && (design.num_repeaters % 2 == 1);
+  const auto in_edge_of = [](bool launch_rising) {
+    return launch_rising ? EdgeKind::Rising : EdgeKind::Falling;
+  };
+  const auto out_edge_of = [&](bool launch_rising) {
+    return (launch_rising != inverted) ? EdgeKind::Rising : EdgeKind::Falling;
+  };
   std::vector<LaneSpec> lanes(2);
   for (size_t l = 0; l < falling.size(); ++l)
     lanes[1].vsource_wave.emplace_back(kFirstLineSource + l, falling[l]);
+  for (const bool launch_rising : {true, false})
+    lanes[launch_rising ? 0 : 1].stop_after =
+        timing_crossings(built.victim_in, in_edge_of(launch_rising), built.victim_out,
+                         out_edge_of(launch_rising), tech.vdd);
   std::vector<Expected<TransientResult>> runs =
       run_transient_batch(CompiledCircuit::compile(built.circuit), sim,
                           {built.victim_in, built.victim_out}, lanes);
 
-  const bool inverted = design.kind == CellKind::Inverter && (design.num_repeaters % 2 == 1);
   SignoffResult worst;
   for (const bool launch_rising : {true, false}) {
     const TransientResult res = runs[launch_rising ? 0 : 1].take();
-    const EdgeKind in_edge = launch_rising ? EdgeKind::Rising : EdgeKind::Falling;
-    const EdgeKind out_edge = (launch_rising != inverted) ? EdgeKind::Rising : EdgeKind::Falling;
+    const EdgeKind in_edge = in_edge_of(launch_rising);
+    const EdgeKind out_edge = out_edge_of(launch_rising);
 
     const double delay = delay_50(res.time, res.trace(built.victim_in), in_edge,
                                   res.trace(built.victim_out), out_edge, tech.vdd);

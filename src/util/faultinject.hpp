@@ -46,7 +46,7 @@ namespace pim::fault {
 // docs/robustness.md.
 inline constexpr const char* kLuSingular = "lu.singular";          // dense LU pivot
 inline constexpr const char* kNewtonDiverge = "newton.diverge";    // spice Newton loop
-inline constexpr const char* kIoOpen = "io.open";                  // deck save, CLI output files
+inline constexpr const char* kIoOpen = "io.open";                  // CLI output files
 inline constexpr const char* kVariationSample = "variation.sample";// per-MC-sample solve
 inline constexpr const char* kDeadlineExpire = "deadline-expire";  // deadline::check() poll
 inline constexpr const char* kCancelMidchunk = "cancel-midchunk";  // deadline::check() poll

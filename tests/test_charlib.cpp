@@ -4,13 +4,18 @@
 // fixture trims the sweep axes to keep the suite fast.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
 
 #include "charlib/characterize.hpp"
 #include "charlib/fit.hpp"
 #include "exec/engine.hpp"
 #include "liberty/library.hpp"
+#include "obs/metrics.hpp"
 #include "numeric/regression.hpp"
+#include "spice/measure.hpp"
+#include "spice/transient.hpp"
 #include "util/error.hpp"
 #include "util/units.hpp"
 
@@ -285,6 +290,77 @@ TEST(BatchedSweep, TablesBitIdenticalToReferenceEngineAtAnyThreadCount) {
         }
   }
   exec::set_threads(0);
+}
+
+// The sweep ends both edge lanes of a point at their last measured
+// crossing (docs/kernels.md, "Early exit"), in either engine. Every table
+// entry must still equal, bit for bit, the delay and slew of a
+// full-window reference run of the deck characterize.cpp builds for that
+// point: input edge at 20 ps, window of slew + 1.2 ns after it, 0.5 ns
+// settle in 120 steps.
+TEST(BatchedSweep, EarlyExitTablesEqualFullWindowRuns) {
+  const Technology& tech = technology(TechNode::N65);
+  CharacterizationOptions opt;
+  opt.slew_axis = {20 * ps, 300 * ps};
+  opt.fanout_axis = {2.0, 20.0};
+  for (const CellKind kind : {CellKind::Inverter, CellKind::Buffer}) {
+    const RepeaterSizing sz = repeater_sizing(tech, kind, 8);
+    for (const bool reference_engine : {false, true}) {
+      opt.reference_engine = reference_engine;
+      obs::registry().reset();
+      obs::set_enabled(true);
+      const RepeaterCell cell = characterize_cell(tech, kind, 8, opt);
+      const int64_t stopped = obs::registry().counter("spice.transient.stopped").value();
+      obs::set_enabled(false);
+      obs::registry().reset();
+      // Both edges of all four points; the reference engine has no phase
+      // totals to flush the count with.
+      EXPECT_EQ(stopped, reference_engine ? 0 : 8);
+
+      const TimingTable* tables[2] = {&cell.rise, &cell.fall};
+      for (int e = 0; e < 2; ++e) {
+        const EdgeKind out_edge = e == 0 ? EdgeKind::Rising : EdgeKind::Falling;
+        const bool input_rises = (kind == CellKind::Inverter) == (out_edge == EdgeKind::Falling);
+        const EdgeKind in_edge = input_rises ? EdgeKind::Rising : EdgeKind::Falling;
+        const TimingTable& table = *tables[e];
+        for (size_t i = 0; i < table.slew_axis.size(); ++i)
+          for (size_t j = 0; j < table.load_axis.size(); ++j) {
+            const double slew = table.slew_axis[i];
+            Circuit c;
+            const NodeId vdd = c.add_node("vdd");
+            const NodeId in = c.add_node("in");
+            const NodeId out = c.add_node("out");
+            c.add_vsource(vdd, Waveform::dc(tech.vdd));
+            const double v0 = input_rises ? 0.0 : tech.vdd;
+            c.add_vsource(in, Waveform::ramp(v0, tech.vdd - v0, 20 * ps, slew));
+            if (kind == CellKind::Inverter) {
+              c.add_inverter(tech.devices(), sz.wn_out, sz.wp_out, in, out, vdd);
+            } else {
+              const NodeId mid = c.add_node("mid");
+              c.add_inverter(tech.devices(), sz.wn_in, sz.wp_in, in, mid, vdd);
+              c.add_inverter(tech.devices(), sz.wn_out, sz.wp_out, mid, out, vdd);
+            }
+            c.add_capacitor(out, c.ground(), table.load_axis[j]);
+            TransientOptions sim;
+            sim.dt = std::max(0.25 * ps, std::min(opt.dt_max, slew / 40.0));
+            sim.t_stop = 20 * ps + slew + 1.2 * ns;
+            sim.t_settle = 0.5 * ns;
+            sim.settle_steps = 120;
+            const TransientResult full = run_transient_reference(c, sim, {in, out});
+            const std::string where = std::to_string(static_cast<int>(kind)) + " engine " +
+                                      std::to_string(reference_engine) + " edge " +
+                                      std::to_string(e) + " " + std::to_string(i) + "," +
+                                      std::to_string(j);
+            EXPECT_EQ(table.delay(i, j), delay_50(full.time, full.trace(in), in_edge,
+                                                  full.trace(out), out_edge, tech.vdd))
+                << where;
+            EXPECT_EQ(table.out_slew(i, j),
+                      measure_slew(full.time, full.trace(out), out_edge, tech.vdd))
+                << where;
+          }
+      }
+    }
+  }
 }
 
 // A one-point table axis is the caller's input error, not an internal one.

@@ -759,15 +759,17 @@ TEST(CliLedger, PartialRunStillPrintsAndLandsInLedger) {
 
 // SIGTERM mid-run trips the cooperative cancel token: the process still
 // exits through the normal finish path, so the ledger record and the
-// --profile report are flushed rather than lost.
+// --profile report are flushed rather than lost. --coeffs adds the fit
+// and the composition calibration, so the run is still going when the
+// signal lands 0.3 s in.
 TEST(CliSignals, SigtermMidRunFlushesLedgerAndProfile) {
   const std::string dir = ::testing::TempDir() + "pim_cli_sigterm";
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   const std::string cmd =
       std::string("sh -c '") + PIM_CLI_PATH + " characterize 65nm --cache off" +
-      " --out-dir " + dir + " --profile profile.json --lib " + dir +
-      "/out.lib --log-level off > /dev/null 2>&1 & pid=$!; sleep 0.3;" +
+      " --out-dir " + dir + " --profile profile.json --lib " + dir + "/out.lib --coeffs " +
+      dir + "/out.pimfit --log-level off > /dev/null 2>&1 & pid=$!; sleep 0.3;" +
       " kill -TERM $pid 2>/dev/null; wait $pid; echo $? > " + dir + "/rc'";
   ASSERT_EQ(std::system(cmd.c_str()), 0);
 

@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
 
 #include "charlib/characterize.hpp"
 #include "cosi/mesh.hpp"
@@ -18,7 +17,6 @@
 #include "models/proposed.hpp"
 #include "numeric/lu.hpp"
 #include "obs/metrics.hpp"
-#include "spice/deck.hpp"
 #include "spice/measure.hpp"
 #include "spice/transient.hpp"
 #include "tech/technology.hpp"
@@ -165,29 +163,6 @@ TEST_F(FaultFixture, LuEquilibrationRescuesSingleFire) {
   EXPECT_GT(errored, 0);    // fired twice, surfaced
   EXPECT_EQ(obs::registry().counter("numeric.lu.recovered").value(), recovered);
   EXPECT_GE(obs::registry().counter("numeric.lu.error").value(), errored);
-}
-
-// ---------------------------------------------------------------- deck
-
-TEST_F(FaultFixture, IoOpenFaultFailsSaveAndLoad) {
-  Circuit c;
-  const NodeId a = c.add_node("a");
-  c.add_vsource(a, Waveform::dc(1.0));
-  const std::string path = ::testing::TempDir() + "pim_fault_deck.sp";
-  save_deck(c, path);  // disarmed: works
-
-  fault::configure("io.open:1");
-  try {
-    save_deck(c, path);
-    FAIL() << "expected io_parse";
-  } catch (const Error& e) {
-    EXPECT_EQ(e.code(), ErrorCode::io_parse);
-  }
-  EXPECT_GT(fault::fired_count(fault::kIoOpen), 0);
-
-  fault::clear();
-  EXPECT_NO_THROW(save_deck(c, path));
-  std::remove(path.c_str());
 }
 
 // ----------------------------------------------------------- variation

@@ -40,7 +40,8 @@ constexpr LineReader::Status kEof = LineReader::Status::eof;
 // Spin until the server's own stats report satisfies `done` (stats_json
 // is safe from any thread). The predicates below wait on accepted /
 // queue_depth transitions, so the assertions that follow are not timing
-// guesses.
+// guesses. FAIL() returns only from this helper: a caller that must not
+// go on after a wait gave up wraps it in ASSERT_NO_FATAL_FAILURE.
 template <typename Pred>
 void wait_for_stats(Server& server, Pred done) {
   for (int i = 0; i < 50000; ++i) {
@@ -50,6 +51,25 @@ void wait_for_stats(Server& server, Pred done) {
   }
   FAIL() << "stats never reached the expected state: " << server.stats_json();
 }
+
+// A client socket that is closed when the test returns, early or not.
+// Declared after the Server, it closes first, so the server's destructor
+// never waits on a flush to a peer that stopped reading.
+class ClientSocket {
+ public:
+  explicit ClientSocket(int fd) : fd_(fd) {}
+  ~ClientSocket() { close(); }
+  ClientSocket(const ClientSocket&) = delete;
+  ClientSocket& operator=(const ClientSocket&) = delete;
+  int fd() const { return fd_; }
+  void close() {
+    if (fd_ >= 0) ::close(fd_);
+    fd_ = -1;
+  }
+
+ private:
+  int fd_;
+};
 
 double stat(const obs::JsonValue& v, const char* name) {
   const obs::JsonValue* m = v.find(name);
@@ -406,19 +426,21 @@ TEST(Serve, FullQueueRejectsWithOverloaded) {
   Server server(options);
   server.start();
 
-  const int fd = connect_tcp(server.tcp_port());
+  ClientSocket client(connect_tcp(server.tcp_port()));
+  const int fd = client.fd();
   LineReader reader(fd);
   // Occupy the single worker with a deterministic multi-second batch,
   // wait until it is picked up (queue drains), then fill the queue and
   // overflow it. The waits make the rejection deterministic, not timed.
+  // A wait that gives up fails this test here, before any response is read.
   ASSERT_TRUE(send_all(fd, big_techfile_batch(5000) + "\n"));
-  wait_for_stats(server, [](const obs::JsonValue& v) {
+  ASSERT_NO_FATAL_FAILURE(wait_for_stats(server, [](const obs::JsonValue& v) {
     return stat(v, "accepted") == 1.0 && stat(v, "queue_depth") == 0.0;
-  });
+  }));
   ASSERT_TRUE(send_all(fd, "{\"op\":\"techfile\",\"id\":201,\"tech\":\"65nm\"}\n"));
-  wait_for_stats(server, [](const obs::JsonValue& v) {
+  ASSERT_NO_FATAL_FAILURE(wait_for_stats(server, [](const obs::JsonValue& v) {
     return stat(v, "accepted") == 2.0;
-  });
+  }));
   ASSERT_TRUE(send_all(fd, "{\"op\":\"techfile\",\"id\":202,\"tech\":\"65nm\"}\n"));
 
   // Responses stay in request order: batch, queued single, rejection.
@@ -431,13 +453,18 @@ TEST(Serve, FullQueueRejectsWithOverloaded) {
   EXPECT_NE(queued_response.find("\"ok\":true"), std::string::npos);
   ASSERT_EQ(reader.next(rejection), kLine);
   const obs::JsonValue v = obs::parse_json(rejection);
+  ASSERT_NE(v.find("id"), nullptr) << rejection;
   EXPECT_EQ(v.find("id")->number, 202.0);
+  ASSERT_NE(v.find("ok"), nullptr) << rejection;
   EXPECT_FALSE(v.find("ok")->boolean);
-  EXPECT_EQ(v.find("error")->find("code")->text, "overloaded");
+  const obs::JsonValue* error = v.find("error");
+  ASSERT_NE(error, nullptr) << rejection;
+  ASSERT_NE(error->find("code"), nullptr) << rejection;
+  EXPECT_EQ(error->find("code")->text, "overloaded");
 
   const obs::JsonValue stats = obs::parse_json(server.stats_json());
   EXPECT_EQ(stat(stats, "rejected"), 1.0);
-  ::close(fd);
+  client.close();
   server.stop();
 }
 

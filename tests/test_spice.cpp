@@ -4,6 +4,7 @@
 // rely on (load-dependent delay/slew, size-dependent drive).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <functional>
@@ -492,6 +493,50 @@ TEST(Measure, FallingEdge) {
   EXPECT_NEAR(measure_slew(t, v, EdgeKind::Falling, 1.0), 40.0 * ps, 0.5 * ps);
 }
 
+// A sample that lands exactly on the level is the crossing. crossing_time
+// and the engines' early exit share this rule (crosses()).
+TEST(Measure, ASampleOnTheLevelIsTheCrossing) {
+  EXPECT_TRUE(crosses(0.4, 0.5, 0.5, EdgeKind::Rising));
+  EXPECT_FALSE(crosses(0.5, 0.6, 0.5, EdgeKind::Rising));
+  EXPECT_FALSE(crosses(0.6, 0.5, 0.5, EdgeKind::Rising));
+  EXPECT_TRUE(crosses(0.6, 0.5, 0.5, EdgeKind::Falling));
+  EXPECT_FALSE(crosses(0.5, 0.4, 0.5, EdgeKind::Falling));
+  EXPECT_FALSE(crosses(0.4, 0.5, 0.5, EdgeKind::Falling));
+  const std::vector<double> t = {0.0, 1.0, 2.0, 3.0};
+  EXPECT_EQ(crossing_time(t, {0.0, 0.5, 1.0, 1.0}, 0.5, EdgeKind::Rising), 1.0);
+  EXPECT_EQ(crossing_time(t, {1.0, 1.0, 0.5, 0.0}, 0.5, EdgeKind::Falling), 2.0);
+}
+
+TEST(Measure, TimingCrossingsAreTheLevelsDelayAndSlewRead) {
+  const double swing = 1.1;
+  const std::vector<Crossing> c =
+      timing_crossings(3, EdgeKind::Falling, 7, EdgeKind::Rising, swing);
+  ASSERT_EQ(c.size(), 4u);
+  EXPECT_EQ(c[0].node, 3);
+  EXPECT_EQ(c[0].edge, EdgeKind::Falling);
+  EXPECT_EQ(c[0].level, 0.5 * swing);
+  const double out_levels[3] = {0.5 * swing, 0.2 * swing, 0.8 * swing};
+  for (size_t k = 1; k < 4; ++k) {
+    EXPECT_EQ(c[k].node, 7) << k;
+    EXPECT_EQ(c[k].edge, EdgeKind::Rising) << k;
+    EXPECT_EQ(c[k].level, out_levels[k - 1]) << k;
+  }
+}
+
+TEST(Measure, CrossingWatchReportsTheFirstSampleWithEveryCrossing) {
+  // Node 1 rises onto 0.5 at sample 2; node 2 falls onto 0.3 at sample 4.
+  // Node 1 falls back and rises again afterwards: only first crossings
+  // count.
+  const std::vector<std::vector<double>> samples = {
+      {0.0, 0.0, 1.0}, {0.0, 0.4, 0.9}, {0.0, 0.5, 0.6},
+      {0.0, 0.2, 0.5}, {0.0, 0.1, 0.3}, {0.0, 0.9, 0.0}};
+  CrossingWatch watch({{1, 0.5, EdgeKind::Rising}, {2, 0.3, EdgeKind::Falling}});
+  for (size_t i = 0; i < samples.size(); ++i)
+    EXPECT_EQ(watch.observe(samples[i]), i == 4) << "sample " << i;
+  CrossingWatch none;
+  for (const auto& sample : samples) EXPECT_FALSE(none.observe(sample));
+}
+
 // ------------------------------------------------ batched engine identity
 
 // Byte-level equality: the contract is bit-identity, not closeness, so
@@ -691,6 +736,148 @@ TEST(TransientBatch, BadLaneIsIsolatedFromSiblings) {
   }
 }
 
+// ---------------------------------------------------------- early exit
+
+// The crossings delay_50 and measure_slew read on a manual inverter
+// driven by a rising input.
+std::vector<Crossing> inverter_crossings(const ManualInverter& m) {
+  return timing_crossings(m.in, EdgeKind::Rising, m.out, EdgeKind::Falling, kVdd);
+}
+
+// The first sample of a full-window run at which every crossing of
+// `stop` has happened; 0 when one never happens.
+size_t last_crossing_sample(const TransientResult& full, const std::vector<Crossing>& stop) {
+  size_t last = 0;
+  for (const Crossing& c : stop) {
+    const std::vector<double>& v = full.trace(c.node);
+    size_t i = 1;
+    while (i < v.size() && !crosses(v[i - 1], v[i], c.level, c.edge)) ++i;
+    if (i == v.size()) return 0;
+    last = std::max(last, i);
+  }
+  return last;
+}
+
+// `stopped`'s time and traces are a bitwise prefix of `full`'s.
+void expect_bitwise_prefix(const TransientResult& stopped, const TransientResult& full) {
+  ASSERT_LE(stopped.time.size(), full.time.size());
+  for (size_t i = 0; i < stopped.time.size(); ++i)
+    ASSERT_TRUE(bits_equal(stopped.time[i], full.time[i])) << "time[" << i << "]";
+  ASSERT_EQ(stopped.traces.size(), full.traces.size());
+  for (size_t t = 0; t < stopped.traces.size(); ++t) {
+    ASSERT_EQ(stopped.traces[t].node, full.traces[t].node);
+    ASSERT_EQ(stopped.traces[t].values.size(), stopped.time.size());
+    for (size_t i = 0; i < stopped.time.size(); ++i)
+      ASSERT_TRUE(bits_equal(stopped.traces[t].values[i], full.traces[t].values[i]))
+          << "trace " << t << " sample " << i;
+  }
+}
+
+TEST(TransientEarlyExit, StoppedLaneIsAPrefixEndingAtItsLastCrossing) {
+  const TransientOptions opt = batch_test_options();
+  ManualInverter inv = manual_inverter(1.0, 2.0, 10.0, 30.0);
+  const std::vector<Crossing> stop = inverter_crossings(inv);
+  const TransientResult full = run_transient_reference(inv.c, opt, {inv.in, inv.out});
+  const size_t last = last_crossing_sample(full, stop);
+  ASSERT_GT(last, 0u);
+  ASSERT_LT(last + 1, full.time.size()) << "the window has no tail to cut";
+
+  std::vector<LaneSpec> lanes(1);
+  lanes[0].stop_after = stop;
+  obs::registry().reset();
+  obs::set_enabled(true);
+  const std::vector<Expected<TransientResult>> batch =
+      run_transient_batch(CompiledCircuit::compile(inv.c), opt, {inv.in, inv.out}, lanes);
+  const int64_t runs = obs::registry().counter("spice.transient.runs").value();
+  const int64_t stopped_lanes = obs::registry().counter("spice.transient.stopped").value();
+  const int64_t cut = obs::registry().counter("spice.timestep.cut").value();
+  obs::set_enabled(false);
+  obs::registry().reset();
+
+  ASSERT_TRUE(batch[0].ok());
+  const TransientResult& stopped = batch[0].value();
+  EXPECT_EQ(stopped.time.size(), last + 1);
+  expect_bitwise_prefix(stopped, full);
+  EXPECT_TRUE(stopped.sources.empty());
+  EXPECT_EQ(runs, 1);
+  EXPECT_EQ(stopped_lanes, 1);
+  EXPECT_EQ(cut, static_cast<int64_t>(full.time.size() - stopped.time.size()));
+  // The reference engine given the same list stops at the same sample.
+  expect_bit_identical(stopped, run_transient_reference(inv.c, opt, {inv.in, inv.out}, stop));
+  // And what the list was for reads the same bits as over the full window.
+  EXPECT_EQ(delay_50(stopped.time, stopped.trace(inv.in), EdgeKind::Rising,
+                     stopped.trace(inv.out), EdgeKind::Falling, kVdd),
+            delay_50(full.time, full.trace(inv.in), EdgeKind::Rising, full.trace(inv.out),
+                     EdgeKind::Falling, kVdd));
+  EXPECT_EQ(measure_slew(stopped.time, stopped.trace(inv.out), EdgeKind::Falling, kVdd),
+            measure_slew(full.time, full.trace(inv.out), EdgeKind::Falling, kVdd));
+}
+
+TEST(TransientEarlyExit, SiblingsAndLanesThatNeverCrossKeepTheirFullWindow) {
+  const TransientOptions opt = batch_test_options();
+  ManualInverter inv = manual_inverter(1.0, 2.0, 10.0, 30.0);
+  ManualInverter heavy = manual_inverter(1.0, 2.0, 15.0, 30.0);
+  const std::vector<NodeId> probes = {inv.in, inv.out};
+  const double unreachable = 2.0 * kVdd;
+  std::vector<LaneSpec> lanes(3);
+  lanes[0].stop_after = inverter_crossings(inv);
+  // Lane 1 has no list. Lane 2 crosses its first crossing but never its
+  // second.
+  lanes[2].cap_farads.push_back({0, 15.0 * fF});
+  lanes[2].stop_after = {{inv.in, 0.5 * kVdd, EdgeKind::Rising},
+                         {inv.out, unreachable, EdgeKind::Rising}};
+  const std::vector<Expected<TransientResult>> batch =
+      run_transient_batch(CompiledCircuit::compile(inv.c), opt, probes, lanes);
+  const TransientResult full = run_transient_reference(inv.c, opt, probes);
+  const TransientResult heavy_full = run_transient_reference(heavy.c, opt, probes);
+
+  ASSERT_TRUE(batch[0].ok());
+  EXPECT_LT(batch[0].value().time.size(), full.time.size());
+  // The sibling without a list keeps every bit, sources included, after
+  // lane 0 left the cohort.
+  ASSERT_TRUE(batch[1].ok());
+  expect_bit_identical(batch[1].value(), full);
+  // The lane that never completes its list runs the whole window.
+  ASSERT_TRUE(batch[2].ok());
+  const TransientResult& never = batch[2].value();
+  EXPECT_EQ(never.time.size(), heavy_full.time.size());
+  expect_bitwise_prefix(never, heavy_full);
+  EXPECT_TRUE(never.sources.empty());
+  const auto error_of = [&](const TransientResult& r) {
+    try {
+      crossing_time(r.time, r.trace(inv.out), unreachable, EdgeKind::Rising);
+    } catch (const Error& e) {
+      return std::string(error_code_name(e.code())) + ": " + e.what();
+    }
+    return std::string("no error");
+  };
+  EXPECT_EQ(error_of(never), error_of(heavy_full));
+  EXPECT_NE(error_of(never), "no error");
+}
+
+TEST(TransientEarlyExit, CrossingOutsideTheCircuitIsBadInput) {
+  const TransientOptions opt = batch_test_options();
+  ManualInverter inv = manual_inverter(1.0, 2.0, 10.0, 30.0);
+  const NodeId missing = static_cast<NodeId>(inv.c.node_count());
+  std::vector<LaneSpec> lanes(3);
+  lanes[0].stop_after = {{missing, 0.5, EdgeKind::Rising}};
+  lanes[2].stop_after = {{inv.out, std::numeric_limits<double>::infinity(), EdgeKind::Rising}};
+  const std::vector<Expected<TransientResult>> batch =
+      run_transient_batch(CompiledCircuit::compile(inv.c), opt, {inv.out}, lanes);
+  for (size_t i : {size_t{0}, size_t{2}}) {
+    ASSERT_FALSE(batch[i].ok()) << i;
+    EXPECT_EQ(batch[i].error().code(), ErrorCode::bad_input) << i;
+  }
+  ASSERT_TRUE(batch[1].ok());
+  expect_bit_identical(batch[1].value(), run_transient_reference(inv.c, opt, {inv.out}));
+  try {
+    run_transient_reference(inv.c, opt, {inv.out}, lanes[0].stop_after);
+    FAIL() << "expected bad_input";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::bad_input);
+  }
+}
+
 // ------------------------------------------------------- device bypass
 
 // A memoized evaluation must return the memo-free kernel's bits for any
@@ -884,6 +1071,32 @@ TEST_F(BatchFaultFixture, HalvingRetriesStayBitIdenticalToReference) {
   fault::configure("lu.singular:0.05:7");
   const TransientResult singular_ref = run_transient_reference(ladder, opt, {tail});
   expect_bit_identical(singular_batch, singular_ref);
+}
+
+// Early exit stays off while faults are armed (a skipped step would
+// shift later draws): a lane with a stop list runs the full window, on
+// the same draws as a run without one.
+TEST_F(BatchFaultFixture, ArmedFaultsKeepTheFullWindow) {
+  const TransientOptions opt = batch_test_options();
+  ManualInverter inv = manual_inverter(1.0, 2.0, 10.0, 30.0);
+  const std::vector<NodeId> probes = {inv.in, inv.out};
+  std::vector<LaneSpec> lanes(1);
+  lanes[0].stop_after = inverter_crossings(inv);
+
+  fault::configure("newton.diverge:0.05:3");
+  const std::vector<Expected<TransientResult>> batch =
+      run_transient_batch(CompiledCircuit::compile(inv.c), opt, probes, lanes);
+  EXPECT_GT(fault::fired_count(fault::kNewtonDiverge), 0);
+  fault::configure("newton.diverge:0.05:3");
+  const TransientResult full = run_transient_reference(inv.c, opt, probes);
+
+  ASSERT_TRUE(batch[0].ok());
+  EXPECT_EQ(batch[0].value().time.size(), full.time.size());
+  expect_bitwise_prefix(batch[0].value(), full);
+  EXPECT_TRUE(batch[0].value().sources.empty());
+  fault::configure("newton.diverge:0.05:3");
+  expect_bit_identical(batch[0].value(),
+                       run_transient_reference(inv.c, opt, probes, lanes[0].stop_after));
 }
 
 }  // namespace

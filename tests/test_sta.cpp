@@ -241,7 +241,7 @@ SignoffOutcome capture(Run run) {
 // The oracle for the two-lane signoff: two solo scalar reference runs,
 // one per launch polarity, on the rising and the falling netlist, with
 // the simulation window signoff.cpp uses (edge at 50 ps).
-SignoffResult reference_signoff(const Technology& tech, const LinkContext& ctx,
+TransientOptions signoff_window(const Technology& tech, const LinkContext& ctx,
                                 const LinkDesign& d, const SignoffOptions& opt) {
   TransientOptions sim;
   sim.dt = opt.dt;
@@ -249,6 +249,12 @@ SignoffResult reference_signoff(const Technology& tech, const LinkContext& ctx,
                opt.window_margin;
   sim.t_settle = 2e-9;
   sim.settle_steps = 250;
+  return sim;
+}
+
+SignoffResult reference_signoff(const Technology& tech, const LinkContext& ctx,
+                                const LinkDesign& d, const SignoffOptions& opt) {
+  const TransientOptions sim = signoff_window(tech, ctx, d, opt);
   const bool inverted = d.kind == CellKind::Inverter && d.num_repeaters % 2 == 1;
   SignoffResult worst;
   for (const bool rising : {true, false}) {
@@ -295,6 +301,65 @@ TEST_F(StaFixture, TwoLaneSignoffMatchesTwoReferenceRunsBitForBit) {
         EXPECT_EQ(got.result.delay, want.result.delay) << where;
         EXPECT_EQ(got.result.output_slew, want.result.output_slew) << where;
         EXPECT_EQ(got.result.node_count, want.result.node_count) << where;
+      }
+    }
+  }
+}
+
+// signoff_link ends each polarity lane at its last victim crossing
+// (docs/kernels.md, "Early exit"). Per polarity, a reference run given
+// the same four crossings stops early and still measures the full
+// window's delay and slew bits; and signoff_link equals the full-window
+// oracle, on inverter chains of odd and even length and on buffers.
+TEST_F(StaFixture, EarlyExitSignoffEqualsTheFullWindowOnOddAndEvenChains) {
+  for (const DesignStyle style : {DesignStyle::SingleSpacing, DesignStyle::Shielded}) {
+    for (const CellKind kind : {CellKind::Inverter, CellKind::Buffer}) {
+      for (const int repeaters : {1, 2}) {
+        LinkContext ctx = short_link(style);
+        ctx.length = 0.6 * mm * repeaters;
+        LinkDesign d;
+        d.kind = kind;
+        d.drive = 16;
+        d.num_repeaters = repeaters;
+        const SignoffOptions opt;
+        const std::string where = std::string(design_style_name(style)) + " kind " +
+                                  std::to_string(static_cast<int>(kind)) + " repeaters " +
+                                  std::to_string(repeaters);
+        const TransientOptions sim = signoff_window(*tech_, ctx, d, opt);
+        const bool inverted = kind == CellKind::Inverter && repeaters % 2 == 1;
+        for (const bool rising : {true, false}) {
+          const LinkNetlist net = build_link_netlist(*tech_, ctx, d, opt, rising);
+          const std::vector<NodeId> probes = {net.victim_in, net.victim_out};
+          const EdgeKind in_edge = rising ? EdgeKind::Rising : EdgeKind::Falling;
+          const EdgeKind out_edge = rising != inverted ? EdgeKind::Rising : EdgeKind::Falling;
+          const TransientResult full = run_transient_reference(net.circuit, sim, probes);
+          const TransientResult stopped = run_transient_reference(
+              net.circuit, sim, probes,
+              timing_crossings(net.victim_in, in_edge, net.victim_out, out_edge, tech_->vdd));
+          EXPECT_LT(stopped.time.size(), full.time.size()) << where << " rising " << rising;
+          EXPECT_EQ(delay_50(stopped.time, stopped.trace(net.victim_in), in_edge,
+                             stopped.trace(net.victim_out), out_edge, tech_->vdd),
+                    delay_50(full.time, full.trace(net.victim_in), in_edge,
+                             full.trace(net.victim_out), out_edge, tech_->vdd))
+              << where << " rising " << rising;
+          EXPECT_EQ(measure_slew(stopped.time, stopped.trace(net.victim_out), out_edge,
+                                 tech_->vdd),
+                    measure_slew(full.time, full.trace(net.victim_out), out_edge, tech_->vdd))
+              << where << " rising " << rising;
+        }
+
+        obs::registry().reset();
+        obs::set_enabled(true);
+        const SignoffResult got = signoff_link(*tech_, ctx, d, opt);
+        const int64_t stopped_lanes =
+            obs::registry().counter("spice.transient.stopped").value();
+        obs::set_enabled(false);
+        obs::registry().reset();
+        const SignoffResult want = reference_signoff(*tech_, ctx, d, opt);
+        EXPECT_EQ(stopped_lanes, 2) << where;
+        EXPECT_EQ(got.delay, want.delay) << where;
+        EXPECT_EQ(got.output_slew, want.output_slew) << where;
+        EXPECT_EQ(got.node_count, want.node_count) << where;
       }
     }
   }

@@ -37,6 +37,7 @@
 #include "cache/sha256.hpp"
 #include "cache/store.hpp"
 #include "charlib/characterize.hpp"
+#include "charlib/coeffs_io.hpp"
 #include "common.hpp"
 #include "spice/batch.hpp"
 #include "spice/plan.hpp"
@@ -183,8 +184,10 @@ std::pair<double, double> time_banded_pair() {
 // us_per_pair_cohort (time_banded_pair) at >= 1.3x.
 // device_bypass_frac is the share of the batched sweep's device
 // evaluations that the bypass memo served (docs/kernels.md, "Device
-// bypass"), counted in an untimed rerun so the engine's phase clocks stay
-// out of ms_per_sweep_batched.
+// bypass"), and stopped_frac the share of its transient runs that ended
+// at their last measured crossing ("Early exit"); both are counted in an
+// untimed rerun so the engine's phase clocks stay out of
+// ms_per_sweep_batched.
 std::vector<BenchMetric> bench_transient_kernel() {
   const Technology& tech = technology(TechNode::N65);
   CharacterizationOptions opt;
@@ -222,12 +225,57 @@ std::vector<BenchMetric> bench_transient_kernel() {
       counted.counted(obs::registry().counter("spice.device.evaluations")));
   const double bypass =
       static_cast<double>(counted.counted(obs::registry().counter("spice.device.bypass")));
-  require(evaluations > 0.0, "transient_kernel: the batched sweep evaluated no device");
+  const double runs =
+      static_cast<double>(counted.counted(obs::registry().counter("spice.transient.runs")));
+  const double stopped = static_cast<double>(
+      counted.counted(obs::registry().counter("spice.transient.stopped")));
+  require(evaluations > 0.0 && runs > 0.0,
+          "transient_kernel: the batched sweep evaluated no device");
   return {{"ms_per_sweep_reference", ref_ms, "ms", 0.6},
           {"ms_per_sweep_batched", fast_ms, "ms", 0.6},
           {"device_bypass_frac", bypass / evaluations, "frac", 0.0},
+          {"stopped_frac", stopped / runs, "frac", 0.0},
           {"us_per_pair_cohort", cohort_us, "us", 0.6},
           {"us_per_pair_reference", reference_us, "us", 0.6}};
+}
+
+// The whole cold-calibration path: one 65nm characterize -> fit ->
+// composition-calibrate with the result cache off
+// and one exec thread. The canonical .pimfit is asserted in-bench by its
+// SHA-256. The Newton timesteps and iterations of that path are counted
+// in an untimed rerun (the engine's phase clocks stay out of `ms`); they
+// are deterministic, so they carry rel_tol 0 and give the same verdict on
+// any machine.
+std::vector<BenchMetric> bench_cold_fit() {
+  constexpr const char* kCanonicalFit =
+      "26450859e2ce6f25607d98a1b45a82c7f75e3c471f08098ec16985f0c9686f33";
+  const cache::Mode mode = cache::mode();
+  cache::set_mode(cache::Mode::Off);
+  exec::set_threads(1);
+  const auto cold_fit = [&] {
+    const std::string text = write_fit(calibrated_fit(technology(TechNode::N65), Corner{}));
+    require(cache::sha256_hex(text) == kCanonicalFit,
+            "cold_fit: the 65nm fit differs from the canonical .pimfit");
+  };
+  const auto start = Clock::now();
+  cold_fit();
+  const double ms = seconds_since(start) * 1e3;
+  obs::MetricShard counted;
+  {
+    const bool was_enabled = obs::enabled();
+    obs::ShardScope scope(counted);
+    obs::set_enabled(true);
+    cold_fit();
+    obs::set_enabled(was_enabled);
+  }
+  exec::set_threads(0);
+  cache::set_mode(mode);
+  const auto count = [&](const char* name) {
+    return static_cast<double>(counted.counted(obs::registry().counter(name)));
+  };
+  return {{"ms", ms, "ms", 0.6},
+          {"timesteps", count("spice.timestep.count"), "count", 0.0},
+          {"newton_iterations", count("spice.newton.iterations"), "count", 0.0}};
 }
 
 // Monte-Carlo cost centers A/B, both legs asserted bit-identical
@@ -637,6 +685,7 @@ const BenchRegistrar kCases[] = {
     BenchRegistrar{{"buffering_search", /*smoke=*/false, bench_buffering_search}},
     BenchRegistrar{{"mc_yield", /*smoke=*/false, bench_mc_yield}},
     BenchRegistrar{{"transient_kernel", /*smoke=*/false, bench_transient_kernel}},
+    BenchRegistrar{{"cold_fit", /*smoke=*/false, bench_cold_fit}},
     BenchRegistrar{{"mc_batch", /*smoke=*/false, bench_mc_batch}},
     BenchRegistrar{{"serving_throughput", /*smoke=*/false,
                     bench_serving_throughput}},
