@@ -11,7 +11,8 @@
 # batches off one shared plan at several thread counts), and the sta
 # suite (composition calibration runs its golden sign-off simulations on
 # exec workers at several thread counts; threads race cold misses on the
-# resident model tier), and the scenario suite (corner models resolve
+# resident model tier, and warm hits race a coefficient-file rewrite and
+# clear_resident_fits for 20x the tier-1 rounds), and the scenario suite (corner models resolve
 # their fits under per-item provenance scopes inside one exec region).
 # Any data race
 # fails the script. Uses its own build directory so the main build/

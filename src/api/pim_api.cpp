@@ -90,7 +90,7 @@ Expected<typename Op<Req>::Result> guarded(const Req& request, F&& body) {
 // bytes per call, so an on-disk edit is visible to the very next request
 // (the invalidation flow depends on this).
 const Technology& base_tech_of(const std::string& tech, const char* who) {
-  require(!tech.empty(), std::string(who) + ": tech is required", ErrorCode::bad_input);
+  require(!tech.empty(), ErrorCode::bad_input, who, ": tech is required");
   return technology_from_spec(tech);
 }
 
@@ -115,8 +115,8 @@ Corner corner_of(const Technology& base, const std::string& spec) {
 }
 
 LinkContext context_of(const Technology& base, const LinkSpec& link, const char* who) {
-  require(link.length_mm > 0.0, std::string(who) + ": link.length_mm must be positive",
-          ErrorCode::bad_input);
+  require(link.length_mm > 0.0, ErrorCode::bad_input, who,
+          ": link.length_mm must be positive");
   LinkContext ctx;
   ctx.length = link.length_mm * mm;
   ctx.style = style_of(link.style);
@@ -126,8 +126,7 @@ LinkContext context_of(const Technology& base, const LinkSpec& link, const char*
 }
 
 LinkDesign design_of(const LinkSpec& link, const char* who) {
-  require(link.drive >= 1, std::string(who) + ": link.drive must be >= 1",
-          ErrorCode::bad_input);
+  require(link.drive >= 1, ErrorCode::bad_input, who, ": link.drive must be >= 1");
   LinkDesign design;
   design.drive = link.drive;
   design.num_repeaters = resolved_repeaters(link);
@@ -154,9 +153,8 @@ CornerModelSet calibrated_corners(const Technology& base, const std::vector<Corn
 }
 
 SocSpec spec_of(const std::string& which, const char* who) {
-  require(!which.empty(),
-          std::string(who) + ": spec is required (dvopd, vproc, mpeg4, mwd, or a .soc file)",
-          ErrorCode::bad_input);
+  require(!which.empty(), ErrorCode::bad_input, who,
+          ": spec is required (dvopd, vproc, mpeg4, mwd, or a .soc file)");
   if (which == "dvopd") return dvopd_spec();
   if (which == "vproc") return vproc_spec();
   if (which == "mpeg4") return mpeg4_spec();
@@ -176,10 +174,8 @@ std::shared_ptr<const InterconnectModel> model_of(const std::string& name,
 }  // namespace
 
 void check_version(int version, const std::string& who) {
-  require(version == kApiVersion,
-          who + ": request api_version " + std::to_string(version) +
-              " does not match pim::api::kApiVersion " + std::to_string(kApiVersion),
-          ErrorCode::bad_input);
+  require(version == kApiVersion, ErrorCode::bad_input, who, ": request api_version ",
+          version, " does not match pim::api::kApiVersion ", kApiVersion);
 }
 
 Expected<TechfileResult> run_techfile(const TechfileRequest& request) {
@@ -195,8 +191,7 @@ Expected<CharlibResult> run_charlib(const CharlibRequest& request) {
     const Technology& base = base_tech_of(request.tech, who);
     const Technology& tech = corner_technology(base, corner_of(base, request.corner));
     for (int drive : request.drives)
-      require(drive >= 1, std::string(who) + ": every drive must be >= 1",
-              ErrorCode::bad_input);
+      require(drive >= 1, ErrorCode::bad_input, who, ": every drive must be >= 1");
     CharacterizationOptions opt;
     if (!request.drives.empty()) opt.drives = request.drives;
     const CellLibrary lib = characterize_library(tech, opt);
@@ -255,8 +250,8 @@ Expected<BufferResult> run_buffer(const BufferRequest& request) {
     const Technology& base = base_tech_of(request.link.tech, who);
     const Corner corner = corner_of(base, request.link.corner);
     const LinkContext ctx = context_of(base, request.link, who);
-    require(request.weight >= 0.0 && request.weight <= 1.0,
-            std::string(who) + ": weight must be in [0, 1]", ErrorCode::bad_input);
+    require(request.weight >= 0.0 && request.weight <= 1.0, ErrorCode::bad_input, who,
+            ": weight must be in [0, 1]");
     BufferingOptions opt;
     opt.weight = request.weight;
     if (request.budget_ps > 0.0) opt.max_delay = request.budget_ps * ps;
@@ -281,8 +276,8 @@ Expected<BufferResult> run_buffer(const BufferRequest& request) {
 
 Expected<YieldResult> run_yield(const YieldRequest& request) {
   return guarded(request, [&](const char* who) {
-    require(request.samples >= 1, std::string(who) + ": samples must be at least 1",
-            ErrorCode::bad_input);
+    require(request.samples >= 1, ErrorCode::bad_input, who,
+            ": samples must be at least 1");
     const Technology& base = base_tech_of(request.link.tech, who);
     const Corner corner = corner_of(base, request.link.corner);
     const LinkContext ctx = context_of(base, request.link, who);
@@ -416,11 +411,9 @@ Expected<SynthesisResult> run_synthesis(const SynthesisRequest& request) {
       // Worst-corner synthesis: every link the optimizer sizes is
       // evaluated at the per-metric worst case over the corner set, so
       // the synthesized NoC closes at every corner of it.
-      require(request.model == "proposed",
-              std::string(who) +
-                  ": --corners requires the proposed model (baselines carry "
-                  "no per-corner calibration)",
-              ErrorCode::bad_input);
+      require(request.model == "proposed", ErrorCode::bad_input, who,
+              ": --corners requires the proposed model (baselines carry "
+              "no per-corner calibration)");
       const std::vector<Corner> corners =
           base.scenario_set().resolve(request.corners);
       return std::make_shared<WorstCornerModel>(
@@ -433,9 +426,8 @@ Expected<SynthesisResult> run_synthesis(const SynthesisRequest& request) {
         shape.cols = request.cols;
         return build_mesh_noc(spec, *model, {}, shape);
       }
-      require(request.rows == 0 && request.cols == 0,
-              std::string(who) + ": rows/cols only apply to mesh construction",
-              ErrorCode::bad_input);
+      require(request.rows == 0 && request.cols == 0, ErrorCode::bad_input, who,
+              ": rows/cols only apply to mesh construction");
       return synthesize_noc(spec, *model);
     }();
     const NocMetrics& m = r.metrics;
@@ -507,9 +499,8 @@ Expected<CacheAdminResult> run_cache_admin(const CacheAdminRequest& request) {
       return result;
     }
     if (request.action == "prune") {
-      require(request.budget_bytes >= 0,
-              std::string(who) + ": prune budget_bytes must be non-negative",
-              ErrorCode::bad_input);
+      require(request.budget_bytes >= 0, ErrorCode::bad_input, who,
+              ": prune budget_bytes must be non-negative");
       const cache::PruneResult pruned = cache::prune_cache(
           result.dir, static_cast<size_t>(request.budget_bytes));
       result.scanned_entries = static_cast<int64_t>(pruned.scanned_entries);

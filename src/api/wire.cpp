@@ -1,5 +1,6 @@
 #include "api/wire.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <concepts>
 #include <iterator>
@@ -16,7 +17,6 @@ namespace pim::api::wire {
 namespace {
 
 using obs::JsonValue;
-using obs::json_number;
 using obs::json_quote;
 
 // ---------------------------------------------------------------------------
@@ -27,7 +27,7 @@ using obs::json_quote;
 // decode, which is the additive-evolution rule from docs/api.md.
 // ---------------------------------------------------------------------------
 
-template <typename T> std::string struct_text(T& value);
+template <typename T> void append_struct(std::string& out, T& value);
 template <typename T> T decode_struct(const JsonValue& object, const std::string& who);
 
 // Integral wire fields, excluding bool (which has its own JSON kind).
@@ -48,27 +48,47 @@ bool representable(double d) {
 template <WireInt T>
 T checked_integer(double d, const std::string& who, const char* name) {
   if (!representable<T>(d))
-    fail(who + ": field '" + name + "' " +
-             (std::nearbyint(d) == d ? "is out of range" : "must be an integer"),
-         ErrorCode::bad_input);
+    fail(ErrorCode::bad_input,
+         {who, ": field '", name, "' ",
+          std::nearbyint(d) == d ? "is out of range" : "must be an integer"});
   return static_cast<T>(d);
+}
+
+// Appends an integer's decimal digits, as std::to_string renders them.
+template <WireInt T>
+void append_integer(std::string& out, T v) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
 }
 
 // ---------------------------------------------------------------------------
 // Writer: canonical object text — no whitespace, declaration order.
 // ---------------------------------------------------------------------------
 
+// Appends one object to the string it was given: the constructor opens
+// it, finish() closes it. Nested structs are written into the same
+// string, so a response is built in one buffer.
 class JsonWriter {
  public:
-  void field(const char* name, const std::string& v) { key(name); out_ += json_quote(v); }
+  explicit JsonWriter(std::string& out) : out_(out) { out_ += '{'; }
+
+  void field(const char* name, const std::string& v) {
+    key(name);
+    out_ += '"';
+    obs::append_json_escaped(out_, v);
+    out_ += '"';
+  }
   void field(const char* name, bool v) { key(name); out_ += v ? "true" : "false"; }
-  void field(const char* name, double v) { key(name); out_ += json_number(v); }
+  void field(const char* name, double v) {
+    key(name);
+    obs::append_json_number(out_, v);
+  }
   template <WireInt T>
   void field(const char* name, T v) {
     key(name);
-    out_ += std::to_string(v);
+    append_integer(out_, v);
   }
-  void field(const char* name, LinkSpec& v) { key(name); out_ += struct_text(v); }
+  void field(const char* name, LinkSpec& v) { object(name, v); }
   template <typename T>
   void field(const char* name, std::vector<T>& v) {
     key(name);
@@ -78,26 +98,34 @@ class JsonWriter {
       if (!first) out_ += ',';
       first = false;
       if constexpr (WireInt<T>)
-        out_ += std::to_string(item);
+        append_integer(out_, item);
       else
-        out_ += struct_text(item);
+        append_struct(out_, item);
     }
     out_ += ']';
+  }
+  /// A nested struct, written through its bind().
+  template <typename T>
+  void object(const char* name, T& v) {
+    key(name);
+    append_struct(out_, v);
   }
   /// Pre-serialized JSON (nested envelopes, error objects).
   void raw(const char* name, const std::string& json) { key(name); out_ += json; }
 
-  std::string finish() { return out_ + "}"; }
+  void finish() { out_ += '}'; }
 
  private:
+  // Field names are plain identifiers: they need no escaping.
   void key(const char* name) {
     if (!first_) out_ += ',';
     first_ = false;
-    out_ += json_quote(name);
-    out_ += ':';
+    out_ += '"';
+    out_ += name;
+    out_ += "\":";
   }
 
-  std::string out_ = "{";
+  std::string& out_;
   bool first_ = true;
 };
 
@@ -111,8 +139,8 @@ class JsonReader {
  public:
   JsonReader(const JsonValue& object, std::string who)
       : object_(object), who_(std::move(who)), used_(object.members.size(), false) {
-    require(object_.kind == JsonValue::Kind::Object, who_ + ": expected a JSON object",
-            ErrorCode::bad_input);
+    require(object_.kind == JsonValue::Kind::Object, ErrorCode::bad_input, who_,
+            ": expected a JSON object");
   }
 
   /// Marks an envelope routing key (op, id) as consumed without
@@ -162,9 +190,8 @@ class JsonReader {
   /// Rejects every member no field()/consume() claimed.
   void finish() const {
     for (size_t i = 0; i < object_.members.size(); ++i)
-      require(used_[i],
-              who_ + ": unknown field '" + object_.members[i].first + "'",
-              ErrorCode::bad_input);
+      require(used_[i], ErrorCode::bad_input, who_, ": unknown field '",
+              object_.members[i].first, "'");
   }
 
  private:
@@ -180,9 +207,8 @@ class JsonReader {
 
   void expect(const JsonValue& value, JsonValue::Kind kind, const char* name,
               const char* what) const {
-    require(value.kind == kind,
-            who_ + ": field '" + std::string(name) + "' must be " + what,
-            ErrorCode::bad_input);
+    require(value.kind == kind, ErrorCode::bad_input, who_, ": field '", name,
+            "' must be ", what);
   }
 
   template <WireInt T>
@@ -469,10 +495,17 @@ template <typename B> void bind(B& b, CacheAdminResult& v) {
 }
 
 template <typename T>
-std::string struct_text(T& value) {
-  JsonWriter w;
+void append_struct(std::string& out, T& value) {
+  JsonWriter w(out);
   bind(w, value);
-  return w.finish();
+  w.finish();
+}
+
+template <typename T>
+std::string struct_text(T& value) {
+  std::string out;
+  append_struct(out, value);
+  return out;
 }
 
 template <typename T>
@@ -534,19 +567,18 @@ BatchRequest decode_batch(const JsonValue& envelope, const std::string& who) {
   r.consume("items");
   r.finish();
   check_version(batch.api_version, who);
-  require(items != nullptr && items->kind == JsonValue::Kind::Array,
-          who + ": field 'items' must be an array of request envelopes",
-          ErrorCode::bad_input);
+  require(items != nullptr && items->kind == JsonValue::Kind::Array, ErrorCode::bad_input,
+          who, ": field 'items' must be an array of request envelopes");
   for (size_t i = 0; i < items->items.size(); ++i) {
     const JsonValue& item = items->items[i];
     const std::string item_who = who + ".items[" + std::to_string(i) + "]";
-    require(item.kind == JsonValue::Kind::Object,
-            item_who + ": expected a JSON object", ErrorCode::bad_input);
+    require(item.kind == JsonValue::Kind::Object, ErrorCode::bad_input, item_who,
+            ": expected a JSON object");
     const JsonValue* op = item.find("op");
-    require(op != nullptr && op->kind == JsonValue::Kind::String,
-            item_who + ": field 'op' is required", ErrorCode::bad_input);
-    require(op->text != kBatchOp, item_who + ": batches cannot nest batches",
-            ErrorCode::bad_input);
+    require(op != nullptr && op->kind == JsonValue::Kind::String, ErrorCode::bad_input,
+            item_who, ": field 'op' is required");
+    require(op->text != kBatchOp, ErrorCode::bad_input, item_who,
+            ": batches cannot nest batches");
     batch.items.push_back(decode_any(op->text, item, item_who, /*top_level=*/false));
   }
   return batch;
@@ -563,32 +595,34 @@ JsonValue parse_wire_json(const std::string& line) {
   }
 }
 
-std::string result_json(const AnyResult& result) {
-  return std::visit(
-      [](const auto& value) {
-        return struct_text(const_cast<std::decay_t<decltype(value)>&>(value));
+// Writes the result alternative as the envelope's "result" member.
+void result_member(JsonWriter& w, const AnyResult& result) {
+  std::visit(
+      [&](const auto& value) {
+        w.object("result", const_cast<std::decay_t<decltype(value)>&>(value));
       },
       result);
 }
 
-// One batch item entry: {"op":...,"ok":...,"result"/"error":{...}}.
-std::string batch_item_json(const std::string& op, const Expected<AnyResult>& item) {
-  JsonWriter w;
+// Appends one batch item entry: {"op":...,"ok":...,"result"/"error":{...}}.
+void append_batch_item(std::string& out, const std::string& op,
+                       const Expected<AnyResult>& item) {
+  JsonWriter w(out);
   w.field("op", op);
   w.field("ok", item.ok());
   if (item.ok())
-    w.raw("result", result_json(item.value()));
+    result_member(w, item.value());
   else
     w.raw("error", error_to_json(item.error()));
-  return w.finish();
+  w.finish();
 }
 
 // Appends the request's own fields to an envelope that already holds its
 // routing keys, and closes it.
-std::string request_text(JsonWriter& w, const AnyRequest& request) {
+void request_fields(JsonWriter& w, const AnyRequest& request) {
   std::visit([&](const auto& v) { bind(w, const_cast<std::decay_t<decltype(v)>&>(v)); },
              request);
-  return w.finish();
+  w.finish();
 }
 
 RequestLine request_from_envelope(const JsonValue& envelope) {
@@ -664,28 +698,32 @@ PIM_WIRE_INSTANTIATE(CacheKindRow)
 #undef PIM_WIRE_INSTANTIATE
 
 std::string write_request_line(int64_t id, const AnyRequest& request) {
-  JsonWriter w;
+  std::string out;
+  JsonWriter w(out);
   w.field("op", op_of(request));
   w.field("id", id);
-  return request_text(w, request);
+  request_fields(w, request);
+  return out;
 }
 
 std::string write_request_line(int64_t id, const BatchRequest& request) {
-  JsonWriter w;
+  std::string items = "[";
+  for (size_t i = 0; i < request.items.size(); ++i) {
+    if (i > 0) items += ',';
+    JsonWriter item(items);
+    item.field("op", op_of(request.items[i]));
+    request_fields(item, request.items[i]);
+  }
+  items += ']';
+  std::string out;
+  JsonWriter w(out);
   w.field("op", std::string(kBatchOp));
   w.field("id", id);
   w.field("api_version", request.api_version);
   w.field("deadline_ms", request.deadline_ms);
-  std::string items = "[";
-  for (size_t i = 0; i < request.items.size(); ++i) {
-    if (i > 0) items += ',';
-    JsonWriter item;
-    item.field("op", op_of(request.items[i]));
-    items += request_text(item, request.items[i]);
-  }
-  items += ']';
   w.raw("items", items);
-  return w.finish();
+  w.finish();
+  return out;
 }
 
 Identity read_identity(const std::string& line) {
@@ -704,12 +742,14 @@ std::string write_result_line(const RequestLine& request,
                               const Expected<AnyResult>& result) {
   if (!result.ok())
     return write_error_line(request.has_id, request.id, request.op, result.error());
-  JsonWriter w;
+  std::string out;
+  JsonWriter w(out);
   if (request.has_id) w.field("id", request.id);
   w.field("op", request.op);
   w.field("ok", true);
-  w.raw("result", result_json(result.value()));
-  return w.finish();
+  result_member(w, result.value());
+  w.finish();
+  return out;
 }
 
 std::string write_batch_result_line(const RequestLine& request,
@@ -717,7 +757,8 @@ std::string write_batch_result_line(const RequestLine& request,
   if (!result.ok())
     return write_error_line(request.has_id, request.id, request.op, result.error());
   const BatchResult& batch = result.value();
-  JsonWriter w;
+  std::string out;
+  JsonWriter w(out);
   if (request.has_id) w.field("id", request.id);
   w.field("op", request.op);
   w.field("ok", true);
@@ -733,25 +774,29 @@ std::string write_batch_result_line(const RequestLine& request,
     const std::string op = i < request.batch.items.size()
                                ? op_of(request.batch.items[i])
                                : std::string("?");
-    body += batch_item_json(op, batch.items[i]);
+    append_batch_item(body, op, batch.items[i]);
   }
   body += "]}";
   w.raw("result", body);
-  return w.finish();
+  w.finish();
+  return out;
 }
 
 std::string write_error_line(bool has_id, int64_t id, const std::string& op,
                              const Error& error) {
-  JsonWriter w;
+  std::string out;
+  JsonWriter w(out);
   if (has_id) w.field("id", id);
   if (!op.empty()) w.field("op", op);
   w.field("ok", false);
   w.raw("error", error_to_json(error));
-  return w.finish();
+  w.finish();
+  return out;
 }
 
 std::string error_to_json(const Error& error) {
-  JsonWriter w;
+  std::string out;
+  JsonWriter w(out);
   w.field("code", std::string(error_code_name(error.code())));
   w.field("exit_code", exit_code_for(error.code()));
   w.field("message", error.message());
@@ -762,7 +807,8 @@ std::string error_to_json(const Error& error) {
   }
   context += ']';
   w.raw("context", context);
-  return w.finish();
+  w.finish();
+  return out;
 }
 
 int exit_code_for(ErrorCode code) {

@@ -47,6 +47,9 @@ struct CharacterizationOptions {
   /// exists for A/B verification and as the charlib_sweep benchmark
   /// baseline.
   bool reference_engine = false;
+
+
+  bool operator==(const CharacterizationOptions&) const = default;
 };
 
 /// Widths of the devices making up one repeater cell. For inverters only

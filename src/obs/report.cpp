@@ -12,11 +12,8 @@
 #include "util/textfile.hpp"
 
 namespace pim::obs {
-namespace {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
+void append_json_escaped(std::string& out, std::string_view s) {
   for (char c : s) {
     switch (c) {
       case '"':
@@ -44,6 +41,14 @@ std::string json_escape(const std::string& s) {
         }
     }
   }
+}
+
+namespace {
+
+std::string json_escape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  append_json_escaped(out, s);
   return out;
 }
 
@@ -51,15 +56,24 @@ std::string json_escape(const std::string& s) {
 
 // Shortest-ish double formatting that stays valid JSON (no inf/nan): the
 // bytes of %g when they reparse exactly, else of %.17g.
-std::string json_number(double v) {
-  if (!std::isfinite(v)) return "0";
+void append_json_number(std::string& out, double v) {
+  if (!std::isfinite(v)) {
+    out += '0';
+    return;
+  }
   char buf[32];
   char* end = std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 6).ptr;
   double back = 0.0;
   std::from_chars(buf, end, back);
   if (back != v)
     end = std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 17).ptr;
-  return std::string(buf, end);
+  out.append(buf, end);
+}
+
+std::string json_number(double v) {
+  std::string out;
+  append_json_number(out, v);
+  return out;
 }
 
 std::string json_quote(const std::string& s) { return '"' + json_escape(s) + '"'; }
@@ -126,7 +140,8 @@ class JsonParser {
   JsonValue parse_document() {
     JsonValue v = parse_value();
     skip_ws();
-    require(pos_ == text_.size(), "json: trailing content at offset " + std::to_string(pos_));
+    require(pos_ == text_.size(), ErrorCode::internal,
+            "json: trailing content at offset ", pos_);
     return v;
   }
 
@@ -142,8 +157,9 @@ class JsonParser {
   }
 
   void expect(char c) {
-    require(peek() == c, std::string("json: expected '") + c + "' at offset " +
-                             std::to_string(pos_));
+    // The offset named is the one before peek() skips whitespace.
+    const size_t at = pos_;
+    require(peek() == c, ErrorCode::internal, "json: expected '", c, "' at offset ", at);
     ++pos_;
   }
 
@@ -192,9 +208,9 @@ class JsonParser {
     return v;
   }
 
-  void match_keyword(const std::string& word) {
-    require(text_.compare(pos_, word.size(), word) == 0, "json: bad literal at offset " +
-                                                             std::to_string(pos_));
+  void match_keyword(std::string_view word) {
+    require(text_.compare(pos_, word.size(), word) == 0, ErrorCode::internal,
+            "json: bad literal at offset ", pos_);
     pos_ += word.size();
   }
 
@@ -282,7 +298,8 @@ class JsonParser {
             text_[pos_] == '+' || text_[pos_] == '.' || text_[pos_] == 'e' ||
             text_[pos_] == 'E'))
       ++pos_;
-    require(pos_ > start, "json: expected a value at offset " + std::to_string(start));
+    require(pos_ > start, ErrorCode::internal, "json: expected a value at offset ",
+            start);
     JsonValue v;
     v.kind = JsonValue::Kind::Number;
     const std::errc ec =
@@ -307,7 +324,7 @@ class JsonParser {
 
 }  // namespace
 
-const JsonValue* JsonValue::find(const std::string& key) const {
+const JsonValue* JsonValue::find(std::string_view key) const {
   if (kind != Kind::Object) return nullptr;
   for (const auto& [k, v] : members)
     if (k == key) return &v;

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -21,6 +22,12 @@ std::string json_quote(const std::string& s);
 
 /// Shortest double rendering that reparses exactly (never inf/nan).
 std::string json_number(double v);
+
+/// In-place forms for writers that build one output string: append the
+/// bytes json_number(v) returns, or the escaped body of json_quote(s)
+/// without its quotes.
+void append_json_number(std::string& out, double v);
+void append_json_escaped(std::string& out, std::string_view s);
 
 /// Machine-readable registry dump. Shape:
 ///   { "schema": "pim.metrics.v1",
@@ -51,7 +58,7 @@ struct JsonValue {
   std::vector<JsonValue> items;                            // arrays
 
   /// Object member lookup; nullptr when absent or not an object.
-  const JsonValue* find(const std::string& key) const;
+  const JsonValue* find(std::string_view key) const;
 };
 
 /// Parses one JSON document, throwing pim::Error on malformed input.

@@ -1,5 +1,7 @@
 #include "scenario/scenario.hpp"
 
+#include <bit>
+#include <cstdint>
 #include <set>
 
 #include "util/error.hpp"
@@ -23,6 +25,16 @@ std::string Corner::cache_id() const {
     id += format_sig(f, 17);
   }
   return id;
+}
+
+bool same_corner(const Corner& a, const Corner& b) {
+  if (a.name != b.name) return false;
+  for (double Corner::*f :
+       {&Corner::nmos_strength, &Corner::pmos_strength, &Corner::device_cap,
+        &Corner::leakage, &Corner::wire_res, &Corner::wire_cap, &Corner::temperature_c,
+        &Corner::vdd_scale})
+    if (std::bit_cast<uint64_t>(a.*f) != std::bit_cast<uint64_t>(b.*f)) return false;
+  return true;
 }
 
 ScenarioSet::ScenarioSet(std::vector<Corner> corners) : corners_(std::move(corners)) {

@@ -55,6 +55,11 @@ struct Corner {
   std::string cache_id() const;
 };
 
+/// True when `a` and `b` are one corner identity: the same name and
+/// bit-identical factors, which is when their cache_id()s are equal. It
+/// builds neither id, so a lookup by corner allocates nothing.
+bool same_corner(const Corner& a, const Corner& b);
+
 /// The corner collection a technology is signed off against. Order is
 /// meaningful: the first corner is the reference (nominal by
 /// convention), and "all" resolves in set order.

@@ -4,8 +4,11 @@
 
 #include <cstdint>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <mutex>
+#include <string_view>
+#include <unordered_map>
 
 #include "cache/memoize.hpp"
 #include "charlib/coeffs_io.hpp"
@@ -133,6 +136,48 @@ struct ResidentEntry {
   FileStamp stamp;
 };
 
+// What a resident hit hands back, as the slow path found it: the shared
+// model, the fit key a hit publishes, the corner's hit counter and the
+// stamp of the entry's coefficient file (absent off the file tier).
+// Immutable once made, so hits share it without the lock.
+struct HitOutcome {
+  std::shared_ptr<const ProposedModel> model;
+  cache::CacheKey key;
+  obs::Counter* corner_hit = nullptr;
+  FileStamp stamp;
+};
+
+// A request's identity: every argument of resident_model, with the base
+// descriptor as its content hash, so an unstable descriptor with the
+// same content shares the entry.
+struct HitIdentity {
+  std::string tech_hash;
+  Corner corner;
+  std::string cache_path;
+  CharacterizationOptions characterization;
+  CompositionOptions composition;
+};
+
+// A request's identity as the caller holds it, for a lookup that copies
+// nothing.
+struct HitRequest {
+  std::string_view tech_hash;
+  const Corner& corner;
+  const std::string& cache_path;
+  const CharacterizationOptions& characterization;
+  const CompositionOptions& composition;
+
+  size_t hash() const {
+    const std::hash<std::string_view> h;
+    return h(tech_hash) ^ (h(corner.name) * 31) ^ (h(cache_path) * 961);
+  }
+  bool matches(const HitIdentity& id) const {
+    return id.tech_hash == tech_hash && same_corner(id.corner, corner) &&
+           id.cache_path == cache_path && id.characterization == characterization &&
+           id.composition == composition;
+  }
+};
+
 // The process-wide resident tier: calibrated models keyed by their fit's
 // content-cache key (plus the coefficient file, where one applies),
 // shared immutably across threads, each carrying that key as its
@@ -142,14 +187,47 @@ struct ResidentEntry {
 // corner stays in the tens of kilobytes. The Technology a model binds is
 // registry-stable for the process lifetime (corner_technology), so a
 // shared model never dangles.
-std::mutex& resident_mutex() {
-  static std::mutex m;
-  return m;
+//
+// In front of it, the hit memo maps a request identity to the resident
+// hit the slow path (fit key, then the map) found for it, so a warm call
+// builds no key. Any change to `models` — insert, replace or clear —
+// drops the whole memo under the same lock, so the memo never answers
+// what the map would no longer answer.
+struct ResidentTier {
+  std::mutex mutex;
+  std::map<std::string, ResidentEntry> models;
+  using MemoEntry = std::pair<HitIdentity, std::shared_ptr<const HitOutcome>>;
+  std::unordered_multimap<size_t, MemoEntry> memo;
+
+  // Callers hold `mutex`.
+  std::shared_ptr<const HitOutcome> find(const HitRequest& request) const {
+    const auto [first, last] = memo.equal_range(request.hash());
+    for (auto it = first; it != last; ++it)
+      if (request.matches(it->second.first)) return it->second.second;
+    return nullptr;
+  }
+  // Racing hits of one request share the model, so the first kept wins.
+  void remember(const HitRequest& request, std::shared_ptr<const HitOutcome> outcome) {
+    if (find(request) != nullptr) return;
+    HitIdentity identity{std::string(request.tech_hash), request.corner, request.cache_path,
+                         request.characterization, request.composition};
+    memo.emplace(request.hash(), MemoEntry{std::move(identity), std::move(outcome)});
+  }
+};
+
+ResidentTier& resident_tier() {
+  static ResidentTier tier;
+  return tier;
 }
 
-std::map<std::string, ResidentEntry>& resident_models() {
-  static std::map<std::string, ResidentEntry> m;
-  return m;
+// A resident hit's side effects, the same as a store hit's minus the
+// store I/O: the corner's hit counter, model.resident.hit, and the fit key
+// published to the enclosing provenance scope.
+std::shared_ptr<const ProposedModel> serve_hit(const HitOutcome& hit) {
+  hit.corner_hit->add(1);
+  PIM_COUNT("model.resident.hit");
+  if (cache::Tracked* outer = cache::Tracked::current()) outer->upstream(hit.key);
+  return hit.model;
 }
 
 ResolvedFit resolve_fit(const Technology& base, const Corner& corner,
@@ -205,66 +283,104 @@ TechnologyFit calibrated_fit(const Technology& base, const Corner& corner,
   return resolve_fit(base, corner, cache_path, characterization, composition).fit;
 }
 
+const CharacterizationOptions& default_characterization() {
+  static const CharacterizationOptions options;
+  return options;
+}
+
+const CompositionOptions& default_composition() {
+  static const CompositionOptions options;
+  return options;
+}
+
 std::shared_ptr<const ProposedModel> resident_model(const Technology& base,
                                                     const Corner& corner,
                                                     const std::string& cache_path,
                                                     const CharacterizationOptions& characterization,
                                                     const CompositionOptions& composition) {
-  const Technology& tech = corner_technology(base, corner);
   // Mirror the store's bypass semantics: with the cache off or the fault
   // harness armed, injected faults and cache-off runs must exercise the
   // real compute path instead of yesterday's resident copy.
   const bool memo_enabled = cache::mode() != cache::Mode::Off && !fault::armed();
+  if (!memo_enabled) {
+    const Technology& tech = corner_technology(base, corner);
+    ResolvedFit resolved =
+        resolve_fit(base, corner, cache_path, characterization, composition);
+    return std::make_shared<const ProposedModel>(
+        tech, std::move(resolved.fit), std::vector<cache::CacheKey>{resolved.key});
+  }
   // Where resolve_fit's file tier applies, the file is part of the slot
   // and its stamp must still match for a hit.
-  const bool file_tier = memo_enabled && !cache_path.empty() && corner.is_nominal();
+  const bool file_tier = !cache_path.empty() && corner.is_nominal();
   FileStamp stamp = file_tier ? stamp_of(cache_path) : FileStamp{};
-  std::string slot;
-  if (memo_enabled) {
+  std::string scratch;
+  const HitRequest request{technology_content_hash_view(base, scratch), corner,
+                           cache_path, characterization, composition};
+  ResidentTier& tier = resident_tier();
+  {
+    std::shared_ptr<const HitOutcome> hit;
+    {
+      std::lock_guard<std::mutex> lock(tier.mutex);
+      hit = tier.find(request);
+    }
+    if (hit != nullptr && (!file_tier || hit->stamp == stamp)) return serve_hit(*hit);
+  }
+
+  const Technology& tech = corner_technology(base, corner);
+  cache::CacheKey key;
+  {
     // A local provenance scope absorbs the facets fit_cache_key records,
     // exactly like the store path's scope — the caller's manifest must
     // see the fit as one upstream key, never its raw facets.
     const cache::Tracked scope;
-    const cache::CacheKey key = fit_cache_key(tech, corner, characterization, composition);
-    slot = file_tier ? key.hex + '\n' + cache_path : key.hex;
-    std::lock_guard<std::mutex> lock(resident_mutex());
+    key = fit_cache_key(tech, corner, characterization, composition);
+  }
+  const std::string slot = file_tier ? key.hex + '\n' + cache_path : key.hex;
+  std::shared_ptr<const HitOutcome> hit;
+  {
+    std::lock_guard<std::mutex> lock(tier.mutex);
     // A call that names no file is also served by an entry a file resolved
     // for the same fit key (the first in key order) when it has none of its
     // own, so a server warmed by loading a file answers requests that name
     // none without a refit.
-    const auto it = file_tier ? resident_models().find(slot)
-                              : resident_models().lower_bound(slot);
-    if (it != resident_models().end() && it->first.starts_with(slot) &&
+    const auto it = file_tier ? tier.models.find(slot) : tier.models.lower_bound(slot);
+    if (it != tier.models.end() && it->first.starts_with(slot) &&
         (!file_tier || it->second.stamp == stamp)) {
-      // Same observable side effects as a store hit (minus the store
-      // I/O): the corner hit counter and the provenance edge into the
-      // enclosing scope.
-      count_corner(corner, "hit");
-      PIM_COUNT("model.resident.hit");
-      scope.publish(key);
-      return it->second.model;
+      // The memo records hits only, so the corner's hit counter is
+      // registered where the first hit counts it, as without the memo.
+      obs::Counter& corner_hit =
+          obs::registry().counter("corner." + corner.name + ".fit.hit");
+      hit = std::make_shared<const HitOutcome>(
+          HitOutcome{it->second.model, std::move(key), &corner_hit, it->second.stamp});
+      tier.remember(request, hit);
     }
   }
+  if (hit != nullptr) return serve_hit(*hit);
+
   ResolvedFit resolved = resolve_fit(base, corner, cache_path, characterization, composition);
   // resolve_fit saves the fit to a path that held no file: stamp the file
   // it wrote, so the next call is a hit.
   if (file_tier && !stamp.present) stamp = stamp_of(cache_path);
   auto model = std::make_shared<const ProposedModel>(
       tech, std::move(resolved.fit), std::vector<cache::CacheKey>{resolved.key});
-  if (!memo_enabled) return model;
   // An entry with this stamp wins — the first writer after concurrent
   // cold misses, or the thread that already replaced a stale entry — so
   // racing callers share one instance; an entry with another stamp is
   // replaced.
-  std::lock_guard<std::mutex> lock(resident_mutex());
-  ResidentEntry& entry = resident_models()[slot];
-  if (entry.model == nullptr || entry.stamp != stamp) entry = {std::move(model), stamp};
+  std::lock_guard<std::mutex> lock(tier.mutex);
+  ResidentEntry& entry = tier.models[slot];
+  if (entry.model == nullptr || entry.stamp != stamp) {
+    entry = {std::move(model), stamp};
+    tier.memo.clear();
+  }
   return entry.model;
 }
 
 void clear_resident_fits() {
-  std::lock_guard<std::mutex> lock(resident_mutex());
-  resident_models().clear();
+  ResidentTier& tier = resident_tier();
+  std::lock_guard<std::mutex> lock(tier.mutex);
+  tier.models.clear();
+  tier.memo.clear();
 }
 
 }  // namespace pim

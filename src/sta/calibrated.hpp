@@ -31,6 +31,11 @@ TechnologyFit calibrated_fit(const Technology& base, const Corner& corner,
                              const CharacterizationOptions& characterization = {},
                              const CompositionOptions& composition = {});
 
+/// Default-constructed deck options, built once: resident_model's
+/// defaults, so a call that passes none copies no option vectors.
+const CharacterizationOptions& default_characterization();
+const CompositionOptions& default_composition();
+
 /// The calibrated model for `base` at `corner`, held resident in process
 /// RAM: the ProposedModel bound to corner_technology(base, corner) over
 /// the calibrated_fit coefficients (its fit() is that fit, its
@@ -52,17 +57,24 @@ TechnologyFit calibrated_fit(const Technology& base, const Corner& corner,
 /// every observable contract of the store path — corner.<name>.fit.hit is
 /// counted and the fit key is published to the enclosing provenance scope
 /// — so downstream manifests are identical whichever tier served the fit.
-/// A memo hit additionally counts model.resident.hit. The memo is
-/// bypassed entirely (reads and inserts) while cache mode is `off` or the
-/// fault harness is armed, mirroring the store's own bypass. The model is
+/// A resident hit additionally counts model.resident.hit. A repeat call
+/// is answered from a hit memo of request identities (the base's content
+/// hash, the corner, the path and both option structs by value) with the
+/// same side effects and builds no key: a warm call that names no file,
+/// or whose file stamp still matches, allocates nothing. Any change to
+/// the resident models drops the whole hit memo (docs/caching.md). The
+/// tier and its memo are bypassed entirely (reads and inserts) while
+/// cache mode is `off` or the fault harness is armed, mirroring the
+/// store's own bypass. The model is
 /// immutable and safe to share across threads; it is the hot path a
 /// long-running server (pimd) evaluates millions of links through.
 std::shared_ptr<const ProposedModel> resident_model(
     const Technology& base, const Corner& corner, const std::string& cache_path = "",
-    const CharacterizationOptions& characterization = {},
-    const CompositionOptions& composition = {});
+    const CharacterizationOptions& characterization = default_characterization(),
+    const CompositionOptions& composition = default_composition());
 
-/// Drops every resident model (tests / explicit invalidation flows).
+/// Drops every resident model and the hit memo (tests / explicit
+/// invalidation flows).
 void clear_resident_fits();
 
 }  // namespace pim

@@ -31,6 +31,9 @@ struct CompositionOptions {
   std::vector<int> chain_lengths = {1, 4};
   WireLayer layer = WireLayer::Global;
   SignoffOptions signoff;
+
+
+  bool operator==(const CompositionOptions&) const = default;
 };
 
 /// Returns `fit` with comp_coupled / comp_shielded filled in from golden

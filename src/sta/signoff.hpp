@@ -31,6 +31,9 @@ struct SignoffOptions {
   AggressorMode aggressors = AggressorMode::Opposing;
   double dt = 0.5e-12;         ///< transient timestep [s]
   double window_margin = 1.0e-9;  ///< extra simulated time beyond the estimate [s]
+
+
+  bool operator==(const SignoffOptions&) const = default;
 };
 
 /// What the golden analysis reports.

@@ -163,7 +163,8 @@ void register_stable_technology(const Technology* tech) {
   memo.stable.insert(tech);
 }
 
-std::string technology_content_hash(const Technology& tech) {
+std::string_view technology_content_hash_view(const Technology& tech,
+                                              std::string& scratch) {
   static obs::Timer& timer = obs::registry().timer("cache.key.tech_hash");
   obs::ScopedTimer span(timer);
   HashMemo& memo = hash_memo();
@@ -178,13 +179,20 @@ std::string technology_content_hash(const Technology& tech) {
   // `corners` member verbatim. Hashing it here would make a one-corner
   // retune shift every corner's tech facet and dirty the whole cache
   // instead of just that corner's cone.
-  const std::string hash = cache::sha256_hex(technology_block(tech.name, tech));
+  scratch = cache::sha256_hex(technology_block(tech.name, tech));
   std::lock_guard<std::mutex> lock(memo.mutex);
   // Memoize only addresses a registry vouched for: a stack-allocated
   // descriptor can die and a different one reuse its address, so caching
-  // by arbitrary pointer would serve the wrong hash.
-  if (memo.stable.count(&tech) > 0) memo.hashes.emplace(&tech, hash);
-  return hash;
+  // by arbitrary pointer would serve the wrong hash. Map nodes never
+  // move, so a view of a memoized hash stays valid.
+  if (memo.stable.count(&tech) > 0)
+    return memo.hashes.emplace(&tech, scratch).first->second;
+  return scratch;
+}
+
+std::string technology_content_hash(const Technology& tech) {
+  std::string scratch;
+  return std::string(technology_content_hash_view(tech, scratch));
 }
 
 bool is_builtin_tech_spec(const std::string& spec) {

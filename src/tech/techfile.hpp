@@ -16,6 +16,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cache/manifest.hpp"
@@ -41,6 +42,13 @@ Technology load_techfile(const std::string& path);
 /// under cache.key.tech_hash either way, so reports show how much the
 /// memo saves.
 std::string technology_content_hash(const Technology& tech);
+
+/// technology_content_hash without the copy: a view of the memoized hash
+/// of a registry-stable instance, valid for the life of the process. Any
+/// other instance is hashed into `scratch`, which the view then refers
+/// to. A warm lookup of a stable instance allocates nothing.
+std::string_view technology_content_hash_view(const Technology& tech,
+                                              std::string& scratch);
 
 /// Marks `tech` as address-stable for the life of the process (registry
 /// entries — technology(), corner_technology(), technology_from_spec()

@@ -1,5 +1,6 @@
 #include "tech/technology.hpp"
 
+#include <list>
 #include <map>
 #include <mutex>
 
@@ -172,16 +173,23 @@ Technology Technology::derated(const Corner& corner) const {
 
 const Technology& corner_technology(const Technology& base, const Corner& corner) {
   static std::mutex mutex;
-  // std::map nodes never move, so returned references stay valid for the
-  // life of the process — model layers hold `const Technology*` into it.
-  static std::map<std::string, Technology> registry;
   // Keyed by content, not address: two loads of the same tech file (or a
-  // reload after a no-op edit) share registry entries and hence fits.
-  const std::string key = technology_content_hash(base) + "@" + corner.cache_id();
+  // reload after a no-op edit) share registry entries and hence fits. Each
+  // base content hash holds its derated descriptors, one per corner
+  // identity (same_corner: equal Corner::cache_id), so a lookup builds no
+  // key string. std::map and std::list nodes never move, so returned
+  // references stay valid for the life of the process — model layers hold
+  // `const Technology*` into it.
+  using Derated = std::list<std::pair<Corner, Technology>>;
+  static std::map<std::string, Derated, std::less<>> registry;
+  std::string scratch;
+  const std::string_view hash = technology_content_hash_view(base, scratch);
   std::lock_guard<std::mutex> lock(mutex);
-  const auto it = registry.find(key);
-  if (it != registry.end()) return it->second;
-  Technology& fresh = registry.emplace(key, base.derated(corner)).first->second;
+  auto it = registry.find(hash);
+  if (it == registry.end()) it = registry.try_emplace(std::string(hash)).first;
+  for (auto& [known, tech] : it->second)
+    if (same_corner(known, corner)) return tech;
+  Technology& fresh = it->second.emplace_back(corner, base.derated(corner)).second;
   register_stable_technology(&fresh);
   return fresh;
 }

@@ -60,6 +60,22 @@ void fail(const char* message) { throw Error(message); }
 
 void fail(const char* message, ErrorCode code) { throw Error(message, code); }
 
+void MessagePiece::append_to(std::string& out) const {
+  if (!is_number_) {
+    out += text_;
+  } else if (unsigned_) {
+    out += std::to_string(static_cast<unsigned long long>(number_));
+  } else {
+    out += std::to_string(number_);
+  }
+}
+
+void fail(ErrorCode code, std::initializer_list<MessagePiece> pieces) {
+  std::string message;
+  for (const MessagePiece& piece : pieces) piece.append_to(message);
+  throw Error(message, code);
+}
+
 void fail_at(const char* file, int line, const std::string& message, ErrorCode code) {
   // Strip the directory: call sites only need the basename to be findable.
   const std::string path(file);

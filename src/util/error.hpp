@@ -9,8 +9,11 @@
 // surfaces with the full story attached. See docs/robustness.md.
 #pragma once
 
+#include <concepts>
+#include <initializer_list>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace pim {
@@ -81,6 +84,45 @@ inline void require(bool condition, const char* message) {
 }
 inline void require(bool condition, const char* message, ErrorCode code) {
   if (!condition) [[unlikely]] fail(message, code);
+}
+
+/// One piece of an error message built only on failure: text, one
+/// character or an integer. A piece refers to its argument without
+/// copying it, so it lives only as long as the call it was made for.
+class MessagePiece {
+ public:
+  MessagePiece(std::string_view text) : text_(text) {}
+  MessagePiece(const std::string& text) : text_(text) {}
+  MessagePiece(const char* text) : text_(text) {}
+  MessagePiece(const char& c) : text_(&c, 1) {}
+  template <std::integral T>
+    requires(!std::same_as<T, char> && !std::same_as<T, bool>)
+  MessagePiece(T value)
+      : number_(static_cast<long long>(value)), unsigned_(std::unsigned_integral<T>),
+        is_number_(true) {}
+
+  /// Appends the piece; an integer as std::to_string renders it.
+  void append_to(std::string& out) const;
+
+ private:
+  std::string_view text_;
+  long long number_ = 0;
+  bool unsigned_ = false;
+  bool is_number_ = false;
+};
+
+/// Throws pim::Error with `code` and the concatenation of `pieces`.
+[[noreturn]] void fail(ErrorCode code, std::initializer_list<MessagePiece> pieces);
+
+/// require() whose message is the concatenation of `pieces` (strings,
+/// characters, integers), e.g.
+///   require(ok, ErrorCode::bad_input, who, ": field '", name, "' must be a string");
+/// The pieces are only referenced until the check fails; the string is
+/// built inside fail(), so a passing check never allocates. The thrown
+/// Error carries the same text the eager `a + b + ...` form would.
+template <typename... Pieces>
+inline void require(bool condition, ErrorCode code, const Pieces&... pieces) {
+  if (!condition) [[unlikely]] fail(code, {MessagePiece(pieces)...});
 }
 
 /// Implementation hook for PIM_REQUIRE: throws with " (file:line)" appended.

@@ -212,6 +212,38 @@ TEST(JsonNumber, MatchesPercentGOrPercent17g) {
     EXPECT_EQ(json_number(v), reference(v)) << v;
 }
 
+// Each parser check's exact message and code for one bad document. The
+// messages are built only when a check fails; an expected character is
+// reported at the offset before the whitespace skipped to find it.
+TEST(JsonReader, ErrorMessagesArePinned) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"{\"a\" 1}", "json: expected ':' at offset 4"},
+      {"{\"a\":1 \"b\":2}", "json: expected ',' at offset 7"},
+      {"[1 2]", "json: expected ',' at offset 3"},
+      {"{1:2}", "json: expected '\"' at offset 1"},
+      {"{\"a\":1,}", "json: expected '\"' at offset 7"},
+      {"nul", "json: bad literal at offset 0"},
+      {"[tru]", "json: bad literal at offset 1"},
+      {"{} x", "json: trailing content at offset 3"},
+      {"{\"a\" :1}x", "json: trailing content at offset 8"},
+      {"", "json: unexpected end of input"},
+      {" [ 1 , 2 ", "json: unexpected end of input"},
+      {"[,]", "json: expected a value at offset 1"},
+      {"\"abc", "json: unterminated string"},
+      {"\"a\\q\"", "json: bad escape '\\q'"},
+      {"[-]", "json: bad number '-'"},
+  };
+  for (const auto& [text, message] : cases) {
+    try {
+      parse_json(text);
+      ADD_FAILURE() << text << " parsed";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.message(), message) << text;
+      EXPECT_EQ(e.code(), ErrorCode::internal) << text;
+    }
+  }
+}
+
 TEST(JsonReader, NumbersKeepTheAcceptSetOfStod) {
   // Out of range for stod (ERANGE) even where from_chars would take the
   // value, as it does the two subnormals.

@@ -7,6 +7,7 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -38,10 +39,12 @@
 #include "sta/noise.hpp"
 #include "sta/signoff.hpp"
 #include "tech/techfile.hpp"
+#include "util/alloc_counter.hpp"
 #include "util/error.hpp"
 #include "util/units.hpp"
 
 #include "fit_options.hpp"
+#include "synthetic_fit.hpp"
 
 namespace pim {
 namespace {
@@ -661,7 +664,6 @@ TEST_F(StaFixture, CalibratedFitCacheHitsAndValidates) {
   std::remove(path.c_str());
 }
 
-
 // The resident tier over a hand-built 65nm fit in a scratch coefficient
 // file, under a scratch read-write cache: nothing characterizes, and
 // every test starts with an empty tier and counting enabled.
@@ -675,25 +677,8 @@ class ResidentModelTest : public ::testing::Test {
     cache::set_mode(cache::Mode::ReadWrite);
     clear_resident_fits();
     obs::set_enabled(true);
-    TechnologyFit fit;
-    fit.node = tech_.node;
-    fit.vdd = tech_.vdd;
-    RepeaterEdgeFit e;
-    e.a0 = 5e-12;
-    e.a1 = 0.05;
-    e.rho0 = 2e-3;
-    e.rho1 = 1e6;
-    e.b0 = 2e-12;
-    e.b1 = 0.3;
-    e.b2 = 5e-4;
-    fit.inv_rise = fit.inv_fall = fit.buf_rise = fit.buf_fall = e;
-    fit.gamma = 7e-10;
-    fit.leakage.n0 = fit.leakage.p0 = 1e-9;
-    fit.leakage.n1 = fit.leakage.p1 = 1e-2;
-    fit.area0 = 1e-12;
-    fit.area1 = 1e-6;
     path_ = dir_ + "/coeffs.pimfit";
-    save_fit(fit, path_);
+    save_fit(synthetic_fit(tech_), path_);
   }
   void TearDown() override {
     obs::set_enabled(false);
@@ -859,6 +844,133 @@ TEST_F(ResidentModelTest, CallNamingNoFileIsServedTheFileResolvedEntry) {
   const int64_t before = hits();
   EXPECT_EQ(resident_model(tech_, Corner{}), from_file);
   EXPECT_EQ(hits(), before + 1);
+}
+
+// A warm hit comes from the hit memo and builds no fit key: neither a
+// file-tier hit, which stats its file again, nor a call that names no
+// file allocates.
+TEST_F(ResidentModelTest, WarmHitMakesNoAllocation) {
+  const std::shared_ptr<const ProposedModel> model = resolve();
+  ASSERT_EQ(resolve(), model);
+  ASSERT_EQ(resident_model(tech_, Corner{}), model);
+  const Corner nominal;
+  const int64_t before = heap_allocations();
+  for (int i = 0; i < 50; ++i) {
+    (void)resident_model(tech_, nominal, path_);
+    (void)resident_model(tech_, nominal);
+  }
+  EXPECT_EQ(heap_allocations() - before, 0);
+}
+
+// A memo hit keeps every side effect of a resident hit: both hit counters
+// and the fit key published into the enclosing provenance scope.
+TEST_F(ResidentModelTest, MemoHitCountsAndPublishesLikeAResidentHit) {
+  const std::shared_ptr<const ProposedModel> model = resolve();
+  (void)resolve();
+  obs::Counter& corner_hits = obs::registry().counter("corner.nominal.fit.hit");
+  const int64_t before = hits();
+  const int64_t corner_before = corner_hits.value();
+  const cache::Tracked scope;
+  EXPECT_EQ(resolve(), model);
+  EXPECT_EQ(hits(), before + 1);
+  EXPECT_EQ(corner_hits.value(), corner_before + 1);
+  EXPECT_TRUE(scope.facets().empty());
+  ASSERT_EQ(scope.upstream_keys().size(), 1u);
+  ASSERT_EQ(model->provenance().size(), 1u);
+  EXPECT_EQ(scope.upstream_keys()[0].hex, model->provenance()[0].hex);
+}
+
+// The memo's identity is the request's: a descriptor with the same
+// content (a copy) shares the entry, one with other content or other
+// deck options never does.
+TEST_F(ResidentModelTest, MemoIdentityIsContentCornerPathAndOptions) {
+  const std::shared_ptr<const ProposedModel> model = resolve();
+  const Technology copy = tech_;
+  EXPECT_EQ(resident_model(copy, Corner{}, path_), model);
+  Technology faster = tech_;
+  faster.vdd *= 1.1;
+  const std::shared_ptr<const ProposedModel> other =
+      resident_model(faster, Corner{}, path_);
+  EXPECT_NE(other, model);
+  EXPECT_EQ(other->tech().vdd, faster.vdd);
+  EXPECT_EQ(resident_model(faster, Corner{}, path_), other);
+  CharacterizationOptions copt;
+  copt.dt_max *= 2;
+  const std::shared_ptr<const ProposedModel> other_deck =
+      resident_model(tech_, Corner{}, path_, copt);
+  EXPECT_NE(other_deck, model);
+  EXPECT_EQ(resident_model(tech_, Corner{}, path_, copt), other_deck);
+  EXPECT_EQ(resolve(), model);
+}
+
+// Replacing a resident entry drops the memo: a call naming no file, which
+// the memo answered from the file's entry, is answered from the
+// replacement after the file is rewritten.
+TEST_F(ResidentModelTest, ReplacingAnEntryDropsTheMemo) {
+  const std::shared_ptr<const ProposedModel> from_file = resolve();
+  ASSERT_EQ(resident_model(tech_, Corner{}), from_file);
+  ASSERT_EQ(resident_model(tech_, Corner{}), from_file);
+  const auto size = std::filesystem::file_size(path_);
+  write_edited(path_, 2.5);
+  ASSERT_NE(std::filesystem::file_size(path_), size);
+  const std::shared_ptr<const ProposedModel> replaced = resolve();
+  EXPECT_NE(replaced, from_file);
+  EXPECT_EQ(resident_model(tech_, Corner{}), replaced);
+}
+
+// Warm hits race a rewrite of their coefficient file and repeated drops
+// of the whole tier. Every answer is the old file's or the new one's, and
+// every call that starts after the rewrite landed answers the new one.
+// ThreadSanitizer builds (scripts/check_tsan.sh) run it much longer.
+TEST_F(ResidentModelTest, HitsRacingARewriteAndClearsSeeTheOldOrTheNewFile) {
+#if defined(__SANITIZE_THREAD__)
+  constexpr int kRounds = 20000;
+#else
+  constexpr int kRounds = 1000;
+#endif
+  constexpr int kReaders = 4;
+  constexpr double kNewKappa = 2.5;
+  const double old_kappa = resolve()->fit().comp_coupled.kappa_c;
+  ASSERT_NE(old_kappa, kNewKappa);
+  std::atomic<int> started{0};
+  std::atomic<bool> landed{false};
+  std::atomic<bool> readers_done{false};
+  std::atomic<int> foreign{0};
+  std::atomic<int> stale{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kReaders; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < kRounds; ++i) {
+        if (i == kRounds / 4) started.fetch_add(1);
+        const bool after = landed.load(std::memory_order_acquire);
+        const double kappa = resolve()->fit().comp_coupled.kappa_c;
+        if (kappa != old_kappa && kappa != kNewKappa) foreign.fetch_add(1);
+        if (after && kappa != kNewKappa) stale.fetch_add(1);
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    // Rewrite once the readers are well into their rounds, atomically, so
+    // a reader sees the old bytes or the new ones and never a torn file.
+    while (started.load() < kReaders) std::this_thread::yield();
+    const std::string staged = dir_ + "/staged.pimfit";
+    write_edited(staged, kNewKappa);
+    std::filesystem::rename(staged, path_);
+    landed.store(true, std::memory_order_release);
+  });
+  threads.emplace_back([&] {
+    while (!readers_done.load()) {
+      clear_resident_fits();
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  });
+  for (int t = 0; t < kReaders + 1; ++t) threads[t].join();
+  readers_done.store(true);
+  threads.back().join();
+  EXPECT_EQ(foreign.load(), 0);
+  EXPECT_EQ(stale.load(), 0);
+  EXPECT_TRUE(landed.load());
+  EXPECT_EQ(resolve()->fit().comp_coupled.kappa_c, kNewKappa);
 }
 
 TEST_F(ResidentModelTest, CacheOffBypassesTheTier) {

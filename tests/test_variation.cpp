@@ -4,31 +4,15 @@
 
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 
 #include "charlib/characterize.hpp"
 #include "sta/calibrated.hpp"
+#include "util/alloc_counter.hpp"
 #include "util/error.hpp"
 #include "util/units.hpp"
 #include "variation/variation.hpp"
 
 #include "fit_options.hpp"
-
-// Every global allocation made by this test binary bumps the calling
-// thread's counter, so a test can assert that a code path allocates
-// nothing. The array and nothrow forms forward here by default.
-namespace {
-thread_local int64_t t_allocations = 0;
-}  // namespace
-
-void* operator new(std::size_t size) {
-  ++t_allocations;
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace pim {
 namespace {
@@ -139,10 +123,10 @@ TEST_F(VariationFixture, SampleEvaluationDoesNotAllocate) {
   Rng rng(5);
   double sink = evaluate_with_variation(*model_, c, d, sample_variation(rng, sigmas)).delay;
   constexpr int kSamples = 100;
-  const int64_t before = t_allocations;
+  const int64_t before = heap_allocations();
   for (int i = 0; i < kSamples; ++i)
     sink += evaluate_with_variation(*model_, c, d, sample_variation(rng, sigmas)).delay;
-  const int64_t allocations = t_allocations - before;
+  const int64_t allocations = heap_allocations() - before;
   EXPECT_EQ(allocations, 0) << allocations / kSamples << " per sample";
   EXPECT_GT(sink, 0.0);
 }

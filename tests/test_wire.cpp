@@ -3,6 +3,10 @@
 // the shared error envelope, and run_batch's per-item semantics.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
+#include <functional>
 #include <set>
 #include <string>
 #include <utility>
@@ -11,9 +15,15 @@
 
 #include "api/pim_api.hpp"
 #include "api/wire.hpp"
+#include "cache/store.hpp"
+#include "charlib/coeffs_io.hpp"
 #include "deadline/deadline.hpp"
 #include "obs/report.hpp"
+#include "sta/calibrated.hpp"
+#include "util/alloc_counter.hpp"
 #include "util/error.hpp"
+
+#include "synthetic_fit.hpp"
 
 namespace pim::api {
 namespace {
@@ -440,6 +450,111 @@ TEST(WireErrors, ErrorEnvelopeCarriesCodeExitCodeAndContext) {
   EXPECT_EQ(v.find("context")->items[0].text, "while testing");
 }
 
+// Every boundary check's exact response for one bad line: the message,
+// the code and the context, byte for byte. The checks build their text
+// only when they fail, so these pins are what keeps that text unchanged.
+TEST(WireErrors, CheckMessagesArePinned) {
+  const std::pair<std::string, std::string> cases[] = {
+      {"{\"op\":\"evaluate\",\"id\":1 \"link\":{}}",
+       "{\"ok\":false,\"error\":{\"code\":\"bad_input\",\"exit_code\":2,\"message\":\"wire: malformed JSON request line: json: expected ',' at offset 24\",\"context\":[]}}"},
+      {"{\"op\":\"evaluate\",\"id\":2,\"link\" {}}",
+       "{\"ok\":false,\"error\":{\"code\":\"bad_input\",\"exit_code\":2,\"message\":\"wire: malformed JSON request line: json: expected ':' at offset 30\",\"context\":[]}}"},
+      {"{\"op\":\"techfile\",\"id\":3,\"tech\":nul}",
+       "{\"ok\":false,\"error\":{\"code\":\"bad_input\",\"exit_code\":2,\"message\":\"wire: malformed JSON request line: json: bad literal at offset 31\",\"context\":[]}}"},
+      {"{\"op\":\"techfile\",\"id\":4} x",
+       "{\"ok\":false,\"error\":{\"code\":\"bad_input\",\"exit_code\":2,\"message\":\"wire: malformed JSON request line: json: trailing content at offset 25\",\"context\":[]}}"},
+      {"{\"op\":\"techfile\",\"id\":5,\"tech\":\"65nm\",\"x\":1}",
+       "{\"id\":5,\"op\":\"techfile\",\"ok\":false,\"error\":{\"code\":\"bad_input\",\"exit_code\":2,\"message\":\"wire.techfile: unknown field 'x'\",\"context\":[]}}"},
+      {"{\"op\":\"techfile\",\"id\":6,\"tech\":7}",
+       "{\"id\":6,\"op\":\"techfile\",\"ok\":false,\"error\":{\"code\":\"bad_input\",\"exit_code\":2,\"message\":\"wire.techfile: field 'tech' must be a string\",\"context\":[]}}"},
+      {"{\"op\":\"evaluate\",\"id\":7,\"link\":{\"tech\":\"65nm\",\"length_mm\":0}}",
+       "{\"id\":7,\"op\":\"evaluate\",\"ok\":false,\"error\":{\"code\":\"bad_input\",\"exit_code\":2,\"message\":\"run_evaluate: link.length_mm must be positive\",\"context\":[\"in pim::api::run_evaluate\"]}}"},
+      {"{\"op\":\"evaluate\",\"id\":8,\"link\":{\"tech\":\"65nm\",\"length_mm\":3,\"drive\":0}}",
+       "{\"id\":8,\"op\":\"evaluate\",\"ok\":false,\"error\":{\"code\":\"bad_input\",\"exit_code\":2,\"message\":\"run_evaluate: link.drive must be >= 1\",\"context\":[\"in pim::api::run_evaluate\"]}}"},
+      {"{\"op\":\"buffer\",\"id\":9,\"link\":{\"tech\":\"65nm\",\"length_mm\":3},\"weight\":7}",
+       "{\"id\":9,\"op\":\"buffer\",\"ok\":false,\"error\":{\"code\":\"bad_input\",\"exit_code\":2,\"message\":\"run_buffer: weight must be in [0, 1]\",\"context\":[\"in pim::api::run_buffer\"]}}"},
+      {"{\"op\":\"techfile\",\"id\":10}",
+       "{\"id\":10,\"op\":\"techfile\",\"ok\":false,\"error\":{\"code\":\"bad_input\",\"exit_code\":2,\"message\":\"run_techfile: tech is required\",\"context\":[\"in pim::api::run_techfile\"]}}"},
+      {"{\"op\":\"evaluate\",\"id\":11,\"link\":3}",
+       "{\"id\":11,\"op\":\"evaluate\",\"ok\":false,\"error\":{\"code\":\"bad_input\",\"exit_code\":2,\"message\":\"wire.evaluate.link: expected a JSON object\",\"context\":[]}}"},
+      {"{\"op\":\"evaluate\",\"id\":12,\"link\":{\"tech\":\"65nm\",\"drive\":\"x\"}}",
+       "{\"id\":12,\"op\":\"evaluate\",\"ok\":false,\"error\":{\"code\":\"bad_input\",\"exit_code\":2,\"message\":\"wire.evaluate.link: field 'drive' must be an integer\",\"context\":[]}}"},
+      {"{\"op\":\"evaluate\",\"id\":13,\"link\":{\"tech\":\"65nm\",\"drive\":1.5}}",
+       "{\"id\":13,\"op\":\"evaluate\",\"ok\":false,\"error\":{\"code\":\"bad_input\",\"exit_code\":2,\"message\":\"wire.evaluate.link: field 'drive' must be an integer\",\"context\":[]}}"},
+      {"{\"op\":\"evaluate\",\"id\":14,\"link\":{\"tech\":\"65nm\",\"repeaters\":1e40}}",
+       "{\"id\":14,\"op\":\"evaluate\",\"ok\":false,\"error\":{\"code\":\"bad_input\",\"exit_code\":2,\"message\":\"wire.evaluate.link: field 'repeaters' is out of range\",\"context\":[]}}"},
+      {"{\"op\":\"techfile\",\"id\":15,\"api_version\":2,\"tech\":\"65nm\"}",
+       "{\"id\":15,\"op\":\"techfile\",\"ok\":false,\"error\":{\"code\":\"bad_input\",\"exit_code\":2,\"message\":\"wire.techfile: request api_version 2 does not match pim::api::kApiVersion " + std::to_string(kApiVersion) +
+           "\",\"context\":[]}}"},
+      {"{\"op\":\"yield\",\"id\":16,\"link\":{\"tech\":\"65nm\",\"length_mm\":3},\"samples\":0}",
+       "{\"id\":16,\"op\":\"yield\",\"ok\":false,\"error\":{\"code\":\"bad_input\",\"exit_code\":2,\"message\":\"run_yield: samples must be at least 1\",\"context\":[\"in pim::api::run_yield\"]}}"},
+      {"{\"op\":\"charlib\",\"id\":17,\"tech\":\"65nm\",\"drives\":[0]}",
+       "{\"id\":17,\"op\":\"charlib\",\"ok\":false,\"error\":{\"code\":\"bad_input\",\"exit_code\":2,\"message\":\"run_charlib: every drive must be >= 1\",\"context\":[\"in pim::api::run_charlib\"]}}"},
+      {"{\"op\":\"synthesis\",\"id\":18,\"tech\":\"65nm\"}",
+       "{\"id\":18,\"op\":\"synthesis\",\"ok\":false,\"error\":{\"code\":\"bad_input\",\"exit_code\":2,\"message\":\"run_synthesis: spec is required (dvopd, vproc, mpeg4, mwd, or a .soc file)\",\"context\":[\"in pim::api::run_synthesis\"]}}"},
+      {"{\"op\":\"synthesis\",\"id\":19,\"spec\":\"dvopd\",\"tech\":\"65nm\",\"model\":\"bakoglu\",\"corners\":\"all\"}",
+       "{\"id\":19,\"op\":\"synthesis\",\"ok\":false,\"error\":{\"code\":\"bad_input\",\"exit_code\":2,\"message\":\"run_synthesis: --corners requires the proposed model (baselines carry no per-corner calibration)\",\"context\":[\"in pim::api::run_synthesis\"]}}"},
+      {"{\"op\":\"synthesis\",\"id\":20,\"spec\":\"dvopd\",\"tech\":\"65nm\",\"model\":\"bakoglu\",\"rows\":2}",
+       "{\"id\":20,\"op\":\"synthesis\",\"ok\":false,\"error\":{\"code\":\"bad_input\",\"exit_code\":2,\"message\":\"run_synthesis: rows/cols only apply to mesh construction\",\"context\":[\"in pim::api::run_synthesis\"]}}"},
+      {"{\"op\":\"cache\",\"id\":21,\"action\":\"prune\",\"budget_bytes\":-1}",
+       "{\"id\":21,\"op\":\"cache\",\"ok\":false,\"error\":{\"code\":\"bad_input\",\"exit_code\":2,\"message\":\"run_cache_admin: prune budget_bytes must be non-negative\",\"context\":[\"in pim::api::run_cache_admin\"]}}"},
+      {"{\"op\":\"batch\",\"id\":22,\"items\":3}",
+       "{\"id\":22,\"op\":\"batch\",\"ok\":false,\"error\":{\"code\":\"bad_input\",\"exit_code\":2,\"message\":\"wire.batch: field 'items' must be an array of request envelopes\",\"context\":[]}}"},
+      {"{\"op\":\"batch\",\"id\":23,\"items\":[3]}",
+       "{\"id\":23,\"op\":\"batch\",\"ok\":false,\"error\":{\"code\":\"bad_input\",\"exit_code\":2,\"message\":\"wire.batch.items[0]: expected a JSON object\",\"context\":[]}}"},
+      {"{\"op\":\"batch\",\"id\":24,\"items\":[{}]}",
+       "{\"id\":24,\"op\":\"batch\",\"ok\":false,\"error\":{\"code\":\"bad_input\",\"exit_code\":2,\"message\":\"wire.batch.items[0]: field 'op' is required\",\"context\":[]}}"},
+      {"{\"op\":\"batch\",\"id\":25,\"items\":[{\"op\":\"batch\"}]}",
+       "{\"id\":25,\"op\":\"batch\",\"ok\":false,\"error\":{\"code\":\"bad_input\",\"exit_code\":2,\"message\":\"wire.batch.items[0]: batches cannot nest batches\",\"context\":[]}}"},
+      {"{\"op\":\"batch\",\"id\":26,\"api_version\":2,\"items\":[]}",
+       "{\"id\":26,\"op\":\"batch\",\"ok\":false,\"error\":{\"code\":\"bad_input\",\"exit_code\":2,\"message\":\"wire.batch: request api_version 2 does not match pim::api::kApiVersion " + std::to_string(kApiVersion) +
+           "\",\"context\":[]}}"},
+      {"{\"op\":\"frob\",\"id\":27}",
+       "{\"id\":27,\"op\":\"frob\",\"ok\":false,\"error\":{\"code\":\"bad_input\",\"exit_code\":2,\"message\":\"wire.frob: unknown op 'frob' (expected techfile, charlib, fit, evaluate, buffer, yield, noise, timer, corners, export, synthesis, invalidate, cache, or batch)\",\"context\":[]}}"},
+      {"{\"op\":\"evaluate\",\"id\":28,\"link\":{\"tech\":\"65nm\",\"length_mm\":3},\"golden\":1}",
+       "{\"id\":28,\"op\":\"evaluate\",\"ok\":false,\"error\":{\"code\":\"bad_input\",\"exit_code\":2,\"message\":\"wire.evaluate: field 'golden' must be a boolean\",\"context\":[]}}"},
+      {"{\"op\":\"evaluate\",\"id\":29,\"link\":{\"tech\":\"65nm\",\"length_mm\":3,\"coeffs_path\":[1]}}",
+       "{\"id\":29,\"op\":\"evaluate\",\"ok\":false,\"error\":{\"code\":\"bad_input\",\"exit_code\":2,\"message\":\"wire.evaluate.link: field 'coeffs_path' must be a string\",\"context\":[]}}"},
+      {"{\"op\":\"evaluate\",\"id\":30,\"link\":{\"tech\":\"65nm\",\"length_mm\":3},\"deadline_ms\":1.5}",
+       "{\"id\":30,\"op\":\"evaluate\",\"ok\":false,\"error\":{\"code\":\"bad_input\",\"exit_code\":2,\"message\":\"wire.evaluate: field 'deadline_ms' must be an integer\",\"context\":[]}}"},
+      {"{\"op\":\"techfile\",\"id\":31,\"tech\":\"65nm\"} [",
+       "{\"ok\":false,\"error\":{\"code\":\"bad_input\",\"exit_code\":2,\"message\":\"wire: malformed JSON request line: json: trailing content at offset 40\",\"context\":[]}}"},
+      {"{\"op\":\"techfile\",\"id\":32,\"tech\":-}",
+       "{\"ok\":false,\"error\":{\"code\":\"bad_input\",\"exit_code\":2,\"message\":\"wire: malformed JSON request line: json: bad number '-'\",\"context\":[]}}"},
+      {"{\"op\":\"batch\",\"id\":33,\"items\":[{\"op\":\"evaluate\",\"link\":{\"tech\":\"65nm\",\"length_mm\":0}},{\"op\":\"techfile\"}]}",
+       "{\"id\":33,\"op\":\"batch\",\"ok\":true,\"result\":{\"failed\":2,\"partial_items\":0,\"partial\":false,\"items\":[{\"op\":\"evaluate\",\"ok\":false,\"error\":{\"code\":\"bad_input\",\"exit_code\":2,\"message\":\"run_evaluate: link.length_mm must be positive\",\"context\":[\"in pim::api::run_evaluate\"]}},{\"op\":\"techfile\",\"ok\":false,\"error\":{\"code\":\"bad_input\",\"exit_code\":2,\"message\":\"run_techfile: tech is required\",\"context\":[\"in pim::api::run_techfile\"]}}]}}"},
+  };
+  for (const auto& [line, response] : cases) EXPECT_EQ(wire::execute_line(line), response);
+}
+
+TEST(WireErrors, DecodeMessagesArePinned) {
+  const std::pair<std::function<void()>, std::string> cases[] = {
+      {[] { from_json<LinkSpec>("[]", "test"); }, "test: expected a JSON object"},
+      {[] { from_json<LinkSpec>("{\"tech\":1}", "test"); },
+       "test: field 'tech' must be a string"},
+      {[] { from_json<LinkSpec>("{\"drive\":true}", "test"); },
+       "test: field 'drive' must be an integer"},
+      {[] { from_json<LinkSpec>("{\"drive\":2.5}", "test"); },
+       "test: field 'drive' must be an integer"},
+      {[] { from_json<LinkSpec>("{\"drive\":1e30}", "test"); },
+       "test: field 'drive' is out of range"},
+      {[] { from_json<LinkSpec>("{\"tech\":\"65nm\",\"x\":1}", "test"); },
+       "test: unknown field 'x'"},
+      {[] { check_version(kApiVersion + 1, "test"); },
+       "test: request api_version " + std::to_string(kApiVersion + 1) +
+           " does not match pim::api::kApiVersion " + std::to_string(kApiVersion)},
+  };
+  for (const auto& [call, message] : cases) {
+    try {
+      call();
+      ADD_FAILURE() << message << ": no error";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.message(), message);
+      EXPECT_EQ(e.code(), ErrorCode::bad_input) << message;
+    }
+  }
+}
+
 TEST(WireErrors, ExitCodeContractMatchesTheCli) {
   EXPECT_EQ(wire::exit_code_for(ErrorCode::bad_input), 2);
   EXPECT_EQ(wire::exit_code_for(ErrorCode::internal), 4);
@@ -573,6 +688,43 @@ TEST(WireExecute, RepeatLinesAreByteIdentical) {
   const std::string second = wire::execute_line(line);
   EXPECT_EQ(first, second);
   EXPECT_NE(first.find("\"ok\":true"), std::string::npos);
+}
+
+// A warm evaluate line that names no coefficient file, answered from the
+// resident model a file warmed (the serving pattern), makes at most
+// kBudget heap allocations end to end: parse, decode, run, encode.
+TEST(WireExecute, WarmEvaluateLineStaysWithinItsAllocationBudget) {
+  constexpr int64_t kBudget = 40;
+  const std::string dir =
+      ::testing::TempDir() + "pim_wire_alloc_" + std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  cache::set_dir(dir + "/cache");
+  cache::set_mode(cache::Mode::ReadWrite);
+  clear_resident_fits();
+  const std::string path = dir + "/coeffs.pimfit";
+  save_fit(synthetic_fit(technology(TechNode::N65)), path);
+  const std::string warm = wire::execute_line(
+      "{\"op\":\"evaluate\",\"id\":1,\"link\":{\"tech\":\"65nm\",\"length_mm\":3,"
+      "\"coeffs_path\":\"" + path + "\"}}");
+  ASSERT_NE(warm.find("\"ok\":true"), std::string::npos) << warm;
+  // The canonical line a client writes, every field spelled out.
+  LinkEvalRequest request;
+  request.link.tech = "65nm";
+  request.link.length_mm = 3;
+  const std::string line = wire::write_request_line(2, AnyRequest{request});
+  const std::string first = wire::execute_line(line);
+  const int64_t before = heap_allocations();
+  const std::string response = wire::execute_line(line);
+  const int64_t allocations = heap_allocations() - before;
+  EXPECT_EQ(response, first);
+  EXPECT_NE(response.find("\"ok\":true"), std::string::npos) << response;
+  EXPECT_LE(allocations, kBudget);
+  RecordProperty("allocations", static_cast<int>(allocations));
+  clear_resident_fits();
+  cache::reset_mode();
+  cache::set_dir("");
+  std::filesystem::remove_all(dir);
 }
 
 TEST(RunBatch, ResultsAreOrderPreservingAndPerItem) {
