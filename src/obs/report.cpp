@@ -9,6 +9,7 @@
 
 #include "obs/ledger.hpp"
 #include "util/error.hpp"
+#include "util/log.hpp"
 #include "util/textfile.hpp"
 
 namespace pim::obs {
@@ -126,6 +127,9 @@ void save_metrics_json(const std::string& path) {
 
 void save_trace(const std::string& path) {
   write_text_file(path, trace_to_chrome_json(trace_events()), "obs");
+  if (const size_t dropped = trace_dropped(); dropped > 0)
+    log_warn("trace: ", path, " is truncated: ", dropped,
+             " spans were dropped past the buffer's capacity of ", trace_capacity());
 }
 
 // ---------------------------------------------------------------------------
@@ -157,9 +161,9 @@ class JsonParser {
   }
 
   void expect(char c) {
-    // The offset named is the one before peek() skips whitespace.
-    const size_t at = pos_;
-    require(peek() == c, ErrorCode::internal, "json: expected '", c, "' at offset ", at);
+    // peek() skips whitespace first, so pos_ then names the offending character.
+    const bool found = peek() == c;
+    require(found, ErrorCode::internal, "json: expected '", c, "' at offset ", pos_);
     ++pos_;
   }
 

@@ -43,7 +43,8 @@ std::string metrics_to_json(const MetricsSnapshot& snapshot);
 std::string trace_to_chrome_json(const std::vector<TraceEvent>& events);
 
 /// Snapshot the global registry / trace buffer and write to `path`,
-/// throwing pim::Error on I/O failure.
+/// throwing pim::Error on I/O failure. save_trace warns when the buffer
+/// dropped spans, naming the count and the capacity.
 void save_metrics_json(const std::string& path);
 void save_trace(const std::string& path);
 

@@ -73,6 +73,12 @@ size_t trace_dropped() {
   return b.dropped;
 }
 
+size_t trace_capacity() {
+  TraceBuffer& b = buffer();
+  std::lock_guard<std::mutex> lock(b.mu);
+  return b.capacity;
+}
+
 void clear_trace() {
   TraceBuffer& b = buffer();
   std::lock_guard<std::mutex> lock(b.mu);

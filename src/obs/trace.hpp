@@ -61,6 +61,9 @@ std::vector<TraceEvent> trace_events();
 /// Number of events discarded because the buffer was full.
 size_t trace_dropped();
 
+/// The buffer's capacity, in events.
+size_t trace_capacity();
+
 /// Empties the buffer and zeroes the dropped tally.
 void clear_trace();
 

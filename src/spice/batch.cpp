@@ -60,36 +60,23 @@ struct Lane {
   bool converged = false;
 
   // Tallies, flushed once per successful lane like the scalar solver.
-  // n_timesteps counts every step the result advances through (replayed
-  // steady-state steps included); n_newton/n_solves count numeric work
+  // n_timesteps counts every step the result advances through (skipped
+  // pre-roll steps included); n_newton/n_solves count numeric work
   // actually performed.
   long n_timesteps = 0, n_newton = 0, n_solves = 0, n_retries = 0;
 
-  // Steady-state cycle replay (docs/kernels.md). One converged per-step
-  // state; `src_current` memoizes the per-source delivered current of
-  // this state the first time it is replayed with source recording on.
+  // Settle jump (docs/kernels.md): the last `ring_size` clean pre-roll
+  // states, oldest at `ring_head`; the slots are kept allocated and
+  // copy-assigned into. `settled` lanes sit out the rest of the pre-roll.
   struct StepState {
     Vector v_node;
     std::vector<double> cap_current;
-    std::vector<double> src_current;
-    bool src_valid = false;
   };
-  // The last `ring_size` converged states live in `ring`, oldest at
-  // `ring_head`; the slots are kept allocated and copy-assigned into.
   std::vector<StepState> ring;
   size_t ring_head = 0, ring_size = 0;
-  std::vector<StepState> cycle;  // locked replay sequence, in step order
-  int cycle_phase = 0;           // next cycle entry to replay
-  double inputs_const_after = 0.0;  // every wave is exactly constant beyond
+  bool settled = false;
 
-  bool replaying() const { return !cycle.empty(); }
   bool live() const { return !failed && !done; }
-
-  void reset_ring() {
-    ring_head = ring_size = 0;
-    cycle.clear();
-    cycle_phase = 0;
-  }
 
   void fail_lane(Error e) {
     failed = true;
@@ -99,7 +86,7 @@ struct Lane {
 
 // Bitwise vector equality: distinguishes -0.0 from +0.0 (their trace
 // bytes differ) and treats identical NaN payloads as equal, which is the
-// exact induction premise of the steady-state replay.
+// exact induction premise of the settle jump.
 bool bits_equal(const std::vector<double>& a, const std::vector<double>& b) {
   return a.size() == b.size() &&
          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
@@ -125,7 +112,7 @@ class BatchEngine {
     const size_t n = specs.size();
     out.reserve(n);
     timing_ = obs::enabled();
-    // Steady-state replay and early exit stay off while fault injection
+    // The settle jump and early exit stay off while fault injection
     // is armed: a skipped step performs no per-step fault draw, so
     // skipping would shift every later draw in the lane's stream.
     skip_ok_ = !fault::armed();
@@ -208,8 +195,6 @@ class BatchEngine {
     lane.cap_ieq.resize(lane.cap_farads.size());
     lane.overdrive.assign(plan_.devices.count, kernels::OverdriveMemo{});
     lane.ring.resize(kMaxCyclePeriod);
-    for (const Waveform& w : lane.waves)
-      lane.inputs_const_after = std::max(lane.inputs_const_after, w.last_time());
     if (lane.keep_sources) lane.result.sources.resize(plan_.vsource_node.size());
     for (NodeId p : probes_) lane.result.traces.push_back({p, {}});
   }
@@ -230,14 +215,11 @@ class BatchEngine {
     // Settling pre-roll: backward Euler, inputs frozen at t = 0.
     if (opt_.t_settle > 0.0 && opt_.settle_steps > 0) {
       const double dts = opt_.t_settle / opt_.settle_steps;
-      for (int k = 0; k < opt_.settle_steps; ++k)
+      for (int k = 1; k <= opt_.settle_steps; ++k)
         lockstep_advance(wave, 0.0, dts, Integrator::BackwardEuler, false,
-                         /*inputs_const=*/true);
+                         opt_.settle_steps - k);
+      for (Lane& lane : wave) lane.settled = false;
     }
-
-    // Settle and main cycles never mix: the integrator, dt, and inputs
-    // all change at this boundary.
-    for (Lane& lane : wave) lane.reset_ring();
 
     // Main window. A lane whose stop_after crossings have all happened
     // leaves the cohort after recording that sample; the loop ends when
@@ -258,8 +240,7 @@ class BatchEngine {
       if (std::none_of(wave.begin(), wave.end(), [](const Lane& l) { return l.live(); }))
         break;
       const double t = std::min(opt_.t_stop, static_cast<double>(k) * opt_.dt);
-      lockstep_advance(wave, t, opt_.dt, Integrator::Trapezoidal, true,
-                       /*inputs_const=*/false);
+      lockstep_advance(wave, t, opt_.dt, Integrator::Trapezoidal, true, 0);
       record_live(k, t);
     }
 
@@ -278,23 +259,14 @@ class BatchEngine {
 
   // Depth-0 advance for the whole cohort; lanes whose lockstep attempt
   // fails fall back to the scalar halving recursion solo, reproducing the
-  // original advance() sequence per lane exactly. `inputs_const` marks
-  // windows (the settle pre-roll) where every wave is read at a frozen
-  // time, so steady-state detection needs no per-lane settling check.
+  // original advance() sequence per lane exactly. `settle_left` is the
+  // number of pre-roll steps after this one (0 in the main window).
   void lockstep_advance(std::vector<Lane>& wave, double t, double dt,
                         Integrator integrator, bool record_sources,
-                        bool inputs_const) {
+                        int settle_left) {
     cohort_.clear();
-    mark();
-    bool replayed = false;
     for (Lane& lane : wave) {
-      if (!lane.live() || !lane.replaying()) continue;
-      replay_step(lane, dt, record_sources);
-      replayed = true;
-    }
-    if (replayed) lap(kReplay);
-    for (Lane& lane : wave) {
-      if (!lane.live() || lane.replaying()) continue;
+      if (!lane.live() || lane.settled) continue;
       lane.v_save = lane.v_node;
       lane.cap_save = lane.cap_current;
       cohort_.push_back(&lane);
@@ -305,46 +277,38 @@ class BatchEngine {
     for (Lane* lane : cohort_) {
       if (lane->failed) continue;
       if (lane->converged) {
-        // A clean depth-0 step in a constant-input regime is a candidate
-        // cycle state; anything else breaks the recorded sequence.
-        if (skip_ok_ && (inputs_const || t >= lane->inputs_const_after))
-          note_steady_state(*lane);
-        else
-          lane->reset_ring();
+        // Only a clean depth-0 step is a candidate cycle state.
+        if (skip_ok_ && settle_left > 0) settle_jump(*lane, settle_left);
         continue;
       }
-      lane->reset_ring();
+      lane->ring_size = 0;
       retry_halved(*lane, t, dt, integrator, record_sources, 0,
                    lane->v_save, lane->cap_save);
     }
   }
 
-  // Steady-state cycle detection. The per-step state a lane carries into
-  // the next step is exactly (v_node, cap_current); with dt, the
-  // integrator, and every wave value constant, the step map is a
-  // deterministic function of that state. So the moment the state
-  // repeats bit-for-bit with period p, every subsequent step provably
-  // reproduces the recorded cycle, and the engine replays it instead of
-  // re-solving (docs/kernels.md).
-  void note_steady_state(Lane& lane) {
+  // Settle jump. In the pre-roll, dt, the integrator and every input are
+  // frozen, so a step is a deterministic function of the state a lane
+  // carries into it, (v_node, cap_current). Once that state repeats
+  // bit-for-bit with period p, the remaining `left` steps provably cycle
+  // through the last p states, so the lane jumps to the one they end on,
+  // `left mod p` steps after the match, and sits out the rest of the
+  // pre-roll (docs/kernels.md).
+  void settle_jump(Lane& lane, int left) {
     auto at = [&](size_t j) -> Lane::StepState& {
       return lane.ring[(lane.ring_head + j) % kMaxCyclePeriod];
     };
     for (size_t p = 1; p <= lane.ring_size; ++p) {
-      Lane::StepState& past = at(lane.ring_size - p);
-      if (!bits_equal(past.v_node, lane.v_node) ||
-          !bits_equal(past.cap_current, lane.cap_current))
+      const size_t match = lane.ring_size - p;
+      if (!bits_equal(at(match).v_node, lane.v_node) ||
+          !bits_equal(at(match).cap_current, lane.cap_current))
         continue;
-      // Lock the cycle: the next step reproduces the state that followed
-      // `past`, so the replay sequence is the last p recorded states in
-      // chronological order, ending with `past` itself (== the current
-      // state).
-      lane.cycle.reserve(p);
-      for (size_t j = lane.ring_size - p + 1; j < lane.ring_size; ++j)
-        lane.cycle.push_back(std::move(at(j)));
-      lane.cycle.push_back(std::move(past));
-      lane.cycle_phase = 0;
-      lane.ring_head = lane.ring_size = 0;
+      const Lane::StepState& end = at(match + static_cast<size_t>(left) % p);
+      lane.v_node = end.v_node;
+      lane.cap_current = end.cap_current;
+      lane.n_timesteps += left;
+      settle_skipped_ += left;
+      lane.settled = true;
       return;
     }
     // Record the state in the slot after the newest; a full ring
@@ -352,39 +316,10 @@ class BatchEngine {
     Lane::StepState& slot = at(lane.ring_size);
     slot.v_node = lane.v_node;
     slot.cap_current = lane.cap_current;
-    slot.src_valid = false;
     if (lane.ring_size < kMaxCyclePeriod)
       ++lane.ring_size;
     else
       lane.ring_head = (lane.ring_head + 1) % kMaxCyclePeriod;
-  }
-
-  // One replayed step: restores the cycle state the full solve would
-  // have produced and performs only the per-step bookkeeping arithmetic
-  // (trace recording happens in the caller; source accumulation uses the
-  // state's memoized currents through the exact accumulate_sources
-  // expressions). Replayed steps count as timesteps but perform no
-  // Newton iterations or solves.
-  void replay_step(Lane& lane, double dt, bool record_sources) {
-    Lane::StepState& s = lane.cycle[static_cast<size_t>(lane.cycle_phase)];
-    lane.cycle_phase = (lane.cycle_phase + 1) % static_cast<int>(lane.cycle.size());
-    lane.v_node = s.v_node;
-    lane.cap_current = s.cap_current;
-    ++lane.n_timesteps;
-    ++replayed_steps_;
-    if (!record_sources || !lane.keep_sources) return;
-    if (!s.src_valid) {
-      s.src_current.resize(plan_.source_touches.size());
-      for (size_t si = 0; si < plan_.source_touches.size(); ++si)
-        s.src_current[si] = source_current(lane, si);
-      s.src_valid = true;
-    }
-    for (size_t si = 0; si < plan_.source_touches.size(); ++si) {
-      const double current = s.src_current[si];
-      lane.result.sources[si].charge += current * dt;
-      lane.result.sources[si].energy +=
-          current * lane.v_node[static_cast<size_t>(plan_.vsource_node[si])] * dt;
-    }
   }
 
   // The failure tail of the scalar advance(): called after the depth-`depth`
@@ -693,7 +628,6 @@ class BatchEngine {
     kSolve,
     kNewtonUpdate,
     kSources,
-    kReplay,
     kPhaseCount
   };
 
@@ -718,8 +652,7 @@ class BatchEngine {
     PIM_COUNT_N("spice.phase.solve_ns", phase_ns_[kSolve]);
     PIM_COUNT_N("spice.phase.newton_update_ns", phase_ns_[kNewtonUpdate]);
     PIM_COUNT_N("spice.phase.sources_ns", phase_ns_[kSources]);
-    PIM_COUNT_N("spice.phase.replay_ns", phase_ns_[kReplay]);
-    PIM_COUNT_N("spice.phase.replayed_steps", replayed_steps_);
+    PIM_COUNT_N("spice.settle.skipped_steps", settle_skipped_);
     PIM_COUNT_N("spice.device.evaluations", device_evals_);
     PIM_COUNT_N("spice.device.bypass", device_bypass_);
     PIM_COUNT_N("spice.transient.stopped", stopped_lanes_);
@@ -732,10 +665,10 @@ class BatchEngine {
       trace.values.push_back(lane.v_node[static_cast<size_t>(trace.node)]);
   }
 
-  // Longest state-repeat period the steady-state detector recognizes.
-  // Converged tails settle either to a true fixed point (period 1) or to
-  // a tiny last-ulp limit cycle; period 3 is the longest observed, so 4
-  // leaves margin while keeping the per-step comparison trivial.
+  // Longest state-repeat period the settle jump recognizes. A pre-roll
+  // settles either to a true fixed point (period 1) or to a tiny last-ulp
+  // limit cycle; a 65nm fit locks at periods 1 to 4, and period 1 alone
+  // would skip only two thirds as many steps.
   static constexpr size_t kMaxCyclePeriod = 4;
   // Lanes per lockstep cohort: bounds the engine's working set; has no
   // effect on any lane's numeric result.
@@ -744,13 +677,13 @@ class BatchEngine {
   const CompiledCircuit& plan_;
   TransientOptions opt_;
   const std::vector<NodeId>& probes_;
-  bool skip_ok_ = false;  // no fault armed: replay and early exit allowed
+  bool skip_ok_ = false;  // no fault armed: settle jump and early exit allowed
 
   // Phase totals (flush_phases).
   bool timing_ = false;
   int64_t mark_ns_ = 0;
   std::array<int64_t, kPhaseCount> phase_ns_{};
-  int64_t replayed_steps_ = 0;
+  int64_t settle_skipped_ = 0;  // pre-roll steps the settle jump skipped
   // Newton-sweep device evaluations and how many of them were bypasses.
   int64_t device_evals_ = 0, device_bypass_ = 0;
   // Lanes ended by their stop_after crossings, and the main-window steps

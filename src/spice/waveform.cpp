@@ -52,6 +52,4 @@ double Waveform::value(double t) const {
   return values_[i] + f * (values_[i + 1] - values_[i]);
 }
 
-double Waveform::last_time() const { return times_.back(); }
-
 }  // namespace pim

@@ -29,9 +29,6 @@ class Waveform {
   /// Value at time `t`.
   double value(double t) const;
 
-  /// Largest breakpoint time (0 for DC).
-  double last_time() const;
-
   /// Breakpoint accessors (deck serialization, diagnostics).
   const std::vector<double>& times() const { return times_; }
   const std::vector<double>& values() const { return values_; }

@@ -22,6 +22,8 @@
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
 #include "util/error.hpp"
+#include "util/log.hpp"
+#include "util/textfile.hpp"
 
 namespace pim::obs {
 namespace {
@@ -214,10 +216,10 @@ TEST(JsonNumber, MatchesPercentGOrPercent17g) {
 
 // Each parser check's exact message and code for one bad document. The
 // messages are built only when a check fails; an expected character is
-// reported at the offset before the whitespace skipped to find it.
+// reported at the offset of the character found in its place.
 TEST(JsonReader, ErrorMessagesArePinned) {
   const std::pair<const char*, const char*> cases[] = {
-      {"{\"a\" 1}", "json: expected ':' at offset 4"},
+      {"{\"a\" 1}", "json: expected ':' at offset 5"},
       {"{\"a\":1 \"b\":2}", "json: expected ',' at offset 7"},
       {"[1 2]", "json: expected ',' at offset 3"},
       {"{1:2}", "json: expected '\"' at offset 1"},
@@ -306,6 +308,34 @@ TEST_F(ObsTest, TraceBufferIsBounded) {
   clear_trace();
   EXPECT_TRUE(trace_events().empty());
   EXPECT_EQ(trace_dropped(), 0u);
+}
+
+// A full buffer truncates the trace silently while recording; the flush
+// says so once, naming the dropped count and the capacity. A complete
+// trace flushes without a word.
+TEST_F(ObsTest, TruncatedTraceFlushWarnsOnce) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "pim_obs_truncated.trace.json").string();
+  const LogLevel saved = log_level();
+  set_log_level(LogLevel::Warn);
+  set_trace_enabled(true, 8);
+  for (int i = 0; i < 20; ++i) TraceSpan span("bounded");
+
+  testing::internal::CaptureStderr();
+  save_trace(path);
+  const std::string warned = testing::internal::GetCapturedStderr();
+  EXPECT_NE(warned.find("12 spans were dropped past the buffer's capacity of 8"),
+            std::string::npos)
+      << warned;
+  EXPECT_EQ(std::count(warned.begin(), warned.end(), '\n'), 1) << warned;
+  EXPECT_EQ(parse_json(read_text_file(path, "test")).find("traceEvents")->items.size(), 8u);
+
+  clear_trace();
+  testing::internal::CaptureStderr();
+  save_trace(path);
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+  set_log_level(saved);
+  std::filesystem::remove(path);
 }
 
 TEST_F(ObsTest, ChromeTraceJsonParses) {

@@ -674,41 +674,56 @@ TEST(TransientBatch, PerturbedLanesMatchSoloScalarRunsBitExact) {
   }
 }
 
-TEST(TransientBatch, SteadyStateReplayIsBitExactAndActuallySkipsSolves) {
-  // Long flat tail after a 30 ps edge: the converged state settles into
-  // a short bit-exact cycle, which the engine replays instead of
-  // re-solving (docs/kernels.md). The replayed result must match the
-  // scalar reference, which never replays, bit-for-bit — traces AND
-  // accumulated source charge/energy.
-  TransientOptions opt = batch_test_options();
-  opt.t_stop = 2.0 * ns;
-  opt.t_settle = 0.5 * ns;
-  opt.settle_steps = 120;
+TEST(TransientBatch, SettleJumpIsBitExactAndActuallySkipsSolves) {
+  // The settling pre-roll's converged state soon repeats bit-for-bit
+  // with a short period; the engine then jumps the lane to the state its
+  // remaining pre-roll steps would reach and skips them (docs/kernels.md).
+  // Each result must match the scalar reference, which never skips,
+  // bit-for-bit: traces AND accumulated source charge/energy.
   ManualInverter inv = manual_inverter(1.0, 2.0, 10.0, 30.0);
+  ManualInverter heavy = manual_inverter(1.0, 2.0, 15.0, 30.0);
   const CompiledCircuit plan = CompiledCircuit::compile(inv.c);
   std::vector<LaneSpec> lanes(2);
   lanes[1].cap_farads.push_back({0, 15.0 * fF});
-  ManualInverter heavy = manual_inverter(1.0, 2.0, 15.0, 30.0);
-  const TransientResult ref[2] = {
-      run_transient_reference(inv.c, opt, {inv.in, inv.out}),
-      run_transient_reference(heavy.c, opt, {heavy.in, heavy.out})};
-
-  obs::registry().reset();
-  obs::set_enabled(true);
-  const std::vector<Expected<TransientResult>> replayed =
-      run_transient_batch(plan, opt, {inv.in, inv.out}, lanes);
-  const int64_t solves = obs::registry().counter("spice.lu.solves").value();
-  const int64_t steps = obs::registry().counter("spice.timestep.count").value();
-  obs::set_enabled(false);
-  obs::registry().reset();
-
-  for (size_t i = 0; i < lanes.size(); ++i) {
-    ASSERT_TRUE(replayed[i].ok());
-    expect_bit_identical(replayed[i].value(), ref[i]);
-  }
-  // The skip must be real work avoidance, not a no-op: every advanced
-  // step counts as a timestep, but most of the tail performs no solve.
-  EXPECT_LT(solves, steps / 2) << "steady-state replay never engaged";
+  // Runs both lanes and checks them; returns the batch's (solves, timesteps).
+  const auto run = [&](double t_stop, double t_settle, int settle_steps) {
+    TransientOptions opt = batch_test_options();
+    opt.t_stop = t_stop;
+    opt.t_settle = t_settle;
+    opt.settle_steps = settle_steps;
+    const TransientResult ref[2] = {
+        run_transient_reference(inv.c, opt, {inv.in, inv.out}),
+        run_transient_reference(heavy.c, opt, {heavy.in, heavy.out})};
+    obs::registry().reset();
+    obs::set_enabled(true);
+    const std::vector<Expected<TransientResult>> batch =
+        run_transient_batch(plan, opt, {inv.in, inv.out}, lanes);
+    const std::pair<int64_t, int64_t> work = {
+        obs::registry().counter("spice.lu.solves").value(),
+        obs::registry().counter("spice.timestep.count").value()};
+    EXPECT_GT(obs::registry().counter("spice.settle.skipped_steps").value(), 0)
+        << "the settle jump never engaged at " << settle_steps << " settle steps";
+    obs::set_enabled(false);
+    obs::registry().reset();
+    for (size_t i = 0; i < lanes.size(); ++i) {
+      EXPECT_TRUE(batch[i].ok());
+      if (batch[i].ok()) expect_bit_identical(batch[i].value(), ref[i]);
+    }
+    return work;
+  };
+  // A long flat tail after the edge. The 15 fF lane's pre-roll locks at
+  // period 2 with an odd number of steps left, so a jump to the wrong
+  // phase of the cycle shows in its traces.
+  run(2.0 * ns, 0.5 * ns, 120);
+  // Pre-roll-heavy windows. At 2 ns of settling the 10 fF lane locks at
+  // period 2 with an even (250 steps) and an odd (1001 steps) number of
+  // steps left; the 15 fF lane locks at period 1.
+  const auto [even_solves, even_steps] = run(0.1 * ns, 2.0 * ns, 250);
+  const auto [odd_solves, odd_steps] = run(0.1 * ns, 2.0 * ns, 1001);
+  // Every advanced step counts as a timestep, but the skipped ones
+  // perform no solve.
+  EXPECT_LT(even_solves + odd_solves, (even_steps + odd_steps) / 2)
+      << "the settle jump skips no work";
 }
 
 TEST(TransientBatch, BadLaneIsIsolatedFromSiblings) {
@@ -1058,9 +1073,15 @@ TEST_F(BatchFaultFixture, HalvingRetriesStayBitIdenticalToReference) {
   expect_bit_identical(faulty_batch, faulty_ref);
 
   // Devices: the solo halving retries read through the same bypass memo.
+  // This pre-roll locks when no site is armed; armed, nothing is skipped.
   ManualInverter inv = manual_inverter(1.0, 2.0, 10.0, 30.0);
   fault::configure("newton.diverge:0.05:3");
+  obs::registry().reset();
+  obs::set_enabled(true);
   const TransientResult inv_batch = run_transient(inv.c, opt, {inv.out});
+  obs::set_enabled(false);
+  EXPECT_EQ(obs::registry().counter("spice.settle.skipped_steps").value(), 0);
+  obs::registry().reset();
   EXPECT_GT(fault::fired_count(fault::kNewtonDiverge), 0);
   fault::configure("newton.diverge:0.05:3");
   expect_bit_identical(inv_batch, run_transient_reference(inv.c, opt, {inv.out}));

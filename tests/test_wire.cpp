@@ -458,7 +458,7 @@ TEST(WireErrors, CheckMessagesArePinned) {
       {"{\"op\":\"evaluate\",\"id\":1 \"link\":{}}",
        "{\"ok\":false,\"error\":{\"code\":\"bad_input\",\"exit_code\":2,\"message\":\"wire: malformed JSON request line: json: expected ',' at offset 24\",\"context\":[]}}"},
       {"{\"op\":\"evaluate\",\"id\":2,\"link\" {}}",
-       "{\"ok\":false,\"error\":{\"code\":\"bad_input\",\"exit_code\":2,\"message\":\"wire: malformed JSON request line: json: expected ':' at offset 30\",\"context\":[]}}"},
+       "{\"ok\":false,\"error\":{\"code\":\"bad_input\",\"exit_code\":2,\"message\":\"wire: malformed JSON request line: json: expected ':' at offset 31\",\"context\":[]}}"},
       {"{\"op\":\"techfile\",\"id\":3,\"tech\":nul}",
        "{\"ok\":false,\"error\":{\"code\":\"bad_input\",\"exit_code\":2,\"message\":\"wire: malformed JSON request line: json: bad literal at offset 31\",\"context\":[]}}"},
       {"{\"op\":\"techfile\",\"id\":4} x",
