@@ -44,6 +44,9 @@ compare_status=0
 # BandedLu factor-and-solves for a 140-row, half-bandwidth-5 lane pair.
 # That last reference leg also pays a matrix copy and a solution-vector
 # allocation per BandedLu call, so its floor is not a pure kernel ratio.
+# The last floor bounds what an armed fault harness costs a Monte-Carlo
+# sweep: the 20,000-sample sweep with variation.sample armed must take at
+# most 1.2x the disarmed one, i.e. disarmed / armed >= 0.83.
 echo "=== speedup floors ==="
 floor_status=0
 python3 - "$workdir/fresh.json" <<'EOF' || floor_status=$?
@@ -61,6 +64,8 @@ floors = [
      "payload_codec.decode_us", 1.5, "payload decode"),
     ("transient_kernel.us_per_pair_reference",
      "transient_kernel.us_per_pair_cohort", 1.3, "banded lane pair"),
+    ("mc_yield.ms_per_20k_disarmed",
+     "mc_yield.ms_per_20k_armed", 0.83, "armed MC sweep"),
 ]
 failed = False
 for slow, fast, floor, label in floors:

@@ -1,8 +1,10 @@
 #include "util/faultinject.hpp"
 
+#include <algorithm>
 #include <cstdlib>
-#include <map>
+#include <deque>
 #include <mutex>
+#include <vector>
 
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
@@ -10,59 +12,53 @@
 #include "util/strings.hpp"
 
 namespace pim::fault {
-namespace {
 
-// Per-site state. Entries are created on demand and never destroyed (the
-// registry lives for the process), so should_fire can hold a SiteState*
-// across the draw without racing a concurrent configure()/clear() — only
-// the armed/probability/seed fields change, under the registry mutex.
-struct SiteState {
-  bool armed = false;
-  double probability = 1.0;
-  uint64_t seed = 1;  // site-name hash already mixed in
-  Rng serial_rng{1};  // global sequential stream (serial callers)
-  std::atomic<int64_t> fired{0};
-  obs::Counter* counter = nullptr;  // "fault.<site>.injected"
+// One parsed spec, per site. Everything but the two tallies is fixed
+// before the configuration is published.
+struct Config {
+  struct Entry {
+    bool armed = false;
+    double probability = 1.0;
+    uint64_t seed = 0;                // site-name hash already mixed in
+    obs::Counter* counter = nullptr;  // "fault.<site>.injected"
+    mutable std::atomic<uint64_t> serial{0};  // global sequential stream state
+    mutable std::atomic<int64_t> fired{0};
+  };
+  std::array<Entry, kSiteCount> sites;
 };
 
-std::mutex& mu() {
+namespace {
+
+// Every configuration ever published, never destroyed: a draw may keep
+// the snapshot it loaded while configure() publishes the next one, and
+// the snapshot's address doubles as its identity (the epoch).
+std::deque<Config>& configs() {
+  static std::deque<Config> all;
+  return all;
+}
+
+std::mutex& configure_mutex() {
   static std::mutex m;
   return m;
-}
-
-std::map<std::string, SiteState>& sites() {
-  static std::map<std::string, SiteState> s;
-  return s;
-}
-
-// Bumped by configure()/clear() so thread-local item streams derived from
-// a previous configuration are discarded instead of reused.
-std::atomic<uint64_t>& config_epoch() {
-  static std::atomic<uint64_t> epoch{0};
-  return epoch;
 }
 
 // Thread-local per-item stream context, installed by ScopedStream. Each
 // (site, item) pair owns an independent SplitMix64 stream seeded as a
 // pure function of the site seed and the item index; draws within the
 // item advance it sequentially, so a work item sees the same fault
-// pattern at any thread count.
+// pattern at any thread count. Streams seeded from another configuration
+// are dropped.
 struct StreamContext {
   bool active = false;
   uint64_t stream = 0;
-  uint64_t epoch = 0;
-  std::map<std::string, Rng> item_rngs;
+  const Config* config = nullptr;  // the snapshot `streams` were seeded from
+  uint32_t seeded = 0;             // bit s set: streams[s] is live
+  std::array<uint64_t, kSiteCount> streams{};
 };
 
 StreamContext& stream_context() {
   thread_local StreamContext ctx;
   return ctx;
-}
-
-void refresh_armed_flag_locked() {
-  bool any = false;
-  for (const auto& [name, state] : sites()) any = any || state.armed;
-  armed_flag().store(any, std::memory_order_relaxed);
 }
 
 }  // namespace
@@ -74,20 +70,14 @@ uint64_t content_stream(std::string_view bytes) {
   return h;
 }
 
-const std::vector<std::string>& known_sites() {
-  static const std::vector<std::string> names = {
-      kLuSingular,      kNewtonDiverge,  kIoOpen,
-      kVariationSample, kDeadlineExpire, kCancelMidchunk};
-  return names;
-}
-
 void configure(const std::string& spec) {
   struct Parsed {
-    std::string name;
+    Site site;
     double probability = 1.0;
     uint64_t seed = 1;
   };
   std::vector<Parsed> parsed;
+  uint32_t named = 0;
   for (const std::string& entry : split(spec, ',')) {
     const std::string trimmed(trim(entry));
     if (trimmed.empty()) continue;
@@ -95,15 +85,18 @@ void configure(const std::string& spec) {
     require(parts.size() <= 3,
             "fault: expected site[:prob[:seed]], got '" + trimmed + "'",
             ErrorCode::bad_input);
-    Parsed p;
-    p.name = parts[0];
-    bool known = false;
-    for (const std::string& s : known_sites()) known = known || s == p.name;
-    require(known, "fault: unknown site '" + p.name + "'", ErrorCode::bad_input);
+    const std::string& name = parts[0];
+    const auto it = std::find(kSiteNames.begin(), kSiteNames.end(), name);
+    require(it != kSiteNames.end(), "fault: unknown site '" + name + "'",
+            ErrorCode::bad_input);
+    Parsed p{static_cast<Site>(it - kSiteNames.begin())};
+    require((named & (1u << p.site)) == 0, "fault: site '" + name + "' named twice",
+            ErrorCode::bad_input);
+    named |= 1u << p.site;
     if (parts.size() >= 2) {
       p.probability = parse_double(parts[1]);
       require(p.probability >= 0.0 && p.probability <= 1.0,
-              "fault: probability must be in [0, 1] for site '" + p.name + "'",
+              "fault: probability must be in [0, 1] for site '" + name + "'",
               ErrorCode::bad_input);
     }
     if (parts.size() == 3) p.seed = static_cast<uint64_t>(parse_long(parts[2]));
@@ -113,25 +106,20 @@ void configure(const std::string& spec) {
   // disarm), and silently arming nothing would hide it.
   require(!parsed.empty(), "fault: empty spec", ErrorCode::bad_input);
 
-  std::lock_guard<std::mutex> lock(mu());
-  for (auto& [name, state] : sites()) {
-    state.armed = false;
-    state.fired.store(0, std::memory_order_relaxed);
-  }
+  std::lock_guard<std::mutex> lock(configure_mutex());
+  Config& config = configs().emplace_back();
   for (const Parsed& p : parsed) {
-    SiteState& state = sites()[p.name];
-    state.armed = true;
-    state.probability = p.probability;
+    Config::Entry& s = config.sites[p.site];
+    const std::string name(kSiteNames[p.site]);
+    s.armed = true;
+    s.probability = p.probability;
     // Mix the site name into the seed so sites armed with the same seed
     // still draw independent streams.
-    state.seed = p.seed ^ content_stream(p.name);
-    state.serial_rng = Rng(state.seed);
-    state.fired.store(0, std::memory_order_relaxed);
-    if (state.counter == nullptr)
-      state.counter = &obs::registry().counter("fault." + p.name + ".injected");
+    s.seed = p.seed ^ content_stream(name);
+    s.serial.store(s.seed, std::memory_order_relaxed);
+    s.counter = &obs::registry().counter("fault." + name + ".injected");
   }
-  refresh_armed_flag_locked();
-  config_epoch().fetch_add(1, std::memory_order_relaxed);
+  current_config().store(&config, std::memory_order_release);
 }
 
 void configure_from_env() {
@@ -139,64 +127,50 @@ void configure_from_env() {
   if (spec != nullptr && spec[0] != '\0') configure(spec);
 }
 
-void clear() {
-  std::lock_guard<std::mutex> lock(mu());
-  for (auto& [name, state] : sites()) {
-    state.armed = false;
-    state.fired.store(0, std::memory_order_relaxed);
-  }
-  armed_flag().store(false, std::memory_order_relaxed);
-  config_epoch().fetch_add(1, std::memory_order_relaxed);
-}
+void clear() { current_config().store(nullptr, std::memory_order_release); }
 
-bool should_fire(const char* site) {
-  if (!armed()) return false;
-  SiteState* state = nullptr;
-  double probability = 0.0;
-  uint64_t seed = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu());
-    const auto it = sites().find(site);
-    if (it == sites().end() || !it->second.armed) return false;
-    state = &it->second;
-    probability = state->probability;
-    seed = state->seed;
-  }
+bool should_fire(Site site) {
+  if (!armed()) return false;  // disarmed: one relaxed load and a branch
+  const Config* config = current_config().load(std::memory_order_acquire);
+  if (config == nullptr) return false;  // cleared since the check above
+  const Config::Entry& s = config->sites[site];
+  if (!s.armed) return false;
 
-  double draw = 0.0;
+  uint64_t bits = 0;
   StreamContext& ctx = stream_context();
   if (ctx.active) {
     // Item-stream path: the draw sequence depends only on (site seed,
     // item index), never on other threads, so parallel sweeps inject
-    // deterministically. Streams from a stale configuration are dropped.
-    const uint64_t epoch = config_epoch().load(std::memory_order_relaxed);
-    if (ctx.epoch != epoch) {
-      ctx.item_rngs.clear();
-      ctx.epoch = epoch;
+    // deterministically.
+    if (ctx.config != config) {
+      ctx.config = config;
+      ctx.seeded = 0;
     }
-    const auto [it, inserted] =
-        ctx.item_rngs.try_emplace(site, Rng(derive_stream_seed(seed, ctx.stream)));
-    draw = it->second.next_double();
+    const uint32_t bit = 1u << site;
+    if ((ctx.seeded & bit) == 0) {
+      ctx.streams[site] = derive_stream_seed(s.seed, ctx.stream);
+      ctx.seeded |= bit;
+    }
+    bits = splitmix_next(ctx.streams[site]);
   } else {
-    // Serial path: one global sequential stream per site, exactly the
-    // pre-parallelism behavior; the registry mutex serializes the draw.
-    std::lock_guard<std::mutex> lock(mu());
-    draw = state->serial_rng.next_double();
+    // Serial path: one global sequential stream per site, the same
+    // sequence as Rng(seed), advanced atomically instead of under a lock.
+    bits = mix_u64(s.serial.fetch_add(kSplitMixGamma, std::memory_order_relaxed) +
+                   kSplitMixGamma);
   }
-  if (draw >= probability) return false;
-  state->fired.fetch_add(1, std::memory_order_relaxed);
+  if (unit_double(bits) >= s.probability) return false;
+  s.fired.fetch_add(1, std::memory_order_relaxed);
   // Registry counter is gated on obs::set_enabled like every metric;
   // fired_count() below is the always-on tally for tests that do not
   // collect metrics.
-  state->counter->add(1);
+  s.counter->add(1);
   return true;
 }
 
-int64_t fired_count(const char* site) {
-  std::lock_guard<std::mutex> lock(mu());
-  const auto it = sites().find(site);
-  if (it == sites().end() || !it->second.armed) return 0;
-  return it->second.fired.load(std::memory_order_relaxed);
+int64_t fired_count(Site site) {
+  const Config* config = current_config().load(std::memory_order_acquire);
+  if (config == nullptr || !config->sites[site].armed) return 0;
+  return config->sites[site].fired.load(std::memory_order_relaxed);
 }
 
 ScopedStream::ScopedStream(uint64_t stream) {
@@ -205,14 +179,14 @@ ScopedStream::ScopedStream(uint64_t stream) {
   prev_stream_ = ctx.stream;
   ctx.active = true;
   ctx.stream = stream;
-  if (!ctx.item_rngs.empty()) ctx.item_rngs.clear();
+  ctx.seeded = 0;
 }
 
 ScopedStream::~ScopedStream() {
   StreamContext& ctx = stream_context();
   ctx.active = prev_active_;
   ctx.stream = prev_stream_;
-  if (!ctx.item_rngs.empty()) ctx.item_rngs.clear();
+  ctx.seeded = 0;
 }
 
 }  // namespace pim::fault

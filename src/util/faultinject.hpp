@@ -15,48 +15,57 @@
 //
 // SPEC is a comma-separated list of site[:probability[:seed]], e.g.
 // "lu.singular:0.05:7,newton.diverge:0.5". Probability defaults to 1.0,
-// seed to 1. Unknown site names are rejected (bad_input) so typos fail
-// loudly instead of silently injecting nothing.
+// seed to 1. Unknown site names, and a site named twice, are rejected
+// (bad_input) so typos fail loudly instead of silently injecting nothing
+// or dropping an entry.
 //
 // When the harness is disarmed (the default), should_fire() is a single
 // relaxed atomic load and branch — instrumented hot paths run at their
 // uninstrumented speed. Every fire increments the metrics counter
-// "fault.<site>.injected" (PR-1 registry), so tests can assert that a
+// "fault.<site>.injected" (obs/metrics.hpp), so tests can assert that a
 // recovery path actually fired.
 //
-// Concurrency (see docs/parallelism.md): all of the above is race-free
-// under concurrent callers, and fire counts are exact (atomic fetch_add).
-// Serial code draws from one global per-site stream, exactly as before.
-// Parallel work items additionally install a ScopedStream with their item
-// index (the exec engine does this automatically): draws then come from a
-// thread-local stream derived purely from (site seed, item index), so
-// WHICH items see an injected fault is identical at any thread count —
-// faults stay deterministic even inside parallel sweeps.
+// Concurrency (see docs/parallelism.md): the site set is fixed at compile
+// time (Site, kSiteNames), and configure() parses a spec into one
+// immutable snapshot that it publishes with a single atomic pointer
+// store. Snapshots live for the whole process, so should_fire() keeps the
+// pointer it loaded without a lock, and a draw never allocates. Fire
+// counts are exact (atomic fetch_add). Serial code draws from one global
+// per-site stream, advanced with an atomic fetch_add. Parallel work items
+// additionally install a ScopedStream with their item index (the exec
+// engine does this automatically): draws then come from a thread-local
+// stream derived purely from (site seed, item index), so WHICH items see
+// an injected fault is identical at any thread count — faults stay
+// deterministic even inside parallel sweeps.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace pim::fault {
 
-// Canonical site names. Keep in sync with known_sites() and
-// docs/robustness.md.
-inline constexpr const char* kLuSingular = "lu.singular";          // dense LU pivot
-inline constexpr const char* kNewtonDiverge = "newton.diverge";    // spice Newton loop
-inline constexpr const char* kIoOpen = "io.open";                  // CLI output files
-inline constexpr const char* kVariationSample = "variation.sample";// per-MC-sample solve
-inline constexpr const char* kDeadlineExpire = "deadline-expire";  // deadline::check() poll
-inline constexpr const char* kCancelMidchunk = "cancel-midchunk";  // deadline::check() poll
+// The fault sites; kSiteNames holds their spec names, and
+// docs/robustness.md lists where each fires.
+enum Site : uint8_t {
+  kLuSingular,        // dense LU pivot
+  kNewtonDiverge,     // spice Newton loop
+  kIoOpen,            // CLI output files
+  kVariationSample,   // per-MC-sample solve
+  kDeadlineExpire,    // deadline::check() poll
+  kCancelMidchunk,    // deadline::check() poll
+  kSiteCount
+};
 
-/// All site names configure() accepts.
-const std::vector<std::string>& known_sites();
+inline constexpr std::array<std::string_view, kSiteCount> kSiteNames = {
+    "lu.singular",      "newton.diverge",  "io.open",
+    "variation.sample", "deadline-expire", "cancel-midchunk"};
 
 /// Parses and arms `spec` ("site[:prob[:seed]][,...]"). Replaces any
 /// previous configuration. Throws Error(bad_input) on malformed specs,
-/// out-of-range probabilities, or unknown sites.
+/// out-of-range probabilities, unknown sites, or a site named twice.
 void configure(const std::string& spec);
 
 /// Arms from the PIM_FAULT environment variable when it is set and
@@ -66,21 +75,25 @@ void configure_from_env();
 /// Disarms every site (the harness returns to zero-cost mode).
 void clear();
 
-inline std::atomic<bool>& armed_flag() {
-  static std::atomic<bool> flag{false};
-  return flag;
+/// One parsed spec (defined in faultinject.cpp).
+struct Config;
+
+/// The published configuration; null while disarmed.
+inline std::atomic<const Config*>& current_config() {
+  static std::atomic<const Config*> config{nullptr};
+  return config;
 }
 
 /// True when at least one site is armed.
-inline bool armed() { return armed_flag().load(std::memory_order_relaxed); }
+inline bool armed() { return current_config().load(std::memory_order_relaxed) != nullptr; }
 
 /// Draws from `site`'s stream: true when the fault should be injected
 /// here. Always false when the harness is disarmed or the site is not
 /// part of the active configuration.
-bool should_fire(const char* site);
+bool should_fire(Site site);
 
 /// Number of times `site` has fired since it was configured.
-int64_t fired_count(const char* site);
+int64_t fired_count(Site site);
 
 /// A stream index that is a pure function of `bytes` (FNV-1a): pimd runs
 /// each request line under ScopedStream(content_stream(line)), so its

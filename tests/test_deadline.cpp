@@ -170,7 +170,7 @@ TEST_F(DeadlineFixture, CancelChecksAreCountedWhenEngaged) {
 // Replays the fault harness's per-item draw sequence the way the engine
 // polls it (one check per item under ScopedStream(i)): the first index
 // whose site stream fires is the region's predicted prefix cutoff.
-size_t predicted_cutoff(const char* site, size_t n) {
+size_t predicted_cutoff(fault::Site site, size_t n) {
   for (size_t i = 0; i < n; ++i) {
     fault::ScopedStream stream(i);
     if (fault::should_fire(site)) return i;
