@@ -46,7 +46,11 @@ struct NocSynthesisOptions {
   /// Buffering search preferences (max_delay is overridden by the
   /// budget). NoC links default to a balanced delay-power objective —
   /// the synthesizer minimizes power subject to the timing constraint.
-  BufferingOptions buffering = {.weight = 0.5};
+  BufferingOptions buffering = [] {
+    BufferingOptions balanced;
+    balanced.weight = 0.5;
+    return balanced;
+  }();
 };
 
 /// Result bundle: the architecture plus the implementer used to build it

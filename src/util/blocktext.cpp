@@ -14,13 +14,19 @@ void Writer::line(std::string_view key, std::string_view value) {
 void Writer::field(std::string_view key, double v) { line(key, format_sig(v, digits_)); }
 
 void Writer::field(std::string_view key, const std::vector<double>& v) {
-  out_.append(2 * depth_, ' ').append(key);
-  for (double d : v) {
-    out_ += ' ';
-    append_sig(out_, d, digits_);
-  }
-  out_ += '\n';
+  formatted(key, v.size() * value_bytes(),
+            [&](char* first) { return values(first, v.data(), v.data() + v.size()); });
 }
+
+char* Writer::values(char* first, const double* begin, const double* end) const {
+  for (const double* d = begin; d != end; ++d) {
+    *first++ = ' ';
+    first = write_sig(first, *d, digits_);
+  }
+  return first;
+}
+
+size_t Writer::value_bytes() const { return 1 + max_sig_chars(digits_); }
 
 void Writer::open(std::string_view key, const std::string* label) {
   out_.append(2 * depth_++, ' ').append(key);

@@ -31,6 +31,23 @@ class Writer {
     line(key, std::to_string(static_cast<long long>(v)));
   }
   void field(std::string_view key, const std::vector<double>& v);
+  /// A field line whose values the caller formats: `fill(first)` writes
+  /// at most `max_bytes` chars of values, each led by a space (values()),
+  /// at `first` and returns one past the last. Formatting lands straight
+  /// in the output, so a caller can format a long line in pieces.
+  template <typename Fill>
+  void formatted(std::string_view key, size_t max_bytes, Fill&& fill) {
+    out_.append(2 * depth_, ' ').append(key);
+    const size_t at = out_.size();
+    out_.reserve(at + max_bytes + 1);
+    out_.resize(at + max_bytes);
+    out_.resize(static_cast<size_t>(fill(out_.data() + at) - out_.data()));
+    out_ += '\n';
+  }
+  /// Writes " v" for each of [begin, end) at `first`; returns one past the
+  /// last char. Needs at most value_bytes() chars per value.
+  char* values(char* first, const double* begin, const double* end) const;
+  size_t value_bytes() const;
   /// Always written; only the reader lets it be absent.
   void optional(std::string_view key, double v) { field(key, v); }
   /// `key {` (or `key "label" {`), v's fields one level deeper, `}`.

@@ -97,16 +97,16 @@ std::string format(const char* fmt, ...) {
   return out;
 }
 
+char* write_sig(char* first, double value, int digits) {
+  return std::to_chars(first, first + max_sig_chars(digits), value,
+                       std::chars_format::general, digits)
+      .ptr;
+}
+
 void append_sig(std::string& out, double value, int digits) {
-  // %.*g never needs more than a sign, max(digits, 6) digits, a point, up
-  // to four leading zeros or a five-character exponent.
   const size_t at = out.size();
-  out.resize(at + static_cast<size_t>(std::max(digits, 6)) + 8);
-  char* const first = out.data() + at;
-  const char* end = std::to_chars(first, out.data() + out.size(), value,
-                                  std::chars_format::general, digits)
-                        .ptr;
-  out.resize(at + static_cast<size_t>(end - first));
+  out.resize(at + max_sig_chars(digits));
+  out.resize(static_cast<size_t>(write_sig(out.data() + at, value, digits) - out.data()));
 }
 
 std::string format_sig(double value, int digits) {

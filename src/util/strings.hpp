@@ -2,6 +2,7 @@
 // Liberty-lite, SoC specs) and the table/CSV writers.
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -38,5 +39,15 @@ std::string format_sig(double value, int digits);
 
 /// Appends format_sig(value, digits) to `out` without a temporary string.
 void append_sig(std::string& out, double value, int digits);
+
+/// Most chars format_sig(value, digits) writes: a sign, max(digits, 6)
+/// digits, a point, up to four leading zeros or a five-character exponent.
+constexpr size_t max_sig_chars(int digits) {
+  return static_cast<size_t>(digits > 6 ? digits : 6) + 8;
+}
+
+/// Writes format_sig(value, digits) at `first`, which must have room for
+/// max_sig_chars(digits) chars; returns one past the last char written.
+char* write_sig(char* first, double value, int digits);
 
 }  // namespace pim

@@ -1,7 +1,12 @@
 #include "variation/variation.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <utility>
 
 #include "cache/memoize.hpp"
 #include "deadline/deadline.hpp"
@@ -145,7 +150,93 @@ double link_delay_within_die(const ProposedModel& model, const LinkContext& ctx,
   return total;
 }
 
+namespace detail {
+
+void sort_delays(std::vector<double>& v) {
+  constexpr uint64_t kSign = uint64_t{1} << 63;
+  constexpr int kPasses = 8;  // one per byte of the key
+  const size_t n = v.size();
+  if (n < 2) return;
+  // Order-preserving keys: a positive double's bits rise with its value,
+  // so setting the sign bit lifts it above every negative one; a negative
+  // double's bits rise as it falls, so flipping all of them reverses that.
+  // The passes alternate between `keys` and v's own storage, which holds
+  // raw key bits (copied with memcpy) until the last step turns them back
+  // into values, so the sort allocates one buffer, not two.
+  std::vector<uint64_t> keys(n);
+  std::array<std::array<size_t, 256>, kPasses> counts{};
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t bits = std::bit_cast<uint64_t>(v[i]);
+    const uint64_t key = bits & kSign ? ~bits : bits | kSign;
+    keys[i] = key;
+    for (int p = 0; p < kPasses; ++p) ++counts[p][(key >> (8 * p)) & 0xff];
+  }
+  void* const buffers[2] = {keys.data(), v.data()};
+  const auto load = [](const void* from, size_t i) {
+    uint64_t key;
+    std::memcpy(&key, static_cast<const unsigned char*>(from) + i * sizeof key, sizeof key);
+    return key;
+  };
+  int src = 0;
+  for (int p = 0; p < kPasses; ++p) {
+    const int shift = 8 * p;
+    std::array<size_t, 256>& start = counts[p];
+    // Every key has the same byte here: the pass would move nothing.
+    if (start[(load(buffers[src], 0) >> shift) & 0xff] == n) continue;
+    size_t offset = 0;
+    for (size_t& c : start) offset += std::exchange(c, offset);
+    auto* const to = static_cast<unsigned char*>(buffers[1 - src]);
+    for (size_t i = 0; i < n; ++i) {
+      const uint64_t key = load(buffers[src], i);
+      std::memcpy(to + start[(key >> shift) & 0xff]++ * sizeof key, &key, sizeof key);
+    }
+    src = 1 - src;
+  }
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t key = load(buffers[src], i);
+    v[i] = std::bit_cast<double>(key & kSign ? key ^ kSign : ~key);
+  }
+}
+
+}  // namespace detail
+
+void field_in_chunks(blocktext::Writer& w, std::string_view key,
+                     const std::vector<double>& v) {
+  const size_t chunks = (v.size() + kDelayChunk - 1) / kDelayChunk;
+  if (chunks <= 1) return w.field(key, v);
+  const size_t slot = kDelayChunk * w.value_bytes();
+  w.formatted(key, v.size() * w.value_bytes(), [&](char* first) {
+    // Chunk c formats into its own slot of the reserved span; the chunks
+    // then move down in index order to close the gaps between them.
+    std::vector<char*> ends;
+    {
+      const deadline::GraceScope grace;
+      ends = exec::parallel_map<char*>(chunks, [&](size_t c) {
+        const double* begin = v.data() + c * kDelayChunk;
+        const double* end = v.data() + std::min(v.size(), (c + 1) * kDelayChunk);
+        return w.values(first + c * slot, begin, end);
+      });
+    }
+    char* out = first;
+    for (size_t c = 0; c < chunks; ++c) {
+      const char* from = first + c * slot;
+      std::memmove(out, from, static_cast<size_t>(ends[c] - from));
+      out += ends[c] - from;
+    }
+    return out;
+  });
+}
+
 namespace {
+
+// A non-finite delay or power would poison the statistics and has no
+// place in the sort's key order, so it fails its sample like a model
+// error: counted in variation.sample.error and skipped. A within-die
+// sample has no power of its own.
+void require_finite_sample(const char* who, double delay, double power = 0.0) {
+  if (!std::isfinite(delay) || !std::isfinite(power))
+    fail(std::string(who) + ": non-finite sample delay or power", ErrorCode::internal);
+}
 
 // Shared tail of both Monte-Carlo flavors: ordered reduction over the
 // batch (index order, so sums and tallies are bit-identical at any
@@ -154,6 +245,7 @@ template <typename P>
 MonteCarloResult reduce_batch(const exec::BatchResult<P>& batch,
                               const std::function<double(const P&)>& delay_of,
                               const char* who) {
+  PIM_OBS_SPAN("variation.montecarlo.reduce");
   MonteCarloResult result;
   result.delays.reserve(batch.values.size());
   for (const auto& value : batch.values)
@@ -169,7 +261,7 @@ MonteCarloResult reduce_batch(const exec::BatchResult<P>& batch,
     throw deadline::stop_error(batch.stop, batch.completed, batch.values.size());
   require(!result.delays.empty(), std::string(who) + ": every sample failed",
           ErrorCode::no_convergence);
-  std::sort(result.delays.begin(), result.delays.end());
+  detail::sort_delays(result.delays);
   result.mean_delay = mean(result.delays);
   double var = 0.0;
   for (double d : result.delays) {
@@ -196,7 +288,9 @@ MonteCarloResult monte_carlo_link_within_die(const ProposedModel& model,
       static_cast<size_t>(samples), seed, [&](size_t, Rng& rng) {
         if (fault::should_fire(fault::kVariationSample))
           fail("monte_carlo_link_within_die: injected sample fault", ErrorCode::internal);
-        return link_delay_within_die(model, ctx, design, rng, sigmas);
+        const double delay = link_delay_within_die(model, ctx, design, rng, sigmas);
+        require_finite_sample("monte_carlo_link_within_die", delay);
+        return delay;
       });
   MonteCarloResult result = reduce_batch<double>(
       batch, [](const double& d) { return d; }, "monte_carlo_link_within_die");
@@ -226,7 +320,9 @@ MonteCarloResult monte_carlo_link(const ProposedModel& model, const LinkContext&
         if (fault::should_fire(fault::kVariationSample))
           fail("monte_carlo_link: injected sample fault", ErrorCode::internal);
         const LinkEstimate est = evaluate_with_variation(model, context, design, s);
-        return SamplePoint{est.delay, est.total_power()};
+        const SamplePoint point{est.delay, est.total_power()};
+        require_finite_sample("monte_carlo_link", point.delay, point.power);
+        return point;
       });
   MonteCarloResult result = reduce_batch<SamplePoint>(
       batch, [](const SamplePoint& p) { return p.delay; }, "monte_carlo_link");

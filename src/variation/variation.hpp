@@ -16,9 +16,12 @@
 // --threads count (docs/parallelism.md).
 #pragma once
 
+#include <cstddef>
+#include <string_view>
 #include <vector>
 
 #include "models/proposed.hpp"
+#include "util/blocktext.hpp"
 #include "util/rng.hpp"
 
 namespace pim {
@@ -84,6 +87,23 @@ struct MonteCarloResult {
   double delay_quantile(double q) const;
 };
 
+/// Values per chunk when a long delay line is written: fixed, never
+/// derived from the thread count, so the bytes are too.
+inline constexpr size_t kDelayChunk = 2048;
+
+/// Writes `key` and `v` exactly as blocktext::Writer::field does, but
+/// formats each kDelayChunk values as one item of an exec region under a
+/// deadline::GraceScope (a completed run's payload is finalization: it
+/// polls no deadline and draws no stop fault), straight into the output.
+/// A line of at most one chunk is formatted inline.
+void field_in_chunks(blocktext::Writer& w, std::string_view key,
+                     const std::vector<double>& v);
+/// Reading is the plain field.
+inline void field_in_chunks(blocktext::Reader& r, std::string_view key,
+                            std::vector<double>& v) {
+  r.field(key, v);
+}
+
 /// Result-cache payload binding (cache/memoize.hpp), in payload order;
 /// only complete runs are cached, so requested_samples/partial are not.
 template <typename B>
@@ -93,8 +113,16 @@ void bind(B& b, MonteCarloResult& v) {
   b.field("sigma_delay", v.sigma_delay);
   b.field("mean_power", v.mean_power);
   b.field("failed_samples", v.failed_samples);
-  b.field("delays", v.delays);
+  field_in_chunks(b, "delays", v.delays);
 }
+
+namespace detail {
+/// The Monte-Carlo reduction's sort: an LSD radix sort over each double's
+/// order-preserving bit key, ascending. On NaN-free input it orders
+/// values as std::sort does, with -0.0 before +0.0. Exposed for the tests
+/// and pim_bench.
+void sort_delays(std::vector<double>& v);
+}  // namespace detail
 
 /// Runs `samples` Monte-Carlo corners (deterministic for a given seed).
 MonteCarloResult monte_carlo_link(const ProposedModel& model, const LinkContext& context,

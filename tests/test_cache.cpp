@@ -7,12 +7,15 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <limits>
 #include <random>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "buffering/optimize.hpp"
@@ -23,6 +26,7 @@
 #include "cache/sha256.hpp"
 #include "cache/store.hpp"
 #include "charlib/coeffs_io.hpp"
+#include "deadline/deadline.hpp"
 #include "exec/engine.hpp"
 #include "models/proposed.hpp"
 #include "obs/metrics.hpp"
@@ -791,6 +795,53 @@ TEST(PayloadBinding, MonteCarloResultMatchesGoldenBytes) {
   EXPECT_EQ(d.sigma_delay, r.sigma_delay);
   EXPECT_EQ(d.mean_power, r.mean_power);
   EXPECT_EQ(d.failed_samples, r.failed_samples);
+}
+
+// Encoding a completed run is finalization. A 20,000-delay payload
+// (ten chunks, formatted in an exec region) comes out whole under a
+// budget that has already expired, and under a deadline-expire site that
+// would fire on every poll, which never draws.
+TEST(PayloadBinding, MonteCarloEncodeCompletesPastAStop) {
+  constexpr int kDelays = 20000;
+  Rng rng(2026);
+  MonteCarloResult r;
+  for (int i = 0; i < kDelays; ++i) r.delays.push_back(6e-10 * rng.normal(1.0, 0.05));
+  std::sort(r.delays.begin(), r.delays.end());
+  r.nominal_delay = 6e-10;
+  r.mean_delay = r.delays[kDelays / 2];
+  r.sigma_delay = 3e-11;
+  r.mean_power = 1e-3;
+  r.failed_samples = 3;
+  std::string golden;
+  char buf[32];
+  for (const auto& [key, v] : {std::pair{"nominal_delay", r.nominal_delay},
+                               {"mean_delay", r.mean_delay},
+                               {"sigma_delay", r.sigma_delay},
+                               {"mean_power", r.mean_power}}) {
+    std::snprintf(buf, sizeof buf, "%.17g", v);
+    golden.append(key).append(" ").append(buf).append("\n");
+  }
+  golden += "failed_samples 3\ndelays";
+  for (double d : r.delays) {
+    std::snprintf(buf, sizeof buf, " %.17g", d);
+    golden += buf;
+  }
+  golden += '\n';
+
+  exec::set_threads(4);
+  EXPECT_TRUE(Payload<MonteCarloResult>::encode(r) == golden);
+
+  deadline::set_budget_ms(1);
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  ASSERT_EQ(deadline::remaining_ns(), 0);
+  EXPECT_TRUE(Payload<MonteCarloResult>::encode(r) == golden);
+  deadline::reset();
+
+  fault::configure("deadline-expire:1.0");
+  EXPECT_TRUE(Payload<MonteCarloResult>::encode(r) == golden);
+  EXPECT_EQ(fault::fired_count(fault::kDeadlineExpire), 0);
+  fault::clear();
+  exec::set_threads(0);
 }
 
 TEST(PayloadBinding, MissingOrMalformedFieldsThrow) {

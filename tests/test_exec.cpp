@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "cache/memoize.hpp"
 #include "charlib/characterize.hpp"
 #include "cosi/synthesis.hpp"
 #include "cosi/testcases.hpp"
@@ -25,6 +26,7 @@
 #include "tech/technology.hpp"
 #include "util/error.hpp"
 #include "util/faultinject.hpp"
+#include "util/strings.hpp"
 #include "util/units.hpp"
 #include "variation/variation.hpp"
 
@@ -489,6 +491,44 @@ TEST_F(ExecFixture, MonteCarloYieldIsBitIdenticalAcrossThreadCounts) {
   const MonteCarloResult w8 = monte_carlo_link_within_die(model, ctx, design, 200, 7);
   EXPECT_EQ(w8.delays, w1.delays);
   EXPECT_EQ(w8.sigma_delay, w1.sigma_delay);
+}
+
+// The delays of a Monte-Carlo run, and the payload the cache stores for
+// it, are the same bits at threads 1-4 at every size around the
+// encode's fixed chunk: one sample, a chunk less one, a chunk, a chunk
+// plus one, and a 20,000-sample yield run. The delays line is the one
+// a serial writer gives: every value at 17 significant digits, in order.
+TEST_F(ExecFixture, MonteCarloPayloadIsBitIdenticalAtEveryChunkBoundary) {
+  const Technology& tech = technology(TechNode::N65);
+  const ProposedModel model(tech, synthetic_fit(tech));
+  LinkContext ctx;
+  ctx.length = 2 * mm;
+  LinkDesign design;
+  design.num_repeaters = 3;
+  using Codec = cache::Payload<MonteCarloResult>;
+
+  for (const size_t samples :
+       {size_t{1}, kDelayChunk - 1, kDelayChunk, kDelayChunk + 1, size_t{20000}}) {
+    exec::set_threads(1);
+    const MonteCarloResult serial =
+        monte_carlo_link(model, ctx, design, static_cast<int>(samples), 2026);
+    const std::string serial_payload = Codec::encode(serial);
+    ASSERT_EQ(serial.delays.size(), samples);
+    std::string line = "delays";
+    for (double d : serial.delays) line += ' ' + format_sig(d, 17);
+    EXPECT_TRUE(serial_payload.ends_with("\n" + line + "\n")) << "samples=" << samples;
+    EXPECT_EQ(Codec::decode(serial_payload).delays, serial.delays) << "samples=" << samples;
+    for (int t = 2; t <= 4; ++t) {
+      exec::set_threads(t);
+      const MonteCarloResult mc =
+          monte_carlo_link(model, ctx, design, static_cast<int>(samples), 2026);
+      EXPECT_EQ(mc.delays, serial.delays) << "samples=" << samples << " threads=" << t;
+      EXPECT_EQ(mc.mean_delay, serial.mean_delay);
+      EXPECT_EQ(mc.sigma_delay, serial.sigma_delay);
+      EXPECT_TRUE(Codec::encode(mc) == serial_payload)
+          << "samples=" << samples << " threads=" << t;
+    }
+  }
 }
 
 TEST_F(ExecFixture, CharacterizationTablesAreBitIdenticalAcrossThreadCounts) {

@@ -2,10 +2,17 @@
 // perturbed evaluation, and Monte-Carlo statistics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "charlib/characterize.hpp"
+#include "obs/metrics.hpp"
 #include "sta/calibrated.hpp"
 #include "util/alloc_counter.hpp"
 #include "util/error.hpp"
@@ -13,6 +20,7 @@
 #include "variation/variation.hpp"
 
 #include "fit_options.hpp"
+#include "synthetic_fit.hpp"
 
 namespace pim {
 namespace {
@@ -263,6 +271,93 @@ TEST_F(VariationFixture, WithinDieDeterministicPerSeed) {
 
 TEST(VariationValidation, RejectsBadArguments) {
   EXPECT_THROW(MonteCarloResult{}.delay_quantile(0.5), Error);
+}
+
+// A NaN coefficient makes every sample's delay NaN. Each such sample
+// fails inside its item (counted in variation.sample.error), so the run
+// raises the typed "every sample failed" error instead of returning NaN
+// statistics over an unordered delay vector.
+TEST(VariationValidation, NonFiniteSamplesFailInsteadOfPoisoningStatistics) {
+  const Technology& tech = technology(TechNode::N65);
+  TechnologyFit fit = synthetic_fit(tech);
+  fit.gamma = std::numeric_limits<double>::quiet_NaN();
+  const ProposedModel model(tech, fit);
+  LinkContext ctx;
+  ctx.length = 2 * mm;
+  LinkDesign design;
+  design.num_repeaters = 3;
+  constexpr int kSamples = 64;
+
+  obs::registry().reset();
+  obs::set_enabled(true);
+  const auto expect_every_sample_failed = [&](const auto& run, const char* who) {
+    try {
+      const MonteCarloResult mc = run();
+      ADD_FAILURE() << who << " returned mean_delay " << mc.mean_delay;
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::no_convergence) << e.what();
+      EXPECT_NE(std::string(e.what()).find(std::string(who) + ": every sample failed"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  expect_every_sample_failed(
+      [&] { return monte_carlo_link(model, ctx, design, kSamples, 7); }, "monte_carlo_link");
+  EXPECT_EQ(obs::registry().counter("variation.sample.error").value(), kSamples);
+  expect_every_sample_failed(
+      [&] { return monte_carlo_link_within_die(model, ctx, design, kSamples, 7); },
+      "monte_carlo_link_within_die");
+  EXPECT_EQ(obs::registry().counter("variation.sample.error").value(), 2 * kSamples);
+  obs::set_enabled(false);
+  obs::registry().reset();
+}
+
+// The Monte-Carlo reduction's radix sort puts every part of the key
+// domain where std::sort does: duplicates, subnormals, negative values,
+// infinities, and runs whose keys share their high bytes (skipped passes).
+TEST(SortDelays, MatchesStdSortBitForBit) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<double> specials = {
+      kInf, -kInf, std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(), 4.9e-320, -2.5e-310,
+      std::numeric_limits<double>::min(), -std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::max(), 1.0, -1.0, 6e-10};
+  Rng rng(2026);
+  const auto pick = [&](size_t n) {
+    return static_cast<size_t>(rng.uniform(0.0, static_cast<double>(n))) % n;
+  };
+  for (const size_t n : {size_t{0}, size_t{1}, size_t{2}, size_t{3}, size_t{255},
+                         size_t{256}, size_t{257}, size_t{1000}, size_t{20000}}) {
+    std::vector<double> mixed(n), delays(n);
+    for (size_t i = 0; i < n; ++i) {
+      switch (pick(4)) {
+        case 0: mixed[i] = specials[pick(specials.size())]; break;
+        case 1: mixed[i] = i > 0 ? mixed[pick(i)] : 1.0; break;  // a duplicate
+        default:
+          mixed[i] = (pick(2) == 0 ? -1.0 : 1.0) * rng.uniform(0.5, 1.0) *
+                     std::ldexp(1.0, static_cast<int>(pick(200)) - 100);
+      }
+      delays[i] = 6e-10 * rng.normal(1.0, 0.05);
+    }
+    const std::vector<double> same(n, 6.1e-10);
+    for (std::vector<double> v : {mixed, delays, same}) {
+      std::vector<double> expected = v;
+      std::sort(expected.begin(), expected.end());
+      detail::sort_delays(v);
+      ASSERT_EQ(v.size(), expected.size());
+      EXPECT_EQ(std::memcmp(v.data(), expected.data(), n * sizeof(double)), 0) << "n=" << n;
+    }
+  }
+}
+
+// Zeros of both signs compare equal, so std::sort may leave them in any
+// order; the radix sort's key order puts -0.0 first.
+TEST(SortDelays, NegativeZeroSortsBeforePositiveZero) {
+  std::vector<double> v = {0.0, -0.0, 1.0, -1.0, 0.0, -0.0};
+  detail::sort_delays(v);
+  const std::vector<double> expected = {-1.0, -0.0, -0.0, 0.0, 0.0, 1.0};
+  for (size_t i = 0; i < v.size(); ++i)
+    EXPECT_EQ(std::bit_cast<uint64_t>(v[i]), std::bit_cast<uint64_t>(expected[i])) << i;
 }
 
 }  // namespace
