@@ -31,6 +31,7 @@ scripts/check_deadline.sh
 scripts/check_corners.sh
 scripts/check_serve.sh
 scripts/check_kernels.sh
+scripts/check_reachable.sh
 scripts/check_perf.sh
 scripts/check_sanitize.sh
 scripts/check_tsan.sh

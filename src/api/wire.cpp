@@ -670,8 +670,6 @@ Identity identity_of(const JsonValue& envelope) {
 
 std::string op_of(const AnyRequest& request) { return kOpNames[request.index()]; }
 
-std::string op_of(const AnyResult& result) { return kOpNames[result.index()]; }
-
 template <typename T>
 std::string to_json(const T& value) {
   return struct_text(const_cast<T&>(value));

@@ -38,10 +38,9 @@
 
 namespace pim::api::wire {
 
-/// Stable wire op name of a request/result alternative — its row's name
-/// in the op table (PIM_API_OPS in api/pim_api.hpp).
+/// Stable wire op name of a request alternative — its row's name in the
+/// op table (PIM_API_OPS in api/pim_api.hpp).
 std::string op_of(const AnyRequest& request);
-std::string op_of(const AnyResult& result);
 
 /// The batch envelope op ({"op":"batch","items":[...]}).
 inline constexpr const char* kBatchOp = "batch";

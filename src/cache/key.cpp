@@ -62,11 +62,6 @@ KeyBuilder& KeyBuilder::field(std::string_view name, int64_t value) {
   return field(name, render(buf, value));
 }
 
-KeyBuilder& KeyBuilder::field(std::string_view name, uint64_t value) {
-  char buf[32];
-  return field(name, render(buf, value));
-}
-
 KeyBuilder& KeyBuilder::field(std::string_view name, const std::vector<double>& values) {
   std::string joined;
   for (double v : values) {
@@ -83,17 +78,6 @@ KeyBuilder& KeyBuilder::field(std::string_view name, const std::vector<int>& val
     joined += std::to_string(v);
   }
   return field(name, std::string_view(joined));
-}
-
-KeyBuilder& KeyBuilder::blob(std::string_view name, std::string_view bytes) {
-  raw(name);
-  hasher_.update(&kUnitSep, 1);
-  raw(std::to_string(bytes.size()));
-  hasher_.update(&kUnitSep, 1);
-  raw(bytes);
-  hasher_.update(&kRecordSep, 1);
-  note_param(name, bytes);
-  return *this;
 }
 
 KeyBuilder& KeyBuilder::facet(std::string_view type, std::string_view name,

@@ -10,8 +10,6 @@
 //  - doubles render with 17 significant digits — the shortest form that
 //    round-trips IEEE-754 exactly — so a key never depends on printf
 //    quirks of shorter precisions;
-//  - blobs are length-prefixed, so concatenation ambiguities cannot
-//    alias two different input sets to one key;
 //  - the format version and kind are folded into the hash itself, so a
 //    layout change invalidates every old entry instead of misreading it.
 #pragma once
@@ -45,7 +43,7 @@ struct CacheKey {
 /// Provenance capture (cache/manifest.hpp): facet() hashes a typed input
 /// exactly like a field AND records it into the innermost cache::Tracked
 /// scope, so a manifest can never claim inputs the key does not cover.
-/// Plain field()/blob() calls are folded into a secondary params digest
+/// Plain field() calls are folded into a secondary params digest
 /// that finish() records as one "params" facet — an edit to any loose
 /// deck knob shows up as a params change without per-knob bookkeeping.
 class KeyBuilder {
@@ -56,7 +54,6 @@ class KeyBuilder {
   KeyBuilder& field(std::string_view name, std::string_view value);
   KeyBuilder& field(std::string_view name, double value);
   KeyBuilder& field(std::string_view name, int64_t value);
-  KeyBuilder& field(std::string_view name, uint64_t value);
   KeyBuilder& field(std::string_view name, int value) {
     return field(name, static_cast<int64_t>(value));
   }
@@ -65,9 +62,6 @@ class KeyBuilder {
   }
   KeyBuilder& field(std::string_view name, const std::vector<double>& values);
   KeyBuilder& field(std::string_view name, const std::vector<int>& values);
-
-  /// Length-prefixed raw bytes (file contents, serialized tables).
-  KeyBuilder& blob(std::string_view name, std::string_view bytes);
 
   /// A typed provenance facet: hashed into the key as field
   /// "<type>:<name>" = id, and captured into the active Tracked scope

@@ -14,7 +14,7 @@
 // `Tracked` scope, and every KeyBuilder::facet() call both hashes the
 // value into the key AND records it into the scope, so the provenance a
 // manifest claims can never drift from the inputs the key actually
-// covers. Plain field()/blob() calls roll up into one "params" facet at
+// covers. Plain field() calls roll up into one "params" facet at
 // finish() for the same reason. Nested wrappers (cosi -> buffering)
 // record their resolved artifact keys into the parent scope via
 // publish(); a model carries the keys of the fits it was built from, and

@@ -12,12 +12,6 @@ CornerModelSet::CornerModelSet(std::vector<CornerModel> models)
           ErrorCode::bad_input);
 }
 
-const CornerModel& CornerModelSet::at(const std::string& name) const {
-  for (const CornerModel& m : models_)
-    if (m.corner.name == name) return m;
-  fail("CornerModelSet: unknown corner '" + name + "'", ErrorCode::bad_input);
-}
-
 WorstCornerModel::WorstCornerModel(CornerModelSet set) : set_(std::move(set)) {
   signature_ = "worst(";
   for (const CornerModel& m : set_.models()) {
@@ -53,20 +47,6 @@ LinkEstimate WorstCornerModel::evaluate(const LinkContext& context,
     // Area stays the reference corner's: layout does not vary with process.
   }
   return worst;
-}
-
-const CornerModel& WorstCornerModel::dominating(const LinkContext& context,
-                                                const LinkDesign& design) const {
-  const CornerModel* argmax = &set_.models().front();
-  double max_delay = argmax->model->evaluate(context, design).delay;
-  for (const CornerModel& m : set_.models()) {
-    const double d = m.model->evaluate(context, design).delay;
-    if (d > max_delay) {
-      max_delay = d;
-      argmax = &m;
-    }
-  }
-  return *argmax;
 }
 
 }  // namespace pim

@@ -36,9 +36,6 @@ class CornerModelSet {
   const std::vector<CornerModel>& models() const { return models_; }
   size_t size() const { return models_.size(); }
 
-  /// The entry for `name`; throws pim::Error (bad_input) when absent.
-  const CornerModel& at(const std::string& name) const;
-
  private:
   std::vector<CornerModel> models_;
 };
@@ -59,10 +56,6 @@ class WorstCornerModel final : public InterconnectModel {
 
   LinkEstimate evaluate(const LinkContext& context,
                         const LinkDesign& design) const override;
-
-  /// The corner whose delay dominates (context, design).
-  const CornerModel& dominating(const LinkContext& context,
-                                const LinkDesign& design) const;
 
   /// "worst(<corner>=<sig>,...)" over the member signatures, so two sets
   /// share cached results exactly when every per-corner model does.

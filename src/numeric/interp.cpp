@@ -29,15 +29,6 @@ void check_axis(const Vector& axis, const char* name) {
 }
 }  // namespace
 
-double interp_linear(const Vector& xs, const Vector& ys, double x) {
-  check_axis(xs, "interp_linear");
-  require(xs.size() == ys.size(), "interp_linear: size mismatch", ErrorCode::bad_input);
-  require(std::isfinite(x), "interp_linear: query must be finite", ErrorCode::bad_input);
-  const size_t i = segment_index(xs, x);
-  const double t = (x - xs[i]) / (xs[i + 1] - xs[i]);
-  return ys[i] + t * (ys[i + 1] - ys[i]);
-}
-
 Grid2D::Grid2D(Vector rows, Vector cols, Matrix values)
     : rows_(std::move(rows)), cols_(std::move(cols)), values_(std::move(values)) {
   check_axis(rows_, "Grid2D rows");

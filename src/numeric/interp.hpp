@@ -1,4 +1,4 @@
-// Piecewise-linear interpolation, 1-D and on rectangular grids.
+// Piecewise-linear interpolation on rectangular grids.
 //
 // NLDM-style cell tables (delay/slew indexed by input slew x load) are
 // evaluated by bilinear interpolation with linear extrapolation at the
@@ -10,10 +10,6 @@
 #include "numeric/matrix.hpp"
 
 namespace pim {
-
-/// Linear interpolation of (xs, ys) samples at `x`; extrapolates linearly
-/// beyond the ends. xs must be strictly increasing with >= 2 entries.
-double interp_linear(const Vector& xs, const Vector& ys, double x);
 
 /// Rectangular-grid bilinear interpolator with edge extrapolation.
 class Grid2D {

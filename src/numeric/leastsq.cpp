@@ -127,8 +127,4 @@ Vector least_squares(const Matrix& a, const Vector& b) {
   return try_least_squares(a, b).take();
 }
 
-double residual_norm(const Matrix& a, const Vector& x, const Vector& b) {
-  return norm2(subtract(a.multiply(x), b));
-}
-
 }  // namespace pim

@@ -27,7 +27,4 @@ Vector least_squares(const Matrix& a, const Vector& b);
 Expected<Vector> least_squares_regularized(const Matrix& a, const Vector& b,
                                            double lambda);
 
-/// Residual norm ||A x - b||_2 for a candidate solution.
-double residual_norm(const Matrix& a, const Vector& x, const Vector& b);
-
 }  // namespace pim

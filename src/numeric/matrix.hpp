@@ -1,4 +1,4 @@
-// Dense row-major matrix and free-function vector helpers.
+// Dense row-major matrix.
 //
 // The simulator and the regression code only need modest sizes (up to a
 // few thousand rows), so a plain dense container with explicit loops keeps
@@ -29,15 +29,6 @@ class Matrix {
   /// Sets every entry to zero, keeping the shape.
   void set_zero();
 
-  /// Identity matrix of size n.
-  static Matrix identity(size_t n);
-
-  /// Matrix-vector product; `x.size()` must equal `cols()`.
-  Vector multiply(const Vector& x) const;
-
-  /// Matrix-matrix product; `other.rows()` must equal `cols()`.
-  Matrix multiply(const Matrix& other) const;
-
   /// Raw row-major storage; entry (r, c) lives at r * cols() + c. The
   /// batched transient engine stamps through precomputed slots of this
   /// layout (see spice/plan.hpp).
@@ -49,14 +40,5 @@ class Matrix {
   size_t cols_ = 0;
   std::vector<double> data_;
 };
-
-/// Euclidean norm.
-double norm2(const Vector& v);
-
-/// Element-wise a - b; sizes must match.
-Vector subtract(const Vector& a, const Vector& b);
-
-/// Dot product; sizes must match.
-double dot(const Vector& a, const Vector& b);
 
 }  // namespace pim

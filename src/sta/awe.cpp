@@ -23,12 +23,6 @@ int RcTree::add_node(int parent, double resistance, double capacitance) {
   return node_count() - 1;
 }
 
-void RcTree::add_cap(int node, double capacitance) {
-  require(node >= 0 && node < node_count(), "RcTree::add_cap: bad node");
-  require(capacitance >= 0.0, "RcTree::add_cap: negative capacitance");
-  cap_[static_cast<size_t>(node)] += capacitance;
-}
-
 RcTree::Moments RcTree::moments(int node, double root_resistance) const {
   require(node >= 0 && node < node_count(), "RcTree::moments: bad node");
   require(root_resistance >= 0.0, "RcTree::moments: negative resistance");
@@ -58,10 +52,6 @@ RcTree::Moments RcTree::moments(int node, double root_resistance) const {
     m2[i] = m2[static_cast<size_t>(parent_[i])] + res_[i] * s_down[i];
 
   return {m1[static_cast<size_t>(node)], m2[static_cast<size_t>(node)]};
-}
-
-double RcTree::elmore(int node, double root_resistance) const {
-  return moments(node, root_resistance).m1;
 }
 
 double two_pole_delay(double m1, double m2, double threshold) {
@@ -107,21 +97,6 @@ double two_pole_delay(double m1, double m2, double threshold) {
     }
   }
   return 0.5 * (lo + hi);
-}
-
-double awe_ladder_delay(double driver_res, double wire_res, double wire_cap,
-                        double load_cap, int sections, double threshold) {
-  require(sections >= 1, "awe_ladder_delay: need at least one section");
-  // Pi discretization: half a section's capacitance at each end.
-  RcTree tree(0.5 * wire_cap / sections);
-  int node = 0;
-  for (int k = 0; k < sections; ++k) {
-    const double cap =
-        (k + 1 < sections) ? wire_cap / sections : 0.5 * wire_cap / sections + load_cap;
-    node = tree.add_node(node, wire_res / sections, cap);
-  }
-  const RcTree::Moments m = tree.moments(node, driver_res);
-  return two_pole_delay(m.m1, m.m2, threshold);
 }
 
 }  // namespace pim

@@ -26,16 +26,10 @@ class RcTree {
   /// `capacitance` to ground. Returns the node index.
   int add_node(int parent, double resistance, double capacitance);
 
-  /// Adds extra grounded capacitance at an existing node.
-  void add_cap(int node, double capacitance);
-
   int node_count() const { return static_cast<int>(parent_.size()); }
 
-  /// First moment (Elmore delay) at `node` for a step through
-  /// `root_resistance` at the root.
-  double elmore(int node, double root_resistance) const;
-
-  /// First two moments (m1, m2) of the transfer function to `node`.
+  /// First two moments (m1, m2) of the transfer function to `node`; m1
+  /// is the Elmore delay.
   /// Sign conventions: H(s) = 1 - m1 s + m2 s^2 - ... with m1, m2 > 0
   /// for RC circuits.
   struct Moments {
@@ -55,10 +49,5 @@ class RcTree {
 /// poles, with the critically-damped/complex cases handled by falling
 /// back to a single-pole fit. `threshold` in (0, 1), e.g. 0.5.
 double two_pole_delay(double m1, double m2, double threshold);
-
-/// Convenience: 50 % step delay of a uniform ladder through a driver
-/// resistance — the AWE counterpart of elmore_rc_ladder.
-double awe_ladder_delay(double driver_res, double wire_res, double wire_cap,
-                        double load_cap, int sections, double threshold = 0.5);
 
 }  // namespace pim

@@ -4,18 +4,8 @@
 
 #include "charlib/characterize.hpp"
 #include "models/baseline.hpp"
-#include "util/error.hpp"
 
 namespace pim {
-
-double elmore_rc_ladder(double r_total, double c_total, double c_load, int sections) {
-  require(sections >= 1, "elmore_rc_ladder: need at least one section");
-  const double r = r_total / sections;
-  const double c = c_total / sections;
-  double acc = r_total * c_load;
-  for (int k = 1; k <= sections; ++k) acc += k * r * c;
-  return acc;
-}
 
 double elmore_buffered_line(const Technology& tech, const LinkContext& ctx,
                             const LinkDesign& design) {

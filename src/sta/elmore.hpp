@@ -1,18 +1,13 @@
-// Elmore (first-moment) delay estimates — the auxiliary analysis used in
-// tests and for quick sanity bounds on the golden simulator. An Elmore
-// estimate upper-bounds the 50 % step delay of an RC tree, and the step
-// response of a distributed line lands near 0.69x the lumped Elmore.
+// Elmore (first-moment) delay estimate of a buffered link — a quick
+// sanity bound on the golden simulator. An Elmore estimate upper-bounds
+// the 50 % step delay of an RC tree, and the step response of a
+// distributed line lands near 0.69x the lumped Elmore.
 #pragma once
 
 #include "models/link.hpp"
 #include "tech/technology.hpp"
 
 namespace pim {
-
-/// Elmore delay of a uniform N-section RC ladder with total resistance
-/// r_total and total capacitance c_total (a lumped load c_load at the
-/// end): sum_k (k r/N)(c/N) + r c_load.
-double elmore_rc_ladder(double r_total, double c_total, double c_load, int sections);
 
 /// Elmore-style delay of the buffered link: per stage, first-principles
 /// drive resistance times total stage load plus the distributed wire

@@ -28,18 +28,4 @@ struct SpefOptions {
 std::string write_spef(const Technology& tech, const LinkContext& context,
                        const LinkDesign& design, const SpefOptions& options = {});
 
-/// Digest of a SPEF-lite text (used by tests and quick inspection).
-struct SpefDigest {
-  int nets = 0;
-  int res_entries = 0;
-  int cap_entries = 0;
-  double total_res = 0.0;       ///< [ohm]
-  double total_ground_cap = 0.0;///< [F]
-  double total_couple_cap = 0.0;///< [F]
-};
-
-/// Parses the subset write_spef emits and accumulates totals; throws
-/// pim::Error on malformed input.
-SpefDigest digest_spef(const std::string& text);
-
 }  // namespace pim

@@ -142,7 +142,6 @@ TEST(KeyBuilder, StableAcrossRebuilds) {
     kb.field("samples", 1000);
     kb.field("flag", true);
     kb.field("drives", std::vector<int>{2, 8, 32});
-    kb.blob("payload", std::string("\x00\x01raw", 5));
     return kb.finish();
   };
   const CacheKey a = build();
@@ -176,14 +175,6 @@ TEST(KeyBuilder, OrderKindAndValuesAllMatter) {
   EXPECT_NE(d1.finish().hex, d2.finish().hex);
 }
 
-TEST(KeyBuilder, BlobsAreLengthPrefixed) {
-  KeyBuilder k1("k");
-  k1.blob("a", "bc");
-  KeyBuilder k2("k");
-  k2.blob("ab", "c");
-  EXPECT_NE(k1.finish().hex, k2.finish().hex);
-}
-
 // Numeric fields render into a stack buffer; the key must be the one the
 // canonical text renders give (17-digit format_sig, std::to_string).
 TEST(KeyBuilder, NumericFieldsHashTheirCanonicalText) {
@@ -192,7 +183,6 @@ TEST(KeyBuilder, NumericFieldsHashTheirCanonicalText) {
                             std::numeric_limits<double>::quiet_NaN()};
   const int64_t signeds[] = {0, -1, 17, std::numeric_limits<int64_t>::min(),
                              std::numeric_limits<int64_t>::max()};
-  const uint64_t unsigneds[] = {0, 42, std::numeric_limits<uint64_t>::max()};
   KeyBuilder fast("k");
   KeyBuilder text("k");
   for (double v : doubles) {
@@ -202,10 +192,6 @@ TEST(KeyBuilder, NumericFieldsHashTheirCanonicalText) {
   for (int64_t v : signeds) {
     fast.field("i", v);
     text.field("i", std::to_string(v));
-  }
-  for (uint64_t v : unsigneds) {
-    fast.field("u", v);
-    text.field("u", std::to_string(v));
   }
   EXPECT_EQ(fast.finish().hex, text.finish().hex);
 }

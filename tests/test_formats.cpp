@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "deck_parser.hpp"
+#include "spef_digest.hpp"
 #include "spice/deck.hpp"
 #include "spice/transient.hpp"
 #include "sta/signoff.hpp"

@@ -22,6 +22,22 @@
 namespace pim {
 namespace {
 
+// A x, for the least-squares checks below.
+Vector matvec(const Matrix& a, const Vector& x) {
+  Vector y(a.rows(), 0.0);
+  for (size_t r = 0; r < a.rows(); ++r)
+    for (size_t c = 0; c < a.cols(); ++c) y[r] += a(r, c) * x[c];
+  return y;
+}
+
+// ||A x - b||_2.
+double residual_norm(const Matrix& a, const Vector& x, const Vector& b) {
+  const Vector ax = matvec(a, x);
+  double acc = 0.0;
+  for (size_t i = 0; i < b.size(); ++i) acc += (ax[i] - b[i]) * (ax[i] - b[i]);
+  return std::sqrt(acc);
+}
+
 TEST(Matrix, MultiplyVector) {
   Matrix a(2, 3);
   a(0, 0) = 1;
@@ -30,24 +46,9 @@ TEST(Matrix, MultiplyVector) {
   a(1, 0) = 4;
   a(1, 1) = 5;
   a(1, 2) = 6;
-  const Vector y = a.multiply({1.0, 1.0, 1.0});
+  const Vector y = matvec(a, {1.0, 1.0, 1.0});
   EXPECT_DOUBLE_EQ(y[0], 6.0);
   EXPECT_DOUBLE_EQ(y[1], 15.0);
-}
-
-TEST(Matrix, MultiplyMatrixMatchesIdentity) {
-  Matrix a(3, 3);
-  Rng rng(5);
-  for (size_t r = 0; r < 3; ++r)
-    for (size_t c = 0; c < 3; ++c) a(r, c) = rng.uniform(-1, 1);
-  const Matrix prod = a.multiply(Matrix::identity(3));
-  for (size_t r = 0; r < 3; ++r)
-    for (size_t c = 0; c < 3; ++c) EXPECT_DOUBLE_EQ(prod(r, c), a(r, c));
-}
-
-TEST(VectorOps, Norms) {
-  EXPECT_DOUBLE_EQ(norm2({3.0, 4.0}), 5.0);
-  EXPECT_DOUBLE_EQ(dot({1, 2}, {3, 4}), 11.0);
 }
 
 // Property: LU solve recovers x from b = A x for random well-conditioned A.
@@ -63,7 +64,7 @@ TEST_P(LuRandomTest, SolveRecoversKnownSolution) {
   }
   Vector x_true(n);
   for (int i = 0; i < n; ++i) x_true[i] = rng.uniform(-10.0, 10.0);
-  const Vector b = a.multiply(x_true);
+  const Vector b = matvec(a, x_true);
   const Vector x = LuDecomposition(a).solve(b);
   for (int i = 0; i < n; ++i) EXPECT_NEAR(x[i], x_true[i], 1e-8);
 }
@@ -170,7 +171,7 @@ TEST(LeastSquares, OverdeterminedMinimizesResidual) {
   EXPECT_NEAR(c[0], 3.0, 0.11);
   EXPECT_NEAR(c[1], 2.0, 0.11);
   // Residual must not exceed the noise norm.
-  EXPECT_LE(residual_norm(a, c, b), norm2({0.1, 0.1, 0.1, 0.1}) + 1e-12);
+  EXPECT_LE(residual_norm(a, c, b), 0.2 + 1e-12);  // ||noise||_2
 }
 
 TEST(LeastSquares, RankDeficientRecoveredByRegularization) {
@@ -286,15 +287,6 @@ TEST(Regression, Stats) {
   EXPECT_DOUBLE_EQ(r_squared({1, 2, 3}, {1, 2, 3}), 1.0);
 }
 
-TEST(Interp, LinearInterpolatesAndExtrapolates) {
-  const Vector xs = {0.0, 1.0, 2.0};
-  const Vector ys = {0.0, 10.0, 40.0};
-  EXPECT_DOUBLE_EQ(interp_linear(xs, ys, 0.5), 5.0);
-  EXPECT_DOUBLE_EQ(interp_linear(xs, ys, 1.5), 25.0);
-  EXPECT_DOUBLE_EQ(interp_linear(xs, ys, 3.0), 70.0);   // extrapolation
-  EXPECT_DOUBLE_EQ(interp_linear(xs, ys, -1.0), -10.0); // extrapolation
-}
-
 TEST(Interp, Grid2DBilinear) {
   Matrix v(2, 2);
   v(0, 0) = 0.0;
@@ -386,8 +378,8 @@ INSTANTIATE_TEST_SUITE_P(Shapes, BandedAsymmetric,
                                            std::make_tuple(80, 6, 0)));
 
 TEST(Interp, BadAxisRejected) {
-  EXPECT_THROW(interp_linear({1.0, 1.0}, {0.0, 0.0}, 0.5), Error);
-  EXPECT_THROW(interp_linear({1.0}, {0.0}, 0.5), Error);
+  EXPECT_THROW(Grid2D({1.0, 1.0}, {0.0, 1.0}, Matrix(2, 2)), Error);
+  EXPECT_THROW(Grid2D({0.0, 1.0}, {1.0}, Matrix(2, 1)), Error);
 }
 
 // ------------------------------------------- lane-interleaved cohort kernel

@@ -51,18 +51,6 @@ namespace {
 
 using namespace pim::unit;
 
-TEST(Elmore, LadderMatchesClosedForm) {
-  // Uniform ladder Elmore = R C (N+1)/(2N) + R C_load.
-  const double r = 1000.0;
-  const double c = 1.0 * pF;
-  const double cl = 0.1 * pF;
-  for (int n : {1, 4, 10}) {
-    const double expected = r * c * (n + 1) / (2.0 * n) + r * cl;
-    EXPECT_NEAR(elmore_rc_ladder(r, c, cl, n), expected, 1e-15);
-  }
-  EXPECT_THROW(elmore_rc_ladder(r, c, cl, 0), Error);
-}
-
 TEST(Elmore, BufferedLineGrowsWithLength) {
   const Technology& t = technology(TechNode::N65);
   LinkDesign d;
@@ -405,23 +393,38 @@ TEST_F(StaFixture, GoldenSlewTrackedByModel) {
 
 // ----------------------------------------------------------------- AWE
 
+// Two-pole threshold delay of a uniform pi-ladder (half a section's
+// capacitance at each end) driven through `driver_res`.
+double ladder_delay(double driver_res, double wire_res, double wire_cap, double load_cap,
+                    int sections, double threshold = 0.5) {
+  RcTree tree(0.5 * wire_cap / sections);
+  int node = 0;
+  for (int k = 0; k < sections; ++k) {
+    const double cap =
+        (k + 1 < sections) ? wire_cap / sections : 0.5 * wire_cap / sections + load_cap;
+    node = tree.add_node(node, wire_res / sections, cap);
+  }
+  const RcTree::Moments m = tree.moments(node, driver_res);
+  return two_pole_delay(m.m1, m.m2, threshold);
+}
+
 TEST(Awe, TreeElmoreMatchesLadderFormula) {
-  // Uniform ladder: tree m1 must equal the closed-form Elmore plus the
-  // driver term R_drv * C_total.
+  // Uniform N-section ladder: tree m1 must equal the closed-form Elmore
+  // R C (N+1)/(2N) + R C_load plus the driver term R_drv * C_total.
   const double r = 500.0, c = 200 * fF, cl = 30 * fF, rd = 120.0;
   const int n = 8;
   RcTree tree(0.0);
   int node = 0;
   for (int k = 0; k < n; ++k)
     node = tree.add_node(node, r / n, c / n + (k + 1 == n ? cl : 0.0));
-  const double expected = elmore_rc_ladder(r, c, cl, n) + rd * (c + cl);
-  EXPECT_NEAR(tree.elmore(node, rd), expected, 1e-18);
+  const double expected = r * c * (n + 1) / (2.0 * n) + r * cl + rd * (c + cl);
+  EXPECT_NEAR(tree.moments(node, rd).m1, expected, 1e-18);
 }
 
 TEST(Awe, TwoPoleMatchesTransientOnDrivenLine) {
   // Same configuration the engine was validated on (Sakurai check):
   // Rd = 105 ohm driving a distributed (220 ohm, 514 fF) line + 22 fF.
-  const double d = awe_ladder_delay(105.0, 220.0, 514 * fF, 22 * fF, 20);
+  const double d = ladder_delay(105.0, 220.0, 514 * fF, 22 * fF, 20);
   // Golden transient measured ~87 ps for this line (driven by a fast
   // ramp); AWE two-pole should land within a few percent.
   EXPECT_NEAR(d, 87.0 * ps, 6.0 * ps);
@@ -439,9 +442,9 @@ TEST(Awe, SinglePoleExactForRc) {
 }
 
 TEST(Awe, ThresholdMonotone) {
-  const auto d20 = awe_ladder_delay(100.0, 300.0, 400 * fF, 10 * fF, 10, 0.2);
-  const auto d50 = awe_ladder_delay(100.0, 300.0, 400 * fF, 10 * fF, 10, 0.5);
-  const auto d80 = awe_ladder_delay(100.0, 300.0, 400 * fF, 10 * fF, 10, 0.8);
+  const double d20 = ladder_delay(100.0, 300.0, 400 * fF, 10 * fF, 10, 0.2);
+  const double d50 = ladder_delay(100.0, 300.0, 400 * fF, 10 * fF, 10, 0.5);
+  const double d80 = ladder_delay(100.0, 300.0, 400 * fF, 10 * fF, 10, 0.8);
   EXPECT_LT(d20, d50);
   EXPECT_LT(d50, d80);
 }
@@ -464,26 +467,16 @@ TEST_P(AweRandomTree, TwoPoleTracksTransient) {
   const int extra_nodes = 4 + static_cast<int>(rng.next_below(12));
   const double r_drv = rng.uniform(50.0, 400.0);
 
-  RcTree tree(rng.uniform(1.0, 20.0) * fF);
+  // Grow the tree and its mirror circuit together, root first.
+  const double root_cap = rng.uniform(1.0, 20.0) * fF;
+  RcTree tree(root_cap);
   Circuit ckt;
   const NodeId in = ckt.add_node();
   ckt.add_vsource(in, Waveform::ramp(0.0, 1.0, 0.0, 1.0 * ps));
   std::vector<NodeId> ckt_node = {ckt.add_node()};
   ckt.add_resistor(in, ckt_node[0], r_drv);
-  ckt.add_capacitor(ckt_node[0], ckt.ground(), 0.0);  // root cap added below
-
-  std::vector<double> root_caps = {0.0};
-  // Mirror the tree into a circuit as we grow it.
-  {
-    // root cap
-    const double c0 = rng.uniform(1.0, 20.0) * fF;
-    (void)c0;
-  }
-  // Rebuild deterministically: regenerate with same draws.
-  // (Simpler: grow both structures together.)
+  ckt.add_capacitor(ckt_node[0], ckt.ground(), root_cap);
   std::vector<int> tree_ids = {0};
-  ckt.add_capacitor(ckt_node[0], ckt.ground(), 1.0 * fF);
-  tree.add_cap(0, 1.0 * fF);
   int deepest_tree = 0;
   NodeId deepest_ckt = ckt_node[0];
   // Even seeds: random chains (the two-pole match is tight there).

@@ -411,7 +411,6 @@ TEST(WireEnvelope, OpTableIsCompleteInEveryDirection) {
         wire::parse_request_line(wire::write_request_line(1, requests[i]));
     EXPECT_EQ(parsed.request.index(), i) << op;
     EXPECT_EQ(parsed.op, op);
-    EXPECT_EQ(wire::op_of(results[i]), op) << "result alternative " << i;
     EXPECT_NE(unknown_op_error.find(" " + op + ","), std::string::npos)
         << op << " missing from: " << unknown_op_error;
   }
