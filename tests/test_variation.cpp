@@ -11,6 +11,8 @@
 #include <string>
 #include <vector>
 
+#include "cache/memoize.hpp"
+#include "cache/sha256.hpp"
 #include "charlib/characterize.hpp"
 #include "obs/metrics.hpp"
 #include "sta/calibrated.hpp"
@@ -310,6 +312,99 @@ TEST(VariationValidation, NonFiniteSamplesFailInsteadOfPoisoningStatistics) {
   EXPECT_EQ(obs::registry().counter("variation.sample.error").value(), 2 * kSamples);
   obs::set_enabled(false);
   obs::registry().reset();
+}
+
+// The bytes a Monte-Carlo run caches are a contract (docs/caching.md):
+// any refactor of the per-sample evaluation must keep each expression's
+// operand order. The SHA-256 of the encoded payload is pinned for every
+// style x repeater kind x layer x (scattering and barrier on / both off),
+// at non-unit wire scales, and for the within-die flavour on two designs.
+// The fit is synthetic with non-unit composition weights, so the digests
+// pin the model arithmetic alone, not the simulator.
+TEST(VariationPins, PayloadDigestsArePinned) {
+  const Technology& tech = technology(TechNode::N65);
+  TechnologyFit fit = synthetic_fit(tech);
+  fit.buf_rise.a0 = 9e-12;
+  fit.buf_fall.rho0 = 2.6e-3;
+  fit.inv_fall.b2 = 6e-4;
+  fit.comp_coupled = {0.83, 0.91, 0.57, 0.0};
+  fit.comp_shielded = {0.88, 0.95, 0.62, 0.0};
+  const ProposedModel model(tech, fit);
+  constexpr int kSamples = 2000;
+  const auto digest = [](const MonteCarloResult& mc) {
+    return cache::sha256_hex(cache::Payload<MonteCarloResult>::encode(mc));
+  };
+
+  const char* const kDieToDie[24] = {
+    "f4c2bbfc861e92e434febcff3cacd69c790993f274566383a8ed4dadbe0bc3e7",
+    "61b49b4b005c00c12769965c90e994b02c83faa585930e5f2de6b1fc2679a2c3",
+    "69c9446a39dce42b6221262a79e3a84b7845a7f519303d6b76cebbb7c70b5b38",
+    "d383e970eaf0292cf1cf0b63c98621d712a37f7fe23f22064f3a0685134ea817",
+    "10c3b41b78f736bc19fba02ecaf51d01d822bcd39b23595469dd123b90a1128d",
+    "6cde98b8537b144d8e5bb50406d452e798c6c69a041d8084eca6cfa61ed764c1",
+    "414696adf93675686c6a7ac64305f1ca8b727551c5c3ed32e1cbdb9f3a66cdba",
+    "5570f35d690edfb2c4a3ee289f1cb72d0940c308f58c59abd90d35693bf01024",
+    "722f8b24aa848f1bec5ded7401b1ab11f916acc73e0f30787e517cc9f96d16fd",
+    "176a8827e9de0ac1d928fab17bab63082bb14f256c725e08ce1abedf7e4ac942",
+    "1d7e5add5556e7a10514e5f28a587298978d53c4e856747e980d227c91e6105c",
+    "6a78297869086bbab66562854c1f3e227701e5e59e4e35757cb1964f09d1ef6d",
+    "8d570bf89f62c1282e79325d9773789fe4ea74a34d390219138a0a7012209615",
+    "51dba6cacef716f5ce42f63a13c6e52a7b670b28191ea7cfc4e9a9e7be9ffedb",
+    "7376be35455f4a02d08836d3cb4066639240c99835c5912fba813cd66f8aaaf6",
+    "e4d039f959e3e26b24bda8c7c9653b58ee6ddac405cd8f1dca2870e1e03f4ae7",
+    "b2a9af9e52c5805aaa0ac84d7bdffc3bbfb0da8670871b34c0cb6f2b910d86e4",
+    "48e0c55e522fcec0ec2a5522436850fd5e3a8c2bedf5e2058bb5dd8a03b6dab4",
+    "bee27d0748d4e8e68673e5785e19853b6258c24205e508b6e64463966c493693",
+    "5e4c3083a816ca1969336c6ae16f5338476ee46602699048a5f93739f0431a8a",
+    "db4a5bb9f7c81c9789ea314fce51d22d9a8d75be53b93430acbfcb7809a50088",
+    "58123036d3ba937f7d0e95f4975f768326d9b932409748c7c1af1d2e053bfd21",
+    "6c5cabc71b5debac3e1b5bf3355a1fc36c16c2f48eef6123b15341433114cb7d",
+    "11bfc3753e4a2a9873ed702700ebbb4f240c4e23a4022fe2ce73eda5b1586cdf",
+  };
+  int i = 0;
+  for (const DesignStyle style :
+       {DesignStyle::SingleSpacing, DesignStyle::DoubleSpacing, DesignStyle::Shielded})
+    for (const CellKind kind : {CellKind::Inverter, CellKind::Buffer})
+      for (const WireLayer layer : {WireLayer::Global, WireLayer::Intermediate})
+        for (const bool effects : {true, false}) {
+          LinkContext ctx;
+          ctx.layer = layer;
+          ctx.style = style;
+          ctx.length = 4.5 * mm;
+          ctx.input_slew = 80 * ps;
+          ctx.wire_options.scattering = effects;
+          ctx.wire_options.barrier = effects;
+          ctx.wire_options.res_scale = 1.07;
+          ctx.wire_options.cap_scale = 0.93;
+          LinkDesign design;
+          design.kind = kind;
+          design.drive = kind == CellKind::Buffer ? 24 : 12;
+          design.num_repeaters = 4;
+          EXPECT_EQ(digest(monte_carlo_link(model, ctx, design, kSamples, 31 + i)),
+                    kDieToDie[i])
+              << design_style_name(style) << " kind " << static_cast<int>(kind)
+              << " layer " << static_cast<int>(layer) << " effects " << effects;
+          ++i;
+        }
+
+  const char* const kWithinDie[2] = {
+    "fd99de76c8042b57f5f11e69a3cc7fc4fac2254185aba93a0ac176ff41125a74",
+    "b38dba68ace740e52d5c6b294674e022737bd29c4107549b13c969e7a42df436",
+  };
+  int j = 0;
+  for (const int repeaters : {3, 9}) {
+    LinkContext ctx;
+    ctx.length = 1.2 * mm * repeaters;
+    ctx.wire_options.res_scale = 0.96;
+    ctx.wire_options.cap_scale = 1.04;
+    LinkDesign design;
+    design.drive = 16;
+    design.num_repeaters = repeaters;
+    EXPECT_EQ(digest(monte_carlo_link_within_die(model, ctx, design, kSamples, 77)),
+              kWithinDie[j])
+        << repeaters << " repeaters";
+    ++j;
+  }
 }
 
 // The Monte-Carlo reduction's radix sort puts every part of the key
