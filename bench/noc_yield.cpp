@@ -37,18 +37,16 @@ int main() {
          r.metrics.num_links, r.metrics.num_routers, r.metrics.worst_link_delay / ps,
          r.delay_budget / ps);
 
-  // Collect the live links once.
-  struct LinkRef {
-    double length;
-    LinkDesign design;
-    WireLayer layer;
-  };
-  std::vector<LinkRef> links;
+  // Collect the live links once, each as the frame its dies step.
+  std::vector<LinkFrame> links;
   const NocArchitecture& arch = r.architecture;
   for (size_t i = 0; i < arch.edges().size(); ++i) {
     const NocEdge& e = arch.edges()[i];
     if (!e.alive || !e.impl.feasible) continue;
-    links.push_back({arch.edge_length(static_cast<int>(i)), e.impl.design, e.impl.layer});
+    LinkContext ctx = r.base_context;
+    ctx.length = arch.edge_length(static_cast<int>(i));
+    ctx.layer = e.impl.layer;
+    links.emplace_back(model.tech(), ctx, e.impl.design);
   }
 
   // Monte Carlo over dies.
@@ -59,13 +57,8 @@ int main() {
   for (int die = 0; die < dies; ++die) {
     const VariationSample sample = sample_variation(rng, {});
     double worst = 0.0;
-    for (const LinkRef& link : links) {
-      LinkContext ctx = r.base_context;
-      ctx.length = link.length;
-      ctx.layer = link.layer;
-      const double d = evaluate_with_variation(model, ctx, link.design, sample).delay;
-      worst = std::max(worst, d);
-    }
+    for (const LinkFrame& link : links)
+      worst = std::max(worst, evaluate_with_variation(model, link, sample).delay);
     worst_delays.push_back(worst);
   }
   std::sort(worst_delays.begin(), worst_delays.end());

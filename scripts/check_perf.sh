@@ -38,7 +38,9 @@ compare_status=0
 # medians above they are stable across machines: the batched transient
 # engine must keep charlib sweeps >= 2x over the scalar reference
 # engine, the Monte-Carlo fast path >= 3x over per-sample model
-# construction, the to_chars / from_chars number codec >= 3x over
+# construction, one step of a prebuilt link frame (a Monte-Carlo
+# sample's cost) >= 2x over the one-shot evaluate_link that also builds
+# the frame, the to_chars / from_chars number codec >= 3x over
 # snprintf for a yield payload's encode and >= 1.5x over strtod for its
 # decode, and the lane-interleaved banded kernel >= 1.3x over two scalar
 # BandedLu factor-and-solves for a 140-row, half-bandwidth-5 lane pair.
@@ -58,6 +60,8 @@ floors = [
      "transient_kernel.ms_per_sweep_batched", 2.0, "charlib sweep"),
     ("mc_batch.us_per_sample_modelpath",
      "mc_batch.us_per_sample_fastpath", 3.0, "MC sample evaluation"),
+    ("mc_batch.us_per_sample_fastpath",
+     "mc_batch.us_per_sample_frame", 2.0, "MC frame step"),
     ("payload_codec.encode_us_reference",
      "payload_codec.encode_us", 3.0, "payload encode"),
     ("payload_codec.decode_us_reference",

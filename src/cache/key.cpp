@@ -10,6 +10,23 @@ namespace {
 
 constexpr char kUnitSep = '\x1f';    // between field name and value
 constexpr char kRecordSep = '\x1e';  // after each field
+constexpr char kEscape = '\x1d';     // before an escaped byte
+
+// Hashes `bytes` with each separator or escape byte b written as
+// kEscape, b ^ 0x40, so a name or value can never spell a field boundary.
+// Bytes without them hash unchanged, which keeps every such key's hex.
+void update_escaped(Sha256& hasher, std::string_view bytes) {
+  constexpr std::string_view kSpecial("\x1d\x1e\x1f", 3);
+  size_t from = 0;
+  for (size_t at = bytes.find_first_of(kSpecial); at != std::string_view::npos;
+       at = bytes.find_first_of(kSpecial, from)) {
+    const char escaped[2] = {kEscape, static_cast<char>(bytes[at] ^ 0x40)};
+    hasher.update(bytes.substr(from, at - from));
+    hasher.update(escaped, 2);
+    from = at + 1;
+  }
+  hasher.update(bytes.substr(from));
+}
 
 // std::to_chars(args...) into `buf`, as a view: a numeric field's text
 // without a std::string per field. 32 chars hold any double at 17
@@ -24,27 +41,25 @@ std::string_view render(char (&buf)[32], Args... args) {
 
 KeyBuilder::KeyBuilder(std::string kind) : kind_(std::move(kind)) {
   internal_ = true;
-  raw("pim-cache");
+  hasher_.update("pim-cache");
   field("format", static_cast<int64_t>(kFormatVersion));
   field("kind", kind_);
   internal_ = false;
 }
 
-void KeyBuilder::raw(std::string_view bytes) { hasher_.update(bytes); }
-
 void KeyBuilder::note_param(std::string_view name, std::string_view value) {
   if (internal_) return;
-  params_hasher_.update(name);
+  update_escaped(params_hasher_, name);
   params_hasher_.update(&kUnitSep, 1);
-  params_hasher_.update(value);
+  update_escaped(params_hasher_, value);
   params_hasher_.update(&kRecordSep, 1);
   has_params_ = true;
 }
 
 KeyBuilder& KeyBuilder::field(std::string_view name, std::string_view value) {
-  raw(name);
+  update_escaped(hasher_, name);
   hasher_.update(&kUnitSep, 1);
-  raw(value);
+  update_escaped(hasher_, value);
   hasher_.update(&kRecordSep, 1);
   note_param(name, value);
   return *this;

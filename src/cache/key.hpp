@@ -6,7 +6,9 @@
 // Canonicalization rules (docs/caching.md):
 //  - fields are emitted in the order the call site appends them, each as
 //    `name US value RS` (ASCII unit/record separators), so reordering or
-//    renaming a field changes the key;
+//    renaming a field changes the key; a US, RS or GS (0x1d) byte inside
+//    a name or value is written as GS followed by the byte XOR 0x40, so
+//    no field can spell a boundary;
 //  - doubles render with 17 significant digits — the shortest form that
 //    round-trips IEEE-754 exactly — so a key never depends on printf
 //    quirks of shorter precisions;
@@ -80,7 +82,6 @@ class KeyBuilder {
   CacheKey finish();
 
  private:
-  void raw(std::string_view bytes);
   void note_param(std::string_view name, std::string_view value);
 
   std::string kind_;

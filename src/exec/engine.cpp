@@ -8,6 +8,8 @@
 #include <mutex>
 #include <thread>
 
+#include <time.h>
+
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/faultinject.hpp"
@@ -202,6 +204,7 @@ void run_claims(Cursor& cursor, bool fail_fast, const deadline::State& inherited
 struct ExecMetrics {
   obs::Timer& queue_wait = obs::registry().timer("exec.queue.wait");
   obs::Timer& chunk_run = obs::registry().timer("exec.chunk.run");
+  obs::Timer& chunk_cpu = obs::registry().timer("exec.chunk.cpu");
   obs::Timer& chunk_items = obs::registry().timer("exec.chunk.items");
   obs::Gauge& busy = obs::registry().gauge("exec.thread.busy_ns");
   obs::Gauge& idle = obs::registry().gauge("exec.thread.idle_ns");
@@ -213,12 +216,21 @@ struct ExecMetrics {
   }
 };
 
+// CPU time this thread has used, in ns (CLOCK_THREAD_CPUTIME_ID).
+int64_t thread_cpu_ns() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<int64_t>(ts.tv_sec) * 1'000'000'000 + ts.tv_nsec;
+}
+
 // run_claims plus instrumentation: queue-wait latency (`queued_ns` is the
 // submit timestamp; < 0 means the runner never sat in the pool queue —
-// serial regions and the calling thread's runner), runner wall time, the
-// runner's item count, and a chrome-trace span carrying the worker's real
-// thread id. Every runner records once, even one that found no block left.
-// Returns the runner's duration in ns (0 when collection is off).
+// serial regions and the calling thread's runner), runner wall time and
+// thread CPU time (a CPU/wall ratio well below 1 is a runner that waited
+// for a CPU, not a slow one), the runner's item count, and a chrome-trace
+// span carrying the worker's real thread id. Every runner records once,
+// even one that found no block left. Returns the runner's duration in ns
+// (0 when collection is off).
 int64_t run_claims_instr(Cursor& cursor, bool fail_fast, const deadline::State& inherited,
                          const std::function<void(size_t)>& body, RunnerResult& result,
                          int64_t queued_ns) {
@@ -230,10 +242,14 @@ int64_t run_claims_instr(Cursor& cursor, bool fail_fast, const deadline::State& 
   }
   ExecMetrics& m = ExecMetrics::get();
   const int64_t start = obs::now_ns();
+  const int64_t cpu_start = timing ? thread_cpu_ns() : 0;
   if (timing && queued_ns >= 0) m.queue_wait.record_ns(start - queued_ns);
   run_claims(cursor, fail_fast, inherited, body, result);
+  // Read inside the wall window, so CPU time never exceeds it.
+  const int64_t cpu = timing ? thread_cpu_ns() - cpu_start : 0;
   const int64_t dur = obs::now_ns() - start;
   if (timing) {
+    m.chunk_cpu.record_ns(cpu);
     m.chunk_run.record_ns(dur);
     m.chunk_items.record_ns(static_cast<int64_t>(result.items));
   }

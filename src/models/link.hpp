@@ -76,7 +76,16 @@ struct LinkGeometry {
   double seg_cap_ground = 0.0;
   double seg_cap_couple_total = 0.0;  ///< both neighbors combined [F]
 
+  /// Checks the arguments (require_valid_link), extracts the wire, then
+  /// forms the segment products.
   LinkGeometry(const Technology& tech, const LinkContext& ctx, const LinkDesign& design);
+  /// The segment products of an extracted wire, `length` split into
+  /// `num_repeaters` equal segments; the arguments are not checked.
+  LinkGeometry(const WireRc& rc, double length, int num_repeaters);
 };
+
+/// The argument checks every link evaluation starts with: a positive
+/// length, at least one repeater and a drive of at least 1.
+void require_valid_link(const LinkContext& ctx, const LinkDesign& design);
 
 }  // namespace pim

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "cache/sha256.hpp"
-#include "charlib/characterize.hpp"
 #include "charlib/coeffs_io.hpp"
 #include "models/area.hpp"
 #include "obs/metrics.hpp"
@@ -18,32 +17,54 @@ ProposedModel::ProposedModel(const Technology& tech, TechnologyFit fit,
   signature_ = "proposed/" + tech.name + "/" + cache::sha256_hex(write_fit(fit_));
 }
 
-LinkEstimate evaluate_link(const Technology& tech, const TechnologyFit& fit,
-                           const LinkContext& ctx, const LinkDesign& design) {
-  PIM_COUNT("model.link.evaluations");
-  const LinkGeometry g(tech, ctx, design);
-  const RepeaterSizing sz = repeater_sizing(tech, design.kind, design.drive);
+LinkFrame::LinkFrame(const Technology& tech, const LinkContext& ctx,
+                     const LinkDesign& d)
+    : vdd(tech.vdd), context(ctx), design(d) {
+  require_valid_link(ctx, d);
+  wire = wire_rc_basis(tech, ctx.layer, ctx.style, ctx.wire_options);
+  sizing = repeater_sizing(tech, d.kind, d.drive);
+  wire_area = bus_wire_area(tech, ctx.layer, ctx.style, 1, ctx.length);
+}
 
+LinkGeometry LinkFrame::geometry(double res_mult, double cap_mult) const {
+  return LinkGeometry(wire.scaled(context.wire_options.res_scale * res_mult,
+                                  context.wire_options.cap_scale * cap_mult),
+                      context.length, design.num_repeaters);
+}
+
+StageLoads::StageLoads(const TechnologyFit& fit, const LinkFrame& frame,
+                       const LinkGeometry& g) {
+  const LinkDesign& design = frame.design;
+  const RepeaterSizing& sz = frame.sizing;
   // Input-pin widths (the stage the wire actually drives): the output
   // stage for inverters, the quarter-size first stage for buffers.
   const double win_n = design.kind == CellKind::Inverter ? sz.wn_out : sz.wn_in;
   const double win_p = design.kind == CellKind::Inverter ? sz.wp_out : sz.wp_in;
-  const double ci = fit.gamma * (win_n + win_p);
+  ci = fit.gamma * (win_n + win_p);
 
   const double mf = design.miller_factor;
-  const CompositionWeights& comp = fit.composition(ctx.style);
+  const CompositionWeights& comp = fit.composition(frame.context.style);
   // Miller-weighted wire capacitance of one segment, and the effective
   // loads the calibrated composition applies to the two parts of the
   // drive resistance (see CompositionWeights).
   const double c_wire = g.seg_cap_ground + mf * g.seg_cap_couple_total;
-  const double cl_rho0 = comp.kappa_c * c_wire + ci;
-  const double cl_rho1 = comp.kappa_c1 * c_wire + ci;
-  const double cl_slew = comp.kappa_c * c_wire + ci;  // load for the slew chain
+  cl_rho0 = comp.kappa_c * c_wire + ci;
+  cl_rho1 = comp.kappa_c1 * c_wire + ci;
+  cl_slew = comp.kappa_c * c_wire + ci;  // load for the slew chain
   // Pamunuwa-form distributed wire delay for one segment, deweighted by
   // the calibrated composition factor.
-  const double d_wire =
-      comp.kappa_w * g.seg_res *
-      (0.4 * g.seg_cap_ground + 0.5 * mf * g.seg_cap_couple_total + 0.7 * ci);
+  d_wire = comp.kappa_w * g.seg_res *
+           (0.4 * g.seg_cap_ground + 0.5 * mf * g.seg_cap_couple_total + 0.7 * ci);
+}
+
+LinkEstimate evaluate_link(const TechnologyFit& fit, const LinkFrame& frame,
+                           double res_mult, double cap_mult) {
+  PIM_COUNT("model.link.evaluations");
+  const LinkContext& ctx = frame.context;
+  const LinkDesign& design = frame.design;
+  const RepeaterSizing& sz = frame.sizing;
+  const LinkGeometry g = frame.geometry(res_mult, cap_mult);
+  const StageLoads loads(fit, frame, g);
 
   LinkEstimate est;
 
@@ -61,9 +82,9 @@ LinkEstimate evaluate_link(const Technology& tech, const TechnologyFit& fit,
       const double wr = out_rising ? sz.wp_out : sz.wn_out;
       const double intrinsic = f.a0 + f.a1 * slew + f.a2 * slew * slew;
       const double d_repeater =
-          intrinsic + (f.rho0 * cl_rho0 + f.rho1 * slew * cl_rho1) / wr;
-      total += d_repeater + d_wire;
-      slew = f.eval_out_slew(slew, cl_slew, wr);
+          intrinsic + (f.rho0 * loads.cl_rho0 + f.rho1 * slew * loads.cl_rho1) / wr;
+      total += d_repeater + loads.d_wire;
+      slew = f.eval_out_slew(slew, loads.cl_slew, wr);
       edge_rising = out_rising;
     }
     if (total > worst_delay) {
@@ -76,10 +97,10 @@ LinkEstimate evaluate_link(const Technology& tech, const TechnologyFit& fit,
 
   // Power (§III-C): every stage switches its input pin and its wire
   // segment; coupling counts fully (no Miller factor for energy).
-  est.switched_cap = design.num_repeaters * ci +
+  est.switched_cap = design.num_repeaters * loads.ci +
                      ctx.length * (g.rc.cap_ground_per_m + 2.0 * g.rc.cap_couple_per_m);
   est.dynamic_power =
-      ctx.activity * est.switched_cap * tech.vdd * tech.vdd * ctx.frequency;
+      ctx.activity * est.switched_cap * frame.vdd * frame.vdd * ctx.frequency;
 
   double leak_per_repeater = fit.leakage.eval_avg(sz.wn_out, sz.wp_out);
   if (design.kind == CellKind::Buffer)
@@ -92,8 +113,13 @@ LinkEstimate evaluate_link(const Technology& tech, const TechnologyFit& fit,
   if (design.kind == CellKind::Buffer)
     area_per_repeater += fit.area0 + fit.area1 * sz.wn_in;
   est.repeater_area = design.num_repeaters * area_per_repeater;
-  est.wire_area = bus_wire_area(tech, ctx.layer, ctx.style, 1, ctx.length);
+  est.wire_area = frame.wire_area;
   return est;
+}
+
+LinkEstimate evaluate_link(const Technology& tech, const TechnologyFit& fit,
+                           const LinkContext& ctx, const LinkDesign& design) {
+  return evaluate_link(fit, LinkFrame(tech, ctx, design));
 }
 
 LinkEstimate ProposedModel::evaluate(const LinkContext& ctx,

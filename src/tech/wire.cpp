@@ -44,50 +44,54 @@ double sakurai_cc(double w, double t, double h, double s, double k) {
 }
 }  // namespace
 
-double wire_resistance_per_m(const Technology& tech, WireLayer layer,
-                             const WireModelOptions& options) {
+WireRcBasis wire_rc_basis(const Technology& tech, WireLayer layer, DesignStyle style,
+                          const WireModelOptions& options) {
   const WireLayerGeometry& g = layer_geometry(tech, layer);
   const double tb = options.barrier ? tech.interconnect.barrier_thickness : 0.0;
   const double w_cond = g.width - 2.0 * tb;
   const double t_cond = g.thickness - tb;
   require(w_cond > 0.0 && t_cond > 0.0,
-          "wire_resistance_per_m: barrier consumes the whole conductor");
-  require(options.res_scale > 0.0 && options.cap_scale > 0.0,
+          "wire_rc_basis: barrier consumes the whole conductor");
+  WireRcBasis basis;
+  basis.style = style;
+  basis.rho = effective_resistivity(tech.interconnect, w_cond, options);
+  basis.area = w_cond * t_cond;
+
+  const double spacing = style == DesignStyle::DoubleSpacing ? 2.0 * g.spacing : g.spacing;
+  basis.cap_ground = sakurai_cg(g.width, g.thickness, g.ild_height, g.k_dielectric);
+  basis.cap_couple =
+      sakurai_cc(g.width, g.thickness, g.ild_height, spacing, g.k_dielectric);
+  // Signal pitch: one wire plus one spacing. A shielded signal pays for
+  // its own track plus a shield track.
+  basis.pitch = style == DesignStyle::Shielded ? 2.0 * (g.width + g.spacing)
+                                               : g.width + spacing;
+  return basis;
+}
+
+WireRc WireRcBasis::scaled(double res_scale, double cap_scale) const {
+  require(res_scale > 0.0 && cap_scale > 0.0,
           "wire model: perturbation scales must be positive");
-  const double rho = effective_resistivity(tech.interconnect, w_cond, options);
-  return options.res_scale * rho / (w_cond * t_cond);
+  WireRc rc;
+  rc.res_per_m = res_scale * rho / area;
+  const double cg = cap_scale * cap_ground;
+  const double cc = cap_scale * cap_couple;
+  if (style == DesignStyle::Shielded) {
+    // Neighbors are grounded shields: all coupling terminates on ground
+    // and no Miller amplification occurs.
+    rc.cap_ground_per_m = cg + 2.0 * cc;
+    rc.cap_couple_per_m = 0.0;
+  } else {
+    rc.cap_ground_per_m = cg;
+    rc.cap_couple_per_m = cc;
+  }
+  rc.pitch = pitch;
+  return rc;
 }
 
 WireRc extract_wire(const Technology& tech, WireLayer layer, DesignStyle style,
                     const WireModelOptions& options) {
-  const WireLayerGeometry& g = layer_geometry(tech, layer);
-  WireRc rc;
-  rc.res_per_m = wire_resistance_per_m(tech, layer, options);
-
-  const double spacing = style == DesignStyle::DoubleSpacing ? 2.0 * g.spacing : g.spacing;
-  const double cg =
-      options.cap_scale * sakurai_cg(g.width, g.thickness, g.ild_height, g.k_dielectric);
-  const double cc =
-      options.cap_scale * sakurai_cc(g.width, g.thickness, g.ild_height, spacing, g.k_dielectric);
-
-  switch (style) {
-    case DesignStyle::SingleSpacing:
-    case DesignStyle::DoubleSpacing:
-      rc.cap_ground_per_m = cg;
-      rc.cap_couple_per_m = cc;
-      // Signal pitch: one wire plus one spacing.
-      rc.pitch = g.width + spacing;
-      break;
-    case DesignStyle::Shielded:
-      // Neighbors are grounded shields: all coupling terminates on ground
-      // and no Miller amplification occurs.
-      rc.cap_ground_per_m = cg + 2.0 * cc;
-      rc.cap_couple_per_m = 0.0;
-      // Each signal effectively pays for its own track plus a shield track.
-      rc.pitch = 2.0 * (g.width + g.spacing);
-      break;
-  }
-  return rc;
+  return wire_rc_basis(tech, layer, style, options)
+      .scaled(options.res_scale, options.cap_scale);
 }
 
 }  // namespace pim

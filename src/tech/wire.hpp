@@ -51,15 +51,34 @@ struct WireRc {
   double cap_total_per_m() const { return cap_ground_per_m + 2.0 * cap_couple_per_m; }
 };
 
+/// The scale-free part of an extraction: everything extract_wire derives
+/// before it applies res_scale/cap_scale. A Monte-Carlo run builds it once
+/// and scales it per sample.
+struct WireRcBasis {
+  DesignStyle style = DesignStyle::SingleSpacing;
+  double rho = 0.0;         ///< effective resistivity [ohm*m]
+  double area = 0.0;        ///< conducting cross-section, barrier removed [m^2]
+  double cap_ground = 0.0;  ///< unscaled Sakurai–Tamaru ground cap [F/m]
+  double cap_couple = 0.0;  ///< unscaled coupling cap to one neighbor [F/m]
+  double pitch = 0.0;       ///< [m]
+
+  /// The parasitics at the given scales: res_scale * rho / area, and the
+  /// capacitances scaled before a shielded style folds its coupling onto
+  /// ground.
+  WireRc scaled(double res_scale, double cap_scale) const;
+};
+
 /// Effective resistivity at conductor width `w_cond` [ohm*m].
 double effective_resistivity(const InterconnectTech& tech, double w_cond,
                              const WireModelOptions& options);
 
-/// Resistance per meter of a wire on `layer`, with barrier correction.
-double wire_resistance_per_m(const Technology& tech, WireLayer layer,
-                             const WireModelOptions& options);
+/// The scale-free basis of a wire on `layer` under `style`; the scales in
+/// `options` are not read.
+WireRcBasis wire_rc_basis(const Technology& tech, WireLayer layer, DesignStyle style,
+                          const WireModelOptions& options = {});
 
-/// Full RC extraction of a wire on `layer` under `style`.
+/// Full RC extraction of a wire on `layer` under `style`: the basis
+/// scaled by options.res_scale and options.cap_scale.
 WireRc extract_wire(const Technology& tech, WireLayer layer, DesignStyle style,
                     const WireModelOptions& options = {});
 

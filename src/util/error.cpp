@@ -76,12 +76,4 @@ void fail(ErrorCode code, std::initializer_list<MessagePiece> pieces) {
   throw Error(message, code);
 }
 
-void fail_at(const char* file, int line, const std::string& message, ErrorCode code) {
-  // Strip the directory: call sites only need the basename to be findable.
-  const std::string path(file);
-  const size_t slash = path.find_last_of('/');
-  const std::string base = slash == std::string::npos ? path : path.substr(slash + 1);
-  throw Error(message + " (" + base + ":" + std::to_string(line) + ")", code);
-}
-
 }  // namespace pim

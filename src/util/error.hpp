@@ -125,22 +125,4 @@ inline void require(bool condition, ErrorCode code, const Pieces&... pieces) {
   if (!condition) [[unlikely]] fail(code, {MessagePiece(pieces)...});
 }
 
-/// Implementation hook for PIM_REQUIRE: throws with " (file:line)" appended.
-[[noreturn]] void fail_at(const char* file, int line, const std::string& message,
-                          ErrorCode code = ErrorCode::internal);
-
 }  // namespace pim
-
-/// require() with automatic call-site context: the thrown Error's message
-/// ends in " (file.cpp:123)". Use at internal checkpoints where the
-/// message alone would not identify the failing code path.
-#define PIM_REQUIRE(cond, msg)                              \
-  do {                                                      \
-    if (!(cond)) ::pim::fail_at(__FILE__, __LINE__, (msg)); \
-  } while (0)
-
-/// PIM_REQUIRE with an explicit error code.
-#define PIM_REQUIRE_CODE(cond, msg, code)                           \
-  do {                                                              \
-    if (!(cond)) ::pim::fail_at(__FILE__, __LINE__, (msg), (code)); \
-  } while (0)

@@ -72,17 +72,14 @@ VariationSample sample_variation(Rng& rng, const VariationSigmas& sigmas) {
   return s;
 }
 
-LinkEstimate evaluate_with_variation(const ProposedModel& model, const LinkContext& context,
-                                     const LinkDesign& design,
+LinkEstimate evaluate_with_variation(const ProposedModel& model, const LinkFrame& frame,
                                      const VariationSample& sample) {
   // evaluate_link instead of ProposedModel(...).evaluate(): constructing
   // a model hashes its serialized fit into a cache signature, which at
   // Monte-Carlo sample rates costs far more than the evaluation itself.
   // The perturbed fit never touches the cache, so it needs no signature.
-  LinkContext ctx = context;
-  ctx.wire_options.res_scale *= sample.wire_res;
-  ctx.wire_options.cap_scale *= sample.wire_cap;
-  return evaluate_link(model.tech(), perturb_fit(model.fit(), sample), ctx, design);
+  return evaluate_link(perturb_fit(model.fit(), sample), frame, sample.wire_res,
+                       sample.wire_cap);
 }
 
 double MonteCarloResult::yield_at(double max_delay) const {
@@ -106,30 +103,16 @@ double MonteCarloResult::delay_quantile(double q) const {
   return delays[idx];
 }
 
-double link_delay_within_die(const ProposedModel& model, const LinkContext& ctx,
-                             const LinkDesign& design, Rng& rng,
+double link_delay_within_die(const TechnologyFit& fit, const LinkFrame& frame, Rng& rng,
                              const VariationSigmas& sigmas) {
-  // Rebuild the proposed model's chain stage by stage, drawing a fresh
-  // device corner per repeater. Wire parasitics stay nominal here (wire
+  // The proposed model's chain stage by stage, drawing a fresh device
+  // corner per repeater. Wire parasitics stay nominal here (wire
   // variation is spatially correlated far beyond one segment).
-  const Technology& tech = model.tech();
-  const TechnologyFit& fit = model.fit();
-  const LinkGeometry g(tech, ctx, design);
-  const RepeaterSizing sz = repeater_sizing(tech, design.kind, design.drive);
-  const double win_n = design.kind == CellKind::Inverter ? sz.wn_out : sz.wn_in;
-  const double win_p = design.kind == CellKind::Inverter ? sz.wp_out : sz.wp_in;
-  const double ci = fit.gamma * (win_n + win_p);
-  const double mf = design.miller_factor;
-  const CompositionWeights& comp = fit.composition(ctx.style);
-  const double c_wire = g.seg_cap_ground + mf * g.seg_cap_couple_total;
-  const double cl_rho0 = comp.kappa_c * c_wire + ci;
-  const double cl_rho1 = comp.kappa_c1 * c_wire + ci;
-  const double cl_slew = comp.kappa_c * c_wire + ci;
-  const double d_wire =
-      comp.kappa_w * g.seg_res *
-      (0.4 * g.seg_cap_ground + 0.5 * mf * g.seg_cap_couple_total + 0.7 * ci);
+  const LinkDesign& design = frame.design;
+  const RepeaterSizing& sz = frame.sizing;
+  const StageLoads loads(fit, frame, frame.geometry());
 
-  double slew = ctx.input_slew;
+  double slew = frame.context.input_slew;
   double total = 0.0;
   bool edge_rising = true;
   for (int k = 0; k < design.num_repeaters; ++k) {
@@ -142,9 +125,10 @@ double link_delay_within_die(const ProposedModel& model, const LinkContext& ctx,
     const double intrinsic =
         r_scale * (f.a0 + f.a1 * slew + f.a2 * slew * slew);
     const double d_rep =
-        intrinsic + r_scale * (f.rho0 * cl_rho0 + f.rho1 * slew * cl_rho1) / wr;
-    total += d_rep + d_wire;
-    slew = r_scale * f.b0 + f.b1 * slew + r_scale * f.b2 * cl_slew / wr;
+        intrinsic +
+        r_scale * (f.rho0 * loads.cl_rho0 + f.rho1 * slew * loads.cl_rho1) / wr;
+    total += d_rep + loads.d_wire;
+    slew = r_scale * f.b0 + f.b1 * slew + r_scale * f.b2 * loads.cl_slew / wr;
     edge_rising = out_rising;
   }
   return total;
@@ -281,6 +265,7 @@ MonteCarloResult monte_carlo_link_within_die(const ProposedModel& model,
                                              const VariationSigmas& sigmas) {
   PIM_OBS_SPAN("variation.montecarlo.within_die");
   require(samples >= 1, "monte_carlo_link_within_die: need at least one sample");
+  const LinkFrame frame(model.tech(), ctx, design);
   // Sample i draws from its own (seed, i)-derived RNG stream, so the
   // sampled corners — and any injected faults — are a pure function of
   // the seed and the sample index, independent of thread count.
@@ -288,14 +273,15 @@ MonteCarloResult monte_carlo_link_within_die(const ProposedModel& model,
       static_cast<size_t>(samples), seed, [&](size_t, Rng& rng) {
         if (fault::should_fire(fault::kVariationSample))
           fail("monte_carlo_link_within_die: injected sample fault", ErrorCode::internal);
-        const double delay = link_delay_within_die(model, ctx, design, rng, sigmas);
+        const double delay = link_delay_within_die(model.fit(), frame, rng, sigmas);
         require_finite_sample("monte_carlo_link_within_die", delay);
         return delay;
       });
   MonteCarloResult result = reduce_batch<double>(
       batch, [](const double& d) { return d; }, "monte_carlo_link_within_die");
-  result.nominal_delay = model.evaluate(ctx, design).delay;
-  result.mean_power = model.evaluate(ctx, design).total_power();
+  const LinkEstimate nominal = evaluate_link(model.fit(), frame);
+  result.nominal_delay = nominal.delay;
+  result.mean_power = nominal.total_power();
   tally_yield(result);
   return result;
 }
@@ -305,6 +291,9 @@ MonteCarloResult monte_carlo_link(const ProposedModel& model, const LinkContext&
                                   const VariationSigmas& sigmas) {
   PIM_OBS_SPAN("variation.montecarlo.run");
   require(samples >= 1, "monte_carlo_link: need at least one sample");
+  // Everything no sample perturbs is derived once, here; a sample pays
+  // only for its step.
+  const LinkFrame frame(model.tech(), context, design);
   struct SamplePoint {
     double delay = 0.0;
     double power = 0.0;
@@ -319,14 +308,14 @@ MonteCarloResult monte_carlo_link(const ProposedModel& model, const LinkContext&
         const VariationSample s = sample_variation(rng, sigmas);
         if (fault::should_fire(fault::kVariationSample))
           fail("monte_carlo_link: injected sample fault", ErrorCode::internal);
-        const LinkEstimate est = evaluate_with_variation(model, context, design, s);
+        const LinkEstimate est = evaluate_with_variation(model, frame, s);
         const SamplePoint point{est.delay, est.total_power()};
         require_finite_sample("monte_carlo_link", point.delay, point.power);
         return point;
       });
   MonteCarloResult result = reduce_batch<SamplePoint>(
       batch, [](const SamplePoint& p) { return p.delay; }, "monte_carlo_link");
-  result.nominal_delay = model.evaluate(context, design).delay;
+  result.nominal_delay = evaluate_link(model.fit(), frame).delay;
   double power_acc = 0.0;
   for (const auto& value : batch.values)
     if (value) power_acc += value->power;

@@ -49,10 +49,11 @@ struct VariationSigmas {
 /// Draws one corner; scales are clamped to [0.5, 2.0].
 VariationSample sample_variation(Rng& rng, const VariationSigmas& sigmas);
 
-/// Evaluates `design` on a perturbed copy of the model's fit and wire.
-LinkEstimate evaluate_with_variation(const ProposedModel& model,
-                                     const LinkContext& context,
-                                     const LinkDesign& design,
+/// Evaluates the frame's design on a perturbed copy of the model's fit
+/// and wire: one step of the frame, whose context and design it takes.
+/// Build the frame once per link (LinkFrame(model.tech(), context,
+/// design)) and step it once per sample.
+LinkEstimate evaluate_with_variation(const ProposedModel& model, const LinkFrame& frame,
                                      const VariationSample& sample);
 
 /// Monte-Carlo results for one link implementation.
@@ -157,14 +158,13 @@ MonteCarloResult monte_carlo_link_at_corner(const ProposedModel& model,
                                             uint64_t seed = 1,
                                             const VariationSigmas& sigmas = {});
 
-/// WITHIN-DIE variation: each repeater of the chain draws its own
-/// device-strength/cap deviation (wire variation stays die-wide). Stage
-/// delays then average along the chain, so an N-stage link's relative
-/// sigma shrinks like ~1/sqrt(N) compared to the die-to-die case — the
-/// classic argument for why repeatered interconnect is naturally robust
-/// to random WID variation.
-double link_delay_within_die(const ProposedModel& model, const LinkContext& context,
-                             const LinkDesign& design, Rng& rng,
+/// One WITHIN-DIE sample of the frame's design on `fit`: each repeater of
+/// the chain draws its own device-strength/cap deviation (wire variation
+/// stays die-wide). Stage delays then average along the chain, so an
+/// N-stage link's relative sigma shrinks like ~1/sqrt(N) compared to the
+/// die-to-die case — the classic argument for why repeatered interconnect
+/// is naturally robust to random WID variation.
+double link_delay_within_die(const TechnologyFit& fit, const LinkFrame& frame, Rng& rng,
                              const VariationSigmas& sigmas = {});
 
 /// Monte-Carlo over within-die corners (wire variation disabled so the

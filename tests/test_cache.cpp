@@ -39,6 +39,7 @@
 #include "variation/variation.hpp"
 
 #include "fit_options.hpp"
+#include "synthetic_fit.hpp"
 
 namespace pim::cache {
 namespace {
@@ -194,6 +195,41 @@ TEST(KeyBuilder, NumericFieldsHashTheirCanonicalText) {
     text.field("i", std::to_string(v));
   }
   EXPECT_EQ(fast.finish().hex, text.finish().hex);
+}
+
+// A name or value that carries the separator bytes (0x1f between name
+// and value, 0x1e after a field, 0x1d the escape) is escaped before it is
+// hashed, so one field can no longer spell two. A field without those
+// bytes hashes exactly as before: the yield key of a fixed synthetic
+// model, and its rolled-up params digest, are pinned.
+TEST_F(CacheDirFixture, KeyFieldsEscapeSeparatorBytes) {
+  const auto key = [](const std::vector<std::pair<std::string, std::string>>& fields) {
+    KeyBuilder kb("k");
+    for (const auto& [name, value] : fields) kb.field(name, value);
+    return kb.finish().hex;
+  };
+  EXPECT_NE(key({{"a", "x\x1e" "b\x1f" "y"}}), key({{"a", "x"}, {"b", "y"}}));
+  EXPECT_NE(key({{"a\x1f" "x", "y"}}), key({{"a", "x\x1f" "y"}}));
+  // The escape byte is escaped too, so an escaped separator cannot be
+  // spelled by hand.
+  EXPECT_NE(key({{"a", "\x1d^"}}), key({{"a", "\x1e"}}));
+
+  const Technology& tech = technology(TechNode::N65);
+  const ProposedModel model(tech, synthetic_fit(tech));
+  LinkContext ctx;
+  ctx.length = 2 * mm;
+  LinkDesign design;
+  design.num_repeaters = 3;
+  (void)monte_carlo_link_cached(model, ctx, design, 64, 7);
+  const std::vector<Manifest> manifests = scan_manifests(dir_);
+  ASSERT_EQ(manifests.size(), 1u);
+  EXPECT_EQ(manifests[0].key.kind, "yield");
+  EXPECT_EQ(manifests[0].key.hex,
+            "35cbaac99347238596f6592e743c0b20fdaac3647a4b48ffb0e8212e3e601ee3");
+  std::string params;
+  for (const Facet& f : manifests[0].facets)
+    if (f.type == "params") params = f.id;
+  EXPECT_EQ(params, "f6ff382623f235c9f4a165b31a98659920524e1b9586cf6a5269c67521914133");
 }
 
 TEST(CacheMode, NameParsing) {

@@ -390,6 +390,31 @@ TEST_F(ExecFixture, SchedulerMetricsCoverQueueWaitAndChunkShape) {
   EXPECT_EQ(queue_wait.count(), 3);
 }
 
+TEST_F(ExecFixture, ChunkCpuTimeIsRecordedWithinWallTime) {
+  // A serial region whose runner burns CPU: its thread CPU time is
+  // positive and, read inside the wall window, at most its wall time
+  // (1 ms of slack for clock granularity).
+  volatile double sink = 0.0;
+  exec::parallel_for(
+      64,
+      [&](size_t i) {
+        for (int k = 0; k < 20000; ++k) sink = sink + static_cast<double>(i ^ k);
+      },
+      {.threads = 1});
+  obs::Timer& chunk_cpu = obs::registry().timer("exec.chunk.cpu");
+  obs::Timer& chunk_run = obs::registry().timer("exec.chunk.run");
+  ASSERT_EQ(chunk_cpu.count(), 1);
+  ASSERT_EQ(chunk_run.count(), 1);
+  EXPECT_GT(chunk_cpu.total_ns(), 0);
+  EXPECT_LE(chunk_cpu.total_ns(), chunk_run.total_ns() + 1'000'000);
+
+  // Collection off: no sample.
+  obs::set_enabled(false);
+  exec::parallel_for(8, [](size_t) {}, {.threads = 1});
+  obs::set_enabled(true);
+  EXPECT_EQ(chunk_cpu.count(), 1);
+}
+
 // -------------------------------------------------------------- faults
 
 TEST_F(ExecFixture, FaultFiresAreExactAndThreadCountInvariant) {

@@ -88,12 +88,16 @@ TEST_P(WireResistanceTest, EffectsOnlyIncreaseResistance) {
   WireModelOptions bare;
   bare.scattering = false;
   bare.barrier = false;
-  const double r_full = wire_resistance_per_m(t, WireLayer::Global, full);
-  EXPECT_GT(r_full, wire_resistance_per_m(t, WireLayer::Global, no_scatter));
-  EXPECT_GT(r_full, wire_resistance_per_m(t, WireLayer::Global, no_barrier));
-  EXPECT_GT(r_full, wire_resistance_per_m(t, WireLayer::Global, bare));
+  const auto r_of = [&](const WireModelOptions& options,
+                        WireLayer layer = WireLayer::Global) {
+    return extract_wire(t, layer, DesignStyle::SingleSpacing, options).res_per_m;
+  };
+  const double r_full = r_of(full);
+  EXPECT_GT(r_full, r_of(no_scatter));
+  EXPECT_GT(r_full, r_of(no_barrier));
+  EXPECT_GT(r_full, r_of(bare));
   // Intermediate wires are narrower, hence more resistive.
-  EXPECT_GT(wire_resistance_per_m(t, WireLayer::Intermediate, full), r_full);
+  EXPECT_GT(r_of(full, WireLayer::Intermediate), r_full);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllNodes, WireResistanceTest,
@@ -102,7 +106,9 @@ INSTANTIATE_TEST_SUITE_P(AllNodes, WireResistanceTest,
 TEST(WireResistance, GrowsAcrossNodes) {
   double prev = 0.0;
   for (TechNode n : all_tech_nodes()) {
-    const double r = wire_resistance_per_m(technology(n), WireLayer::Global, {});
+    const double r = extract_wire(technology(n), WireLayer::Global,
+                                  DesignStyle::SingleSpacing)
+                         .res_per_m;
     EXPECT_GT(r, prev);
     prev = r;
   }

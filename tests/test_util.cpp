@@ -109,22 +109,6 @@ TEST(Error, ContextChainRendersInnermostFirst) {
   EXPECT_LT(factor_at, char_at);  // innermost first
 }
 
-TEST(Error, PimRequireCapturesCallSite) {
-  try {
-    PIM_REQUIRE(1 == 2, "impossible");
-    FAIL() << "should have thrown";
-  } catch (const Error& e) {
-    EXPECT_NE(e.message().find("impossible (test_util.cpp:"), std::string::npos);
-    EXPECT_EQ(e.code(), ErrorCode::internal);
-  }
-  try {
-    PIM_REQUIRE_CODE(false, "bad arg", ErrorCode::bad_input);
-    FAIL() << "should have thrown";
-  } catch (const Error& e) {
-    EXPECT_EQ(e.code(), ErrorCode::bad_input);
-  }
-}
-
 TEST(Expected, ValueAndErrorStates) {
   const Expected<int> good = 42;
   ASSERT_TRUE(good.ok());

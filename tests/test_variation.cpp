@@ -89,6 +89,7 @@ class VariationFixture : public ::testing::Test {
     d.num_repeaters = 5;
     return d;
   }
+  static LinkFrame frame() { return LinkFrame(model_->tech(), ctx(), design()); }
 
   static TechnologyFit* fit_;
   static ProposedModel* model_;
@@ -99,7 +100,7 @@ ProposedModel* VariationFixture::model_ = nullptr;
 
 TEST_F(VariationFixture, NominalSampleReproducesModel) {
   const LinkEstimate nominal = model_->evaluate(ctx(), design());
-  const LinkEstimate same = evaluate_with_variation(*model_, ctx(), design(), {});
+  const LinkEstimate same = evaluate_with_variation(*model_, frame(), {});
   EXPECT_DOUBLE_EQ(same.delay, nominal.delay);
   EXPECT_DOUBLE_EQ(same.leakage_power, nominal.leakage_power);
 }
@@ -108,36 +109,46 @@ TEST_F(VariationFixture, PerturbationsMoveTheRightWay) {
   const double nominal = model_->evaluate(ctx(), design()).delay;
   VariationSample strong;
   strong.drive_strength = 1.2;
-  EXPECT_LT(evaluate_with_variation(*model_, ctx(), design(), strong).delay, nominal);
+  EXPECT_LT(evaluate_with_variation(*model_, frame(), strong).delay, nominal);
   VariationSample resistive;
   resistive.wire_res = 1.3;
-  EXPECT_GT(evaluate_with_variation(*model_, ctx(), design(), resistive).delay, nominal);
+  EXPECT_GT(evaluate_with_variation(*model_, frame(), resistive).delay, nominal);
   VariationSample leaky;
   leaky.leakage = 1.5;
-  EXPECT_NEAR(evaluate_with_variation(*model_, ctx(), design(), leaky).leakage_power,
+  EXPECT_NEAR(evaluate_with_variation(*model_, frame(), leaky).leakage_power,
               1.5 * model_->evaluate(ctx(), design()).leakage_power, 1e-9);
   VariationSample fat_wire;
   fat_wire.wire_cap = 1.2;
-  const LinkEstimate e = evaluate_with_variation(*model_, ctx(), design(), fat_wire);
+  const LinkEstimate e = evaluate_with_variation(*model_, frame(), fat_wire);
   EXPECT_GT(e.delay, nominal);
   EXPECT_GT(e.switched_cap, model_->evaluate(ctx(), design()).switched_cap);
 }
 
 // The Monte-Carlo inner loop runs once per sample, 20,000 times per yield
-// run: drawing a corner and evaluating the perturbed link must not touch
-// the heap (contract checks with literal messages included).
+// run: drawing a corner and stepping the run's frame must not touch the
+// heap (contract checks with literal messages included). Neither may
+// building a frame, which every nominal evaluate_link pays.
 TEST_F(VariationFixture, SampleEvaluationDoesNotAllocate) {
   const LinkContext c = ctx();
   const LinkDesign d = design();
   const VariationSigmas sigmas;
   Rng rng(5);
-  double sink = evaluate_with_variation(*model_, c, d, sample_variation(rng, sigmas)).delay;
+  const LinkFrame f(model_->tech(), c, d);
+  double sink = evaluate_with_variation(*model_, f, sample_variation(rng, sigmas)).delay;
   constexpr int kSamples = 100;
-  const int64_t before = heap_allocations();
+  int64_t before = heap_allocations();
   for (int i = 0; i < kSamples; ++i)
-    sink += evaluate_with_variation(*model_, c, d, sample_variation(rng, sigmas)).delay;
-  const int64_t allocations = heap_allocations() - before;
+    sink += evaluate_with_variation(*model_, f, sample_variation(rng, sigmas)).delay;
+  int64_t allocations = heap_allocations() - before;
   EXPECT_EQ(allocations, 0) << allocations / kSamples << " per sample";
+
+  before = heap_allocations();
+  for (int i = 0; i < kSamples; ++i) {
+    const LinkFrame per_call(model_->tech(), c, d);
+    sink += evaluate_link(model_->fit(), per_call).delay;
+  }
+  allocations = heap_allocations() - before;
+  EXPECT_EQ(allocations, 0) << allocations / kSamples << " per frame";
   EXPECT_GT(sink, 0.0);
 }
 
@@ -209,7 +220,7 @@ TEST_F(VariationFixture, WithinDieZeroSigmaEqualsNominal) {
   none.wire_res = 0.0;
   none.wire_cap = 0.0;
   Rng rng(1);
-  const double d = link_delay_within_die(*model_, ctx(), design(), rng, none);
+  const double d = link_delay_within_die(*fit_, frame(), rng, none);
   EXPECT_NEAR(d, model_->evaluate(ctx(), design()).delay, 1e-9 * d);
 }
 

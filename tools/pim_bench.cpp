@@ -344,8 +344,10 @@ std::vector<BenchMetric> bench_cold_fit() {
 // of the same perturbed netlists. Model level: the per-sample evaluation
 // monte_carlo_link historically performed (construct a ProposedModel per
 // corner, which hashes the fit into a cache signature) vs the
-// evaluate_link fast path it uses now; check_perf.sh gates the
-// model-path ratio at >= 3x — the speedup behind mc_yield.
+// evaluate_link fast path (a frame, then one step) vs one step of a
+// prebuilt frame, the per-sample cost inside monte_carlo_link now.
+// check_perf.sh gates the model-path / fast-path ratio at >= 3x and the
+// fast-path / frame ratio at >= 2x — the speedups behind mc_yield.
 std::vector<BenchMetric> bench_mc_batch() {
   const Technology& tech = technology(TechNode::N65);
   const RepeaterSizing sz = repeater_sizing(tech, CellKind::Inverter, 8);
@@ -424,11 +426,20 @@ std::vector<BenchMetric> bench_mc_batch() {
   const double fast_us = seconds_since(start) * 1e6 / kSamples;
   require(sink_model == sink_fast,
           "mc_batch: evaluate_link diverged from ProposedModel::evaluate");
+  // The same designs stepped through one prebuilt frame: what a sample
+  // costs once monte_carlo_link has built its run's frame.
+  const LinkFrame frame(bm.tech, ctx, design);
+  double sink_frame = 0.0;
+  start = Clock::now();
+  for (int i = 0; i < kSamples; ++i) sink_frame += evaluate_link(bm.fit, frame).delay;
+  const double frame_us = seconds_since(start) * 1e6 / kSamples;
+  require(sink_frame == sink_fast, "mc_batch: a frame step diverged from evaluate_link");
 
   return {{"us_per_lane_batched", batch_us, "us", 0.6},
           {"us_per_lane_reference", solo_us, "us", 0.6},
           {"us_per_sample_modelpath", model_us, "us", 0.6},
-          {"us_per_sample_fastpath", fast_us, "us", 0.8}};
+          {"us_per_sample_fastpath", fast_us, "us", 0.8},
+          {"us_per_sample_frame", frame_us, "us", 0.8}};
 }
 
 // The number codec under every cache payload (util/strings.hpp): encode
