@@ -1,6 +1,8 @@
 #include "cache/key.hpp"
 
 #include <charconv>
+#include <cstdint>
+#include <cstring>
 
 #include "cache/manifest.hpp"
 #include "util/strings.hpp"
@@ -12,20 +14,40 @@ constexpr char kUnitSep = '\x1f';    // between field name and value
 constexpr char kRecordSep = '\x1e';  // after each field
 constexpr char kEscape = '\x1d';     // before an escaped byte
 
-// Hashes `bytes` with each separator or escape byte b written as
-// kEscape, b ^ 0x40, so a name or value can never spell a field boundary.
-// Bytes without them hash unchanged, which keeps every such key's hex.
-void update_escaped(Sha256& hasher, std::string_view bytes) {
-  constexpr std::string_view kSpecial("\x1d\x1e\x1f", 3);
-  size_t from = 0;
-  for (size_t at = bytes.find_first_of(kSpecial); at != std::string_view::npos;
-       at = bytes.find_first_of(kSpecial, from)) {
-    const char escaped[2] = {kEscape, static_cast<char>(bytes[at] ^ 0x40)};
-    hasher.update(bytes.substr(from, at - from));
-    hasher.update(escaped, 2);
-    from = at + 1;
+// A separator or the escape byte: what a name or value must not carry
+// raw, or one field could spell two.
+bool is_special(char c) { return static_cast<unsigned char>(c - kEscape) < 3; }
+
+// Eight bytes a step, since every key field passes through here: XOR
+// with 0x1c maps 0x1c..0x1f to 0..3, and (w - 4) & ~w & 0x80 sets a
+// byte's top bit only if some byte is below 4. A 0x1c byte also trips
+// it, which is harmless: escaped() leaves that byte as it is.
+bool has_special(std::string_view bytes) {
+  constexpr uint64_t kOnes = 0x0101010101010101;
+  uint64_t hit = 0;
+  size_t i = 0;
+  for (; i + 8 <= bytes.size(); i += 8) {
+    uint64_t w;
+    std::memcpy(&w, bytes.data() + i, 8);
+    w ^= 0x1c * kOnes;
+    hit |= (w - 4 * kOnes) & ~w & (0x80 * kOnes);
   }
-  hasher.update(bytes.substr(from));
+  for (; i < bytes.size(); ++i) hit |= is_special(bytes[i]);
+  return hit != 0;
+}
+
+// Each special byte b written as kEscape, b ^ 0x40.
+std::string escaped(std::string_view bytes) {
+  std::string out;
+  for (const char c : bytes) {
+    if (is_special(c)) {
+      out += kEscape;
+      out += static_cast<char>(c ^ 0x40);
+    } else {
+      out += c;
+    }
+  }
+  return out;
 }
 
 // std::to_chars(args...) into `buf`, as a view: a numeric field's text
@@ -49,32 +71,46 @@ KeyBuilder::KeyBuilder(std::string kind) : kind_(std::move(kind)) {
 
 void KeyBuilder::note_param(std::string_view name, std::string_view value) {
   if (internal_) return;
-  update_escaped(params_hasher_, name);
+  params_hasher_.update(name);
   params_hasher_.update(&kUnitSep, 1);
-  update_escaped(params_hasher_, value);
+  params_hasher_.update(value);
   params_hasher_.update(&kRecordSep, 1);
   has_params_ = true;
 }
 
-KeyBuilder& KeyBuilder::field(std::string_view name, std::string_view value) {
-  update_escaped(hasher_, name);
+KeyBuilder& KeyBuilder::append(std::string_view name, std::string_view value) {
+  hasher_.update(name);
   hasher_.update(&kUnitSep, 1);
-  update_escaped(hasher_, value);
+  hasher_.update(value);
   hasher_.update(&kRecordSep, 1);
   note_param(name, value);
   return *this;
+}
+
+KeyBuilder& KeyBuilder::field(std::string_view name, std::string_view value) {
+  // A field without special bytes hashes as it always has, so its key
+  // keeps its hex.
+  if (has_special(name) || has_special(value)) [[unlikely]]
+    return append(escaped(name), escaped(value));
+  return append(name, value);
+}
+
+KeyBuilder& KeyBuilder::field_number(std::string_view name, std::string_view text) {
+  // A rendered number holds no special byte; only the name is checked.
+  if (has_special(name)) [[unlikely]] return append(escaped(name), text);
+  return append(name, text);
 }
 
 KeyBuilder& KeyBuilder::field(std::string_view name, double value) {
   // 17 significant digits: the canonical exactly-round-tripping render,
   // the same characters as format_sig(value, 17).
   char buf[32];
-  return field(name, render(buf, value, std::chars_format::general, 17));
+  return field_number(name, render(buf, value, std::chars_format::general, 17));
 }
 
 KeyBuilder& KeyBuilder::field(std::string_view name, int64_t value) {
   char buf[32];
-  return field(name, render(buf, value));
+  return field_number(name, render(buf, value));
 }
 
 KeyBuilder& KeyBuilder::field(std::string_view name, const std::vector<double>& values) {

@@ -82,6 +82,10 @@ class KeyBuilder {
   CacheKey finish();
 
  private:
+  /// Hashes one field whose name and value are already escaped.
+  KeyBuilder& append(std::string_view name, std::string_view value);
+  /// field() for the text of a number, which needs no escaping.
+  KeyBuilder& field_number(std::string_view name, std::string_view text);
   void note_param(std::string_view name, std::string_view value);
 
   std::string kind_;
