@@ -68,7 +68,11 @@ LinkEstimate evaluate_link(const TechnologyFit& fit, const LinkFrame& frame,
 
   LinkEstimate est;
 
-  // Delay and slew, worst over the two launch polarities.
+  // Delay and slew, worst over the two launch polarities. The edge fits
+  // are resolved once: edge_fit is out of line, and a call inside the
+  // chain would spill its live values at every stage.
+  const RepeaterEdgeFit& rise = fit.edge_fit(design.kind, true);
+  const RepeaterEdgeFit& fall = fit.edge_fit(design.kind, false);
   double worst_delay = 0.0;
   double worst_out_slew = 0.0;
   for (const bool launch_rising : {true, false}) {
@@ -78,7 +82,7 @@ LinkEstimate evaluate_link(const TechnologyFit& fit, const LinkFrame& frame,
     for (int k = 0; k < design.num_repeaters; ++k) {
       const bool out_rising =
           design.kind == CellKind::Inverter ? !edge_rising : edge_rising;
-      const RepeaterEdgeFit& f = fit.edge_fit(design.kind, out_rising);
+      const RepeaterEdgeFit& f = out_rising ? rise : fall;
       const double wr = out_rising ? sz.wp_out : sz.wn_out;
       const double intrinsic = f.a0 + f.a1 * slew + f.a2 * slew * slew;
       const double d_repeater =

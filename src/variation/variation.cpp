@@ -111,13 +111,15 @@ double link_delay_within_die(const TechnologyFit& fit, const LinkFrame& frame, R
   const LinkDesign& design = frame.design;
   const RepeaterSizing& sz = frame.sizing;
   const StageLoads loads(fit, frame, frame.geometry());
+  const RepeaterEdgeFit& rise = fit.edge_fit(design.kind, true);
+  const RepeaterEdgeFit& fall = fit.edge_fit(design.kind, false);
 
   double slew = frame.context.input_slew;
   double total = 0.0;
   bool edge_rising = true;
   for (int k = 0; k < design.num_repeaters; ++k) {
     const bool out_rising = design.kind == CellKind::Inverter ? !edge_rising : edge_rising;
-    const RepeaterEdgeFit& f = fit.edge_fit(design.kind, out_rising);
+    const RepeaterEdgeFit& f = out_rising ? rise : fall;
     const double wr = out_rising ? sz.wp_out : sz.wn_out;
     // Per-repeater corner: strength scales all delay terms of THIS stage.
     const double strength = clamp_scale(rng.normal(1.0, sigmas.drive_strength));
